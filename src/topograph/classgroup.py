@@ -129,12 +129,11 @@ class ClassGroupTable:
     def to_json(self) -> dict:
         a_index = {}
         for sigma in (2, 3):
+            a_index[str(sigma)] = None
             if is_diform_discriminant(sigma, self.disc):
-                a_index[str(sigma)] = self.class_index(
-                    ambiguous_form_A(sigma, self.disc)
-                )
-            else:
-                a_index[str(sigma)] = None
+                form = ambiguous_form_A(sigma, self.disc)
+                if content(form) == 1:
+                    a_index[str(sigma)] = self.class_index(form)
         return {
             "delta": self.disc,
             "h": self.h,
@@ -246,9 +245,12 @@ def verify_red_blue(sigma: int, a: int, b: int, c: int) -> dict:
     )
     if not pairwise:
         raise PreconditionError("a, b*sigma, c must be pairwise coprime")
+    q_red, q_blue = red_blue_forms(sigma, a, b, c)
+    # with b = 0 this asks that sigma divide neither a nor c
+    if content(q_red) != 1 or content(q_blue) != 1:
+        raise PreconditionError(f"red {q_red} and blue {q_blue} must be primitive")
     d = sigma * (b * b * sigma - 4 * a * c)
     table = enumerate_classes(d)
-    q_red, q_blue = red_blue_forms(sigma, a, b, c)
     i_red = table.class_index(q_red)
     i_blue = table.class_index(q_blue)
     i_a = table.class_index(ambiguous_form_A(sigma, d))

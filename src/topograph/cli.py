@@ -24,9 +24,10 @@ from .hermitian import (
     find_tetrabasis,
 )
 from .reduction import (
+    _bends,
+    _minimum,
+    _well_form,
     find_well,
-    gauss_reduced,
-    minimum_nonzero,
     pell_solve,
     riverbends,
     trace_river,
@@ -77,7 +78,7 @@ def _cmd_reduce(args) -> None:
     kind = classify(q)
     if kind == POSITIVE_DEFINITE:
         well = find_well(q)
-        red = gauss_reduced(q)
+        red = _well_form(well)
         _emit({
             "form": [a, b, c],
             "class": kind,
@@ -101,15 +102,15 @@ def _cmd_river(args) -> None:
     a, b, c = _parse_form(args.form)
     q = BQF(a, b, c)
     period = trace_river(q)
-    rep = minimum_nonzero(q)
+    rep = _minimum(period)
     _emit({
         "form": [a, b, c],
         "delta": q.discriminant(),
-        "period_edges": len(period.edges) - 1,
+        "period_edges": period.steps,
         "mu": rep.mu,
         "witness": list(rep.witness),
         "automorph": [list(r) for r in period.automorph],
-        "reduced_cycle": sorted([f.a, f.b, f.c] for f in riverbends(q)),
+        "reduced_cycle": sorted([f.a, f.b, f.c] for f in _bends(period)),
     })
 
 

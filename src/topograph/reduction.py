@@ -3,22 +3,32 @@ indefinite ones, Pell solutions and minima bounds.
 
 The routines here navigate superbases directly and never call the classical
 reduction route; the two are compared in tests.
+
+Every walk moves a whole run at a time.  Along a path that keeps one face F
+fixed, the arithmetic progression rule e + f = 2(u + v) makes the values of
+the faces on the other side a quadratic sequence in the step number, with
+second difference 2 Q(F).  So the length of each monotone run is one exact
+floor division or ``isqrt``: well descent and the river search cost
+O(log |coefficients|) runs, and a river period costs one run per partial
+quotient of its continued fraction, not their sum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify
-from .errors import ClassificationError, SquareDiscriminantError
+from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify, is_square
+from .errors import ClassificationError, IntegralityError, SquareDiscriminantError
 from .lax import (
     STANDARD_SUPERBASE,
     Superbase,
     Vec,
     det,
     lax,
-    normalize_superbase,
+    mat_apply,
     vadd,
+    vneg,
     vsub,
 )
 
@@ -43,32 +53,101 @@ class MinimumReport:
 
 @dataclass(frozen=True)
 class RiverPeriod:
-    edges: tuple  # ((pos_vec, neg_vec), ...) signed, Q-positive first
-    bank: tuple  # ((face_vec, value), ...) the third face at each vertex
+    """One river period, stored as runs.
+
+    ``edges`` holds the start edge, every riverbend after it and the closing
+    translate, as signed (pos_vec, neg_vec) pairs, Q-positive first.  Between
+    two consecutive entries one side of the river stays fixed and the other
+    advances by multiples of it.  ``steps`` counts the single river edges in
+    the period.
+    """
+
+    edges: tuple
+    steps: int
     automorph: tuple  # 2x2 integer matrix translating the river one period
     form: BQF
 
 
+def _step(vs: list, j: int) -> list:
+    """Cross the edge opposite vs[j]: {p, r} stays, vs[j] becomes p - r and p
+    flips sign, which keeps the zero-sum convention."""
+    p, r = vs[(j + 1) % 3], vs[(j + 2) % 3]
+    out = list(vs)
+    out[j] = vsub(p, r)
+    out[(j + 1) % 3] = vneg(p)
+    return out
+
+
+def _run(vs: list, j: int, fixed: int, k: int) -> list:
+    """k steps around the face at position ``fixed``, the first replacing
+    vs[j].  Two steps bring the fixed face back to its position with its sign
+    flipped and move the other face 2F along, so k steps are closed form."""
+    p, r = vs[(j + 1) % 3], vs[(j + 2) % 3]
+    m, odd = divmod(k, 2)
+    s = -1 if m % 2 else 1
+    if fixed == (j + 2) % 3:
+        p = (s * (p[0] - 2 * m * r[0]), s * (p[1] - 2 * m * r[1]))
+        r = (s * r[0], s * r[1])
+    else:
+        r = (s * (r[0] - 2 * m * p[0]), s * (r[1] - 2 * m * p[1]))
+        p = (s * p[0], s * p[1])
+    out = [None, None, None]
+    out[j], out[(j + 1) % 3], out[(j + 2) % 3] = vneg(vadd(p, r)), p, r
+    return _step(out, j) if odd else out
+
+
+def _drop(h: list):
+    """Position of the face to replace: the first largest value, if it
+    exceeds the sum of the other two."""
+    j = max(range(3), key=h.__getitem__)
+    return j if 2 * h[j] > sum(h) else None
+
+
+def _mixed(vals: list) -> bool:
+    return min(vals) < 0 < max(vals)
+
+
 def _descend(q: BQF, start: Superbase):
-    """Follow strictly decreasing edges to the flow source. Returns the final
-    signed vector triple."""
+    """Follow strictly decreasing |Q| from ``start`` until a well (no face
+    exceeds the sum of the other two) or until a face of the other sign
+    appears.  Returns the final signed vector triple and its values.
+
+    Each pass takes one step, then jumps the rest of the run around the face
+    that the next step keeps.  That face is less than half the one the
+    previous run kept, so the passes are bounded by the bit length of the
+    largest starting value.
+    """
     vs = list(start.vectors)
     vals = [q(v) for v in vs]
-    while True:
-        best = None
-        for j in range(3):
-            p, r = vs[(j + 1) % 3], vs[(j + 2) % 3]
-            e = 2 * (vals[(j + 1) % 3] + vals[(j + 2) % 3]) - vals[j]
-            drop = vals[j] - e
-            if drop > 0 and (best is None or drop > best[0]):
-                best = (drop, j, p, r, e)
-        if best is None:
+    sign = 1 if vals[0] > 0 else -1
+    disc = q.discriminant()
+    root = math.isqrt(disc) if disc > 0 else None
+    limit = max(abs(x) for x in vals).bit_length() + 2
+    for _ in range(limit):
+        if _mixed(vals):
             return vs, vals
-        _, j, p, r, e = best
-        # {p, r, p-r} with p flipped keeps the zero-sum convention
-        vs[j] = vsub(p, r)
-        vs[(j + 1) % 3] = (-p[0], -p[1])
-        vals[j] = e
+        j = _drop([sign * x for x in vals])
+        if j is None:
+            return vs, vals
+        vs = _step(vs, j)
+        vals[j] = q(vs[j])
+        h = [sign * x for x in vals]
+        if _mixed(vals) or (j2 := _drop(h)) is None:
+            return vs, vals
+        fixed = 3 - j - j2
+        phi, a, b = h[fixed], h[j2], h[j]
+        # the moving faces from vs[j2] on have values H(x) = phi x^2 +
+        # (b - a - phi) x + a; the run lasts while H(x-1) > phi + H(x)
+        k = -((b - a + phi) // (2 * phi))
+        if root is not None:
+            # stop at the first face of the other sign: H's smaller root,
+            # irrational because the discriminant of H is Q's
+            x = (phi + a - b - root - 1) // (2 * phi) + 1
+            if x >= 2 and phi * x * x + (b - a - phi) * x + a < 0:
+                k = min(k, x - 1)
+        vs = _run(vs, j2, fixed, k)
+        vals = [q(v) for v in vs]
+    raise ClassificationError(f"descent of {q} not finished after {limit} runs")
 
 
 def find_well(q: BQF, start: Superbase | None = None) -> Well:
@@ -86,6 +165,14 @@ def find_well(q: BQF, start: Superbase | None = None) -> Well:
     return Well(kind, (u, v, w), vecs, orientation)
 
 
+def _well_form(well: Well) -> BQF:
+    u, v, w = well.values
+    b = -det(well.vectors[0], well.vectors[1]) * (u + v - w)
+    if b < 0 and (u == v or -b == u):
+        b = -b
+    return BQF(u, b, v)
+
+
 def gauss_reduced(q: BQF, start: Superbase | None = None) -> BQF:
     """Gauss-reduced form read off the well.
 
@@ -93,12 +180,7 @@ def gauss_reduced(q: BQF, start: Superbase | None = None) -> BQF:
     w - u - v; flipping the second basis vector restores det +1 when needed,
     so b = -det(x_u, x_v) * (u + v - w) lands in the SL2 class of q.
     """
-    well = find_well(q, start)
-    u, v, w = well.values
-    b = -det(well.vectors[0], well.vectors[1]) * (u + v - w)
-    if b < 0 and (u == v or -b == u):
-        b = -b
-    return BQF(u, b, v)
+    return _well_form(find_well(q, start))
 
 
 def _require_indefinite(q: BQF) -> None:
@@ -111,54 +193,65 @@ def _require_indefinite(q: BQF) -> None:
 def find_river_edge(q: BQF) -> tuple[Vec, Vec]:
     """A lax basis whose faces carry opposite signs; Q-positive vector first."""
     _require_indefinite(q)
-    vs = list(STANDARD_SUPERBASE.vectors)
-    vals = [q(v) for v in vs]
-    for _ in range(10 ** 6):
-        for i in range(3):
-            for j in range(3):
-                if i != j and vals[i] > 0 > vals[j]:
-                    return vs[i], vs[j]
-        # all values share one sign: walk against the climbing flow
-        sign = 1 if vals[0] > 0 else -1
-        best = None
+    vs, vals = _descend(q, STANDARD_SUPERBASE)
+    for i in range(3):
         for j in range(3):
-            p, r = vs[(j + 1) % 3], vs[(j + 2) % 3]
-            e = 2 * (vals[(j + 1) % 3] + vals[(j + 2) % 3]) - vals[j]
-            drop = sign * (vals[j] - e)
-            if best is None or drop > best[0]:
-                best = (drop, j, p, r, e)
-        _, j, p, r, e = best
-        vs[j] = vsub(p, r)
-        vs[(j + 1) % 3] = (-p[0], -p[1])
-        vals[j] = e
-    raise ClassificationError("river search did not terminate")
+            if i != j and vals[i] > 0 > vals[j]:
+                return vs[i], vs[j]
+    raise ClassificationError(f"no river edge found for {q}")
+
+
+def _river_run(q: BQF, p: Vec, n: Vec, root: int):
+    """Follow the river from edge (p, n) to the next bend.  While the face
+    p + n is positive p advances by n, else n advances by p; the run ends
+    where Q(p + j n) or Q(n + j p) changes sign, at the floor of a root of
+    a quadratic with discriminant Q's."""
+    qp, qn = q(p), q(n)
+    b = q(vadd(p, n)) - qp - qn
+    if qp + b + qn > 0:
+        k = (b + root) // (-2 * qn)
+        return (p[0] + k * n[0], p[1] + k * n[1]), n, k
+    k = (root - b) // (2 * qp)
+    return p, (n[0] + k * p[0], n[1] + k * p[1]), k
+
+
+def _is_bend(q: BQF, p: Vec, n: Vec) -> bool:
+    """The river turns at edge (p, n): the faces p - n and p + n, one at each
+    end of the edge, carry opposite signs."""
+    return q(vsub(p, n)) * q(vadd(p, n)) < 0
 
 
 def trace_river(q: BQF) -> RiverPeriod:
-    """Walk the river one full period; the period is certified by an exact
-    Q-preserving change of basis (the automorph)."""
+    """Walk the river one full period, a run at a time; the period is
+    certified by an exact Q-preserving change of basis (the automorph).
+
+    The walk is the same at every translate, so the first bend that is a
+    translate of the first bend reached (or of the start, if that is a bend)
+    gives the automorph, and the closing edge is the automorph's image of
+    the start.  The bends of one period read off distinct reduced forms
+    (a, b, c), with 0 < b and 0 < |a| below sqrt(disc), which bounds the
+    runs.
+    """
     _require_indefinite(q)
     p0, n0 = find_river_edge(q)
+    root = math.isqrt(q.discriminant())
+    limit = 2 * root * root + 2
+    edges = [(p0, n0)]
+    ref = (p0, n0) if _is_bend(q, p0, n0) else None
+    ref_steps = steps = 0
     p, n = p0, n0
-    edges = []
-    bank = []
-    for _ in range(10 ** 6):
-        edges.append((p, n))
-        r = vadd(p, n)
-        qr = q(r)
-        bank.append((r, qr))
-        if qr > 0:
-            p, n = r, n
-        elif qr < 0:
-            p, n = p, r
-        else:
-            raise SquareDiscriminantError("form represents zero on the river")
-        if q(p) == q(p0) and q(n) == q(n0) and (p, n) != (p0, n0):
-            t = _change_of_basis(p0, n0, p, n)
+    for _ in range(limit):
+        p, n, k = _river_run(q, p, n, root)
+        steps += k
+        if ref is None:
+            ref, ref_steps = (p, n), steps
+        elif q(p) == q(ref[0]) and q(n) == q(ref[1]):
+            t = _change_of_basis(ref[0], ref[1], p, n)
             if t is not None and q.transform(t) == q:
-                edges.append((p, n))
-                return RiverPeriod(tuple(edges), tuple(bank), t, q)
-    raise ClassificationError("river period not found")
+                edges.append((mat_apply(t, p0), mat_apply(t, n0)))
+                return RiverPeriod(tuple(edges), steps - ref_steps, t, q)
+        edges.append((p, n))
+    raise ClassificationError(f"river period of {q} not closed after {limit} runs")
 
 
 def _change_of_basis(p0: Vec, n0: Vec, p1: Vec, n1: Vec):
@@ -179,22 +272,22 @@ def _change_of_basis(p0: Vec, n0: Vec, p1: Vec, n1: Vec):
 
 
 def _period_faces(period: RiverPeriod):
+    """The faces at the run ends of the period, as {lax vector: Q}.
+
+    Inside a run |Q| of the moving faces is strictly concave in the step
+    number, so it is smallest only at the run's ends.  These faces therefore
+    include every face of the period that attains its least |Q|, and every
+    face with |Q| = 1.
+    """
     faces = {}
     for p, n in period.edges:
         for v in (p, n):
             faces.setdefault(lax(v), period.form(v))
-    for r, qr in period.bank:
-        faces.setdefault(lax(r), qr)
     return faces
 
 
-def riverbends(q: BQF) -> list[BQF]:
-    """Reduced forms read off the riverbend cells of one period.
-
-    Each bend cell is reported in both orientations; the multiset matches the
-    classical reduced cycle.
-    """
-    period = trace_river(q)
+def _bends(period: RiverPeriod) -> list[BQF]:
+    q = period.form
     out = []
     for p, n in period.edges[:-1]:
         u, v = q(p), q(n)
@@ -209,13 +302,25 @@ def riverbends(q: BQF) -> list[BQF]:
     return out
 
 
+def riverbends(q: BQF) -> list[BQF]:
+    """Reduced forms read off the riverbend cells of one period.
+
+    Each bend cell is reported in both orientations; the multiset matches the
+    classical reduced cycle.
+    """
+    return _bends(trace_river(q))
+
+
+def _minimum(period: RiverPeriod) -> MinimumReport:
+    faces = _period_faces(period)
+    mu_vec = min(faces, key=lambda v: (abs(faces[v]), v))
+    return MinimumReport(abs(faces[mu_vec]), mu_vec, period.form.discriminant())
+
+
 def minimum_nonzero(q: BQF) -> MinimumReport:
     """Minimum |Q| over the faces adjacent to one river period; by the
     climbing principle this is the global nonzero minimum."""
-    period = trace_river(q)
-    faces = _period_faces(period)
-    mu_vec = min(faces, key=lambda v: (abs(faces[v]), v))
-    return MinimumReport(abs(faces[mu_vec]), mu_vec, q.discriminant())
+    return _minimum(trace_river(q))
 
 
 @dataclass(frozen=True)
@@ -228,8 +333,6 @@ class PellSolution:
 
 def pell_solve(d: int) -> PellSolution:
     """Fundamental solution of x^2 - D y^2 = 1 from the river of x^2 - D y^2."""
-    from .bqf import is_square
-
     if d < 2 or is_square(d):
         raise SquareDiscriminantError("need a nonsquare D >= 2")
     q = BQF(1, 0, -d)
@@ -244,5 +347,6 @@ def pell_solve(d: int) -> PellSolution:
     if faces.get(lax((tx, ty)), q((tx, ty))) == 1 and ty != 0:
         candidates.append(tv)
     x, y = min(candidates)
-    assert x * x - d * y * y == 1
+    if x * x - d * y * y != 1:
+        raise IntegralityError(f"({x}, {y}) does not solve x^2 - {d} y^2 = 1")
     return PellSolution(d, x, y, period.automorph)

@@ -181,22 +181,38 @@ def test_criterion_04_cell_identities(report):
 
 # --- 5: dicell identities at random dicells ----------------------------------
 
-def _random_dibasis(rng, sigma):
-    while True:
-        r = Divector(RED, rng.randint(-20, 20), rng.randint(-20, 20))
-        b = Divector(BLUE, rng.randint(-20, 20), rng.randint(-20, 20))
-        if is_dibasis(r, b, sigma):
-            return r, b
+def _dibases(sigma):
+    """Every dibasis (red, blue) with all coordinates in [-20, 20].
+
+    A uniform draw from this list has the law of drawing both divectors
+    uniformly from the box until they form a dibasis.  For a red (ru, rv),
+    the blue (bu, bv) solve ru * bv - sigma * rv * bu = +-1, so bv is read
+    off each bu.
+    """
+    box = range(-20, 21)
+    out = []
+    for ru in box:
+        for rv in box:
+            if ru == 0:
+                continue  # sigma * rv * bu = -+1 has no solution for sigma > 1
+            for bu in box:
+                for unit in (1, -1):
+                    bv, rem = divmod(unit + sigma * rv * bu, ru)
+                    if rem == 0 and -20 <= bv <= 20:
+                        out.append((Divector(RED, ru, rv), Divector(BLUE, bu, bv)))
+    assert all(is_dibasis(r, b, sigma) for r, b in out)
+    return out
 
 
 def test_criterion_05_dicell_identities(report):
     rng = random.Random(103)
     n = 10_000
     for sigma in (2, 3):
+        dibases = _dibases(sigma)
         for _ in range(n):
             q = BQD(sigma, rng.randint(-20, 20), rng.randint(-20, 20),
                     rng.randint(-20, 20))
-            cv = dicell_values(q, *_random_dibasis(rng, sigma))
+            cv = dicell_values(q, *rng.choice(dibases))
             d = q.discriminant()
             assert cv.e + cv.f == 2 * (sigma * cv.u + cv.v)
             assert cv.e2 + cv.f2 == 2 * (cv.u + sigma * cv.v)

@@ -106,6 +106,15 @@ def test_verify_red_blue_precondition():
         verify_red_blue(2, 2, 1, 4)  # gcd(a, c) = 2
 
 
+def test_verify_red_blue_b_zero_needs_primitive_restrictions():
+    # b = 0 and sigma | a: the red form (30, 0, 2) is imprimitive
+    with pytest.raises(PreconditionError):
+        verify_red_blue(2, 30, 0, 1)
+    # sigma | c: the blue form (2, 0, 4) is imprimitive
+    with pytest.raises(PreconditionError):
+        verify_red_blue(2, 1, 0, 4)
+
+
 def test_converse_search():
     t = enumerate_classes(-20)
     i1 = t.class_index((2, 2, 3))

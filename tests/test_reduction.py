@@ -1,13 +1,17 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topograph.bqf import BQF, is_square
 from topograph.classical import indefinite_cycle, reduce_definite
 from topograph.errors import ClassificationError, SquareDiscriminantError
+from topograph.lax import STANDARD_SUPERBASE, det, lax, vadd, vsub
 from topograph.reduction import (
     CELL_WELL,
     TRIAD_WELL,
+    find_river_edge,
     find_well,
     gauss_reduced,
     minimum_nonzero,
@@ -99,3 +103,154 @@ def test_river_rejects_definite_and_degenerate():
         trace_river(BQF(1, 0, 1))
     with pytest.raises(SquareDiscriminantError):
         trace_river(BQF(1, 0, -4))
+
+
+# --- oracles for the run-length walks ----------------------------------------
+
+def single_step_descent(q: BQF):
+    """The single-step walk the run-length walks replaced: from the standard
+    superbase, replace the face of largest |Q| while it exceeds the sum of
+    the other two, until a well or a superbase with faces of both signs."""
+    vs = list(STANDARD_SUPERBASE.vectors)
+    vals = [q(v) for v in vs]
+    while not (min(vals) < 0 < max(vals)):
+        sign = 1 if vals[0] > 0 else -1
+        j = max(range(3), key=lambda i: sign * vals[i])
+        if 2 * sign * vals[j] <= sign * sum(vals):
+            break
+        p, r = vs[(j + 1) % 3], vs[(j + 2) % 3]
+        vs[j], vs[(j + 1) % 3] = vsub(p, r), (-p[0], -p[1])
+        vals[j] = q(vs[j])
+    return vs, vals
+
+
+def single_step_river_edge(q: BQF):
+    vs, vals = single_step_descent(q)
+    p0 = next(v for v, x in zip(vs, vals) if x > 0)
+    n0 = next(v for v, x in zip(vs, vals) if x < 0)
+    return p0, n0
+
+
+def single_step_minimum(q: BQF) -> tuple[int, tuple[int, int]]:
+    """Walk the river one edge at a time until an automorph closes the
+    period, and take the least (|Q|, lax vector) over every face met."""
+    p0, n0 = single_step_river_edge(q)
+    p, n = p0, n0
+    faces = {lax(p0): q(p0), lax(n0): q(n0)}
+    while True:
+        r = vadd(p, n)
+        faces[lax(r)] = q(r)
+        if q(r) > 0:
+            p = r
+        else:
+            n = r
+        if q(p) == q(p0) and q(n) == q(n0):
+            d = det(p0, n0)
+            t = ((d * (p[0] * n0[1] - n[0] * p0[1]), d * (n[0] * p0[0] - p[0] * n0[0])),
+                 (d * (p[1] * n0[1] - n[1] * p0[1]), d * (n[1] * p0[0] - p[1] * n0[0])))
+            if q.transform(t) == q:
+                break
+    v = min(faces, key=lambda w: (abs(faces[w]), w))
+    return abs(faces[v]), v
+
+
+def sl2_move(form, t1, t2):
+    """The form moved by T^t1 S T^t2, with T = [[1, 1], [0, 1]] and
+    S = [[0, -1], [1, 0]]."""
+    return BQF(*form).transform(((t1, t1 * t2 - 1), (1, t2)))
+
+
+big = st.integers(1, 10 ** 30)
+
+
+@st.composite
+def definite_forms(draw):
+    a, c = draw(big), draw(big)
+    bmax = math.isqrt(4 * a * c - 1)
+    return (a, draw(st.integers(-bmax, bmax)), c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(definite_forms())
+def test_gauss_reduced_matches_classical_30_digits(form):
+    red = gauss_reduced(BQF(*form))
+    assert (red.a, red.b, red.c) == reduce_definite(form)
+
+
+small_indefinite = st.tuples(
+    st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30)
+).filter(lambda f: f[1] ** 2 - 4 * f[0] * f[2] > 0
+         and not is_square(f[1] ** 2 - 4 * f[0] * f[2]))
+shift = st.integers(-10 ** 6, 10 ** 6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_indefinite, shift, shift)
+def test_riverbends_match_classical_cycle_far_from_river(form, t1, t2):
+    bends = sorted((f.a, f.b, f.c) for f in riverbends(sl2_move(form, t1, t2)))
+    assert bends == sorted(indefinite_cycle(form))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 10 ** 9), st.sampled_from((-1, 1, 2)))
+def test_pell_against_continued_fractions_large(k, e):
+    d = k * k + e
+    sol = pell_solve(d)
+    assert (sol.x, sol.y) == pell_by_continued_fractions(d)
+
+
+def test_pell_beyond_the_old_step_cap():
+    k = 300000
+    sol = pell_solve(k * k + 1)
+    assert (sol.x, sol.y) == (2 * k * k + 1, 2 * k)
+
+
+small_definite = st.tuples(
+    st.integers(1, 30), st.integers(-30, 30), st.integers(1, 30)
+).filter(lambda f: f[1] ** 2 < 4 * f[0] * f[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_definite, st.integers(-3000, 3000), st.integers(-3000, 3000))
+def test_well_matches_single_step_walker(form, t1, t2):
+    q = sl2_move(form, t1, t2)
+    well = find_well(q)
+    vs, vals = single_step_descent(q)
+    assert sorted(zip(well.values, well.vectors)) == sorted(zip(vals, vs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_indefinite, st.integers(-3000, 3000), st.integers(-3000, 3000))
+def test_river_edge_matches_single_step_walker(form, t1, t2):
+    q = sl2_move(form, t1, t2)
+    assert find_river_edge(q) == single_step_river_edge(q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_indefinite, st.integers(-40, 40), st.integers(-40, 40))
+def test_minimum_matches_single_step_walker(form, t1, t2):
+    q = sl2_move(form, t1, t2)
+    rep = minimum_nonzero(q)
+    assert (rep.mu, rep.witness) == single_step_minimum(q)
+
+
+def test_river_period_counts_steps_and_runs():
+    period = trace_river(BQF(-22, 6, 24))
+    assert period.steps == 78
+    # the start edge is a bend here: it and the 15 bends after it give the
+    # 16 forms of the reduced cycle, then the closing translate
+    assert len(period.edges) == 17
+    assert len(riverbends(BQF(-22, 6, 24))) == 16
+    assert BQF(-22, 6, 24).transform(period.automorph) == BQF(-22, 6, 24)
+
+
+@pytest.mark.parametrize("form", [(1, 0, -3), (-7, 3, 11), (2, 1, -2), (1, 0, -61)])
+def test_river_period_closes_on_the_translate_of_its_start(form):
+    # the start edge of (1, 0, -3), (-7, 3, 11) and (1, 0, -61) is mid-run
+    q = BQF(*form)
+    period = trace_river(q)
+    (a, b), (c, d) = period.automorph
+    p, n = period.edges[0]
+    assert (p, n) == find_river_edge(q)
+    assert period.edges[-1] == ((a * p[0] + b * p[1], c * p[0] + d * p[1]),
+                                (a * n[0] + b * n[1], c * n[0] + d * n[1]))

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from topograph.cli import main
 from topograph.errors import BudgetError, PreconditionError
 from topograph.render import LayoutPatch, emit_svg, layout
 
@@ -163,3 +164,61 @@ def test_cli_seed_flag_is_noop():
     a = run_cli("--seed", "1", "pell", "--d", "7")
     b = run_cli("--seed", "2", "pell", "--d", "7")
     assert a.stdout == b.stdout
+
+
+def test_cli_classgroup_imprimitive_ambiguous_form():
+    # A_D = (3, 3, 15) is imprimitive for D = -171
+    proc = run_cli("classgroup", "--delta=-171")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["A_class_index"] == {"2": None, "3": None}
+    # A_D = (2, 0, 48) is imprimitive for D = -384, (3, 0, 32) is not
+    proc = run_cli("classgroup", "--delta=-384")
+    assert proc.returncode == 0
+    data = json.loads(proc.stdout)
+    assert data["A_class_index"]["2"] is None
+    assert data["classes"][data["A_class_index"]["3"]] == [3, 0, 32]
+
+
+# stdout of the walk commands, recorded from the single-step walker
+WALK_STDOUT = [
+    (('reduce', '--form=5,7,3'),
+     '{"class": "positive-definite", "form": [5, 7, 3], "reduced": [1, 1, 3], "well": {"kind": "triad-well", "values": [1, 3, 3]}}\n'),
+    (('reduce', '--form=12,11,3'),
+     '{"class": "positive-definite", "form": [12, 11, 3], "reduced": [2, -1, 3], "well": {"kind": "triad-well", "values": [2, 3, 4]}}\n'),
+    (('reduce', '--form=1,20000,100000001'),
+     '{"class": "positive-definite", "form": [1, 20000, 100000001], "reduced": [1, 0, 1], "well": {"kind": "cell-well", "values": [1, 1, 2]}}\n'),
+    (('reduce', '--form=1,0,-3'),
+     '{"class": "indefinite-nondegenerate", "form": [1, 0, -3], "reduced": [-2, 2, 1], "well": null}\n'),
+    (('reduce', '--form=-22,6,24'),
+     '{"class": "indefinite-nondegenerate", "form": [-22, 6, 24], "reduced": [-22, 6, 24], "well": null}\n'),
+    (('reduce', '--form=1,2000,999995'),
+     '{"class": "indefinite-nondegenerate", "form": [1, 2000, 999995], "reduced": [-1, 4, 1], "well": null}\n'),
+    (('river', '--form=1,0,-3'),
+     '{"automorph": [[2, 3], [1, 2]], "delta": 12, "form": [1, 0, -3], "mu": 1, "period_edges": 3, "reduced_cycle": [[-2, 2, 1], [1, 2, -2]], "witness": [1, 0]}\n'),
+    (('river', '--form=3,0,-5'),
+     '{"automorph": [[4, 5], [3, 4]], "delta": 60, "form": [3, 0, -5], "mu": 2, "period_edges": 5, "reduced_cycle": [[-2, 6, 3], [3, 6, -2]], "witness": [1, 1]}\n'),
+    (('river', '--form=-22,6,24'),
+     '{"automorph": [[217250939, 199211808], [182610824, 167447987]], "delta": 2148, "form": [-22, 6, 24], "mu": 2, "period_edges": 78, "reduced_cycle": [[-22, 6, 24], [-22, 38, 8], [-16, 22, 26], [-16, 42, 6], [-12, 30, 26], [-12, 42, 8], [-4, 42, 24], [-4, 46, 2], [2, 46, -4], [6, 42, -16], [8, 38, -22], [8, 42, -12], [24, 6, -22], [24, 42, -4], [26, 22, -16], [26, 30, -12]], "witness": [781367, 656780]}\n'),
+    (('river', '--form=1,5,-5'),
+     '{"automorph": [[1, 5], [1, 6]], "delta": 45, "form": [1, 5, -5], "mu": 1, "period_edges": 6, "reduced_cycle": [[-5, 5, 1], [1, 5, -5]], "witness": [1, 0]}\n'),
+    (('river', '--form=1,2000,999995'),
+     '{"automorph": [[-3991, -3999980], [4, 4009]], "delta": 20, "form": [1, 2000, 999995], "mu": 1, "period_edges": 8, "reduced_cycle": [[-1, 4, 1], [1, 4, -1]], "witness": [1, 0]}\n'),
+    (('river', '--form=-7,3,11'),
+     '{"automorph": [[4629, 4895], [3115, 3294]], "delta": 317, "form": [-7, 3, 11], "mu": 1, "period_edges": 42, "reduced_cycle": [[-7, 11, 7], [-7, 17, 1], [-1, 17, 7], [1, 17, -7], [7, 11, -7], [7, 17, -1]], "witness": [3, 2]}\n'),
+    (('pell', '--d=2'),
+     '{"automorph": [[3, 4], [2, 3]], "d": 2, "x": 3, "y": 2}\n'),
+    (('pell', '--d=61'),
+     '{"automorph": [[1766319049, 13795392780], [226153980, 1766319049]], "d": 61, "x": 1766319049, "y": 226153980}\n'),
+    (('pell', '--d=1000001'),
+     '{"automorph": [[2000001, 2000002000], [2000, 2000001]], "d": 1000001, "x": 2000001, "y": 2000}\n'),
+    (('pell', '--d=999999'),
+     '{"automorph": [[1000, 999999], [1, 1000]], "d": 999999, "x": 1000, "y": 1}\n'),
+    (('pell', '--d=991'),
+     '{"automorph": [[379516400906811930638014896080, 11947234168218377212415555918097], [12055735790331359447442538767, 379516400906811930638014896080]], "d": 991, "x": 379516400906811930638014896080, "y": 12055735790331359447442538767}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", WALK_STDOUT)
+def test_cli_walk_stdout_pinned(argv, expected, capsys):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == expected
