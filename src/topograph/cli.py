@@ -160,8 +160,8 @@ def _cmd_diform(args) -> None:
             "mu": r.mu,
             "witness": None if r.witness is None else
                 [r.witness.color, r.witness.u, r.witness.v],
-            "period_steps": len(r.steps),
-            "bends": sum(1 for s in r.steps if s.bend),
+            "period_steps": r.edge_count,
+            "bends": r.bend_count,
         }
     if not args.reduce and not args.river and is_diform_discriminant(args.sigma, d):
         try:

@@ -7,6 +7,16 @@ pairs forming a dilinear matrix of determinant +-1); points are pinwheels of
 
 A binary quadratic diform a x^2 + b sqrt(sigma) x y + c y^2 takes integer
 values on divectors; its rivers and wells are navigated here.
+
+Every walk moves a whole run at a time.  Around a fixed face F the faces on
+the other side are D - j sqrt(sigma) F, so the faces of the j-th vertex
+along F, and of its neighbours, are linear in j, and their values and the
+vertex weights are quadratic in j with leading coefficient a positive
+multiple of Q(F).  One exact ``isqrt`` therefore gives where a run ends:
+where the walker stops descending or turns away from F, where a face of the
+other sign appears, or where the river leaves F.  The walks jump to that
+point and take the turn itself one step at a time, so they return the
+same pinwheels, in the same face order, as a walk of single steps.
 """
 
 from __future__ import annotations
@@ -45,11 +55,11 @@ class Divector:
         return Divector(self.color, -self.u, -self.v)
 
     def sub(self, other: "Divector") -> "Divector":
-        assert self.color == other.color
+        _same_color(self, other)
         return Divector(self.color, self.u - other.u, self.v - other.v)
 
     def add(self, other: "Divector") -> "Divector":
-        assert self.color == other.color
+        _same_color(self, other)
         return Divector(self.color, self.u + other.u, self.v + other.v)
 
     def times_sqrt(self, sigma: int) -> "Divector":
@@ -64,9 +74,15 @@ class Divector:
         return math.gcd(sigma * self.u, self.v) == 1
 
 
+def _same_color(d1: Divector, d2: Divector) -> None:
+    if d1.color != d2.color:
+        raise DibasisError(f"{d1} and {d2} differ in colour")
+
+
 def dibasis_det(r: Divector, b: Divector, sigma: int) -> int:
     """Determinant of the dilinear matrix with rows r (red) and b (blue)."""
-    assert r.color == RED and b.color == BLUE
+    if r.color != RED or b.color != BLUE:
+        raise DibasisError(f"{r}, {b} are not a red and a blue divector")
     return r.u * b.v - sigma * r.v * b.u
 
 
@@ -110,9 +126,11 @@ def pinwheel_complete(d1: Divector, d2: Divector, sigma: int) -> Pinwheel:
     for _ in range(2 * sigma - 2):
         faces.append(faces[-1].times_sqrt(sigma).sub(faces[-2]))
     closure = faces[-1].times_sqrt(sigma).sub(faces[-2])
-    assert closure == -d1, "pinwheel recurrence failed to close"
+    if closure != -d1:
+        raise DibasisError(f"pinwheel of {d1}, {d2} failed to close")
     for i in range(2 * sigma):
-        assert is_dibasis(faces[i], faces[(i + 1) % (2 * sigma)], sigma)
+        if not is_dibasis(faces[i], faces[(i + 1) % (2 * sigma)], sigma):
+            raise DibasisError(f"pinwheel of {d1}, {d2} has a non-dibasis edge")
     return Pinwheel(sigma, tuple(faces))
 
 
@@ -183,24 +201,126 @@ def dicell_values(q: BQD, r: Divector, b: Divector) -> DiCellValues:
 STANDARD_DIBASIS = (Divector(RED, 1, 0), Divector(BLUE, 0, 1))
 
 
-def _vertex(seed1: Divector, seed2: Divector, sigma: int) -> Pinwheel:
-    return pinwheel_complete(seed1, seed2, sigma)
+def _other_vertex(p: Divector, s: Divector, vertex: Pinwheel, sigma: int) -> Pinwheel:
+    """The second pinwheel containing the edge {p, s} of ``vertex``.
 
-
-def _other_vertex(p: Divector, q: Divector, vertex: Pinwheel, sigma: int) -> Pinwheel:
-    """The second pinwheel containing the edge {p, q}."""
-    for cand in (_vertex(p, -q, sigma), _vertex(p, q, sigma)):
-        if cand.key() != vertex.key():
-            return cand
-    raise DibasisError("edge has no second vertex")
+    In the signed cycle of ``vertex`` (its faces, then their negatives) the
+    recurrence runs from p through a neighbour; the pinwheel across the edge
+    runs the other way, so it is generated by (p, -s) when s is a neighbour
+    of p there, and by (p, s) when -s is.
+    """
+    cycle = vertex.faces + tuple(-f for f in vertex.faces)
+    try:
+        i = cycle.index(p)
+    except ValueError:
+        raise DibasisError(f"{p} is not a face of {vertex}") from None
+    if s in (cycle[i - 1], cycle[(i + 1) % len(cycle)]):
+        return pinwheel_complete(p, -s, sigma)
+    return pinwheel_complete(p, s, sigma)
 
 
 def _vertex_weight(q: BQD, vertex: Pinwheel) -> int:
     return sum(q(f) for f in vertex.faces)
 
 
-def _incident_edges(vertex: Pinwheel):
-    return vertex.edges()
+def _along(d: Divector, f: Divector, j: int, sigma: int) -> Divector:
+    """d - j sqrt(sigma) f: the face j steps along the face f from d."""
+    g = f.times_sqrt(sigma)
+    return Divector(d.color, d.u - j * g.u, d.v - j * g.v)
+
+
+def _ceil_div(x: int, y: int) -> int:
+    return -(-x // y)
+
+
+def _first_nonpositive(y0: int, y1: int, y2: int) -> int | None:
+    """The least j >= 0 at which the integer quadratic through (0, y0),
+    (1, y1), (2, y2) is <= 0, or None if there is none."""
+    # 2 y(j) = a j^2 + b j + c, and 4 a y(j) = (2 a j + b)^2 - disc
+    a, b, c = y2 - 2 * y1 + y0, 4 * y1 - 3 * y0 - y2, 2 * y0
+    if c <= 0:
+        return 0
+    if a == 0:
+        return None if b >= 0 else _ceil_div(c, -b)
+    disc = b * b - 4 * a * c
+    if a > 0:
+        # y(j) <= 0 where |2 a j + b| <= isqrt(disc)
+        if disc < 0:
+            return None
+        s = math.isqrt(disc)
+        lo, hi = max(_ceil_div(-s - b, 2 * a), 0), (s - b) // (2 * a)
+        return lo if lo <= hi else None
+    # a < 0 and y(0) > 0: y(j) <= 0 once 2 a j + b <= -sqrt(disc)
+    s = math.isqrt(disc)
+    if s * s < disc:
+        s += 1
+    return _ceil_div(s + b, -2 * a)
+
+
+def _first_root(a: int, b: int, c: int) -> int | None:
+    """The least integer j >= 1 with a j^2 + b j + c == 0 (a != 0), or None."""
+    disc = b * b - 4 * a * c
+    if disc < 0 or math.isqrt(disc) ** 2 != disc:
+        return None
+    s = math.isqrt(disc)
+    roots = sorted(x // (2 * a) for x in (-b - s, -b + s) if x % (2 * a) == 0)
+    return next((j for j in roots if j >= 1), None)
+
+
+def _best_step(q: BQD, vertex: Pinwheel, sign: int, weight: int, by_key: bool):
+    """The walker's next step from ``vertex``: (edge index, pinwheel, weight)
+    of the neighbour with the least sign * weight below ``weight``.  Ties go
+    to the least key when ``by_key``, else to the first edge.  None at a
+    local minimum."""
+    best = None
+    for i, (p, s) in enumerate(vertex.edges()):
+        nb = _other_vertex(p, s, vertex, q.sigma)
+        w = sign * _vertex_weight(q, nb)
+        if w < weight and (best is None or w < best[2] or (
+                by_key and w == best[2] and nb.key() < best[1].key())):
+            best = (i, nb, w)
+    return best
+
+
+def _descent_run(q: BQD, vertex: Pinwheel, i: int, sign: int, mixed_stops: bool):
+    """Where the walker, having chosen edge i of ``vertex``, must next decide
+    for itself, if that step keeps a face; else None.
+
+    Every pinwheel of the walk is generated by its first two faces, so the
+    step keeps the first face when it crosses the last edge and the second
+    when it crosses edge 1.  With F the face kept and D the other of the two,
+    the walk along F visits u_j = pinwheel(F, D - j sqrt(sigma) F) up to
+    orientation, and leaves u_j over its last edge.  The walker surely takes
+    that edge while it is strictly lower than u_j and than every other
+    neighbour of u_j, and, when ``mixed_stops``, while u_j has no face of
+    the other sign: each margin is quadratic in j, so the first j where one
+    fails is read off its values at j = 0, 1, 2.  The walker alternates F
+    between the first and second place, which fixes the returned orientation.
+    """
+    sigma = q.sigma
+    if i == 2 * sigma - 1:
+        f, d, f_first = vertex.faces[0], vertex.faces[1], True
+    elif i == 1:
+        f, d, f_first = vertex.faces[1], vertex.faces[0], False
+    else:
+        return None
+    margins = []
+    for j in range(3):
+        g = pinwheel_complete(f, _along(d, f, j, sigma), sigma)
+        ahead = [sign * _vertex_weight(q, _other_vertex(a, b, g, sigma))
+                 for a, b in g.edges()]
+        nxt = ahead.pop()
+        row = [sign * _vertex_weight(q, g) - nxt] + [w - nxt for w in ahead]
+        if mixed_stops:
+            row += [sign * q(x) for x in g.faces]
+        margins.append(row)
+    # the first margin is linear in j with negative slope, so it ends the run
+    ends = (_first_nonpositive(*ys) for ys in zip(*margins))
+    j = max(min(e for e in ends if e is not None), 1)
+    d = _along(d, f, j, sigma)
+    if (j % 2 == 0) == f_first:
+        return pinwheel_complete(f, d, sigma)
+    return pinwheel_complete(d, f, sigma)
 
 
 def diform_well(q: BQD, start=None) -> dict:
@@ -213,23 +333,21 @@ def diform_well(q: BQD, start=None) -> dict:
         raise ClassificationError("well descent needs a positive-definite diform")
     sigma = q.sigma
     r, b = start or STANDARD_DIBASIS
-    vertex = _vertex(r, b, sigma)
+    vertex = pinwheel_complete(r, b, sigma)
     weight = _vertex_weight(q, vertex)
-    for _ in range(10 ** 6):
-        best = None
-        for p, s in _incident_edges(vertex):
-            nb = _other_vertex(p, s, vertex, sigma)
-            w = _vertex_weight(q, nb)
-            if w < weight and (best is None or w < best[0]
-                               or (w == best[0] and nb.key() < best[1].key())):
-                best = (w, nb)
-        if best is None:
+    # the weight is a positive integer and falls at every pass
+    limit = weight + 1
+    for _ in range(limit):
+        step = _best_step(q, vertex, 1, weight, True)
+        if step is None:
             break
-        weight, vertex = best[0], best[1]
+        vertex = _descent_run(q, vertex, step[0], 1, False) or step[1]
+        weight = _vertex_weight(q, vertex)
     else:
-        raise ClassificationError("well descent did not terminate")
+        raise ClassificationError(
+            f"well descent of {q} not finished after {limit} runs")
     flats = []
-    for p, s in _incident_edges(vertex):
+    for p, s in vertex.edges():
         nb = _other_vertex(p, s, vertex, sigma)
         if _vertex_weight(q, nb) == weight:
             flats.append(tuple(sorted([vertex.key(), nb.key()])))
@@ -246,8 +364,11 @@ def diform_well(q: BQD, start=None) -> dict:
 def _find_river_edge(q: BQD):
     """A dibasis whose faces carry opposite signs, positive face first."""
     sigma = q.sigma
-    vertex = _vertex(*STANDARD_DIBASIS, sigma)
-    for _ in range(10 ** 6):
+    vertex = pinwheel_complete(*STANDARD_DIBASIS, sigma)
+    # while no face changes sign, the weight times that sign is a positive
+    # integer and falls at every pass
+    limit = sum(abs(q(f)) for f in vertex.faces) + 1
+    for _ in range(limit):
         vals = [q(f) for f in vertex.faces]
         if 0 in vals:
             raise SquareDiscriminantError("diform represents zero")
@@ -259,17 +380,11 @@ def _find_river_edge(q: BQD):
             if b > 0 > a:
                 return vertex.faces[(i + 1) % n], vertex.faces[i], vertex
         sign = 1 if vals[0] > 0 else -1
-        weight = sign * sum(vals)
-        best = None
-        for p, s in _incident_edges(vertex):
-            nb = _other_vertex(p, s, vertex, sigma)
-            w = sign * _vertex_weight(q, nb)
-            if w < weight and (best is None or w < best[0]):
-                best = (w, nb)
-        if best is None:
+        step = _best_step(q, vertex, sign, sign * sum(vals), False)
+        if step is None:
             raise ClassificationError("no descent toward the river")
-        vertex = best[1]
-    raise ClassificationError("river search did not terminate")
+        vertex = _descent_run(q, vertex, step[0], sign, True) or step[1]
+    raise ClassificationError(f"river search for {q} not finished after {limit} runs")
 
 
 @dataclass(frozen=True)
@@ -281,7 +396,17 @@ class DiRiverStep:
 
 @dataclass(frozen=True)
 class DiRiverPeriod:
+    """One river period, stored as runs.
+
+    ``steps`` holds the start edge and each edge the walk reached by a single
+    step or at the end of a run; the edges passed over inside runs keep one
+    face of the river and never bend.  ``edge_count`` counts the single
+    river edges of the period and ``bend_count`` the bends among them.
+    """
+
     steps: tuple
+    edge_count: int
+    bend_count: int
     automorph: tuple  # 2x2 matrix over Z[sqrt(sigma)], entries (x, y) pairs
     mu: int | None
     witness: Divector | None
@@ -382,8 +507,53 @@ def is_dilinear(t, sigma: int) -> bool:
     return plus or minus
 
 
-def diform_river(q: BQD, max_steps: int = 10 ** 6) -> DiRiverPeriod:
-    """Trace one river period; classify bends and report the minimum.
+def _river_run(q: BQD, vertex: Pinwheel, i: int, p: Divector, neg: Divector,
+               start: tuple):
+    """Where the river walk at the edge (p, neg) of ``vertex``, leaving over
+    edge i, must next record an edge, if it leaves along p or neg: the
+    number of edges passed over, and the walker's (p, neg, vertex) there.
+    Else None.
+
+    Every vertex after the first is pinwheel(p, +-neg).  Leaving over its
+    last edge keeps p and reaches (p, s_j) with s_j = s - j sqrt(sigma) p,
+    s its second face; leaving over edge 1 keeps s and reaches
+    ((-1)^j (p - j sqrt(sigma) s), (-1)^(j+1) s).  While the faces D_j beside
+    the kept face F have the other sign, every other face of the vertices
+    between has that sign too and a larger |Q| than the D_j there, so those
+    edges do not bend and those vertices hold no smallest face: |Q(D_j)| is
+    strictly concave in j.  The run is cut before the first D_j of F's sign,
+    or at an edge with the values of the start edge, which may close the
+    period.  The vertex before the returned edge is passed over, so the
+    caller notes the edge's faces.
+    """
+    sigma = q.sigma
+    a, b = vertex.faces[0], vertex.faces[1]
+    if a != p or b.lax() != neg.lax() or i not in (1, 2 * sigma - 1):
+        return None
+    f, d = (a, b) if i == 2 * sigma - 1 else (b, a)
+    qf = q(f)
+    sf = 1 if qf > 0 else -1
+    ys = [q(_along(d, f, j, sigma)) for j in range(3)]
+    j = _first_nonpositive(*(-sf * y for y in ys)) - 1
+    p0, n0 = start
+    if qf == q(p0 if sf > 0 else n0):
+        # Q(D_j) = sigma Q(F) j^2 + lin j + Q(D_0)
+        lin = ys[1] - ys[0] - sigma * qf
+        target = q(n0 if sf > 0 else p0)
+        root = _first_root(sigma * qf, lin, ys[0] - target)
+        if root is not None and root < j:
+            j = root
+    d = _along(d, f, j, sigma)
+    if i == 2 * sigma - 1:
+        return j - 1, p, d, pinwheel_complete(p, d, sigma)
+    if j % 2:
+        d, b = -d, -b
+    return j - 1, d, -b, pinwheel_complete(d, b, sigma)
+
+
+def diform_river(q: BQD) -> DiRiverPeriod:
+    """Trace one river period, a run at a time; classify bends and report
+    the minimum.
 
     A fully straight period marks the exceptional forms excluded by the
     minimum theorems.
@@ -397,6 +567,7 @@ def diform_river(q: BQD, max_steps: int = 10 ** 6) -> DiRiverPeriod:
     p, neg, vertex = _find_river_edge(q)
     p0, n0 = p, neg
     steps = []
+    edges = bends = 0
     face_values = {}
 
     def note(face):
@@ -404,40 +575,60 @@ def diform_river(q: BQD, max_steps: int = 10 ** 6) -> DiRiverPeriod:
             (face.color, face.lax().u, face.lax().v), q(face)
         )
 
-    for _ in range(max_steps):
-        steps.append(DiRiverStep(p, neg, _edge_is_bend(q, p, neg)))
+    # Read as a dibasis of determinant 1, each river edge gives Q the
+    # coefficients (a', b', c') with a'c' < 0 and d = sigma^2 b'^2 + 4 sigma
+    # |a'c'|.  Edges of one period give distinct ones, since equal ones differ
+    # by an automorph of determinant 1, a whole number of periods.  So a
+    # period has at most 4 #{x y <= m} <= 4 m (1 + ln m) edges, m = d / 4 sigma.
+    m = d // (4 * sigma)
+    limit = 4 * m * (m.bit_length() + 1) + 1
+    for _ in range(limit):
+        bend = _edge_is_bend(q, p, neg)
+        steps.append(DiRiverStep(p, neg, bend))
+        edges += 1
+        bends += bend
         for f in vertex.faces:
             note(f)
         # continuation: the unique other sign-separating adjacent pair
         vals = [q(f) for f in vertex.faces]
         n = len(vals)
+        here = {p.lax(), neg.lax()}
         crossings = []
         for i in range(n):
             x, y = vertex.faces[i], vertex.faces[(i + 1) % n]
-            pair = {x.lax(), y.lax()}
-            if pair == {p.lax(), neg.lax()}:
+            if {x.lax(), y.lax()} == here:
                 continue
             if vals[i] * vals[(i + 1) % n] < 0:
-                crossings.append((x, y))
+                crossings.append(i)
         if len(crossings) != 1:
             raise ClassificationError(
                 f"river is not a single line at a vertex ({len(crossings)} exits)"
             )
-        x, y = crossings[0]
-        p, neg = (x, y) if q(x) > 0 else (y, x)
-        vertex = _other_vertex(p, neg, vertex, sigma)
+        i = crossings[0]
+        run = _river_run(q, vertex, i, p, neg, (p0, n0))
+        if run is None:
+            x, y = vertex.faces[i], vertex.faces[(i + 1) % n]
+            p, neg = (x, y) if q(x) > 0 else (y, x)
+            vertex = _other_vertex(p, neg, vertex, sigma)
+        else:
+            skipped, p, neg, vertex = run
+            edges += skipped
+            # the vertex before this edge, passed over, also holds its faces
+            note(p)
+            note(neg)
         if (q(p), q(neg)) == (q(p0), q(n0)) and (p, neg) != (p0, n0):
             t = _translation_automorph((p0, n0), (p, neg), q)
             if t is not None:
-                bends = [s for s in steps if s.bend]
-                exceptional = not bends
+                exceptional = bends == 0
                 mu = wit = None
                 if not exceptional:
                     wit_key = min(face_values, key=lambda k: (abs(face_values[k]), k))
                     mu = abs(face_values[wit_key])
                     wit = Divector(*wit_key)
-                return DiRiverPeriod(tuple(steps), t, mu, wit, exceptional, q)
-    raise ClassificationError("river period not found")
+                return DiRiverPeriod(tuple(steps), edges, bends, t, mu, wit,
+                                     exceptional, q)
+    raise ClassificationError(
+        f"river period of {q} not closed after {limit} runs ({edges} edges)")
 
 
 def _qre_det(t, sigma):
@@ -512,7 +703,8 @@ def verify_gamma0_conjugation(sigma: int, count: int = 100) -> dict:
     into = 0
     for mat in samples:
         (a, b), (c, d) = mat
-        assert a[1] == 0 and d[1] == 0 and b[0] == 0 and c[0] == 0
+        if not (a[1] == 0 and d[1] == 0 and b[0] == 0 and c[0] == 0):
+            raise PreconditionError(f"sample {mat} is not in DL2+")
         # g M g^-1 = [[a, b/sqrt(s)], [c*sqrt(s), d]]
         a2, b2, c2, d2 = a[0], b[1], c[1] * sigma, d[0]
         if a2 * d2 - b2 * c2 in (1, -1) and c2 % sigma == 0:

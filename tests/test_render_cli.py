@@ -179,7 +179,7 @@ def test_cli_classgroup_imprimitive_ambiguous_form():
     assert data["classes"][data["A_class_index"]["3"]] == [3, 0, 32]
 
 
-# stdout of the walk commands, recorded from the single-step walker
+# stdout of the walk commands, recorded from the single-step walkers
 WALK_STDOUT = [
     (('reduce', '--form=5,7,3'),
      '{"class": "positive-definite", "form": [5, 7, 3], "reduced": [1, 1, 3], "well": {"kind": "triad-well", "values": [1, 3, 3]}}\n'),
@@ -215,6 +215,32 @@ WALK_STDOUT = [
      '{"automorph": [[1000, 999999], [1, 1000]], "d": 999999, "x": 1000, "y": 1}\n'),
     (('pell', '--d=991'),
      '{"automorph": [[379516400906811930638014896080, 11947234168218377212415555918097], [12055735790331359447442538767, 379516400906811930638014896080]], "d": 991, "x": 379516400906811930638014896080, "y": 12055735790331359447442538767}\n'),
+    (('diform', '--sigma=2', '--form=1,1,3', '--reduce'),
+     '{"blue": [2, 2, 3], "class_relation": null, "delta": -20, "form": [1, 1, 3], "red": [1, 2, 6], "river": null, "sigma": 2, "well": {"reduced_blue": [2, 2, 3], "reduced_red": [1, 0, 5], "source_values": [1, 3, 5, 3]}}\n'),
+    (('diform', '--sigma=3', '--form=5,3,7', '--reduce'),
+     '{"blue": [15, 9, 7], "class_relation": null, "delta": -339, "form": [5, 3, 7], "red": [5, 9, 21], "river": null, "sigma": 3, "well": {"reduced_blue": [7, 5, 13], "reduced_red": [5, -1, 17], "source_values": [5, 7, 17, 25, 23, 13]}}\n'),
+    (('diform', '--sigma=2', '--form=1,240,28801', '--reduce'),
+     '{"blue": [2, 480, 28801], "class_relation": null, "delta": -8, "form": [1, 240, 28801], "red": [1, 480, 57602], "river": null, "sigma": 2, "well": {"reduced_blue": [1, 0, 2], "reduced_red": [1, 0, 2], "source_values": [3, 1, 1, 3]}}\n'),
+    (('diform', '--sigma=3', '--form=1,160,19201', '--reduce'),
+     '{"blue": [3, 480, 19201], "class_relation": null, "delta": -12, "form": [1, 160, 19201], "red": [1, 480, 57603], "river": null, "sigma": 3, "well": {"reduced_blue": [1, 0, 3], "reduced_red": [1, 0, 3], "source_values": [4, 1, 1, 4, 7, 7]}}\n'),
+    (('diform', '--sigma=3', '--form=5,603,54547', '--reduce'),
+     '{"blue": [15, 1809, 54547], "class_relation": null, "delta": -339, "form": [5, 603, 54547], "red": [5, 1809, 163641], "river": null, "sigma": 3, "well": {"reduced_blue": [7, 5, 13], "reduced_red": [5, -1, 17], "source_values": [5, 7, 17, 25, 23, 13]}}\n'),
+    (('diform', '--sigma=2', '--form=1,0,-1', '--river'),
+     '{"blue": [2, 0, -1], "class_relation": null, "delta": 8, "form": [1, 0, -1], "red": [1, 0, -2], "river": {"bends": 0, "exceptional": true, "mu": null, "period_steps": 1, "witness": null}, "sigma": 2, "well": null}\n'),
+    (('diform', '--sigma=3', '--form=1,0,-2', '--river'),
+     '{"blue": [3, 0, -2], "class_relation": null, "delta": 24, "form": [1, 0, -2], "red": [1, 0, -6], "river": {"bends": 0, "exceptional": true, "mu": null, "period_steps": 1, "witness": null}, "sigma": 3, "well": null}\n'),
+    (('diform', '--sigma=3', '--form=1,160,19199', '--river'),
+     '{"blue": [3, 480, 19199], "class_relation": null, "delta": 12, "form": [1, 160, 19199], "red": [1, 480, 57597], "river": {"bends": 0, "exceptional": true, "mu": null, "period_steps": 1, "witness": null}, "sigma": 3, "well": null}\n'),
+    (('diform', '--sigma=3', '--form=1,1,-1', '--river'),
+     '{"blue": [3, 3, -1], "class_relation": null, "delta": 21, "form": [1, 1, -1], "red": [1, 3, -3], "river": {"bends": 2, "exceptional": false, "mu": 1, "period_steps": 2, "witness": ["blue", 0, 1]}, "sigma": 3, "well": null}\n'),
+    (('diform', '--sigma=3', '--form=1,101,7649', '--river'),
+     '{"blue": [3, 303, 7649], "class_relation": null, "delta": 21, "form": [1, 101, 7649], "red": [1, 303, 22947], "river": {"bends": 2, "exceptional": false, "mu": 1, "period_steps": 2, "witness": ["blue", 50, -1]}, "sigma": 3, "well": null}\n'),
+    (('diform', '--sigma=2', '--form=3,5,-7', '--river'),
+     '{"blue": [6, 10, -7], "class_relation": null, "delta": 268, "form": [3, 5, -7], "red": [3, 10, -14], "river": {"bends": 10, "exceptional": false, "mu": 1, "period_steps": 26, "witness": ["blue", 11, -5]}, "sigma": 2, "well": null}\n'),
+    (('diform', '--sigma=2', '--form=3,245,9993', '--river'),
+     '{"blue": [6, 490, 9993], "class_relation": null, "delta": 268, "form": [3, 245, 9993], "red": [3, 490, 19986], "river": {"bends": 10, "exceptional": false, "mu": 1, "period_steps": 26, "witness": ["blue", 17248, -437]}, "sigma": 2, "well": null}\n'),
+    (('diform', '--sigma=3', '--form=98,-17,2', '--river'),
+     '{"blue": [294, -51, 2], "class_relation": null, "delta": 249, "form": [98, -17, 2], "red": [98, -51, 6], "river": {"bends": 6, "exceptional": false, "mu": 1, "period_steps": 12, "witness": ["blue", 2329, 20507]}, "sigma": 3, "well": null}\n'),
 ]
 
 
