@@ -18,7 +18,9 @@ from .classical import (
     reduce_definite,
 )
 from .errors import (
+    ClassificationError,
     DivisibilityError,
+    IntegralityError,
     InvalidDiscriminantError,
     NotPrimitiveError,
     PreconditionError,
@@ -101,7 +103,12 @@ class ClassGroupTable:
 
     def class_index(self, form: Form) -> int:
         label = self._label(form)
-        return self.classes.index(label)
+        try:
+            return self.classes.index(label)
+        except ValueError:
+            raise ClassificationError(
+                f"{form} has no class among the {self.h} of discriminant {self.disc}"
+            ) from None
 
     def _label(self, form: Form):
         if content(form) != 1:
@@ -163,8 +170,11 @@ def _represented_coprime_to(form: Form, m: int) -> tuple[Form, tuple[int, int]]:
             if val != 0 and math.gcd(val, m) == 1:
                 # complete (x, y) to an SL2 matrix as its first column
                 g, r, s = _ext_gcd(x, y)
-                mtx = ((x, -s), (y, r))
-                assert mtx[0][0] * mtx[1][1] - mtx[0][1] * mtx[1][0] == 1
+                if x * r + s * y != 1:
+                    raise IntegralityError(
+                        f"({x}, {y}) does not complete to an SL2 matrix "
+                        f"with second column ({-s}, {r})"
+                    )
                 a2 = val
                 c2 = a * s * s - b * s * r + c * r * r
                 b2 = 2 * a * x * (-s) + b * (x * r - s * y) + 2 * c * y * r
@@ -195,7 +205,10 @@ def compose(f1: Form, f2: Form) -> Form:
     bb = _crt(b1, 2 * a1, b2, 2 * a2)
     aa = a1 * a2
     cc = (bb * bb - d) // (4 * aa)
-    assert bb * bb - 4 * aa * cc == d
+    if bb * bb - 4 * aa * cc != d:
+        raise IntegralityError(
+            f"composite ({aa}, {bb}, {cc}) of {f1} and {f2} misses discriminant {d}"
+        )
     return (aa, bb, cc)
 
 
@@ -306,6 +319,7 @@ def find_diform_for_classes(sigma: int, d: int, i1: int, i2: int,
                     if (table.class_index(q_red) == i1
                             and table.class_index(q_blue) == i2):
                         return (a, b, c)
-                except Exception:
+                except (ClassificationError, InvalidDiscriminantError,
+                        NotPrimitiveError):
                     continue
     return None

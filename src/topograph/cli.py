@@ -14,15 +14,7 @@ from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify
 from .classgroup import enumerate_classes, is_diform_discriminant, verify_red_blue
 from .diform import BQD, diform_river, diform_well
 from .errors import PreconditionError, TopographError
-from .hermitian import (
-    BHF,
-    STANDARD_EISENSTEIN_SEED,
-    STANDARD_GAUSS_SEED,
-    cube_values,
-    empirical_minimum,
-    find_cubasis,
-    find_tetrabasis,
-)
+from .hermitian import BHF, STANDARD_CUBASIS, cube_values, empirical_minimum
 from .reduction import (
     _bends,
     _minimum,
@@ -187,15 +179,12 @@ def _cmd_hermitian(args) -> None:
         "cube": None,
     }
     if ring == GAUSS:
-        cb = find_cubasis(STANDARD_GAUSS_SEED)
-        cv = cube_values(h, cb)
+        cv = cube_values(h, STANDARD_CUBASIS)
         out["cube"] = {
             "faces": [cv.a, cv.b, cv.c, cv.u, cv.v, cv.w],
             "z": cv.z,
             "pattern": cv.pattern,
         }
-    else:
-        find_tetrabasis(STANDARD_EISENSTEIN_SEED)
     if d > 0:
         rep = empirical_minimum(h, args.min_box)
         out["mu"] = rep["mu"]

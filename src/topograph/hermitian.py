@@ -9,6 +9,7 @@ Vertex residues of the associated geometry are cubes (Gauss) or tetrahedra
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -20,7 +21,7 @@ from .errors import (
     PreconditionError,
     SearchExhaustedError,
 )
-from .rings import EISENSTEIN, GAUSS, QRE, is_primitive, units, zero
+from .rings import _SQ, EISENSTEIN, GAUSS, QRE, units, zero
 
 RVec = tuple[QRE, QRE]
 
@@ -76,10 +77,6 @@ def bhf_evaluate(h: BHF, x: QRE, y: QRE) -> int:
     if tr_s != d.norm() * trace:
         raise IntegralityError("trace term is not integral")
     return h.a * x.norm() + trace + h.c * y.norm()
-
-
-def bhf_discriminant(h: BHF) -> int:
-    return h.discriminant()
 
 
 def _is_unimodular(v1: RVec, v2: RVec) -> bool:
@@ -275,39 +272,75 @@ def _classify_pattern(p1, p2, p3, expect_indefinite: bool) -> str:
     return PATTERN_I
 
 
+def _is_primitive_coords(tr: int, x0: int, x1: int, y0: int, y1: int) -> bool:
+    """Is (x0 + x1 theta, y0 + y1 theta) primitive, where theta = i or w and
+    theta^2 = -1 + tr theta (tr = 0 or -1)?  The ideal (x, y) is the
+    lattice spanned by x, theta x, y, theta y, whose index is the gcd of the
+    2x2 minors of those four coordinate rows: N(x), N(y), det(x, y),
+    det(x, theta y) and det(theta x, y) (det(theta x, theta y) = det(x, y)
+    since N(theta) = 1), with N(v) = v0^2 + tr v0 v1 + v1^2 and
+    theta v = (-v1, v0 + tr v1)."""
+    return math.gcd(
+        x0 * x0 + tr * x0 * x1 + x1 * x1,
+        y0 * y0 + tr * y0 * y1 + y1 * y1,
+        x0 * y1 - x1 * y0,
+        x0 * (y0 + tr * y1) + x1 * y1,
+        x1 * y1 + (x0 + tr * x1) * y0,
+    ) == 1
+
+
 def empirical_minimum(h: BHF, box: int = 10) -> dict:
     """Minimum nonzero |H| over primitive box vectors; since the box minimum
-    upper-bounds the true minimum, mu^2 <= delta/6 is a sound check."""
+    upper-bounds the true minimum, mu^2 <= delta/6 is a sound check.
+
+    The box holds the vectors (x, y) whose four integer coordinates lie in
+    [-box, box]; the witness is the first minimiser in lexicographic order
+    of (x.x, x.y, y.x, y.y)."""
+    if box < 1:
+        raise PreconditionError(f"box must be at least 1, got {box}")
     d = h.discriminant()
     if d <= 0:
         raise PreconditionError("minimum bound applies to indefinite forms")
+    # H(x, y) = a N(x) + sum t_ij x_i y_j + c N(y): the trace term is
+    # Z-bilinear, so its values on the basis pairs (1 and theta), with the
+    # integrality cross-check of bhf_evaluate, fix it everywhere
+    tr = _SQ[h.ring][1]
+    a, c = h.a, h.c
+    basis = (QRE(h.ring, 1, 0), QRE(h.ring, 0, 1))
+    (t00, t01), (t10, t11) = [
+        [bhf_evaluate(h, e, f) - a - c for f in basis] for e in basis
+    ]
+    span = range(-box, box + 1)
+    pairs = [(u0, u1) for u0 in span for u1 in span]
+    ys = [(y0, y1, c * (y0 * y0 + tr * y0 * y1 + y1 * y1)) for y0, y1 in pairs]
+    # H(-v) = H(v): scan only the v whose first nonzero coordinate is
+    # negative, the member of each pair +-v that the lexicographic order
+    # meets first; pairs[half] is (0, 0)
+    half = len(pairs) // 2
+    rows = [(x, ys) for x in pairs[:half]] + [((0, 0), ys[:half])]
     best = None
     wit = None
     isotropic = False
-    for x in range(-box, box + 1):
-        for yx in range(-box, box + 1):
-            for u in range(-box, box + 1):
-                for uy in range(-box, box + 1):
-                    vx = QRE(h.ring, x, yx)
-                    vy = QRE(h.ring, u, uy)
-                    if vx.is_zero() and vy.is_zero():
-                        continue
-                    if not is_primitive((vx, vy)):
-                        continue
-                    val = bhf_evaluate(h, vx, vy)
-                    if val == 0:
-                        # isotropic vectors are skipped; mu is the least
-                        # nonzero value
-                        isotropic = True
-                        continue
-                    if best is None or abs(val) < best:
-                        best = abs(val)
-                        wit = (vx, vy)
+    for (x0, x1), row in rows:
+        base = a * (x0 * x0 + tr * x0 * x1 + x1 * x1)
+        l0 = t00 * x0 + t10 * x1
+        l1 = t01 * x0 + t11 * x1
+        for y0, y1, cy in row:
+            val = base + l0 * y0 + l1 * y1 + cy
+            # primitivity is tested only where it can change the result
+            if val == 0:
+                # isotropic vectors are skipped; mu is the least nonzero value
+                if not isotropic and _is_primitive_coords(tr, x0, x1, y0, y1):
+                    isotropic = True
+            elif best is None or abs(val) < best:
+                if _is_primitive_coords(tr, x0, x1, y0, y1):
+                    best = abs(val)
+                    wit = (x0, x1, y0, y1)
     if best is None:
         raise DegenerateFormError("form vanishes on the whole box")
     return {
         "mu": best,
-        "witness": wit,
+        "witness": (QRE(h.ring, wit[0], wit[1]), QRE(h.ring, wit[2], wit[3])),
         "delta": d,
         # the minimum bound is a theorem only for anisotropic forms
         "isotropic_in_box": isotropic,
@@ -329,4 +362,10 @@ STANDARD_EISENSTEIN_SEED = (
     (QRE(EISENSTEIN, 1, 0), zero(EISENSTEIN)),
     (zero(EISENSTEIN), QRE(EISENSTEIN, 1, 0)),
     (QRE(EISENSTEIN, 1, 0), QRE(EISENSTEIN, 1, 0)),
+)
+# find_cubasis(STANDARD_GAUSS_SEED), which the tests recompute
+STANDARD_CUBASIS = (
+    ((QRE(GAUSS, 1, 0), zero(GAUSS)), (QRE(GAUSS, -1, 0), QRE(GAUSS, -1, -1))),
+    ((zero(GAUSS), QRE(GAUSS, 1, 0)), (QRE(GAUSS, -1, -1), QRE(GAUSS, 0, -1))),
+    ((QRE(GAUSS, 1, 0), QRE(GAUSS, 1, 0)), (QRE(GAUSS, -1, 0), QRE(GAUSS, 0, -1))),
 )

@@ -56,11 +56,14 @@ def _tree_layout(root_key, neighbor_keys, depth: int):
     pos = {root_key: (0.0, 0.0)}
     intervals = {root_key: (0.0, 2.0 * math.pi)}
     level = {root_key: 0}
+    # the BFS expands exactly the real vertices; the edge pass reuses them
+    adjacent = {}
     frontier = [root_key]
     for d in range(1, depth + 1):
         nxt = []
         for k in frontier:
-            kids = [t for t in neighbor_keys(k) if t not in pos]
+            adjacent[k] = neighbor_keys(k)
+            kids = [t for t in adjacent[k] if t not in pos]
             lo, hi = intervals[k]
             n = max(len(kids), 1)
             for i, t in enumerate(kids):
@@ -77,7 +80,7 @@ def _tree_layout(root_key, neighbor_keys, depth: int):
     edges = set()
     stubs = set()
     for k in real:
-        for t in neighbor_keys(k):
+        for t in adjacent[k]:
             if t in real:
                 edges.add(tuple(sorted((k, t))))
             elif t in pos:
@@ -94,8 +97,9 @@ def _conway_patch(depth: int, form: tuple | None) -> LayoutPatch:
         s = index[k]
         out = []
         for t in neighbors(s):
-            index.setdefault(t.key(), t)
-            out.append(t.key())
+            tk = t.key()
+            index.setdefault(tk, t)
+            out.append(tk)
         return out
 
     pos, real, edge_keys, stub_keys = _tree_layout(start.key(), neighbor_keys, depth)
@@ -173,8 +177,9 @@ def _dilinear_patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatc
         out = []
         for p, s in pw.edges():
             t = _other_vertex(p, s, pw, sigma)
-            index.setdefault(t.key(), t)
-            out.append(t.key())
+            tk = t.key()
+            index.setdefault(tk, t)
+            out.append(tk)
         return out
 
     pos, real, edge_keys, stub_keys = _tree_layout(start.key(), neighbor_keys, depth)

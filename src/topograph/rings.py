@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
+    IntegralityError,
     NotInvertibleError,
     TagMismatchError,
     UnsupportedRingError,
@@ -83,7 +84,8 @@ class QRE:
 
     def norm(self) -> int:
         p = self * self.conj()
-        assert p.y == 0, "norm must land in Z"
+        if p.y != 0:
+            raise IntegralityError(f"norm of {self!r} does not land in Z: {p!r}")
         return p.x
 
     def is_zero(self) -> bool:
@@ -121,19 +123,6 @@ def units(ring: str) -> list[QRE]:
             u.append(QRE(ring, -x, -y))
         return u
     raise UnsupportedRingError(f"{ring} has an infinite unit group")
-
-
-def ring_arith(op: str, z1: QRE, z2: QRE | None = None):
-    """Dispatcher matching the documented operation surface."""
-    if op == "add":
-        return z1 + z2
-    if op == "mul":
-        return z1 * z2
-    if op == "conj":
-        return z1.conj()
-    if op == "norm":
-        return z1.norm()
-    raise ValueError(f"unknown op {op!r}")
 
 
 def _divmod_nearest(a: QRE, b: QRE) -> tuple[QRE, QRE]:
@@ -247,13 +236,3 @@ def _unit_inverse(u: QRE) -> QRE:
     if n == -1:
         return -c
     raise NotInvertibleError("not a unit")
-
-
-def mat2_ops(op: str, m: Mat2, n: Mat2 | None = None):
-    if op == "mul":
-        return m * n
-    if op == "det":
-        return m.det()
-    if op == "inv":
-        return m.inv()
-    raise ValueError(f"unknown op {op!r}")

@@ -1,6 +1,8 @@
 import pytest
 
+from topograph import classgroup
 from topograph.classgroup import (
+    ClassGroupTable,
     ambiguous_form_A,
     compose,
     enumerate_classes,
@@ -11,7 +13,9 @@ from topograph.classgroup import (
 )
 from topograph.classical import cycle_fingerprint
 from topograph.errors import (
+    ClassificationError,
     DivisibilityError,
+    IntegralityError,
     InvalidDiscriminantError,
     NotPrimitiveError,
     PreconditionError,
@@ -123,6 +127,43 @@ def test_converse_search():
     assert found is not None
     a, b, c = found
     assert 2 * (2 * b * b - 4 * a * c) == -20
+
+
+def test_class_index_of_a_missing_class_is_typed():
+    # a table holding only the principal class of D = -20
+    t = ClassGroupTable(-20, [(1, 0, 5)], [(1, 0, 5)])
+    assert t.class_index((1, 0, 5)) == 0
+    with pytest.raises(ClassificationError):
+        t.class_index((2, 2, 3))
+
+
+def test_converse_search_skips_only_typed_errors(monkeypatch):
+    # forms of the missing class are skipped, not fatal
+    t = ClassGroupTable(-20, [(1, 0, 5)], [(1, 0, 5)])
+    found = find_diform_for_classes(2, -20, 0, 0, t)
+    if found is not None:
+        q_red, q_blue = classgroup.red_blue_forms(2, *found)
+        assert t.class_index(q_red) == t.class_index(q_blue) == 0
+
+    def broken(self, form):
+        raise ZeroDivisionError("not a class-index error")
+
+    monkeypatch.setattr(ClassGroupTable, "class_index", broken)
+    with pytest.raises(ZeroDivisionError):
+        find_diform_for_classes(2, -20, 0, 1, enumerate_classes(-20))
+
+
+def test_represented_coprime_to_checks_the_sl2_completion(monkeypatch):
+    monkeypatch.setattr(classgroup, "_ext_gcd", lambda x, y: (1, 0, 0))
+    with pytest.raises(IntegralityError):
+        classgroup._represented_coprime_to((2, 2, 3), 10)
+
+
+def test_compose_checks_the_composite_discriminant(monkeypatch):
+    crt = classgroup._crt
+    monkeypatch.setattr(classgroup, "_crt", lambda *args: crt(*args) + 1)
+    with pytest.raises(IntegralityError):
+        compose((2, 2, 3), (2, 2, 3))
 
 
 def test_to_json_shape():

@@ -1,8 +1,12 @@
 import random
+from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from topograph.errors import (
+    DegenerateFormError,
     NotASuperbaseError,
     PreconditionError,
     SearchExhaustedError,
@@ -10,8 +14,10 @@ from topograph.errors import (
 from topograph.hermitian import (
     BHF,
     PATTERN_IV,
+    STANDARD_CUBASIS,
     STANDARD_EISENSTEIN_SEED,
     STANDARD_GAUSS_SEED,
+    _is_primitive_coords,
     bhf_evaluate,
     cube_values,
     empirical_minimum,
@@ -20,7 +26,7 @@ from topograph.hermitian import (
     is_ring_superbase,
     unit_invariance_holds,
 )
-from topograph.rings import EISENSTEIN, GAUSS, QRE, units, zero
+from topograph.rings import _SQ, EISENSTEIN, GAUSS, QRE, is_primitive, units, zero
 
 
 def gauss(x, y=0):
@@ -71,6 +77,7 @@ def test_unit_invariance():
 
 def test_find_cubasis_standard_seed():
     cb = find_cubasis(STANDARD_GAUSS_SEED)
+    assert cb == STANDARD_CUBASIS
     assert len(cb) == 3
     for t1 in cb[0]:
         for t2 in cb[1]:
@@ -145,3 +152,73 @@ def test_empirical_minimum_rejects_definite():
 def test_unit_groups_used():
     assert len(units(GAUSS)) == 4
     assert len(units(EISENSTEIN)) == 6
+
+
+def _qre_scan_minimum(h: BHF, box: int) -> dict:
+    """Reference: the scan over QRE box vectors that empirical_minimum
+    replaced, evaluating every point through bhf_evaluate."""
+    d = h.discriminant()
+    if d <= 0:
+        raise PreconditionError("minimum bound applies to indefinite forms")
+    best = None
+    wit = None
+    isotropic = False
+    for x, yx, u, uy in product(range(-box, box + 1), repeat=4):
+        vx = QRE(h.ring, x, yx)
+        vy = QRE(h.ring, u, uy)
+        if vx.is_zero() and vy.is_zero():
+            continue
+        if not is_primitive((vx, vy)):
+            continue
+        val = bhf_evaluate(h, vx, vy)
+        if val == 0:
+            isotropic = True
+            continue
+        if best is None or abs(val) < best:
+            best = abs(val)
+            wit = (vx, vy)
+    if best is None:
+        raise DegenerateFormError("form vanishes on the whole box")
+    return {
+        "mu": best,
+        "witness": wit,
+        "delta": d,
+        "isotropic_in_box": isotropic,
+        "bound_ok": isotropic or 6 * best * best <= d,
+    }
+
+
+coefficient = st.integers(-50, 50)
+
+
+@pytest.mark.parametrize("ring", [GAUSS, EISENSTEIN])
+@settings(max_examples=20, deadline=None)
+@given(a=coefficient, gx=coefficient, gy=coefficient, c=coefficient,
+       box=st.integers(1, 5))
+def test_empirical_minimum_matches_qre_scan(ring, a, gx, gy, c, box):
+    h = BHF(ring, a, QRE(ring, gx, gy), c)
+    assume(h.discriminant() > 0)
+    assert empirical_minimum(h, box) == _qre_scan_minimum(h, box)
+
+
+@pytest.mark.parametrize("ring", [GAUSS, EISENSTEIN])
+def test_minor_primitivity_matches_euclid(ring):
+    tr = _SQ[ring][1]
+    for x0, x1, y0, y1 in product(range(-4, 5), repeat=4):
+        want = is_primitive((QRE(ring, x0, x1), QRE(ring, y0, y1)))
+        assert _is_primitive_coords(tr, x0, x1, y0, y1) == want, (x0, x1, y0, y1)
+
+
+def test_empirical_minimum_witness_is_first_in_scan_order():
+    # of the primitive vectors with |H| = 1, lexicographic order meets
+    # (-4-3i, -4-i) first: 2*25 - 3*17 = -1
+    rep = empirical_minimum(BHF(GAUSS, 2, zero(GAUSS), -3), 4)
+    assert rep["mu"] == 1
+    assert rep["witness"] == (gauss(-4, -3), gauss(-4, -1))
+    assert rep["isotropic_in_box"] is False
+
+
+@pytest.mark.parametrize("box", [0, -1, -5])
+def test_empirical_minimum_rejects_empty_box(box):
+    with pytest.raises(PreconditionError):
+        empirical_minimum(BHF(GAUSS, 1, zero(GAUSS), -2), box)

@@ -1,9 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
+from topograph import render
 from topograph.cli import main
 from topograph.errors import BudgetError, PreconditionError
 from topograph.render import LayoutPatch, emit_svg, layout
@@ -69,6 +71,43 @@ def test_svg_byte_determinism():
     c = emit_svg(layout("6inf", 3, (1, 1, -1)))
     d = emit_svg(layout("6inf", 3, (1, 1, -1)))
     assert c == d
+
+
+# SHA-256 of emit_svg(layout(...)), recorded before _tree_layout expanded
+# each vertex once
+SVG_SHA256 = [
+    ('3inf', 5, None, '5229827e1c2da4ea3b2242b306881e97c488b80a6993128ea193afcc23fe87e2'),
+    ('3inf', 5, (3, 1, 5), '0a806ff5264aa1c20fdaca869a61c84200a6ecc74bfbae5bb95691f6d7716191'),
+    ('3inf', 5, (2, 3, -7), '33b51814ca2d021c4754b41352f45c65e2ca3f63fb5b893daa40c015ab9b5306'),
+    ('4inf', 4, (1, 1, 3), '44b21d8b891d8811e1531c004401fc18de52310d7f983c64159bdd7e15220916'),
+    ('4inf', 4, (3, 5, -7), '549de8d5e7cab074e47329d79257ac1e108ea790ff015bc7200e03368d505542'),
+    ('6inf', 3, (5, 3, 7), '6f0cedebd0aa09e7a4f1c4df802bc59e0d78b3d382f7471a1364d05e04a16f63'),
+    ('6inf', 3, (1, 1, -1), '2f8c95982a838c14e47182a3351bfb56819f41d5bd79a0c54b6628d0358c8426'),
+]
+
+
+@pytest.mark.parametrize("geometry, depth, form, digest", SVG_SHA256)
+def test_svg_bytes_pinned(geometry, depth, form, digest):
+    svg = emit_svg(layout(geometry, depth, form))
+    assert hashlib.sha256(svg).hexdigest() == digest
+
+
+@pytest.mark.parametrize("geometry, expand, degree", [
+    ("3inf", "neighbors", 3), ("4inf", "_other_vertex", 4),
+    ("6inf", "_other_vertex", 6),
+])
+def test_layout_expands_each_vertex_once(geometry, expand, degree, monkeypatch):
+    calls = []
+    real = getattr(render, expand)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(render, expand, counted)
+    patch = layout(geometry, 4)
+    per_vertex = 1 if expand == "neighbors" else degree
+    assert len(calls) == per_vertex * len(patch.vertices)
 
 
 def test_label_eliding():
@@ -248,3 +287,41 @@ WALK_STDOUT = [
 def test_cli_walk_stdout_pinned(argv, expected, capsys):
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == expected
+
+
+# stdout of `hermitian`, recorded while it searched the cubasis on every call
+HERMITIAN_STDOUT = [
+    (('hermitian', '--ring=g', '--form=1,0,0,-2'),
+     '{"bound_ok": true, "cube": {"faces": [1, -2, -1, -3, 0, -1], "pattern": "mixed-zero", "z": -2}, "delta": 8, "form": {"a": 1, "c": -2, "gamma": [0, 0]}, "mu": 1, "ring": "Gauss"}\n'),
+    (('hermitian', '--ring=g', '--form=2,0,0,-3'),
+     '{"bound_ok": true, "cube": {"faces": [2, -3, -1, -4, 1, -1], "pattern": "II", "z": -2}, "delta": 24, "form": {"a": 2, "c": -3, "gamma": [0, 0]}, "mu": 1, "ring": "Gauss"}\n'),
+    (('hermitian', '--ring=g', '--form=1,0,0,1'),
+     '{"bound_ok": null, "cube": {"faces": [1, 1, 2, 3, 3, 2], "pattern": "I", "z": 4}, "delta": -4, "form": {"a": 1, "c": 1, "gamma": [0, 0]}, "mu": null, "ring": "Gauss"}\n'),
+    (('hermitian', '--ring=g', '--form=-6,1,1,5', '--min-box=3'),
+     '{"bound_ok": true, "cube": {"faces": [-6, 5, 1, 6, -5, -1], "pattern": "III", "z": 0}, "delta": 124, "form": {"a": -6, "c": 5, "gamma": [1, 1]}, "mu": 1, "ring": "Gauss"}\n'),
+    (('hermitian', '--ring=g', '--form=0,1,1,0', '--min-box=1'),
+     '{"bound_ok": true, "cube": {"faces": [0, 0, 2, 2, 2, 0], "pattern": "mixed-zero", "z": 2}, "delta": 4, "form": {"a": 0, "c": 0, "gamma": [1, 1]}, "mu": 2, "ring": "Gauss"}\n'),
+    (('hermitian', '--ring=g', '--form=2,0,0,-2'),
+     '{"bound_ok": true, "cube": {"faces": [2, -2, 0, -2, 2, 0], "pattern": "mixed-zero", "z": 0}, "delta": 16, "form": {"a": 2, "c": -2, "gamma": [0, 0]}, "mu": 2, "ring": "Gauss"}\n'),
+    (('hermitian', '--ring=e', '--form=1,0,0,-3'),
+     '{"bound_ok": true, "cube": null, "delta": 9, "form": {"a": 1, "c": -3, "gamma": [0, 0]}, "mu": 1, "ring": "Eisenstein"}\n'),
+    (('hermitian', '--ring=e', '--form=1,0,0,1'),
+     '{"bound_ok": null, "cube": null, "delta": -3, "form": {"a": 1, "c": 1, "gamma": [0, 0]}, "mu": null, "ring": "Eisenstein"}\n'),
+    (('hermitian', '--ring=e', '--form=-4,2,-5,6', '--min-box=5'),
+     '{"bound_ok": true, "cube": null, "delta": 111, "form": {"a": -4, "c": 6, "gamma": [2, -5]}, "mu": 1, "ring": "Eisenstein"}\n'),
+    (('hermitian', '--ring=e', '--form=3,3,3,-3', '--min-box=2'),
+     '{"bound_ok": true, "cube": null, "delta": 36, "form": {"a": 3, "c": -3, "gamma": [3, 3]}, "mu": 3, "ring": "Eisenstein"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", HERMITIAN_STDOUT)
+def test_cli_hermitian_stdout_pinned(argv, expected, capsys):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cli_hermitian_rejects_empty_box(capsys):
+    assert main(["hermitian", "--ring=g", "--form=1,0,0,-2", "--min-box=0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "precondition"

@@ -1,6 +1,11 @@
 import pytest
 
-from topograph.errors import NotInvertibleError, TagMismatchError, UnsupportedRingError
+from topograph.errors import (
+    IntegralityError,
+    NotInvertibleError,
+    TagMismatchError,
+    UnsupportedRingError,
+)
 from topograph.rings import (
     EISENSTEIN,
     GAUSS,
@@ -40,6 +45,13 @@ def test_conjugation_and_norm():
     w = QRE(EISENSTEIN, 2, 1)
     assert w.conj() == QRE(EISENSTEIN, 1, -1)
     assert w.norm() == 3  # 4 - 2 + 1
+
+
+def test_norm_outside_z_is_typed(monkeypatch):
+    # a wrong conjugate makes z * conj(z) leave Z
+    monkeypatch.setattr(QRE, "conj", lambda self: self)
+    with pytest.raises(IntegralityError):
+        QRE(GAUSS, 1, 1).norm()
 
 
 def test_unit_groups():
