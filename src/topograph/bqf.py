@@ -38,14 +38,6 @@ class BQF:
         return BQF(a2, b2, c2)
 
 
-def evaluate(q: BQF, v: Vec) -> int:
-    return q(v)
-
-
-def discriminant(q: BQF) -> int:
-    return q.discriminant()
-
-
 def is_square(n: int) -> bool:
     if n < 0:
         return False

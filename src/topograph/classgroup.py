@@ -6,16 +6,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 from .bqf import is_square
 from .classical import (
     Form,
     content,
     cycle_fingerprint,
-    indefinite_cycle,
     is_reduced_indefinite,
     reduce_definite,
+    reduce_indefinite,
 )
 from .errors import (
     ClassificationError,
@@ -60,10 +59,12 @@ def _enumerate_definite(d: int) -> list[Form]:
     return sorted(out)
 
 
-def _enumerate_indefinite(d: int) -> list[Form]:
-    """One canonical representative per cycle of reduced indefinite forms."""
+def _enumerate_indefinite(d: int) -> list[tuple[Form, ...]]:
+    """The fingerprint of every cycle of primitive reduced indefinite forms,
+    ordered by least form."""
     s = math.isqrt(d)
-    reps = {}
+    seen = set()
+    cycles = []
     for b in range(1, s + 1):
         if (b - d) % 2:
             continue
@@ -72,13 +73,15 @@ def _enumerate_indefinite(d: int) -> list[Form]:
             for aa in (a, -a):
                 c = (b * b - d) // (4 * aa)
                 f = (aa, b, c)
-                if not is_reduced_indefinite(f, d):
+                if f in seen or not is_reduced_indefinite(f, d):
                     continue
                 if content(f) != 1:
                     continue
                 fp = cycle_fingerprint(f)
-                reps.setdefault(fp, min(fp))
-    return sorted(reps.values())
+                seen.update(fp)
+                cycles.append(fp)
+    # a fingerprint is sorted, so it starts with the cycle's least form
+    return sorted(cycles)
 
 
 def _divisors(m: int) -> list[int]:
@@ -97,28 +100,35 @@ class ClassGroupTable:
     reps: list  # one concrete form per class
     table: list = field(default_factory=list)  # composition, index pairs
 
+    def __post_init__(self) -> None:
+        # reduced form -> class index; for d > 0 every form of each cycle
+        if self.disc < 0:
+            self._index = {label: i for i, label in enumerate(self.classes)}
+        else:
+            self._index = {
+                f: i for i, label in enumerate(self.classes) for f in label
+            }
+
     @property
     def h(self) -> int:
         return len(self.classes)
 
     def class_index(self, form: Form) -> int:
-        label = self._label(form)
-        try:
-            return self.classes.index(label)
-        except ValueError:
-            raise ClassificationError(
-                f"{form} has no class among the {self.h} of discriminant {self.disc}"
-            ) from None
-
-    def _label(self, form: Form):
         if content(form) != 1:
             raise NotPrimitiveError(f"{form} is imprimitive")
         a, b, c = form
         if b * b - 4 * a * c != self.disc:
             raise InvalidDiscriminantError("wrong discriminant")
         if self.disc < 0:
-            return reduce_definite(form)
-        return cycle_fingerprint(form)
+            reduced = reduce_definite(form)
+        else:
+            reduced = reduce_indefinite(form)
+        try:
+            return self._index[reduced]
+        except KeyError:
+            raise ClassificationError(
+                f"{form} has no class among the {self.h} of discriminant {self.disc}"
+            ) from None
 
     def identity_index(self) -> int:
         return self.class_index(principal_form(self.disc))
@@ -155,71 +165,69 @@ def enumerate_classes(d: int) -> ClassGroupTable:
     if d < 0:
         classes = _enumerate_definite(d)
         return ClassGroupTable(d, classes, list(classes))
-    reps = _enumerate_indefinite(d)
-    return ClassGroupTable(d, [cycle_fingerprint(f) for f in reps], reps)
+    cycles = _enumerate_indefinite(d)
+    return ClassGroupTable(d, cycles, [fp[0] for fp in cycles])
 
 
-def _represented_coprime_to(form: Form, m: int) -> tuple[Form, tuple[int, int]]:
-    """An SL2-equivalent form whose leading coefficient is coprime to m."""
+def _xgcd(x: int, y: int) -> tuple[int, int, int]:
+    """(g, u, v) with u*x + v*y = g = gcd(x, y) >= 0."""
+    u0, v0, u1, v1 = 1, 0, 0, 1
+    while y:
+        q, r = divmod(x, y)
+        x, y = y, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if x < 0:
+        return -x, -u0, -v0
+    return x, u0, v0
+
+
+def _leading_nonzero(form: Form) -> Form:
+    """An SL2-equivalent form with a != 0 (only square d allows a = 0)."""
     a, b, c = form
-    for bound in (3, 6, 12, 25):
-        for x, y in product(range(-bound, bound + 1), repeat=2):
-            if math.gcd(x, y) != 1:
-                continue
-            val = a * x * x + b * x * y + c * y * y
-            if val != 0 and math.gcd(val, m) == 1:
-                # complete (x, y) to an SL2 matrix as its first column
-                g, r, s = _ext_gcd(x, y)
-                if x * r + s * y != 1:
-                    raise IntegralityError(
-                        f"({x}, {y}) does not complete to an SL2 matrix "
-                        f"with second column ({-s}, {r})"
-                    )
-                a2 = val
-                c2 = a * s * s - b * s * r + c * r * r
-                b2 = 2 * a * x * (-s) + b * (x * r - s * y) + 2 * c * y * r
-                return (a2, b2, c2), (x, y)
-    raise PreconditionError("no coprime representative found")
-
-
-def _ext_gcd(x: int, y: int):
-    if y == 0:
-        return abs(x), (1 if x > 0 else -1), 0
-    g, p, q = _ext_gcd(y, x % y)
-    return g, q, p - (x // y) * q
+    if a:
+        return form
+    if c:
+        return (c, -b, 0)  # (x, y) -> (-y, x)
+    return (b, -b, 0)  # (0, b, 0) moved by (x, y) -> (x + y, y), then as above
 
 
 def compose(f1: Form, f2: Form) -> Form:
-    """Dirichlet composition of primitive forms of one discriminant."""
+    """Dirichlet composition of primitive forms of one discriminant, by
+    Cohen's Algorithm 5.4.7 (GTM 138); the composite is not reduced."""
     if content(f1) != 1 or content(f2) != 1:
         raise NotPrimitiveError("composition needs primitive forms")
     d = f1[1] ** 2 - 4 * f1[0] * f1[2]
     if f2[1] ** 2 - 4 * f2[0] * f2[2] != d:
         raise InvalidDiscriminantError("mismatched discriminants")
-    g1, _ = _represented_coprime_to(f1, 2 * d if d else 2)
-    a1 = g1[0]
-    g2, _ = _represented_coprime_to(f2, 2 * a1)
-    a2, b2 = g2[0], g2[1]
-    b1 = g1[1]
-    # concordant middle coefficient: B = b1 mod 2a1, B = b2 mod 2a2
-    bb = _crt(b1, 2 * a1, b2, 2 * a2)
-    aa = a1 * a2
-    cc = (bb * bb - d) // (4 * aa)
-    if bb * bb - 4 * aa * cc != d:
+    f1, f2 = _leading_nonzero(f1), _leading_nonzero(f2)
+    if abs(f1[0]) > abs(f2[0]):
+        f1, f2 = f2, f1
+    a1, b1, _ = f1
+    a2, b2, c2 = f2
+    s = (b1 + b2) // 2  # b1 = b2 = d mod 2
+    n = b2 - s
+    # d0 = gcd(a1, a2) = u*a2 + v*a1, then d1 = gcd(s, d0) = x2*s - y2*d0;
+    # the signs of a1, a2 only enter through the quotients v1, v2 below
+    if a2 % a1 == 0:
+        y1, d0 = 0, abs(a1)
+    else:
+        d0, y1, _ = _xgcd(a2, a1)
+    if s % d0 == 0:
+        x2, y2, d1 = 0, -1, d0
+    else:
+        d1, x2, y2 = _xgcd(s, d0)
+        y2 = -y2
+    v1, v2 = a1 // d1, a2 // d1
+    r = (y1 * y2 * n - x2 * c2) % v1
+    b3 = b2 + 2 * v2 * r
+    a3 = v1 * v2
+    c3, rest = divmod(c2 * d1 + r * (b2 + v2 * r), v1)
+    if rest:
         raise IntegralityError(
-            f"composite ({aa}, {bb}, {cc}) of {f1} and {f2} misses discriminant {d}"
+            f"composite ({a3}, {b3}, ?) of {f1} and {f2} misses discriminant {d}"
         )
-    return (aa, bb, cc)
-
-
-def _crt(r1: int, m1: int, r2: int, m2: int) -> int:
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g:
-        raise PreconditionError("incompatible congruences")
-    l = m1 // g * m2
-    _, p, _ = _ext_gcd(m1 // g, m2 // g)
-    k = ((r2 - r1) // g * p) % (m2 // g)
-    return (r1 + m1 * k) % l
+    return (a3, b3, c3)
 
 
 def ambiguous_form_A(sigma: int, d: int) -> Form:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .bqf import BQF, is_square
+from .bqf import is_square
 from .errors import ClassificationError, SquareDiscriminantError
 
 Form = tuple[int, int, int]
@@ -67,30 +67,56 @@ def rho(form: Form, d: int) -> Form:
         # choose b' = -b mod t with s - t < b' <= s
         b2 = (-b) % t
         b2 += ((s - b2) // t) * t
-    c2 = (b2 * b2 - d) // (4 * c)
-    return (c, b2, c2)
+    # b' = -b + 2ck, so c' = (b'^2 - d) / 4c = a - bk + ck^2: no division
+    # by c of a number twice its size
+    k = (b2 + b) // (2 * c)
+    return (c, b2, a + k * (c * k - b))
+
+
+def reduce_indefinite(form: Form) -> Form:
+    """The first reduced form that rho reaches from an indefinite form."""
+    a, b, c = form
+    d = b * b - 4 * a * c
+    if d <= 0 or is_square(d):
+        raise SquareDiscriminantError("rho needs a positive nonsquare discriminant")
+    # While |c| > sqrt(d), rho picks |b'| <= |c|, so |c'| = |b'^2 - d| / 4|c|
+    # <= |c| / 4.  A j-th such step needs 4^j sqrt(d) < |c| of the input, so
+    # there are at most excess // 2 + 1 of them.  Once |c| < sqrt(d), rho
+    # gives (c, b1, c1) with sqrt(d) - 2|c| < b1 < sqrt(d), which is reduced
+    # or has 2|c1| < sqrt(d), and the form after that is reduced: two more
+    # steps.  a plays no part, as the first step drops it.
+    excess = c.bit_length() - (d.bit_length() - 1) // 2
+    limit = max(excess, 0) // 2 + 3
+    f = (a, b, c)
+    steps = 0
+    while not is_reduced_indefinite(f, d):
+        if steps == limit:
+            raise ClassificationError(
+                f"rho reduction of {_brief(form)} did not terminate in {steps} steps"
+            )
+        f = rho(f, d)
+        steps += 1
+    return f
+
+
+def _brief(form: Form) -> str:
+    """The form, or its coefficient sizes when it is too long to print."""
+    if max(abs(x) for x in form).bit_length() > 3000:
+        return "a form with {}-bit coefficients".format("/".join(
+            str(x.bit_length()) for x in form))
+    return str(form)
 
 
 def indefinite_cycle(form: Form) -> tuple[Form, ...]:
     """The cycle of reduced forms SL2-equivalent to an indefinite form."""
-    a, b, c = form
-    d = b * b - 4 * a * c
-    if d <= 0 or is_square(d):
-        raise SquareDiscriminantError("cycle needs a positive nonsquare discriminant")
-    f = (a, b, c)
-    guard = 0
-    while not is_reduced_indefinite(f, d):
-        f = rho(f, d)
-        guard += 1
-        if guard > 10000:
-            raise ClassificationError("rho reduction did not terminate")
-    start = f
-    cycle = [f]
-    while True:
-        f = rho(f, d)
-        if f == start:
-            break
+    start = reduce_indefinite(form)
+    d = start[1] ** 2 - 4 * start[0] * start[2]
+    # rho permutes the finitely many reduced forms of discriminant d
+    cycle = [start]
+    f = rho(start, d)
+    while f != start:
         cycle.append(f)
+        f = rho(f, d)
     return tuple(cycle)
 
 
@@ -99,17 +125,6 @@ def cycle_fingerprint(form: Form) -> tuple[Form, ...]:
     return tuple(sorted(indefinite_cycle(form)))
 
 
-def reduce_any(form: Form) -> object:
-    """Canonical class label: reduced form (definite) or cycle fingerprint."""
-    a, b, c = form
-    d = b * b - 4 * a * c
-    if d < 0:
-        if a < 0:
-            raise ClassificationError("negative-definite forms have no class here")
-        return reduce_definite(form)
-    return cycle_fingerprint(form)
-
-
 def content(form: Form) -> int:
     a, b, c = form
-    return math.gcd(math.gcd(abs(a), abs(b)), abs(c))
+    return math.gcd(a, b, c)

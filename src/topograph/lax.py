@@ -9,7 +9,6 @@ PGL_2(Z).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -43,10 +42,6 @@ def vadd(u: Vec, v: Vec) -> Vec:
 
 def vneg(u: Vec) -> Vec:
     return (-u[0], -u[1])
-
-
-def is_primitive_z(v: Vec) -> bool:
-    return math.gcd(v[0], v[1]) == 1
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,11 @@
-import pytest
+import math
+from itertools import product
 
-from topograph import classgroup
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from topograph import classgroup, classical
 from topograph.classgroup import (
     ClassGroupTable,
     ambiguous_form_A,
@@ -11,7 +16,14 @@ from topograph.classgroup import (
     represents,
     verify_red_blue,
 )
-from topograph.classical import cycle_fingerprint
+from topograph.classical import (
+    content,
+    cycle_fingerprint,
+    indefinite_cycle,
+    is_reduced_indefinite,
+    reduce_definite,
+    reduce_indefinite,
+)
 from topograph.errors import (
     ClassificationError,
     DivisibilityError,
@@ -153,17 +165,24 @@ def test_converse_search_skips_only_typed_errors(monkeypatch):
         find_diform_for_classes(2, -20, 0, 1, enumerate_classes(-20))
 
 
-def test_represented_coprime_to_checks_the_sl2_completion(monkeypatch):
-    monkeypatch.setattr(classgroup, "_ext_gcd", lambda x, y: (1, 0, 0))
-    with pytest.raises(IntegralityError):
-        classgroup._represented_coprime_to((2, 2, 3), 10)
+def test_compose_moves_a_zero_leading_coefficient():
+    # only square discriminants have forms with a = 0
+    pairs = (((0, 1, 0), (0, 1, 5)), ((0, 3, 2), (2, 5, 2)), ((0, 1, 0), (0, 1, 0)))
+    for f1, f2 in pairs:
+        a, b, c = compose(f1, f2)
+        assert b * b - 4 * a * c == f1[1] ** 2
 
 
 def test_compose_checks_the_composite_discriminant(monkeypatch):
-    crt = classgroup._crt
-    monkeypatch.setattr(classgroup, "_crt", lambda *args: crt(*args) + 1)
+    xgcd = classgroup._xgcd
+
+    def off_by_one(x, y):
+        g, u, v = xgcd(x, y)
+        return g, u + 1, v
+
+    monkeypatch.setattr(classgroup, "_xgcd", off_by_one)
     with pytest.raises(IntegralityError):
-        compose((2, 2, 3), (2, 2, 3))
+        compose((2, 2, 3), (5, 0, 1))
 
 
 def test_to_json_shape():
@@ -180,3 +199,181 @@ def test_principal_form():
     assert principal_form(-20) == (1, 0, 5)
     assert principal_form(-3) == (1, 1, 1)
     assert principal_form(13) == (1, 1, -3)
+
+
+# --- the box-search composition that Cohen's algorithm replaced, as oracle ---
+
+
+def _ext_gcd(x, y):
+    if y == 0:
+        return abs(x), (1 if x > 0 else -1), 0
+    g, p, q = _ext_gcd(y, x % y)
+    return g, q, p - (x // y) * q
+
+
+def _represented_coprime_to(form, m):
+    a, b, c = form
+    for bound in (3, 6, 12, 25):
+        for x, y in product(range(-bound, bound + 1), repeat=2):
+            if math.gcd(x, y) != 1:
+                continue
+            val = a * x * x + b * x * y + c * y * y
+            if val != 0 and math.gcd(val, m) == 1:
+                _, r, s = _ext_gcd(x, y)
+                c2 = a * s * s - b * s * r + c * r * r
+                b2 = 2 * a * x * (-s) + b * (x * r - s * y) + 2 * c * y * r
+                return val, b2, c2
+    raise PreconditionError("no coprime representative found")
+
+
+def _crt(r1, m1, r2, m2):
+    g = math.gcd(m1, m2)
+    l = m1 // g * m2
+    _, p, _ = _ext_gcd(m1 // g, m2 // g)
+    k = ((r2 - r1) // g * p) % (m2 // g)
+    return (r1 + m1 * k) % l
+
+
+def reference_compose(f1, f2):
+    """Dirichlet composition through representatives whose leading
+    coefficients are coprime to 2d and to each other."""
+    d = f1[1] ** 2 - 4 * f1[0] * f1[2]
+    a1, b1, _ = _represented_coprime_to(f1, 2 * d)
+    a2, b2, _ = _represented_coprime_to(f2, 2 * a1)
+    bb = _crt(b1, 2 * a1, b2, 2 * a2)
+    aa = a1 * a2
+    return aa, bb, (bb * bb - d) // (4 * aa)
+
+
+def label(form):
+    """The class label the tables use: reduced form or sorted cycle."""
+    a, b, c = form
+    if b * b - 4 * a * c < 0:
+        return reduce_definite(form)
+    return cycle_fingerprint(form)
+
+
+def sl2_word(form, word):
+    """The form moved by T^t1 S T^t2 ..., T = [[1, 1], [0, 1]] and
+    S = [[0, -1], [1, 0]]."""
+    a, b, c = form
+    for t in word:
+        a, b, c = a, b + 2 * a * t, a * t * t + b * t + c
+        a, b, c = c, -b, a
+    return a, b, c
+
+
+words = st.lists(st.integers(-1000, 1000), max_size=6)
+
+
+@st.composite
+def primitive_pairs(draw, sign, size):
+    """Two primitive forms of one discriminant d, sign(d) = sign: (pq, B, rs)
+    and (pr, B, qs) share B^2 - 4pqrs, then each is moved by an SL2 word.
+    |pqrs| <= size^4, so |d| <= 4 size^4 for d < 0.  For d > 0, q < 0 and p, r
+    may be negative too."""
+    p, q, r, s = (draw(st.integers(1, size)) for _ in range(4))
+    if sign < 0:
+        bmax = math.isqrt(4 * p * q * r * s - 1)
+    else:
+        bmax = size ** 2
+        q = -q
+        if draw(st.booleans()):
+            p, r = -p, -r
+    b = draw(st.integers(-bmax, bmax))
+    f1, f2 = (p * q, b, r * s), (p * r, b, q * s)
+    d = b * b - 4 * p * q * r * s
+    assume(content(f1) == content(f2) == 1 and math.isqrt(abs(d)) ** 2 != d)
+    return sl2_word(f1, draw(words)), sl2_word(f2, draw(words))
+
+
+@settings(max_examples=150, deadline=None)
+@given(primitive_pairs(-1, 700))
+def test_compose_matches_box_search_definite(pair):
+    f1, f2 = pair
+    assert label(compose(f1, f2)) == label(reference_compose(f1, f2))
+
+
+# the label of d > 0 is a whole rho-cycle, whose length grows like sqrt(d):
+# d stays below 4 * 150^4 + 150^4 (about 2.5e9)
+@settings(max_examples=150, deadline=None)
+@given(primitive_pairs(1, 150))
+def test_compose_matches_box_search_indefinite(pair):
+    f1, f2 = pair
+    assert label(compose(f1, f2)) == label(reference_compose(f1, f2))
+
+
+SAMPLE = (-900, -899, -771, -640, -420, -255, -84, -20, -3,
+          5, 12, 40, 145, 229, 316, 401, 780, 1001, 1164, 1200)
+
+
+@pytest.fixture(scope="module")
+def tables():
+    return {d: enumerate_classes(d) for d in SAMPLE}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(SAMPLE), st.integers(0, 10 ** 6), words)
+def test_class_index_matches_list_index_of_the_label(tables, d, pick, word):
+    table = tables[d]
+    form = sl2_word(table.reps[pick % table.h], word)
+    assert table.class_index(form) == table.classes.index(label(form))
+
+
+def reference_reps(d):
+    """Least form of every class, from every primitive reduced form."""
+    s = math.isqrt(abs(d))
+    reduced = set()
+    for a, b in product(range(-s - 1, s + 2), repeat=2):
+        if a == 0 or (b * b - d) % (4 * a):
+            continue
+        f = (a, b, (b * b - d) // (4 * a))
+        if content(f) != 1:
+            continue
+        if d < 0 and a > 0:
+            reduced.add(reduce_definite(f))
+        elif d > 0 and is_reduced_indefinite(f, d):
+            reduced.add(min(indefinite_cycle(f)))
+    return sorted(reduced)
+
+
+@pytest.mark.parametrize("d", SAMPLE)
+def test_reps_and_table_match_box_search_composition(tables, d):
+    table = tables[d]
+    assert table.reps == reference_reps(d)
+    table.build_table()
+    labels = [label(f) for f in table.reps]
+    assert table.table == [
+        [labels.index(label(reference_compose(f, g))) for g in table.reps]
+        for f in table.reps
+    ]
+
+
+def sheared(form, n):
+    """The form moved by n alternating shears [[1, 1], [0, 1]] and
+    [[1, 0], [1, 1]]."""
+    a, b, c = form
+    for i in range(n):
+        if i % 2:
+            a, b, c = a + b + c, b + 2 * c, c
+        else:
+            a, b, c = a, 2 * a + b, a + b + c
+    return a, b, c
+
+
+def test_rho_reduction_far_from_the_cycle():
+    # 20,003 shears: rho needs 10,001 steps and the coefficients have about
+    # 27,800 bits, one step past a fixed cap of 10,000 steps
+    form = sheared((1, 0, -2), 20003)
+    assert reduce_indefinite(form) in indefinite_cycle((1, 0, -2))
+    t = enumerate_classes(8)
+    assert t.class_index(form) == t.class_index((1, 0, -2))
+
+
+def test_rho_reduction_overrun_is_typed(monkeypatch):
+    monkeypatch.setattr(classical, "rho", lambda form, d: form)
+    with pytest.raises(ClassificationError, match=r"\(1, 0, -3\).* 3 steps"):
+        reduce_indefinite((1, 0, -3))
+    # a form too long to print is named by its coefficient sizes
+    with pytest.raises(ClassificationError, match="5001/5002/2-bit"):
+        reduce_indefinite((2 ** 5000, 2 ** 5001 + 1, 3))

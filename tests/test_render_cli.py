@@ -325,3 +325,29 @@ def test_cli_hermitian_rejects_empty_box(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "precondition"
+
+
+# stdout of `classgroup`, recorded while compose searched a box for
+# representatives coprime to 2d and class_index scanned the label list
+CLASSGROUP_STDOUT = [
+    (('classgroup', '--delta=-20'),
+     '{"A_class_index": {"2": 1, "3": null}, "classes": [[1, 0, 5], [2, 2, 3]], "delta": -20, "h": 2, "table": [[0, 1], [1, 0]]}\n'),
+    (('classgroup', '--delta=-171'),
+     '{"A_class_index": {"2": null, "3": null}, "classes": [[1, 1, 43], [5, -3, 9], [5, 3, 9], [7, 5, 7]], "delta": -171, "h": 4, "table": [[0, 1, 2, 3], [1, 3, 0, 2], [2, 0, 3, 1], [3, 2, 1, 0]]}\n'),
+    (('classgroup', '--delta=-384'),
+     '{"A_class_index": {"2": null, "3": 1}, "classes": [[1, 0, 96], [3, 0, 32], [4, 4, 25], [5, -4, 20], [5, 4, 20], [7, -6, 15], [7, 6, 15], [11, 10, 11]], "delta": -384, "h": 8, "table": [[0, 1, 2, 3, 4, 5, 6, 7], [1, 0, 7, 5, 6, 3, 4, 2], [2, 7, 0, 4, 3, 6, 5, 1], [3, 5, 4, 2, 0, 7, 1, 6], [4, 6, 3, 0, 2, 1, 7, 5], [5, 3, 6, 7, 1, 2, 0, 4], [6, 4, 5, 1, 7, 0, 2, 3], [7, 2, 1, 6, 5, 4, 3, 0]]}\n'),
+    (('classgroup', '--delta=-4004'),
+     '{"A_class_index": {"2": 1, "3": null}, "classes": [[1, 0, 1001], [2, 2, 501], [3, -2, 334], [3, 2, 334], [5, -4, 201], [5, 4, 201], [6, -2, 167], [6, 2, 167], [7, 0, 143], [9, -8, 113], [9, 8, 113], [10, -6, 101], [10, 6, 101], [11, 0, 91], [13, 0, 77], [14, 14, 75], [15, -14, 70], [15, -4, 67], [15, 4, 67], [15, 14, 70], [17, -12, 61], [17, 12, 61], [18, -10, 57], [18, 10, 57], [19, -10, 54], [19, 10, 54], [21, -14, 50], [21, 14, 50], [22, 22, 51], [25, -14, 42], [25, 14, 42], [26, 26, 45], [27, -10, 38], [27, 10, 38], [30, -26, 39], [30, -14, 35], [30, 14, 35], [30, 26, 39], [33, -22, 34], [33, 22, 34]], "delta": -4004, "h": 40, "table": [[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39], [1, 0, 6, 7, 12, 11, 2, 3, 15, 23, 22, 5, 4, 28, 31, 8, 35, 37, 34, 36, 38, 39, 10, 9, 33, 32, 30, 29, 13, 27, 26, 14, 25, 24, 18, 16, 19, 17, 20, 21], [2, 6, 9, 0, 16, 18, 23, 1, 26, 33, 3, 34, 35, 39, 37, 30, 38, 4, 31, 5, 28, 36, 7, 24, 27, 22, 25, 8, 21, 15, 32, 17, 10, 29, 14, 20, 11, 12, 13, 19], [3, 7, 0, 10, 17, 19, 1, 22, 27, 2, 32, 36, 37, 38, 34, 29, 4, 31, 5, 39, 35, 28, 25, 6, 23, 26, 8, 24, 20, 33, 15, 18, 30, 9, 11, 12, 21, 14, 16, 13], [4, 12, 16, 17, 29, 0, 35, 37, 36, 38, 31, 1, 27, 32, 23, 19, 15, 33, 2, 3, 26, 22, 14, 20, 28, 34, 11, 21, 25, 39, 5, 9, 18, 13, 6, 8, 7, 24, 30, 10], [5, 11, 18, 19, 0, 30, 34, 36, 35, 31, 39, 26, 1, 33, 22, 16, 2, 3, 32, 15, 23, 27, 21, 14, 37, 28, 20, 12, 24, 4, 38, 10, 13, 17, 25, 6, 8, 7, 9, 29], [6, 2, 23, 1, 35, 34, 9, 0, 30, 24, 7, 18, 16, 21, 17, 26, 20, 12, 14, 11, 13, 19, 3, 33, 29, 10, 32, 15, 39, 8, 25, 37, 22, 27, 31, 38, 5, 4, 28, 36], [7, 3, 1, 22, 37, 36, 0, 10, 29, 6, 25, 19, 17, 20, 18, 27, 12, 14, 11, 21, 16, 13, 32, 2, 9, 30, 15, 33, 38, 24, 8, 34, 26, 23, 5, 4, 39, 31, 35, 28], [8, 15, 26, 27, 36, 35, 30, 29, 0, 25, 24, 16, 19, 14, 13, 1, 11, 21, 20, 12, 18, 17, 33, 32, 10, 9, 2, 3, 31, 7, 6, 28, 23, 22, 38, 5, 4, 39, 34, 37], [9, 23, 33, 2, 38, 31, 24, 6, 25, 29, 0, 14, 20, 19, 12, 32, 13, 16, 17, 18, 21, 11, 1, 27, 8, 7, 22, 26, 36, 30, 10, 4, 3, 15, 37, 28, 34, 35, 39, 5], [10, 22, 3, 32, 31, 39, 7, 25, 24, 0, 30, 21, 14, 16, 11, 33, 17, 18, 19, 13, 12, 20, 26, 1, 6, 8, 27, 23, 35, 9, 29, 5, 15, 2, 36, 37, 28, 34, 4, 38], [11, 5, 34, 36, 1, 26, 18, 19, 16, 14, 21, 30, 0, 24, 10, 35, 6, 7, 25, 8, 9, 29, 39, 31, 17, 13, 38, 4, 33, 12, 20, 22, 28, 37, 32, 2, 15, 3, 23, 27], [12, 4, 35, 37, 27, 1, 16, 17, 19, 20, 14, 0, 29, 25, 9, 36, 8, 24, 6, 7, 30, 10, 31, 38, 13, 18, 5, 39, 32, 21, 11, 23, 34, 28, 2, 15, 3, 33, 26, 22], [13, 28, 39, 38, 32, 33, 21, 20, 14, 19, 16, 24, 25, 0, 8, 31, 10, 30, 29, 9, 7, 6, 35, 36, 11, 12, 37, 34, 1, 18, 17, 15, 4, 5, 27, 22, 23, 26, 3, 2], [14, 31, 37, 34, 23, 22, 17, 18, 13, 12, 11, 10, 9, 8, 0, 28, 24, 6, 7, 25, 29, 30, 5, 4, 16, 19, 39, 38, 15, 20, 21, 1, 36, 35, 3, 33, 32, 2, 27, 26], [15, 8, 30, 29, 19, 16, 26, 27, 1, 32, 33, 35, 36, 31, 28, 0, 5, 39, 38, 4, 34, 37, 24, 25, 22, 23, 6, 7, 14, 3, 2, 13, 9, 10, 20, 11, 12, 21, 18, 17], [16, 35, 38, 4, 15, 2, 20, 12, 11, 13, 17, 6, 8, 10, 24, 5, 30, 29, 9, 0, 25, 7, 37, 28, 21, 14, 34, 36, 22, 19, 18, 33, 31, 39, 23, 26, 1, 27, 32, 3], [17, 37, 4, 31, 33, 3, 12, 14, 21, 16, 18, 7, 24, 30, 6, 39, 29, 9, 0, 10, 8, 25, 34, 35, 20, 11, 36, 28, 26, 13, 19, 2, 5, 38, 1, 27, 22, 23, 15, 32], [18, 34, 31, 5, 2, 32, 14, 11, 20, 17, 19, 25, 6, 29, 7, 38, 9, 0, 10, 30, 24, 8, 36, 37, 12, 21, 28, 35, 27, 16, 13, 3, 39, 4, 22, 23, 26, 1, 33, 15], [19, 36, 5, 39, 3, 15, 11, 21, 12, 18, 13, 8, 7, 9, 25, 4, 0, 10, 30, 29, 6, 24, 28, 34, 14, 20, 35, 37, 23, 17, 16, 32, 38, 31, 26, 1, 27, 22, 2, 33], [20, 38, 28, 35, 26, 23, 13, 16, 18, 21, 12, 9, 30, 7, 29, 34, 25, 8, 24, 6, 10, 0, 4, 39, 19, 17, 31, 5, 3, 11, 14, 27, 37, 36, 33, 32, 2, 15, 22, 1], [21, 39, 36, 28, 22, 27, 19, 13, 17, 11, 20, 29, 10, 6, 30, 37, 7, 25, 8, 24, 0, 9, 38, 5, 18, 16, 4, 31, 2, 14, 12, 26, 35, 34, 15, 3, 33, 32, 1, 23], [22, 10, 7, 25, 14, 21, 3, 32, 33, 1, 26, 39, 31, 35, 5, 24, 37, 34, 36, 28, 4, 38, 30, 0, 2, 15, 29, 9, 16, 23, 27, 11, 8, 6, 19, 17, 13, 18, 12, 20], [23, 9, 24, 6, 20, 14, 33, 2, 32, 27, 1, 31, 38, 36, 4, 25, 28, 35, 37, 34, 39, 5, 0, 29, 15, 3, 10, 30, 19, 26, 22, 12, 7, 8, 17, 13, 18, 16, 21, 11], [24, 33, 27, 23, 28, 37, 29, 9, 10, 8, 6, 17, 13, 11, 16, 22, 21, 20, 12, 14, 19, 18, 2, 15, 30, 0, 3, 32, 5, 25, 7, 35, 1, 26, 4, 39, 31, 38, 36, 34], [25, 32, 22, 26, 34, 28, 10, 30, 9, 7, 8, 13, 18, 12, 19, 23, 14, 11, 21, 20, 17, 16, 15, 3, 0, 29, 33, 2, 4, 6, 24, 36, 27, 1, 39, 31, 38, 5, 37, 35], [26, 30, 25, 8, 11, 20, 32, 15, 2, 22, 27, 38, 5, 37, 39, 6, 34, 36, 28, 35, 31, 4, 29, 10, 3, 33, 9, 0, 17, 1, 23, 21, 24, 7, 13, 18, 16, 19, 14, 12], [27, 29, 8, 24, 21, 12, 15, 33, 3, 26, 23, 4, 39, 34, 38, 7, 36, 28, 35, 37, 5, 31, 9, 30, 32, 2, 0, 10, 18, 22, 1, 20, 6, 25, 16, 19, 17, 13, 11, 14], [28, 13, 21, 20, 25, 24, 39, 38, 31, 36, 35, 33, 32, 1, 15, 14, 22, 26, 27, 23, 3, 2, 16, 19, 5, 4, 17, 18, 0, 34, 37, 8, 12, 11, 29, 10, 9, 30, 7, 6], [29, 27, 15, 33, 39, 4, 8, 24, 7, 30, 9, 12, 21, 18, 20, 3, 19, 13, 16, 17, 11, 14, 23, 26, 25, 6, 1, 22, 34, 10, 0, 38, 2, 32, 35, 36, 37, 28, 5, 31], [30, 26, 32, 15, 5, 38, 25, 8, 6, 10, 29, 20, 11, 17, 21, 2, 18, 19, 13, 16, 14, 12, 27, 22, 7, 24, 23, 1, 37, 0, 9, 39, 33, 3, 28, 34, 35, 36, 31, 4], [31, 14, 17, 18, 9, 10, 37, 34, 28, 4, 5, 22, 23, 15, 1, 13, 33, 2, 3, 32, 27, 26, 11, 12, 35, 36, 21, 20, 8, 38, 39, 0, 19, 16, 7, 24, 25, 6, 29, 30], [32, 25, 10, 30, 18, 13, 22, 26, 23, 3, 15, 28, 34, 4, 36, 9, 31, 5, 39, 38, 37, 35, 8, 7, 1, 27, 24, 6, 12, 2, 33, 19, 29, 0, 21, 14, 20, 11, 17, 16], [33, 24, 29, 9, 13, 17, 27, 23, 22, 15, 2, 37, 28, 5, 35, 10, 39, 38, 4, 31, 36, 34, 6, 8, 26, 1, 7, 25, 11, 32, 3, 16, 0, 30, 12, 21, 14, 20, 19, 18], [34, 18, 14, 11, 6, 25, 31, 5, 38, 37, 36, 32, 2, 27, 3, 20, 23, 1, 22, 26, 33, 15, 19, 17, 4, 39, 13, 16, 29, 35, 28, 7, 21, 12, 10, 9, 30, 0, 24, 8], [35, 16, 20, 12, 8, 6, 38, 4, 5, 28, 37, 2, 15, 22, 33, 11, 26, 27, 23, 1, 32, 3, 17, 13, 39, 31, 18, 19, 10, 36, 34, 24, 14, 21, 9, 30, 0, 29, 25, 7], [36, 19, 11, 21, 7, 8, 5, 39, 4, 34, 28, 15, 3, 23, 32, 12, 1, 22, 26, 27, 2, 33, 13, 18, 31, 38, 16, 17, 9, 37, 35, 25, 20, 14, 30, 0, 29, 10, 6, 24], [37, 17, 12, 14, 24, 7, 4, 31, 39, 35, 34, 3, 33, 26, 2, 21, 27, 23, 1, 22, 15, 32, 18, 16, 38, 5, 19, 13, 30, 28, 36, 6, 11, 20, 0, 29, 10, 9, 8, 25], [38, 20, 13, 16, 30, 9, 28, 35, 34, 39, 4, 23, 26, 3, 27, 18, 32, 15, 33, 2, 22, 1, 12, 21, 36, 37, 14, 11, 7, 5, 31, 29, 17, 19, 24, 25, 6, 8, 10, 0], [39, 21, 19, 13, 10, 29, 36, 28, 37, 5, 38, 27, 22, 2, 26, 17, 3, 32, 15, 33, 1, 23, 20, 11, 34, 35, 12, 14, 6, 31, 4, 30, 16, 18, 8, 7, 24, 25, 0, 9]]}\n'),
+    (('classgroup', '--delta=12'),
+     '{"A_class_index": {"2": 1, "3": 1}, "classes": [[-2, 2, 1], [-1, 2, 2]], "delta": 12, "h": 2, "table": [[0, 1], [1, 0]]}\n'),
+    (('classgroup', '--delta=229'),
+     '{"A_class_index": {"2": null, "3": null}, "classes": [[-9, 7, 5], [-9, 11, 3], [-1, 15, 1]], "delta": 229, "h": 3, "table": [[1, 2, 0], [2, 0, 1], [0, 1, 2]]}\n'),
+    (('classgroup', '--delta=1001'),
+     '{"A_class_index": {"2": null, "3": null}, "classes": [[-20, 11, 11], [-17, 7, 14], [-16, 13, 13], [-11, 11, 20]], "delta": 1001, "h": 4, "table": [[1, 0, 3, 2], [0, 1, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]]}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, expected", CLASSGROUP_STDOUT)
+def test_cli_classgroup_stdout_pinned(argv, expected, capsys):
+    assert main(list(argv)) == 0
+    assert capsys.readouterr().out == expected
