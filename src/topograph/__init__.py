@@ -24,7 +24,7 @@ from .reduction import (
     trace_river,
 )
 from .render import emit_svg, layout
-from .rings import QRE, Mat2
+from .rings import QRE
 
 __all__ = [
     "BHF",
@@ -33,7 +33,6 @@ __all__ = [
     "CellValues",
     "ClassGroupTable",
     "Divector",
-    "Mat2",
     "Pinwheel",
     "QRE",
     "Superbase",

@@ -23,12 +23,13 @@ from .errors import (
     InvalidDiscriminantError,
     NotPrimitiveError,
     PreconditionError,
+    brief,
 )
 
 
 def _validate_disc(d: int) -> None:
     if d == 0 or d % 4 not in (0, 1):
-        raise InvalidDiscriminantError(f"{d} is not a discriminant")
+        raise InvalidDiscriminantError(f"{brief(d)} is not a discriminant")
     if d > 0 and is_square(d):
         raise InvalidDiscriminantError("positive square discriminants unsupported")
 
@@ -115,7 +116,11 @@ class ClassGroupTable:
 
     def class_index(self, form: Form) -> int:
         if content(form) != 1:
-            raise NotPrimitiveError(f"{form} is imprimitive")
+            raise NotPrimitiveError(f"{brief(form)} is imprimitive")
+        return self._lookup(form)
+
+    def _lookup(self, form: Form) -> int:
+        """``class_index`` of a form known to be primitive."""
         a, b, c = form
         if b * b - 4 * a * c != self.disc:
             raise InvalidDiscriminantError("wrong discriminant")
@@ -127,7 +132,8 @@ class ClassGroupTable:
             return self._index[reduced]
         except KeyError:
             raise ClassificationError(
-                f"{form} has no class among the {self.h} of discriminant {self.disc}"
+                f"{brief(form)} has no class among the {self.h} of discriminant "
+                f"{brief(self.disc)}"
             ) from None
 
     def identity_index(self) -> int:
@@ -136,11 +142,12 @@ class ClassGroupTable:
     def compose_indices(self, i: int, j: int) -> int:
         if self.table:
             return self.table[i][j]
-        return self.class_index(compose(self.reps[i], self.reps[j]))
+        return self._lookup(_compose(self.reps[i], self.reps[j]))
 
     def build_table(self) -> None:
+        # the reps are primitive of discriminant disc, as enumerated
         self.table = [
-            [self.class_index(compose(f, g)) for g in self.reps] for f in self.reps
+            [self._lookup(_compose(f, g)) for g in self.reps] for f in self.reps
         ]
 
     def to_json(self) -> dict:
@@ -200,6 +207,11 @@ def compose(f1: Form, f2: Form) -> Form:
     d = f1[1] ** 2 - 4 * f1[0] * f1[2]
     if f2[1] ** 2 - 4 * f2[0] * f2[2] != d:
         raise InvalidDiscriminantError("mismatched discriminants")
+    return _compose(f1, f2)
+
+
+def _compose(f1: Form, f2: Form) -> Form:
+    """``compose`` of forms known to be primitive of one discriminant."""
     f1, f2 = _leading_nonzero(f1), _leading_nonzero(f2)
     if abs(f1[0]) > abs(f2[0]):
         f1, f2 = f2, f1
@@ -225,7 +237,8 @@ def compose(f1: Form, f2: Form) -> Form:
     c3, rest = divmod(c2 * d1 + r * (b2 + v2 * r), v1)
     if rest:
         raise IntegralityError(
-            f"composite ({a3}, {b3}, ?) of {f1} and {f2} misses discriminant {d}"
+            f"composite of {brief(f1)} and {brief(f2)} with a = {brief(a3)}, "
+            f"b = {brief(b3)} misses their discriminant"
         )
     return (a3, b3, c3)
 
@@ -242,7 +255,8 @@ def ambiguous_form_A(sigma: int, d: int) -> Form:
         return (sigma, 0, -d // (4 * sigma))
     if (q - sigma) % 4 == 0:
         return (sigma, sigma, -(d - sigma * sigma) // (4 * sigma))
-    raise InvalidDiscriminantError(f"{d} is not a sigma={sigma} diform discriminant")
+    raise InvalidDiscriminantError(
+        f"{brief(d)} is not a sigma={sigma} diform discriminant")
 
 
 def is_diform_discriminant(sigma: int, d: int) -> bool:
@@ -269,7 +283,8 @@ def verify_red_blue(sigma: int, a: int, b: int, c: int) -> dict:
     q_red, q_blue = red_blue_forms(sigma, a, b, c)
     # with b = 0 this asks that sigma divide neither a nor c
     if content(q_red) != 1 or content(q_blue) != 1:
-        raise PreconditionError(f"red {q_red} and blue {q_blue} must be primitive")
+        raise PreconditionError(
+            f"red {brief(q_red)} and blue {brief(q_blue)} must be primitive")
     d = sigma * (b * b * sigma - 4 * a * c)
     table = enumerate_classes(d)
     i_red = table.class_index(q_red)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .bqf import is_square
-from .errors import ClassificationError, SquareDiscriminantError
+from .errors import ClassificationError, SquareDiscriminantError, brief
 
 Form = tuple[int, int, int]
 
@@ -92,19 +92,11 @@ def reduce_indefinite(form: Form) -> Form:
     while not is_reduced_indefinite(f, d):
         if steps == limit:
             raise ClassificationError(
-                f"rho reduction of {_brief(form)} did not terminate in {steps} steps"
+                f"rho reduction of {brief(form)} did not terminate in {steps} steps"
             )
         f = rho(f, d)
         steps += 1
     return f
-
-
-def _brief(form: Form) -> str:
-    """The form, or its coefficient sizes when it is too long to print."""
-    if max(abs(x) for x in form).bit_length() > 3000:
-        return "a form with {}-bit coefficients".format("/".join(
-            str(x.bit_length()) for x in form))
-    return str(form)
 
 
 def indefinite_cycle(form: Form) -> tuple[Form, ...]:

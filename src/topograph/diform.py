@@ -30,8 +30,10 @@ from .errors import (
     DibasisError,
     PreconditionError,
     SquareDiscriminantError,
+    brief,
 )
 from .bqf import is_square
+from .lax import mat_mul
 
 RED = "red"
 BLUE = "blue"
@@ -87,10 +89,49 @@ def dibasis_det(r: Divector, b: Divector, sigma: int) -> int:
 
 
 def is_dibasis(d1: Divector, d2: Divector, sigma: int) -> bool:
-    if d1.color == d2.color:
-        return False
-    r, b = (d1, d2) if d1.color == RED else (d2, d1)
-    return dibasis_det(r, b, sigma) in (1, -1)
+    return _face_det((d1.color, d1.u, d1.v), (d2.color, d2.u, d2.v), sigma) in (1, -1)
+
+
+def _face_det(f: tuple, g: tuple, sigma: int) -> int:
+    """Determinant of the dilinear matrix of two (color, u, v) faces, red row
+    first; 0 when they share a colour."""
+    (cf, uf, vf), (cg, ug, vg) = f, g
+    if cf == cg:
+        return 0
+    if cf == RED:
+        return uf * vg - sigma * vf * ug
+    return ug * vf - sigma * vg * uf
+
+
+def pinwheel_faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
+    """The faces, as signed (color, u, v) tuples, of the pinwheel generated
+    by the ordered dibasis (d1, d2): x_{k+1} = sqrt(sigma) x_k - x_{k-1}."""
+    if _face_det(d1, d2, sigma) not in (1, -1):
+        raise DibasisError(f"{d1}, {d2} do not form a dibasis")
+    faces = [d1, d2]
+    for _ in range(2 * sigma - 1):
+        (_, u0, v0), (c1, u1, v1) = faces[-2], faces[-1]
+        if c1 == RED:
+            faces.append((BLUE, u1 - u0, sigma * v1 - v0))
+        else:
+            faces.append((RED, sigma * u1 - u0, v1 - v0))
+    color, u, v = faces.pop()
+    if (color, -u, -v) != d1:
+        raise DibasisError(f"pinwheel of {d1}, {d2} failed to close")
+    for i in range(2 * sigma):
+        if _face_det(faces[i - 1], faces[i], sigma) not in (1, -1):
+            raise DibasisError(f"pinwheel of {d1}, {d2} has a non-dibasis edge")
+    return tuple(faces)
+
+
+def pinwheel_key(faces: tuple) -> tuple:
+    """Canonical label of a pinwheel's faces: the lax faces up to rotation
+    and reflection.  They are distinct, so the least sequence starts at the
+    least face, read forward or backward."""
+    laxed = [(c, -u, -v) if u < 0 or (u == 0 and v < 0) else (c, u, v)
+             for c, u, v in faces]
+    m = laxed.index(min(laxed))
+    return min(tuple(laxed[m:] + laxed[:m]), tuple(laxed[m::-1] + laxed[:m:-1]))
 
 
 @dataclass(frozen=True)
@@ -102,16 +143,7 @@ class Pinwheel:
 
     def key(self):
         """Canonical label: lax faces up to rotation and reflection."""
-        laxed = tuple(f.lax() for f in self.faces)
-        keys = [(f.color, f.u, f.v) for f in laxed]
-        n = len(keys)
-        best = None
-        for seq in (keys, keys[::-1]):
-            for i in range(n):
-                rot = tuple(seq[i:] + seq[:i])
-                if best is None or rot < best:
-                    best = rot
-        return best
+        return pinwheel_key(tuple((f.color, f.u, f.v) for f in self.faces))
 
     def edges(self):
         n = len(self.faces)
@@ -120,18 +152,8 @@ class Pinwheel:
 
 def pinwheel_complete(d1: Divector, d2: Divector, sigma: int) -> Pinwheel:
     """The pinwheel generated by the ordered dibasis (d1, d2)."""
-    if not is_dibasis(d1, d2, sigma):
-        raise DibasisError(f"{d1}, {d2} do not form a dibasis")
-    faces = [d1, d2]
-    for _ in range(2 * sigma - 2):
-        faces.append(faces[-1].times_sqrt(sigma).sub(faces[-2]))
-    closure = faces[-1].times_sqrt(sigma).sub(faces[-2])
-    if closure != -d1:
-        raise DibasisError(f"pinwheel of {d1}, {d2} failed to close")
-    for i in range(2 * sigma):
-        if not is_dibasis(faces[i], faces[(i + 1) % (2 * sigma)], sigma):
-            raise DibasisError(f"pinwheel of {d1}, {d2} has a non-dibasis edge")
-    return Pinwheel(sigma, tuple(faces))
+    faces = pinwheel_faces((d1.color, d1.u, d1.v), (d2.color, d2.u, d2.v), sigma)
+    return Pinwheel(sigma, tuple(Divector(*f) for f in faces))
 
 
 @dataclass(frozen=True)
@@ -217,6 +239,10 @@ def _other_vertex(p: Divector, s: Divector, vertex: Pinwheel, sigma: int) -> Pin
     if s in (cycle[i - 1], cycle[(i + 1) % len(cycle)]):
         return pinwheel_complete(p, -s, sigma)
     return pinwheel_complete(p, s, sigma)
+
+
+def _named(q: BQD) -> str:
+    return f"the sigma = {q.sigma} diform {brief((q.a, q.b, q.c))}"
 
 
 def _vertex_weight(q: BQD, vertex: Pinwheel) -> int:
@@ -345,7 +371,7 @@ def diform_well(q: BQD, start=None) -> dict:
         weight = _vertex_weight(q, vertex)
     else:
         raise ClassificationError(
-            f"well descent of {q} not finished after {limit} runs")
+            f"well descent of {_named(q)} not finished after {brief(limit)} runs")
     flats = []
     for p, s in vertex.edges():
         nb = _other_vertex(p, s, vertex, sigma)
@@ -384,7 +410,8 @@ def _find_river_edge(q: BQD):
         if step is None:
             raise ClassificationError("no descent toward the river")
         vertex = _descent_run(q, vertex, step[0], sign, True) or step[1]
-    raise ClassificationError(f"river search for {q} not finished after {limit} runs")
+    raise ClassificationError(
+        f"river search for {_named(q)} not finished after {brief(limit)} runs")
 
 
 @dataclass(frozen=True)
@@ -442,61 +469,45 @@ def _qre_add(a, b):
     return (a[0] + b[0], a[1] + b[1])
 
 
+def _qre_det(t, sigma):
+    return _qre_sub(_qre_mul(t[0][0], t[1][1], sigma),
+                    _qre_mul(t[0][1], t[1][0], sigma))
+
+
+def _mat_mul(m, n, sigma):
+    """The product of 2x2 matrices over Z[sqrt(sigma)], entries (x, y) pairs."""
+    return tuple(
+        tuple(_qre_add(_qre_mul(m[i][0], n[0][j], sigma),
+                       _qre_mul(m[i][1], n[1][j], sigma)) for j in range(2))
+        for i in range(2))
+
+
+def _columns(p: Divector, q: Divector):
+    """The matrix with columns p and q."""
+    return tuple(zip(_raw_coords(p), _raw_coords(q)))
+
+
 def _change_of_dibasis(e0, e1, sigma):
     """T over Z[sqrt(sigma)] with T e0 = e1 (columnwise), when det e0 = +-1."""
-    (p0, q0), (p1, q1) = e0, e1
-    m0 = (_raw_coords(p0), _raw_coords(q0))  # columns p0, q0
-    c0 = ((m0[0][0], m0[1][0]), (m0[0][1], m0[1][1]))  # row-major
-    d = _qre_sub(_qre_mul(c0[0][0], c0[1][1], sigma),
-                 _qre_mul(c0[0][1], c0[1][0], sigma))
-    if d not in ((1, 0), (-1, 0)):
+    (a, b), (c, d) = m0 = _columns(*e0)
+    det = _qre_det(m0, sigma)
+    if det not in ((1, 0), (-1, 0)):
         return None
-    sgn = d[0]
+    s = det[0]
 
-    def scl(v):
-        return (sgn * v[0], sgn * v[1])
+    def scl(v, k):
+        return (k * v[0], k * v[1])
 
-    inv = ((scl(c0[1][1]), scl((-c0[0][1][0], -c0[0][1][1]))),
-           (scl((-c0[1][0][0], -c0[1][0][1])), scl(c0[0][0])))
-    m1 = (_raw_coords(p1), _raw_coords(q1))
-    c1 = ((m1[0][0], m1[1][0]), (m1[0][1], m1[1][1]))
-    t = tuple(
-        tuple(
-            _qre_add(_qre_mul(c1[i][0], inv[0][j], sigma),
-                     _qre_mul(c1[i][1], inv[1][j], sigma))
-            for j in range(2)
-        )
-        for i in range(2)
-    )
-    return t
+    # the inverse of m0 is its adjugate over det = s
+    inv = ((scl(d, s), scl(b, -s)), (scl(c, -s), scl(a, s)))
+    return _mat_mul(_columns(*e1), inv, sigma)
 
 
 def _preserves_form(t, q: BQD) -> bool:
     """Exact Gram check: T^t G T == G with G = [[2a, b*sqrt(s)], [b*sqrt(s), 2c]]."""
-    s = q.sigma
-    g11, g12, g22 = (2 * q.a, 0), (0, q.b), (2 * q.c, 0)
-
-    def mul(a, b):
-        return _qre_mul(a, b, s)
-
-    t11, t12 = t[0]
-    t21, t22 = t[1]
-    # entries of T^t G T
-    def quad(x1, y1, x2, y2):
-        # (x1, y1)^t G (x2, y2)
-        acc = mul(mul(x1, g11), x2)
-        acc = _qre_add(acc, mul(mul(x1, g12), y2))
-        acc = _qre_add(acc, mul(mul(y1, g12), x2))
-        acc = _qre_add(acc, mul(mul(y1, g22), y2))
-        return acc
-
-    col1 = (t11, t21)
-    col2 = (t12, t22)
-    return (
-        quad(*col1, *col1) == g11
-        and quad(*col1, *col2) == g12
-        and quad(*col2, *col2) == g22
-    )
+    g = (((2 * q.a, 0), (0, q.b)), ((0, q.b), (2 * q.c, 0)))
+    t_transposed = ((t[0][0], t[1][0]), (t[0][1], t[1][1]))
+    return _mat_mul(_mat_mul(t_transposed, g, q.sigma), t, q.sigma) == g
 
 
 def is_dilinear(t, sigma: int) -> bool:
@@ -628,12 +639,8 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                 return DiRiverPeriod(tuple(steps), edges, bends, t, mu, wit,
                                      exceptional, q)
     raise ClassificationError(
-        f"river period of {q} not closed after {limit} runs ({edges} edges)")
-
-
-def _qre_det(t, sigma):
-    return _qre_sub(_qre_mul(t[0][0], t[1][1], sigma),
-                    _qre_mul(t[0][1], t[1][0], sigma))
+        f"river period of {_named(q)} not closed after {brief(limit)} runs "
+        f"({edges} edges)")
 
 
 def _translation_automorph(e0, e1, q: BQD):
@@ -679,17 +686,7 @@ def _dl_plus_samples(sigma: int, count: int, seed: int = 7):
     for _ in range(count):
         acc = m((1, 0), (0, 0), (0, 0), (1, 0))
         for _ in range(rng.randint(1, 8)):
-            g = rng.choice(gens)
-            acc = tuple(
-                tuple(
-                    _qre_add(
-                        _qre_mul(acc[i][0], g[0][j], sigma),
-                        _qre_mul(acc[i][1], g[1][j], sigma),
-                    )
-                    for j in range(2)
-                )
-                for i in range(2)
-            )
+            acc = _mat_mul(acc, rng.choice(gens), sigma)
         out.append(acc)
     return out
 
@@ -715,13 +712,7 @@ def verify_gamma0_conjugation(sigma: int, count: int = 100) -> dict:
     for _ in range(count):
         acc = ((1, 0), (0, 1))
         for _ in range(rng.randint(1, 8)):
-            g = rng.choice(gens)
-            acc = (
-                (acc[0][0] * g[0][0] + acc[0][1] * g[1][0],
-                 acc[0][0] * g[0][1] + acc[0][1] * g[1][1]),
-                (acc[1][0] * g[0][0] + acc[1][1] * g[1][0],
-                 acc[1][0] * g[0][1] + acc[1][1] * g[1][1]),
-            )
+            acc = mat_mul(acc, rng.choice(gens))
         (a2, b2), (c2, d2) = acc
         # g^-1 M g = [[a, b*sqrt(s)], [c/sqrt(s), d]]
         if c2 % sigma == 0:

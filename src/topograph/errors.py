@@ -5,6 +5,19 @@ structured error JSON on stderr.
 """
 
 
+def brief(x) -> str:
+    """An int, or a tuple of ints, for an error message: as printed, or by
+    bit length when too long to print (``str`` of an int past 4,300 digits
+    raises ``ValueError``)."""
+    xs = x if isinstance(x, tuple) else (x,)
+    if max(abs(v) for v in xs).bit_length() <= 3000:
+        return str(x)
+    if isinstance(x, tuple):
+        sizes = "/".join(str(v.bit_length()) for v in xs)
+        return f"a tuple of {sizes}-bit integers"
+    return f"a {x.bit_length()}-bit integer"
+
+
 class TopographError(Exception):
     code = "error"
 
@@ -18,10 +31,6 @@ class TagMismatchError(TopographError):
 
 class UnsupportedRingError(TopographError):
     code = "unsupported-ring"
-
-
-class NotInvertibleError(TopographError):
-    code = "not-invertible"
 
 
 class NotASuperbaseError(TopographError):

@@ -15,6 +15,7 @@ from .errors import (
     InconsistentInputError,
     NotASuperbaseError,
     NotUnimodularError,
+    brief,
 )
 
 Vec = tuple[int, int]
@@ -77,7 +78,8 @@ def normalize_superbase(vectors) -> Superbase:
     for i in range(3):
         for j in range(i + 1, 3):
             if det(vs[i], vs[j]) not in (1, -1):
-                raise NotASuperbaseError(f"pair {vs[i]}, {vs[j]} is not unimodular")
+                raise NotASuperbaseError(
+                    f"pair {brief(vs[i])}, {brief(vs[j])} is not unimodular")
     a, b, c = sorted(lax(v) for v in vs)
     for sb in (1, -1):
         for sc in (1, -1):

@@ -19,7 +19,12 @@ import math
 from dataclasses import dataclass
 
 from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify, is_square
-from .errors import ClassificationError, IntegralityError, SquareDiscriminantError
+from .errors import (
+    ClassificationError,
+    IntegralityError,
+    SquareDiscriminantError,
+    brief,
+)
 from .lax import (
     STANDARD_SUPERBASE,
     Superbase,
@@ -103,6 +108,10 @@ def _drop(h: list):
     return j if 2 * h[j] > sum(h) else None
 
 
+def _named(q: BQF) -> str:
+    return f"the form {brief((q.a, q.b, q.c))}"
+
+
 def _mixed(vals: list) -> bool:
     return min(vals) < 0 < max(vals)
 
@@ -147,7 +156,8 @@ def _descend(q: BQF, start: Superbase):
                 k = min(k, x - 1)
         vs = _run(vs, j2, fixed, k)
         vals = [q(v) for v in vs]
-    raise ClassificationError(f"descent of {q} not finished after {limit} runs")
+    raise ClassificationError(
+        f"descent of {_named(q)} not finished after {limit} runs")
 
 
 def find_well(q: BQF, start: Superbase | None = None) -> Well:
@@ -198,7 +208,7 @@ def find_river_edge(q: BQF) -> tuple[Vec, Vec]:
         for j in range(3):
             if i != j and vals[i] > 0 > vals[j]:
                 return vs[i], vs[j]
-    raise ClassificationError(f"no river edge found for {q}")
+    raise ClassificationError(f"no river edge found for {_named(q)}")
 
 
 def _river_run(q: BQF, p: Vec, n: Vec, root: int):
@@ -251,7 +261,8 @@ def trace_river(q: BQF) -> RiverPeriod:
                 edges.append((mat_apply(t, p0), mat_apply(t, n0)))
                 return RiverPeriod(tuple(edges), steps - ref_steps, t, q)
         edges.append((p, n))
-    raise ClassificationError(f"river period of {q} not closed after {limit} runs")
+    raise ClassificationError(
+        f"river period of {_named(q)} not closed after {brief(limit)} runs")
 
 
 def _change_of_basis(p0: Vec, n0: Vec, p1: Vec, n1: Vec):
@@ -348,5 +359,6 @@ def pell_solve(d: int) -> PellSolution:
         candidates.append(tv)
     x, y = min(candidates)
     if x * x - d * y * y != 1:
-        raise IntegralityError(f"({x}, {y}) does not solve x^2 - {d} y^2 = 1")
+        raise IntegralityError(
+            f"(x, y, D) = {brief((x, y, d))} does not solve x^2 - D y^2 = 1")
     return PellSolution(d, x, y, period.automorph)

@@ -12,20 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify
-from .diform import (
-    BQD,
-    STANDARD_DIBASIS,
-    _other_vertex,
-    diform_well,
-    pinwheel_complete,
-)
+from .bqf import BQF, POSITIVE_DEFINITE, classify
+from .diform import BLUE, BQD, RED, diform_well, pinwheel_faces, pinwheel_key
 from .errors import BudgetError, PreconditionError
-from .lax import STANDARD_SUPERBASE, lax, neighbors
+from .lax import STANDARD_SUPERBASE, lax
 from .reduction import find_well
 
 GEOMETRIES = ("3inf", "4inf", "6inf")
-MAX_DEPTH = 9
+# largest real-vertex count layout builds; 6inf depth 7 has 23,437
+VERTEX_BUDGET = 25_000
+_COUNTED_DEPTH = 64
 
 
 @dataclass
@@ -72,84 +68,145 @@ def _tree_layout(root_key, neighbor_keys, depth: int):
                 mid = (a + b) / 2.0
                 r = d / (depth + 0.0)
                 pos[t] = (r * math.cos(mid), r * math.sin(mid))
-                intervals[t] = (a, b)
+                if d < depth:
+                    intervals[t] = (a, b)
                 level[t] = d
                 nxt.append(t)
         frontier = nxt
-    real = {k for k, lv in level.items() if lv < depth}
-    edges = set()
-    stubs = set()
+    real = sorted(k for k, lv in level.items() if lv < depth)
+    # walking the sorted real vertices and their sorted neighbours lists
+    # the edges and the stubs in sorted order
+    edges = []
+    stubs = []
     for k in real:
-        for t in adjacent[k]:
-            if t in real:
-                edges.add(tuple(sorted((k, t))))
-            elif t in pos:
-                stubs.add((k, t))
-    return pos, real, sorted(edges), sorted(stubs)
+        for t in sorted(adjacent[k]):
+            if level[t] == depth:
+                stubs.append((k, t))
+            elif k < t:
+                edges.append((k, t))
+    return pos, real, edges, stubs
 
 
-def _conway_patch(depth: int, form: tuple | None) -> LayoutPatch:
-    q = BQF(*form) if form else None
-    start = STANDARD_SUPERBASE
-    index = {start.key(): start}
+class _Superbases:
+    """(3,inf) adapter: a vertex is a signed superbase triple in
+    ``normalize_superbase``'s canonical order, its key the sorted lax faces."""
+
+    degree = 3
+    root = STANDARD_SUPERBASE.vectors
+    face_name = "{},{}"
+
+    def __init__(self, form):
+        # the face value is the form's value at the face
+        self.q = self.value = BQF(*form) if form else None
+
+    def step(self, vs, i):
+        """The superbase across the edge opposite vs[i], and the position in
+        it of the edge back, opposite the new vector.  As in ``neighbors``,
+        the pair p, q stays and p - q replaces the third vector."""
+        p, q = vs[i - 2], vs[i - 1]
+        new = (q[0] - p[0], q[1] - p[1])
+        t = sorted((p, (-q[0], -q[1]), new), key=lax)
+        if t[0] != lax(t[0]):
+            t = [(-x, -y) for x, y in t]
+            new = (-new[0], -new[1])
+        return tuple(t), t.index(new)
+
+    @staticmethod
+    def key(vs):
+        return tuple(lax(v) for v in vs)
+
+    def well_key(self):
+        if self.q is None or classify(self.q) != POSITIVE_DEFINITE:
+            return None
+        return tuple(sorted(lax(v) for v in find_well(self.q).vectors))
+
+
+class _Pinwheels:
+    """(4,inf)/(6,inf) adapter: a vertex is the signed cycle of a pinwheel's
+    (color, u, v) faces; its key is ``pinwheel_key``."""
+
+    key = staticmethod(pinwheel_key)
+    face_name = "{}:{},{}"
+
+    def __init__(self, geometry, form):
+        self.sigma = 2 if geometry == "4inf" else 3
+        self.degree = 2 * self.sigma
+        self.q = BQD(self.sigma, *form) if form else None
+        if self.q is not None:
+            # a diform restricts to one binary form on each colour
+            red, blue = self.q.red_blue()
+            self.forms = {RED: BQF(*red), BLUE: BQF(*blue)}
+        self.root = pinwheel_faces((RED, 1, 0), (BLUE, 0, 1), self.sigma)
+
+    def step(self, faces, i):
+        """The pinwheel across the edge (faces[i], faces[i + 1]), generated
+        by (p, -s), or by (p, s) across the wrap edge, as in
+        ``_other_vertex``; its first edge leads back."""
+        if i + 1 < len(faces):
+            color, u, v = faces[i + 1]
+            return pinwheel_faces(faces[i], (color, -u, -v), self.sigma), 0
+        return pinwheel_faces(faces[i], faces[0], self.sigma), 0
+
+    def value(self, f):
+        return self.forms[f[0]]((f[1], f[2]))
+
+    def well_key(self):
+        if self.q is None or self.q.a <= 0 or self.q.discriminant() >= 0:
+            return None
+        return diform_well(self.q)["source"].key()
+
+
+def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
+    """The depth-``depth`` patch of the geometry, each vertex built once:
+    from its parent, across one edge.  The edge back is not crossed again,
+    since the parent's key is known."""
+    geo = _Superbases(form) if geometry == "3inf" else _Pinwheels(geometry, form)
+    root_key = geo.key(geo.root)
+    # key -> (vertex, position of the edge to the parent, parent key, level);
+    # the shell, at level depth, is never expanded and keeps only its key
+    built = {root_key: (geo.root, None, None, 0)}
 
     def neighbor_keys(k):
-        s = index[k]
+        vertex, back, parent, level = built[k]
         out = []
-        for t in neighbors(s):
-            tk = t.key()
-            index.setdefault(tk, t)
+        for i in range(geo.degree):
+            if i == back:
+                out.append(parent)
+                continue
+            t, t_back = geo.step(vertex, i)
+            tk = geo.key(t)
+            if level + 1 < depth:
+                built[tk] = (t, t_back, k, level + 1)
             out.append(tk)
         return out
 
-    pos, real, edge_keys, stub_keys = _tree_layout(start.key(), neighbor_keys, depth)
-    patch = LayoutPatch("3inf", depth, form)
-    ids = {k: i for i, k in enumerate(sorted(real))}
+    pos, real, edge_keys, stub_keys = _tree_layout(root_key, neighbor_keys, depth)
+    patch = LayoutPatch(geometry, depth, form)
+    ids = {k: i for i, k in enumerate(real)}
 
-    well_key = None
-    if q is not None and classify(q) == POSITIVE_DEFINITE:
-        w = find_well(q)
-        well_key = tuple(sorted(lax(v) for v in w.vectors))
-    for k in sorted(real):
+    well_key = geo.well_key()
+    for k in real:
         classes = ["vertex"]
         if k == well_key:
             classes.append("well")
         x, y = pos[k]
         patch.vertices.append({"id": ids[k], "x": x, "y": y, "classes": classes})
 
-    def face_pair(k1, k2):
-        return sorted(set(k1) & set(k2))
-
-    def edge_classes(shared):
+    def edge(k1, k2, v2, end):
+        # a key lists its vertex's lax faces; an edge's are the shared ones
+        shared = sorted(set(k1).intersection(k2))
         classes = ["edge"]
-        if q is not None and len(shared) == 2 and q(shared[0]) * q(shared[1]) < 0:
-            classes.append("river")
-        return classes
+        if geo.q is not None and len(shared) == 2:
+            if geo.value(shared[0]) * geo.value(shared[1]) < 0:
+                classes.append("river")
+        return {"v1": ids[k1], "v2": v2, "end": end, "faces": shared,
+                "classes": classes}
 
     for k1, k2 in edge_keys:
-        shared = face_pair(k1, k2)
-        patch.edges.append(
-            {
-                "v1": ids[k1],
-                "v2": ids[k2],
-                "end": pos[k2],
-                "faces": shared,
-                "classes": edge_classes(shared),
-            }
-        )
+        patch.edges.append(edge(k1, k2, ids[k2], pos[k2]))
     for k1, k2 in stub_keys:
-        shared = face_pair(k1, k2)
-        x1, y1 = pos[k1]
-        x2, y2 = pos[k2]
-        patch.edges.append(
-            {
-                "v1": ids[k1],
-                "v2": None,
-                "end": ((x1 + x2) / 2.0, (y1 + y2) / 2.0),
-                "faces": shared,
-                "classes": edge_classes(shared),
-            }
-        )
+        (x1, y1), (x2, y2) = pos[k1], pos[k2]
+        patch.edges.append(edge(k1, k2, None, ((x1 + x2) / 2.0, (y1 + y2) / 2.0)))
 
     face_incidence: dict = {}
     for k in real:
@@ -159,111 +216,34 @@ def _conway_patch(depth: int, form: tuple | None) -> LayoutPatch:
         pts = face_incidence[f]
         x = sum(p[0] for p in pts) / len(pts)
         y = sum(p[1] for p in pts) / len(pts)
-        label = str(q(f)) if q is not None else f"{f[0]},{f[1]}"
+        label = str(geo.value(f)) if geo.q is not None else geo.face_name.format(*f)
         patch.faces.append(
             {"id": i, "x": x, "y": y, "label": label, "classes": ["face-label"]}
         )
     return patch
 
 
-def _dilinear_patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
-    sigma = 2 if geometry == "4inf" else 3
-    q = BQD(sigma, *form) if form else None
-    start = pinwheel_complete(*STANDARD_DIBASIS, sigma)
-    index = {start.key(): start}
-
-    def neighbor_keys(k):
-        pw = index[k]
-        out = []
-        for p, s in pw.edges():
-            t = _other_vertex(p, s, pw, sigma)
-            tk = t.key()
-            index.setdefault(tk, t)
-            out.append(tk)
-        return out
-
-    pos, real, edge_keys, stub_keys = _tree_layout(start.key(), neighbor_keys, depth)
-    patch = LayoutPatch(geometry, depth, form)
-    ids = {k: i for i, k in enumerate(sorted(real))}
-
-    well_key = None
-    if q is not None and q.a > 0 and q.discriminant() < 0:
-        well_key = diform_well(q)["source"].key()
-    for k in sorted(real):
-        classes = ["vertex"]
-        if k == well_key:
-            classes.append("well")
-        x, y = pos[k]
-        patch.vertices.append({"id": ids[k], "x": x, "y": y, "classes": classes})
-
-    face_incidence: dict = {}
-    face_vec: dict = {}
-    for k in real:
-        pw = index[k]
-        for fv in pw.faces:
-            f = fv.lax()
-            fk = (f.color, f.u, f.v)
-            face_incidence.setdefault(fk, []).append(pos[k])
-            face_vec[fk] = f
-    for fv in (f for k in pos for f in index[k].faces):
-        f = fv.lax()
-        face_vec.setdefault((f.color, f.u, f.v), f)
-
-    def edge_classes(shared):
-        classes = ["edge"]
-        if q is not None and len(shared) == 2:
-            if q(face_vec[shared[0]]) * q(face_vec[shared[1]]) < 0:
-                classes.append("river")
-        return classes
-
-    for k1, k2 in edge_keys:
-        shared = sorted(set(k1) & set(k2))
-        patch.edges.append(
-            {
-                "v1": ids[k1],
-                "v2": ids[k2],
-                "end": pos[k2],
-                "faces": shared,
-                "classes": edge_classes(shared),
-            }
-        )
-    for k1, k2 in stub_keys:
-        shared = sorted(set(k1) & set(k2))
-        x1, y1 = pos[k1]
-        x2, y2 = pos[k2]
-        patch.edges.append(
-            {
-                "v1": ids[k1],
-                "v2": None,
-                "end": ((x1 + x2) / 2.0, (y1 + y2) / 2.0),
-                "faces": shared,
-                "classes": edge_classes(shared),
-            }
-        )
-    for i, fk in enumerate(sorted(face_incidence)):
-        pts = face_incidence[fk]
-        x = sum(p[0] for p in pts) / len(pts)
-        y = sum(p[1] for p in pts) / len(pts)
-        if q is not None:
-            label = str(q(face_vec[fk]))
-        else:
-            label = f"{fk[0]}:{fk[1]},{fk[2]}"
-        patch.faces.append(
-            {"id": i, "x": x, "y": y, "label": label, "classes": ["face-label"]}
-        )
-    return patch
+def patch_vertices(geometry: str, depth: int) -> int:
+    """The real-vertex count of a depth-``depth`` patch: 1 + n ((n-1)^(d-1)
+    - 1) / (n - 2) in the tree of vertex degree n."""
+    n = {"3inf": 3, "4inf": 4, "6inf": 6}[geometry]
+    return 1 + n * ((n - 1) ** (depth - 1) - 1) // (n - 2) if depth else 0
 
 
 def layout(geometry: str, depth: int, form: tuple | None = None) -> LayoutPatch:
     if geometry not in GEOMETRIES:
         raise PreconditionError(f"unknown geometry {geometry!r}")
-    if depth > MAX_DEPTH:
-        raise BudgetError(f"depth {depth} exceeds the rendering budget {MAX_DEPTH}")
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
-    if geometry == "3inf":
-        return _conway_patch(depth, form)
-    return _dilinear_patch(geometry, depth, form)
+    # the count at least doubles per level, so past _COUNTED_DEPTH it is
+    # named by a lower bound
+    count = patch_vertices(geometry, min(depth, _COUNTED_DEPTH))
+    if count > VERTEX_BUDGET:
+        over = "more than " if depth > _COUNTED_DEPTH else ""
+        raise BudgetError(
+            f"a depth-{depth} {geometry} patch has {over}{count} vertices, "
+            f"over the budget of {VERTEX_BUDGET}")
+    return _patch(geometry, depth, form)
 
 
 def _fmt(x: float) -> str:

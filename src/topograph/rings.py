@@ -1,4 +1,4 @@
-"""Exact arithmetic substrate: quadratic rings and 2x2 matrices over them.
+"""Exact arithmetic substrate: quadratic rings.
 
 Elements of Z, Z[sqrt2], Z[sqrt3], Z[i] and Z[w] (w a primitive cube root of
 unity, w^2 = -1 - w) are stored as integer coordinate pairs (x, y) meaning
@@ -10,12 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import (
-    IntegralityError,
-    NotInvertibleError,
-    TagMismatchError,
-    UnsupportedRingError,
-)
+from .errors import IntegralityError, TagMismatchError, UnsupportedRingError
 
 Z = "Z"
 ZSQRT2 = "Z_sqrt2"
@@ -98,16 +93,8 @@ class QRE:
         return f"QRE({self.ring}, {self.x}, {self.y})"
 
 
-def qre(ring: str, x: int, y: int = 0) -> QRE:
-    return QRE(ring, x, y)
-
-
 def zero(ring: str) -> QRE:
     return QRE(ring, 0, 0)
-
-
-def one(ring: str) -> QRE:
-    return QRE(ring, 1, 0)
 
 
 def units(ring: str) -> list[QRE]:
@@ -168,71 +155,3 @@ def is_primitive(v: tuple[QRE, QRE]) -> bool:
             return x.is_unit()
         return euclid_gcd(x, y).is_unit()
     raise UnsupportedRingError("divector primitivity lives in the diform module")
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """2x2 matrix with entries in one quadratic ring, stored by rows."""
-
-    a: QRE
-    b: QRE
-    c: QRE
-    d: QRE
-
-    def __post_init__(self):
-        tags = {self.a.ring, self.b.ring, self.c.ring, self.d.ring}
-        if len(tags) != 1:
-            raise TagMismatchError(f"mixed ring tags {tags}")
-
-    @property
-    def ring(self) -> str:
-        return self.a.ring
-
-    @staticmethod
-    def from_ints(ring: str, rows) -> "Mat2":
-        (a, b), (c, d) = rows
-        return Mat2(QRE(ring, *_pair(a)), QRE(ring, *_pair(b)),
-                    QRE(ring, *_pair(c)), QRE(ring, *_pair(d)))
-
-    @staticmethod
-    def identity(ring: str) -> "Mat2":
-        return Mat2(one(ring), zero(ring), zero(ring), one(ring))
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def det(self) -> QRE:
-        return self.a * self.d - self.b * self.c
-
-    def inv(self) -> "Mat2":
-        det = self.det()
-        if not det.is_unit():
-            raise NotInvertibleError("determinant is not a unit")
-        det_inv = _unit_inverse(det)
-        return Mat2(det_inv * self.d, -(det_inv * self.b),
-                    -(det_inv * self.c), det_inv * self.a)
-
-    def apply(self, v: tuple[QRE, QRE]) -> tuple[QRE, QRE]:
-        x, y = v
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
-
-
-def _pair(v):
-    if isinstance(v, tuple):
-        return v
-    return (v, 0)
-
-
-def _unit_inverse(u: QRE) -> QRE:
-    n = u.norm()
-    c = u.conj()
-    if n == 1:
-        return c
-    if n == -1:
-        return -c
-    raise NotInvertibleError("not a unit")

@@ -377,3 +377,21 @@ def test_rho_reduction_overrun_is_typed(monkeypatch):
     # a form too long to print is named by its coefficient sizes
     with pytest.raises(ClassificationError, match="5001/5002/2-bit"):
         reduce_indefinite((2 ** 5000, 2 ** 5001 + 1, 3))
+
+
+def test_imprimitive_huge_form_raises_its_typed_error():
+    # str of an int past 4,300 digits raises ValueError, so the message
+    # names the form by its coefficient sizes
+    b = 4 * 10 ** 5000 + 2
+    c = (b * b + 20) // 8
+    with pytest.raises(NotPrimitiveError, match="-bit integers"):
+        enumerate_classes(-20).class_index((4, 2 * b, 2 * c))
+
+
+@pytest.mark.parametrize("d", [-20, -171, -384, -4004, 12, 229, 1001])
+def test_build_table_matches_public_compose(d):
+    t = enumerate_classes(d)
+    t.build_table()
+    assert t.table == [[t.class_index(compose(f, g)) for g in t.reps]
+                       for f in t.reps]
+

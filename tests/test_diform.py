@@ -55,6 +55,30 @@ def test_pinwheel_fixture_sigma_2():
     ]
 
 
+def all_rotations_key(faces):
+    """The pinwheel key as first written: the least of every rotation of
+    the lax faces, read forward and backward."""
+    keys = [(f.color, f.lax().u, f.lax().v) for f in faces]
+    return min(tuple(seq[i:] + seq[:i])
+               for seq in (keys, keys[::-1]) for i in range(len(keys)))
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_pinwheel_key_matches_all_rotations(sigma):
+    rng = random.Random(sigma)
+    for _ in range(300):
+        pw = pinwheel_complete(*random_dibasis(rng, sigma), sigma)
+        faces = list(pw.faces)
+        assert pw.key() == all_rotations_key(faces)
+        # the key forgets the start, the direction and the signs
+        i = rng.randrange(len(faces))
+        moved = faces[i:] + faces[:i]
+        moved = [-f if rng.random() < 0.5 else f for f in moved]
+        if rng.random() < 0.5:
+            moved.reverse()
+        assert diform_module.Pinwheel(sigma, tuple(moved)).key() == pw.key()
+
+
 def test_pinwheel_fixture_sigma_3():
     pw = pinwheel_complete(*STANDARD_DIBASIS, 3)
     assert len(pw.faces) == 6
@@ -196,9 +220,9 @@ def test_pinwheel_rejects_a_non_dibasis_edge(monkeypatch):
 
     def first_call_only(d1, d2, sigma):
         calls.append((d1, d2))
-        return len(calls) == 1
+        return 1 if len(calls) == 1 else 0
 
-    monkeypatch.setattr(diform_module, "is_dibasis", first_call_only)
+    monkeypatch.setattr(diform_module, "_face_det", first_call_only)
     with pytest.raises(DibasisError):
         pinwheel_complete(*STANDARD_DIBASIS, 2)
 

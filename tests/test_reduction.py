@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from topograph import reduction
 from topograph.bqf import BQF, is_square
 from topograph.classical import indefinite_cycle, reduce_definite
 from topograph.errors import ClassificationError, SquareDiscriminantError
@@ -254,3 +255,13 @@ def test_river_period_closes_on_the_translate_of_its_start(form):
     assert (p, n) == find_river_edge(q)
     assert period.edges[-1] == ((a * p[0] + b * p[1], c * p[0] + d * p[1]),
                                 (a * n[0] + b * n[1], c * n[0] + d * n[1]))
+
+
+def test_river_search_names_a_huge_form_by_size(monkeypatch):
+    # a descent that never meets the river; str of the 5,001-digit
+    # coefficient would raise ValueError in place of the typed error
+    monkeypatch.setattr(reduction, "_descend",
+                        lambda q, start: (list(start.vectors), [1, 1, 1]))
+    with pytest.raises(ClassificationError, match="16610/1/1-bit integers"):
+        find_river_edge(BQF(10 ** 5000, 1, -1))
+

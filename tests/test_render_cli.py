@@ -7,7 +7,9 @@ import pytest
 
 from topograph import render
 from topograph.cli import main
+from topograph.diform import Divector, Pinwheel, _other_vertex
 from topograph.errors import BudgetError, PreconditionError
+from topograph.lax import neighbors, normalize_superbase
 from topograph.render import LayoutPatch, emit_svg, layout
 
 
@@ -27,10 +29,26 @@ def test_depth_one_counts():
 
 
 def test_depth_budget():
-    with pytest.raises(BudgetError):
-        layout("3inf", 10)
+    # the budget counts vertices: 3inf depth 10 has only 1,534
+    assert len(layout("3inf", 10).vertices) == 1534
+    with pytest.raises(BudgetError, match="49150 vertices.* 25000"):
+        layout("3inf", 15)
+    with pytest.raises(BudgetError, match="117187 vertices"):
+        layout("6inf", 8)
+    # refused before any work, however deep
+    with pytest.raises(BudgetError, match="more than"):
+        layout("4inf", 10 ** 9)
     with pytest.raises(PreconditionError):
         layout("5inf", 2)
+
+
+@pytest.mark.parametrize("geometry, depths", [
+    ("3inf", range(9)), ("4inf", range(7)), ("6inf", range(6)),
+])
+def test_patch_vertices_closed_form(geometry, depths):
+    for depth in depths:
+        want = len(layout(geometry, depth).vertices)
+        assert render.patch_vertices(geometry, depth) == want
 
 
 def test_vertices_do_not_coincide():
@@ -92,22 +110,69 @@ def test_svg_bytes_pinned(geometry, depth, form, digest):
     assert hashlib.sha256(svg).hexdigest() == digest
 
 
-@pytest.mark.parametrize("geometry, expand, degree", [
-    ("3inf", "neighbors", 3), ("4inf", "_other_vertex", 4),
-    ("6inf", "_other_vertex", 6),
+@pytest.mark.parametrize("geometry, adapter", [
+    ("3inf", render._Superbases), ("4inf", render._Pinwheels),
+    ("6inf", render._Pinwheels),
 ])
-def test_layout_expands_each_vertex_once(geometry, expand, degree, monkeypatch):
-    calls = []
-    real = getattr(render, expand)
+def test_layout_builds_each_vertex_once(geometry, adapter, monkeypatch):
+    built = []
+    roots = set()
+    real = adapter.step
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(self, vertex, i):
+        out = real(self, vertex, i)
+        built.append(self.key(out[0]))
+        roots.add(self.key(self.root))
+        return out
 
-    monkeypatch.setattr(render, expand, counted)
+    monkeypatch.setattr(adapter, "step", counted)
     patch = layout(geometry, 4)
-    per_vertex = 1 if expand == "neighbors" else degree
-    assert len(calls) == per_vertex * len(patch.vertices)
+    shell = sum(e["v2"] is None for e in patch.edges)
+    # one build per vertex of the ball but the root, real and shell alike:
+    # the parent is never built again from its child
+    assert len(built) == len(patch.vertices) - 1 + shell
+    assert len(set(built)) == len(built)
+    assert not roots & set(built)
+
+
+@pytest.mark.parametrize("geometry, sigma", [("4inf", 2), ("6inf", 3)])
+def test_pinwheel_step_matches_other_vertex(geometry, sigma):
+    geo = render._Pinwheels(geometry, None)
+    frontier = [geo.root]
+    seen = {geo.key(geo.root)}
+    for _ in range(4):
+        nxt = []
+        for faces in frontier:
+            pw = Pinwheel(sigma, tuple(Divector(*f) for f in faces))
+            for i, (p, s) in enumerate(pw.edges()):
+                t, back = geo.step(faces, i)
+                want = _other_vertex(p, s, pw, sigma)
+                assert t == tuple((f.color, f.u, f.v) for f in want.faces)
+                assert back == 0
+                assert geo.key(geo.step(t, back)[0]) == geo.key(faces)
+                if geo.key(t) not in seen:
+                    seen.add(geo.key(t))
+                    nxt.append(t)
+        frontier = nxt
+    assert len(seen) == render.patch_vertices(geometry, 5)
+
+
+def test_superbase_step_matches_neighbors():
+    geo = render._Superbases(None)
+    frontier = [geo.root]
+    seen = {geo.key(geo.root)}
+    for _ in range(4):
+        nxt = []
+        for vs in frontier:
+            for i, want in enumerate(neighbors(normalize_superbase(vs))):
+                t, back = geo.step(vs, i)
+                assert t == want.vectors
+                assert geo.step(t, back)[0] == vs
+                if geo.key(t) not in seen:
+                    seen.add(geo.key(t))
+                    nxt.append(t)
+        frontier = nxt
+    assert len(seen) == render.patch_vertices("3inf", 5)
 
 
 def test_label_eliding():

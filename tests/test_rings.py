@@ -2,14 +2,12 @@ import pytest
 
 from topograph.errors import (
     IntegralityError,
-    NotInvertibleError,
     TagMismatchError,
     UnsupportedRingError,
 )
 from topograph.rings import (
     EISENSTEIN,
     GAUSS,
-    Mat2,
     QRE,
     ZSQRT2,
     euclid_gcd,
@@ -87,18 +85,3 @@ def test_is_primitive():
     assert not is_primitive((QRE(GAUSS, 1, 1), QRE(GAUSS, 0, 2)))
     assert not is_primitive((QRE(GAUSS, 2, 0), QRE(GAUSS, 0, 2)))
     assert not is_primitive((zero(GAUSS), zero(GAUSS)))
-
-
-def test_mat2_inverse():
-    m = Mat2.from_ints(GAUSS, (((1, 0), (0, 1)), ((0, 0), (1, 0))))
-    inv = m.inv()
-    assert m * inv == Mat2.identity(GAUSS)
-    singular = Mat2.from_ints(GAUSS, ((2, 0), (0, 2)))
-    with pytest.raises(NotInvertibleError):
-        singular.inv()
-
-
-def test_mat2_apply():
-    m = Mat2.from_ints(GAUSS, ((0, -1), (1, 0)))
-    v = (QRE(GAUSS, 3, 0), QRE(GAUSS, 5, 0))
-    assert m.apply(v) == (QRE(GAUSS, -5, 0), QRE(GAUSS, 3, 0))

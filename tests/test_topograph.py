@@ -74,3 +74,23 @@ def test_braid_product_has_order_3():
     p3 = mat_mul(mat_mul(p, p), p)
     assert pgl_key(p3) == pgl_key(((1, 0), (0, 1)))
     assert pgl_key(p) != pgl_key(((1, 0), (0, 1)))
+
+
+def test_library_has_no_assert_or_blanket_except():
+    # asserts vanish under python -O, and a blanket except hides errors
+    import ast
+    from pathlib import Path
+
+    import topograph
+
+    found = []
+    for path in sorted(Path(topograph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno} assert")
+            elif isinstance(node, ast.ExceptHandler):
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(t is None or isinstance(t, ast.Name) and t.id in (
+                        "Exception", "BaseException") for t in caught):
+                    found.append(f"{path.name}:{node.lineno} blanket except")
+    assert found == []
