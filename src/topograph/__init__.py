@@ -1,62 +1,62 @@
 """Arithmetic topographs: Conway's (3,inf) geometry over Z, the dilinear
 (4,inf)/(6,inf) geometries over Z[sqrt(2)]/Z[sqrt(3)], Hermitian vertex cubes
 over the Gaussian and Eisenstein integers, and class-group arithmetic tying
-them together."""
+them together.
 
-from .bqf import BQF, CellValues, arrow, cell_values, classify
-from .classgroup import (
-    ClassGroupTable,
-    ambiguous_form_A,
-    compose,
-    enumerate_classes,
-    verify_red_blue,
-)
-from .diform import BQD, Divector, Pinwheel, diform_river, diform_well
-from .errors import TopographError
-from .hermitian import BHF, bhf_evaluate, cube_values, empirical_minimum
-from .lax import Superbase, normalize_superbase, verify_simple_transitivity
-from .reduction import (
-    find_well,
-    gauss_reduced,
-    minimum_nonzero,
-    pell_solve,
-    riverbends,
-    trace_river,
-)
-from .render import emit_svg, layout
-from .rings import QRE
+The public names below are loaded on first use (PEP 562), so that
+``import topograph`` and each CLI subcommand import only the submodules
+they need."""
 
-__all__ = [
-    "BHF",
-    "BQD",
-    "BQF",
-    "CellValues",
-    "ClassGroupTable",
-    "Divector",
-    "Pinwheel",
-    "QRE",
-    "Superbase",
-    "TopographError",
-    "ambiguous_form_A",
-    "arrow",
-    "bhf_evaluate",
-    "cell_values",
-    "classify",
-    "compose",
-    "cube_values",
-    "diform_river",
-    "diform_well",
-    "emit_svg",
-    "empirical_minimum",
-    "enumerate_classes",
-    "find_well",
-    "gauss_reduced",
-    "layout",
-    "minimum_nonzero",
-    "normalize_superbase",
-    "pell_solve",
-    "riverbends",
-    "trace_river",
-    "verify_red_blue",
-    "verify_simple_transitivity",
-]
+import importlib
+
+# public name -> the submodule that defines it
+_HOME = {
+    "BQF": "bqf",
+    "CellValues": "bqf",
+    "arrow": "bqf",
+    "cell_values": "bqf",
+    "classify": "bqf",
+    "ClassGroupTable": "classgroup",
+    "ambiguous_form_A": "classgroup",
+    "compose": "classgroup",
+    "enumerate_classes": "classgroup",
+    "verify_red_blue": "classgroup",
+    "BQD": "diform",
+    "Divector": "diform",
+    "Pinwheel": "diform",
+    "diform_river": "diform",
+    "diform_well": "diform",
+    "TopographError": "errors",
+    "BHF": "hermitian",
+    "bhf_evaluate": "hermitian",
+    "cube_values": "hermitian",
+    "empirical_minimum": "hermitian",
+    "Superbase": "lax",
+    "normalize_superbase": "lax",
+    "verify_simple_transitivity": "lax",
+    "find_well": "reduction",
+    "gauss_reduced": "reduction",
+    "minimum_nonzero": "reduction",
+    "pell_solve": "reduction",
+    "riverbends": "reduction",
+    "trace_river": "reduction",
+    "emit_svg": "render",
+    "layout": "render",
+    "QRE": "rings",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    try:
+        home = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .classical import is_square
 from .lax import Superbase, Vec, vadd, vsub
 
 POSITIVE_DEFINITE = "positive-definite"
@@ -36,13 +37,6 @@ class BQF:
         c2 = self((r, s))
         b2 = self((p + r, q + s)) - a2 - c2
         return BQF(a2, b2, c2)
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
 
 
 def classify(q: BQF) -> str:

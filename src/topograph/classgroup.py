@@ -7,12 +7,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .bqf import is_square
 from .classical import (
     Form,
     content,
     cycle_fingerprint,
     is_reduced_indefinite,
+    is_square,
     reduce_definite,
     reduce_indefinite,
 )

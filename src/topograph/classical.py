@@ -10,10 +10,16 @@ from __future__ import annotations
 
 import math
 
-from .bqf import is_square
 from .errors import ClassificationError, SquareDiscriminantError, brief
 
 Form = tuple[int, int, int]
+
+
+def is_square(n: int) -> bool:
+    if n < 0:
+        return False
+    r = math.isqrt(n)
+    return r * r == n
 
 
 def reduce_definite(form: Form) -> Form:

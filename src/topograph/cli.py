@@ -1,7 +1,8 @@
 """Command-line interface: line-delimited JSON on stdout, SVG files on disk.
 
 Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
-2 usage error.
+2 usage error.  Each handler imports the modules it calls, so a process
+pays only for the imports of its own subcommand.
 """
 
 from __future__ import annotations
@@ -10,22 +11,7 @@ import argparse
 import json
 import sys
 
-from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify
-from .classgroup import enumerate_classes, is_diform_discriminant, verify_red_blue
-from .diform import BQD, diform_river, diform_well
 from .errors import PreconditionError, TopographError
-from .hermitian import BHF, STANDARD_CUBASIS, cube_values, empirical_minimum
-from .reduction import (
-    _bends,
-    _minimum,
-    _well_form,
-    find_well,
-    pell_solve,
-    riverbends,
-    trace_river,
-)
-from .render import emit_svg, layout
-from .rings import EISENSTEIN, GAUSS, QRE
 
 # JSON field layout of every subcommand's stdout, for `dump --json`
 SCHEMAS = {
@@ -65,6 +51,9 @@ def _parse_form(text: str, n: int = 3):
 
 
 def _cmd_reduce(args) -> None:
+    from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify
+    from .reduction import _well_form, find_well, riverbends
+
     a, b, c = _parse_form(args.form)
     q = BQF(a, b, c)
     kind = classify(q)
@@ -91,6 +80,9 @@ def _cmd_reduce(args) -> None:
 
 
 def _cmd_river(args) -> None:
+    from .bqf import BQF
+    from .reduction import _bends, _minimum, trace_river
+
     a, b, c = _parse_form(args.form)
     q = BQF(a, b, c)
     period = trace_river(q)
@@ -107,6 +99,8 @@ def _cmd_river(args) -> None:
 
 
 def _cmd_pell(args) -> None:
+    from .reduction import pell_solve
+
     sol = pell_solve(args.d)
     _emit({
         "d": sol.d,
@@ -117,12 +111,17 @@ def _cmd_pell(args) -> None:
 
 
 def _cmd_classgroup(args) -> None:
+    from .classgroup import enumerate_classes
+
     table = enumerate_classes(args.delta)
     table.build_table()
     _emit(table.to_json())
 
 
 def _cmd_diform(args) -> None:
+    from .classgroup import is_diform_discriminant, verify_red_blue
+    from .diform import BQD, diform_river, diform_well
+
     a, b, c = _parse_form(args.form)
     if args.sigma not in (2, 3):
         raise PreconditionError("--sigma must be 2 or 3")
@@ -164,6 +163,9 @@ def _cmd_diform(args) -> None:
 
 
 def _cmd_hermitian(args) -> None:
+    from .hermitian import BHF, STANDARD_CUBASIS, cube_values, empirical_minimum
+    from .rings import EISENSTEIN, GAUSS, QRE
+
     ring = {"g": GAUSS, "e": EISENSTEIN}.get(args.ring)
     if ring is None:
         raise PreconditionError("--ring must be g or e")
@@ -193,6 +195,8 @@ def _cmd_hermitian(args) -> None:
 
 
 def _cmd_render(args) -> None:
+    from .render import emit_svg, layout
+
     form = _parse_form(args.form) if args.form else None
     patch = layout(args.geometry, args.depth, form)
     data = emit_svg(patch)

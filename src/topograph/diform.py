@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .classical import reduce_definite
+from .classical import is_square, reduce_definite
 from .errors import (
     ClassificationError,
     DibasisError,
@@ -32,7 +32,6 @@ from .errors import (
     SquareDiscriminantError,
     brief,
 )
-from .bqf import is_square
 from .lax import mat_mul
 
 RED = "red"
@@ -76,15 +75,22 @@ class Divector:
         return math.gcd(sigma * self.u, self.v) == 1
 
 
+def _shown(face) -> str:
+    """A Divector or (color, u, v) face for an error message, at any size."""
+    color, u, v = (face.color, face.u, face.v) if isinstance(face, Divector) else face
+    return f"{color} {brief((u, v))}"
+
+
 def _same_color(d1: Divector, d2: Divector) -> None:
     if d1.color != d2.color:
-        raise DibasisError(f"{d1} and {d2} differ in colour")
+        raise DibasisError(f"{_shown(d1)} and {_shown(d2)} differ in colour")
 
 
 def dibasis_det(r: Divector, b: Divector, sigma: int) -> int:
     """Determinant of the dilinear matrix with rows r (red) and b (blue)."""
     if r.color != RED or b.color != BLUE:
-        raise DibasisError(f"{r}, {b} are not a red and a blue divector")
+        raise DibasisError(
+            f"{_shown(r)}, {_shown(b)} are not a red and a blue divector")
     return r.u * b.v - sigma * r.v * b.u
 
 
@@ -107,7 +113,7 @@ def pinwheel_faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
     """The faces, as signed (color, u, v) tuples, of the pinwheel generated
     by the ordered dibasis (d1, d2): x_{k+1} = sqrt(sigma) x_k - x_{k-1}."""
     if _face_det(d1, d2, sigma) not in (1, -1):
-        raise DibasisError(f"{d1}, {d2} do not form a dibasis")
+        raise DibasisError(f"{_shown(d1)}, {_shown(d2)} do not form a dibasis")
     faces = [d1, d2]
     for _ in range(2 * sigma - 1):
         (_, u0, v0), (c1, u1, v1) = faces[-2], faces[-1]
@@ -117,10 +123,11 @@ def pinwheel_faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
             faces.append((RED, sigma * u1 - u0, v1 - v0))
     color, u, v = faces.pop()
     if (color, -u, -v) != d1:
-        raise DibasisError(f"pinwheel of {d1}, {d2} failed to close")
+        raise DibasisError(f"pinwheel of {_shown(d1)}, {_shown(d2)} failed to close")
     for i in range(2 * sigma):
         if _face_det(faces[i - 1], faces[i], sigma) not in (1, -1):
-            raise DibasisError(f"pinwheel of {d1}, {d2} has a non-dibasis edge")
+            raise DibasisError(
+                f"pinwheel of {_shown(d1)}, {_shown(d2)} has a non-dibasis edge")
     return tuple(faces)
 
 
@@ -235,7 +242,9 @@ def _other_vertex(p: Divector, s: Divector, vertex: Pinwheel, sigma: int) -> Pin
     try:
         i = cycle.index(p)
     except ValueError:
-        raise DibasisError(f"{p} is not a face of {vertex}") from None
+        first, second = vertex.faces[:2]
+        raise DibasisError(f"{_shown(p)} is not a face of the pinwheel of "
+                           f"{_shown(first)}, {_shown(second)}") from None
     if s in (cycle[i - 1], cycle[(i + 1) % len(cycle)]):
         return pinwheel_complete(p, -s, sigma)
     return pinwheel_complete(p, s, sigma)

@@ -14,12 +14,14 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import (
+    BudgetError,
     ClassificationError,
     DegenerateFormError,
     IntegralityError,
     NotASuperbaseError,
     PreconditionError,
     SearchExhaustedError,
+    brief,
 )
 from .rings import _SQ, EISENSTEIN, GAUSS, QRE, units, zero
 
@@ -289,15 +291,25 @@ def _is_primitive_coords(tr: int, x0: int, x1: int, y0: int, y1: int) -> bool:
     ) == 1
 
 
+# most vectors empirical_minimum scans, one of each pair +-v
+BOX_BUDGET = 10_000_000
+
+
 def empirical_minimum(h: BHF, box: int = 10) -> dict:
     """Minimum nonzero |H| over primitive box vectors; since the box minimum
     upper-bounds the true minimum, mu^2 <= delta/6 is a sound check.
 
     The box holds the vectors (x, y) whose four integer coordinates lie in
     [-box, box]; the witness is the first minimiser in lexicographic order
-    of (x.x, x.y, y.x, y.y)."""
+    of (x.x, x.y, y.x, y.y).  A box of more than BOX_BUDGET vectors up to
+    sign raises BudgetError before any work."""
     if box < 1:
-        raise PreconditionError(f"box must be at least 1, got {box}")
+        raise PreconditionError(f"box must be at least 1, got {brief(box)}")
+    points = (2 * box + 1) ** 4 // 2
+    if points > BOX_BUDGET:
+        raise BudgetError(
+            f"a box of {brief(box)} holds {brief(points)} vectors up to sign, "
+            f"over the budget of {BOX_BUDGET}")
     d = h.discriminant()
     if d <= 0:
         raise PreconditionError("minimum bound applies to indefinite forms")

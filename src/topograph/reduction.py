@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify, is_square
+from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify
+from .classical import is_square
 from .errors import (
     ClassificationError,
     IntegralityError,

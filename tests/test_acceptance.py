@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from topograph.bqf import BQF, cell_values, is_square
+from topograph.bqf import BQF, cell_values
 from topograph.classgroup import (
     ambiguous_form_A,
     class_represents,
@@ -23,7 +23,7 @@ from topograph.classgroup import (
     red_blue_forms,
     verify_red_blue,
 )
-from topograph.classical import content, reduce_definite
+from topograph.classical import content, is_square, reduce_definite
 from topograph.diform import (
     BQD,
     Divector,

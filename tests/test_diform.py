@@ -368,6 +368,17 @@ def test_other_vertex_rejects_a_face_not_at_the_vertex():
         _other_vertex(Divector(RED, 3, 1), pw.faces[1], pw, 2)
 
 
+def test_dibasis_errors_name_huge_divectors():
+    # str() of a 5,001-digit integer raises ValueError; the message gives
+    # its bit length instead
+    huge = Divector(RED, 10 ** 5000, 1)
+    with pytest.raises(DibasisError, match="16610/1-bit"):
+        pinwheel_complete(huge, Divector(BLUE, 1, 1), 2)
+    pw = pinwheel_complete(*STANDARD_DIBASIS, 2)
+    with pytest.raises(DibasisError, match="16610/1-bit.* not a face"):
+        _other_vertex(huge, pw.faces[1], pw, 2)
+
+
 def shear(form, sigma, move, t):
     """The diform after x -> x + t sqrt(sigma) y ("x"), y -> y + t sqrt(sigma) x
     ("y"), or the swap of x and y ("s")."""

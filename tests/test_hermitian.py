@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from topograph.errors import (
+    BudgetError,
     DegenerateFormError,
     NotASuperbaseError,
     PreconditionError,
@@ -222,3 +223,15 @@ def test_empirical_minimum_witness_is_first_in_scan_order():
 def test_empirical_minimum_rejects_empty_box(box):
     with pytest.raises(PreconditionError):
         empirical_minimum(BHF(GAUSS, 1, zero(GAUSS), -2), box)
+
+
+def test_empirical_minimum_box_budget():
+    h = BHF(GAUSS, 1, zero(GAUSS), -2)
+    assert empirical_minimum(h, 10)["mu"] == 1
+    # (2 box + 1)^4 // 2 vectors: box 32 has 8,925,312, box 33 is over
+    with pytest.raises(BudgetError, match="33 holds 10075560 vectors.* 10000000"):
+        empirical_minimum(h, 33)
+    # refused before any work: a scan of either box would never return
+    for box in (10 ** 6, 10 ** 100):
+        with pytest.raises(BudgetError, match="over the budget"):
+            empirical_minimum(h, box)

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topograph import reduction
-from topograph.bqf import BQF, is_square
-from topograph.classical import indefinite_cycle, reduce_definite
+from topograph.bqf import BQF
+from topograph.classical import indefinite_cycle, is_square, reduce_definite
 from topograph.errors import ClassificationError, SquareDiscriminantError
 from topograph.lax import STANDARD_SUPERBASE, det, lax, vadd, vsub
 from topograph.reduction import (

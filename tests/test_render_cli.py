@@ -270,6 +270,40 @@ def test_cli_seed_flag_is_noop():
     assert a.stdout == b.stdout
 
 
+# the topograph modules a process loads for each subcommand: the CLI imports
+# a handler's modules only when that handler runs
+_WALK_MODULES = {"cli", "errors", "bqf", "classical", "lax", "reduction"}
+SUBCOMMAND_MODULES = [
+    (("dump", "--json"), {"cli", "errors"}),
+    (("reduce", "--form=5,7,3"), _WALK_MODULES),
+    (("river", "--form=1,0,-3"), _WALK_MODULES),
+    (("pell", "--d=61"), _WALK_MODULES),
+    (("hermitian", "--ring=e", "--form=1,0,0,-2", "--min-box=2"),
+     {"cli", "errors", "hermitian", "rings"}),
+    (("classgroup", "--delta=-20"), {"cli", "errors", "classgroup", "classical"}),
+    (("diform", "--sigma=2", "--form=1,0,-1"),
+     {"cli", "errors", "classgroup", "classical", "diform", "lax"}),
+    (("render", "--geometry=4inf", "--depth=2", "--out={out}"),
+     _WALK_MODULES | {"diform", "render"}),
+]
+
+_LOADED_SCRIPT = """\
+import json, sys, topograph.cli
+code = topograph.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("topograph."))]))
+"""
+
+
+@pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES)
+def test_cli_subcommand_imports_only_its_modules(argv, modules, tmp_path):
+    argv = [a.format(out=tmp_path / "patch.svg") for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv],
+                          capture_output=True, text=True)
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0
+    assert loaded == sorted(f"topograph.{m}" for m in modules)
+
+
 def test_cli_classgroup_imprimitive_ambiguous_form():
     # A_D = (3, 3, 15) is imprimitive for D = -171
     proc = run_cli("classgroup", "--delta=-171")
@@ -390,6 +424,18 @@ def test_cli_hermitian_rejects_empty_box(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "precondition"
+
+
+def test_cli_hermitian_box_budget(capsys):
+    herm = ["hermitian", "--ring=g", "--form=1,0,0,-2"]
+    assert main(herm + ["--min-box=10"]) == 0
+    assert json.loads(capsys.readouterr().out)["mu"] == 1
+    # box 33 first: without the budget it returns in seconds, box 10^6 never
+    for box in (33, 10 ** 6, 10 ** 100):
+        assert main(herm + [f"--min-box={box}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "budget"
 
 
 # stdout of `classgroup`, recorded while compose searched a box for

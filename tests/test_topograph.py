@@ -1,5 +1,11 @@
+import importlib
+import json
+import subprocess
+import sys
+
 import pytest
 
+import topograph
 from topograph.errors import NotASuperbaseError
 from topograph.lax import (
     STANDARD_SUPERBASE,
@@ -94,3 +100,28 @@ def test_library_has_no_assert_or_blanket_except():
                         "Exception", "BaseException") for t in caught):
                     found.append(f"{path.name}:{node.lineno} blanket except")
     assert found == []
+
+
+def test_package_exports_resolve_to_their_home_modules():
+    for name in topograph.__all__:
+        obj = getattr(topograph, name)
+        home = obj.__module__
+        assert home == f"topograph.{topograph._HOME[name]}", name
+        assert getattr(importlib.import_module(home), name) is obj
+    namespace = {}
+    exec("from topograph import *", namespace)
+    assert {name: namespace[name] for name in topograph.__all__} == {
+        name: getattr(topograph, name) for name in topograph.__all__}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        topograph.no_such_name
+
+
+def test_bare_package_import_loads_no_submodule():
+    script = ("import json, sys, topograph\n"
+              "print(json.dumps([dir(topograph), "
+              "[m for m in sys.modules if m.startswith('topograph.')]]))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    listed, loaded = json.loads(proc.stdout)
+    assert set(topograph.__all__) <= set(listed)
+    assert loaded == []
