@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classical import is_square
 from .lax import Superbase, Vec, vadd, vsub
@@ -14,21 +14,22 @@ INDEFINITE = "indefinite-nondegenerate"
 DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
-class BQF:
+class BQF(NamedTuple):
     a: int
     b: int
     c: int
 
     def __call__(self, v: Vec) -> int:
         x, y = v
-        return self.a * x * x + self.b * x * y + self.c * y * y
+        a, b, c = self
+        return a * x * x + b * x * y + c * y * y
 
     def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
+        a, b, c = self
+        return b * b - 4 * a * c
 
     def is_primitive(self) -> bool:
-        return math.gcd(math.gcd(abs(self.a), abs(self.b)), abs(self.c)) == 1
+        return math.gcd(*self) == 1
 
     def transform(self, m) -> "BQF":
         """Coefficients of Q((x,y) -> M.(x,y)); columns of m are the new basis."""
@@ -48,8 +49,7 @@ def classify(q: BQF) -> str:
     return INDEFINITE
 
 
-@dataclass(frozen=True)
-class CellValues:
+class CellValues(NamedTuple):
     """Values around one cell: basis values u, v, flanks e = Q(u-v), f = Q(u+v).
 
     Invariants: e + f = 2(u + v) and disc = (u - v)^2 - e*f.
@@ -64,11 +64,10 @@ class CellValues:
 
 
 def cell_values(q: BQF, s: Superbase, edge_index: int) -> CellValues:
-    vs = s.vectors
-    p, r = vs[(edge_index + 1) % 3], vs[(edge_index + 2) % 3]
+    p, r = s[(edge_index + 1) % 3], s[(edge_index + 2) % 3]
     u, v = q(p), q(r)
     e, f = q(vsub(p, r)), q(vadd(p, r))
-    w = q(vs[edge_index])
+    w = q(s[edge_index])
     return CellValues(u, v, e, f, w, (p, r))
 
 

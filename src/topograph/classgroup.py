@@ -5,7 +5,6 @@ class relation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .classical import (
     Form,
@@ -17,6 +16,7 @@ from .classical import (
     reduce_indefinite,
 )
 from .errors import (
+    BudgetError,
     ClassificationError,
     DivisibilityError,
     IntegralityError,
@@ -94,14 +94,17 @@ def _divisors(m: int) -> list[int]:
     return sorted(out)
 
 
-@dataclass
-class ClassGroupTable:
-    disc: int
-    classes: list  # canonical labels: reduced form (d<0) or cycle fingerprint
-    reps: list  # one concrete form per class
-    table: list = field(default_factory=list)  # composition, index pairs
+# most cells build_table fills, h^2 compositions
+TABLE_BUDGET = 1_000_000
 
-    def __post_init__(self) -> None:
+
+class ClassGroupTable:
+    def __init__(self, disc: int, classes: list, reps: list):
+        self.disc = disc
+        # canonical labels: reduced form (d<0) or cycle fingerprint
+        self.classes = classes
+        self.reps = reps  # one concrete form per class
+        self.table = []  # composition, index pairs; filled by build_table
         # reduced form -> class index; for d > 0 every form of each cycle
         if self.disc < 0:
             self._index = {label: i for i, label in enumerate(self.classes)}
@@ -145,6 +148,13 @@ class ClassGroupTable:
         return self._lookup(_compose(self.reps[i], self.reps[j]))
 
     def build_table(self) -> None:
+        """Fill the h x h composition table; past TABLE_BUDGET cells raise
+        BudgetError before any composition."""
+        h = self.h
+        if h * h > TABLE_BUDGET:
+            raise BudgetError(
+                f"a class group of order {brief(h)} needs {brief(h * h)} table "
+                f"cells, over the budget of {TABLE_BUDGET}")
         # the reps are primitive of discriminant disc, as enumerated
         self.table = [
             [self._lookup(_compose(f, g)) for g in self.reps] for f in self.reps

@@ -63,16 +63,14 @@ def _cmd_reduce(args) -> None:
         _emit({
             "form": [a, b, c],
             "class": kind,
-            "reduced": [red.a, red.b, red.c],
+            "reduced": list(red),
             "well": {"kind": well.kind, "values": list(well.values)},
         })
     elif kind == INDEFINITE:
-        bends = riverbends(q)
-        red = min((f.a, f.b, f.c) for f in bends)
         _emit({
             "form": [a, b, c],
             "class": kind,
-            "reduced": list(red),
+            "reduced": list(min(riverbends(q))),
             "well": None,
         })
     else:
@@ -94,7 +92,7 @@ def _cmd_river(args) -> None:
         "mu": rep.mu,
         "witness": list(rep.witness),
         "automorph": [list(r) for r in period.automorph],
-        "reduced_cycle": sorted([f.a, f.b, f.c] for f in _bends(period)),
+        "reduced_cycle": sorted(map(list, _bends(period))),
     })
 
 
@@ -149,8 +147,7 @@ def _cmd_diform(args) -> None:
         out["river"] = {
             "exceptional": r.exceptional,
             "mu": r.mu,
-            "witness": None if r.witness is None else
-                [r.witness.color, r.witness.u, r.witness.v],
+            "witness": None if r.witness is None else list(r.witness),
             "period_steps": r.edge_count,
             "bends": r.bend_count,
         }
@@ -183,7 +180,7 @@ def _cmd_hermitian(args) -> None:
     if ring == GAUSS:
         cv = cube_values(h, STANDARD_CUBASIS)
         out["cube"] = {
-            "faces": [cv.a, cv.b, cv.c, cv.u, cv.v, cv.w],
+            "faces": list(cv[:6]),
             "z": cv.z,
             "pattern": cv.pattern,
         }

@@ -22,7 +22,7 @@ same pinwheels, in the same face order, as a walk of single steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classical import is_square, reduce_definite
 from .errors import (
@@ -38,8 +38,7 @@ RED = "red"
 BLUE = "blue"
 
 
-@dataclass(frozen=True)
-class Divector:
+class Divector(NamedTuple):
     """Coordinates (u, v) meaning (u, v*sqrt(sigma)) if red, else
     (u*sqrt(sigma), v)."""
 
@@ -76,8 +75,9 @@ class Divector:
 
 
 def _shown(face) -> str:
-    """A Divector or (color, u, v) face for an error message, at any size."""
-    color, u, v = (face.color, face.u, face.v) if isinstance(face, Divector) else face
+    """A (color, u, v) face, a Divector or a plain tuple, for an error
+    message, at any size."""
+    color, u, v = face
     return f"{color} {brief((u, v))}"
 
 
@@ -95,7 +95,7 @@ def dibasis_det(r: Divector, b: Divector, sigma: int) -> int:
 
 
 def is_dibasis(d1: Divector, d2: Divector, sigma: int) -> bool:
-    return _face_det((d1.color, d1.u, d1.v), (d2.color, d2.u, d2.v), sigma) in (1, -1)
+    return _face_det(d1, d2, sigma) in (1, -1)
 
 
 def _face_det(f: tuple, g: tuple, sigma: int) -> int:
@@ -141,8 +141,7 @@ def pinwheel_key(faces: tuple) -> tuple:
     return min(tuple(laxed[m:] + laxed[:m]), tuple(laxed[m::-1] + laxed[:m:-1]))
 
 
-@dataclass(frozen=True)
-class Pinwheel:
+class Pinwheel(NamedTuple):
     """Cyclically ordered faces around a point, colours alternating."""
 
     sigma: int
@@ -150,7 +149,7 @@ class Pinwheel:
 
     def key(self):
         """Canonical label: lax faces up to rotation and reflection."""
-        return pinwheel_key(tuple((f.color, f.u, f.v) for f in self.faces))
+        return pinwheel_key(self.faces)
 
     def edges(self):
         n = len(self.faces)
@@ -159,12 +158,10 @@ class Pinwheel:
 
 def pinwheel_complete(d1: Divector, d2: Divector, sigma: int) -> Pinwheel:
     """The pinwheel generated by the ordered dibasis (d1, d2)."""
-    faces = pinwheel_faces((d1.color, d1.u, d1.v), (d2.color, d2.u, d2.v), sigma)
-    return Pinwheel(sigma, tuple(Divector(*f) for f in faces))
+    return Pinwheel(sigma, tuple(map(Divector._make, pinwheel_faces(d1, d2, sigma))))
 
 
-@dataclass(frozen=True)
-class BQD:
+class BQD(NamedTuple):
     """Binary quadratic diform Q(x, y) = a x^2 + b sqrt(sigma) x y + c y^2."""
 
     sigma: int
@@ -173,24 +170,25 @@ class BQD:
     c: int
 
     def discriminant(self) -> int:
-        return self.sigma * (self.b * self.b * self.sigma - 4 * self.a * self.c)
+        s, a, b, c = self
+        return s * (b * b * s - 4 * a * c)
 
     def __call__(self, d: Divector) -> int:
-        s, a, b, c = self.sigma, self.a, self.b, self.c
-        if d.color == RED:
-            return a * d.u * d.u + b * s * d.u * d.v + c * s * d.v * d.v
-        return a * s * d.u * d.u + b * s * d.u * d.v + c * d.v * d.v
+        s, a, b, c = self
+        color, u, v = d
+        if color == RED:
+            return a * u * u + b * s * u * v + c * s * v * v
+        return a * s * u * u + b * s * u * v + c * v * v
 
     def is_primitive(self) -> bool:
-        return math.gcd(math.gcd(abs(self.a), abs(self.b)), abs(self.c)) == 1
+        return math.gcd(self.a, self.b, self.c) == 1
 
     def red_blue(self):
         s = self.sigma
         return (self.a, self.b * s, self.c * s), (self.a * s, self.b * s, self.c)
 
 
-@dataclass(frozen=True)
-class DiCellValues:
+class DiCellValues(NamedTuple):
     u: int
     v: int
     e: int
@@ -423,15 +421,13 @@ def _find_river_edge(q: BQD):
         f"river search for {_named(q)} not finished after {brief(limit)} runs")
 
 
-@dataclass(frozen=True)
-class DiRiverStep:
+class DiRiverStep(NamedTuple):
     pos: Divector
     neg: Divector
     bend: bool
 
 
-@dataclass(frozen=True)
-class DiRiverPeriod:
+class DiRiverPeriod(NamedTuple):
     """One river period, stored as runs.
 
     ``steps`` holds the start edge and each edge the walk reached by a single
@@ -591,9 +587,7 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     face_values = {}
 
     def note(face):
-        face_values.setdefault(
-            (face.color, face.lax().u, face.lax().v), q(face)
-        )
+        face_values.setdefault(face.lax(), q(face))
 
     # Read as a dibasis of determinant 1, each river edge gives Q the
     # coefficients (a', b', c') with a'c' < 0 and d = sigma^2 b'^2 + 4 sigma
@@ -642,9 +636,8 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                 exceptional = bends == 0
                 mu = wit = None
                 if not exceptional:
-                    wit_key = min(face_values, key=lambda k: (abs(face_values[k]), k))
-                    mu = abs(face_values[wit_key])
-                    wit = Divector(*wit_key)
+                    wit = min(face_values, key=lambda k: (abs(face_values[k]), k))
+                    mu = abs(face_values[wit])
                 return DiRiverPeriod(tuple(steps), edges, bends, t, mu, wit,
                                      exceptional, q)
     raise ClassificationError(

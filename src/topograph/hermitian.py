@@ -10,8 +10,8 @@ Vertex residues of the associated geometry are cubes (Gauss) or tetrahedra
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     BudgetError,
@@ -23,7 +23,7 @@ from .errors import (
     SearchExhaustedError,
     brief,
 )
-from .rings import _SQ, EISENSTEIN, GAUSS, QRE, units, zero
+from .rings import _SQ, EISENSTEIN, GAUSS, QRE, _immutable, units, zero
 
 RVec = tuple[QRE, QRE]
 
@@ -31,20 +31,35 @@ RVec = tuple[QRE, QRE]
 _DIFFERENT = {GAUSS: QRE(GAUSS, 1, 1), EISENSTEIN: QRE(EISENSTEIN, 1, -1)}
 
 
-@dataclass(frozen=True)
 class BHF:
-    """Binary Hermitian form; beta = gamma / (1+i) or gamma / (1-w)."""
+    """Binary Hermitian form; beta = gamma / (1+i) or gamma / (1-w).
+    Immutable, and not a tuple."""
 
-    ring: str
-    a: int
-    gamma: QRE
-    c: int
+    __slots__ = ("ring", "a", "gamma", "c")
 
-    def __post_init__(self):
-        if self.ring not in _DIFFERENT:
+    def __init__(self, ring: str, a: int, gamma: QRE, c: int):
+        if ring not in _DIFFERENT:
             raise PreconditionError("Hermitian forms live over Gauss/Eisenstein")
-        if self.gamma.ring != self.ring:
+        if gamma.ring != ring:
             raise PreconditionError("gamma must live in the form's ring")
+        for name, value in zip(BHF.__slots__, (ring, a, gamma, c)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _fields(self) -> tuple:
+        return (self.ring, self.a, self.gamma, self.c)
+
+    def __eq__(self, other):
+        if other.__class__ is not BHF:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "BHF(ring={!r}, a={!r}, gamma={!r}, c={!r})".format(*self._fields())
 
     def discriminant(self) -> int:
         # 4*(N(beta) - ac) = 2*N(gamma) - 4ac over Gauss (N(1+i) = 2);
@@ -113,10 +128,8 @@ def _box_elements(ring: str, norm_bound: int) -> list[QRE]:
 
 def _box_vectors(ring: str, norm_bound: int) -> list[RVec]:
     els = _box_elements(ring, norm_bound)
-    vecs = [
-        (x, y) for x, y in product(els, repeat=2) if not (x.is_zero() and y.is_zero())
-    ]
-    return vecs
+    return [(x, y) for x, y in product(els, repeat=2)
+            if not (x.is_zero() and y.is_zero())]
 
 
 def _lax_key(v: RVec):
@@ -173,18 +186,8 @@ def find_cubasis(seed) -> tuple:
                     continue
                 if not is_ring_superbase(s1, s2, p3):
                     continue
-                ok = True
-                for t1 in (s1, p1):
-                    for t2 in (s2, p2):
-                        for t3 in (s3, p3):
-                            if not is_ring_superbase(t1, t2, t3):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if ok:
+                if all(is_ring_superbase(t1, t2, t3) for t1 in (s1, p1)
+                       for t2 in (s2, p2) for t3 in (s3, p3)):
                     return ((s1, p1), (s2, p2), (s3, p3))
     raise SearchExhaustedError(
         f"no cubasis completion with coordinate norms <= {SEARCH_BOUND}"
@@ -221,8 +224,7 @@ PATTERN_IV = "IV"
 PATTERN_MIXED_ZERO = "mixed-zero"
 
 
-@dataclass(frozen=True)
-class CubeValues:
+class CubeValues(NamedTuple):
     """Values on the six faces of a vertex cube, opposite pairs
     (a, u), (b, v), (c, w); z is the common opposite-face sum."""
 

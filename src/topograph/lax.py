@@ -9,7 +9,7 @@ PGL_2(Z).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InconsistentInputError,
@@ -45,8 +45,7 @@ def vneg(u: Vec) -> Vec:
     return (-u[0], -u[1])
 
 
-@dataclass(frozen=True)
-class Superbase:
+class Superbase(NamedTuple):
     """Lax superbase, stored as signed vectors u + v + w = 0.
 
     The stored triple is canonical: the lax representatives are sorted
@@ -58,16 +57,12 @@ class Superbase:
     v: Vec
     w: Vec
 
-    @property
-    def vectors(self) -> tuple[Vec, Vec, Vec]:
-        return (self.u, self.v, self.w)
-
     def key(self) -> tuple[Vec, Vec, Vec]:
-        return tuple(sorted(lax(t) for t in self.vectors))
+        return tuple(sorted(lax(t) for t in self))
 
     def edges(self) -> list[frozenset]:
-        vs = self.vectors
-        return [frozenset((lax(vs[(j + 1) % 3]), lax(vs[(j + 2) % 3]))) for j in range(3)]
+        return [frozenset((lax(self[(j + 1) % 3]), lax(self[(j + 2) % 3])))
+                for j in range(3)]
 
 
 def normalize_superbase(vectors) -> Superbase:
@@ -98,16 +93,14 @@ def neighbors(s: Superbase) -> list[Superbase]:
     Entry j keeps the pair opposite vector j and replaces that vector by the
     difference of the pair; the move is an involution.
     """
-    vs = s.vectors
     out = []
     for j in range(3):
-        p, q = vs[(j + 1) % 3], vs[(j + 2) % 3]
+        p, q = s[(j + 1) % 3], s[(j + 2) % 3]
         out.append(normalize_superbase([p, q, vsub(p, q)]))
     return out
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """Maximal arithmetic flag: vector in basis in superbase."""
 
     vector: Vec
@@ -163,10 +156,6 @@ def act(m: Mat, f: Flag) -> Flag:
     return Flag.make(mat_apply(m, f.vector), [mat_apply(m, b) for b in f.basis], sb)
 
 
-def _flag_component_keys(f: Flag):
-    return (f.vector, f.basis, f.superbase)
-
-
 def _stabilizer_search(move_index: int) -> Mat:
     """First matrix with entries in {-1,0,1}, |det| = 1, fixing two components
     of the standard flag and moving the one at move_index."""
@@ -179,12 +168,7 @@ def _stabilizer_search(move_index: int) -> Mat:
                     if mat_det(m) not in (1, -1):
                         continue
                     g = act(m, STANDARD_FLAG)
-                    moved = [
-                        x != y
-                        for x, y in zip(
-                            _flag_component_keys(g), _flag_component_keys(STANDARD_FLAG)
-                        )
-                    ]
+                    moved = [x != y for x, y in zip(g, STANDARD_FLAG)]
                     if moved == [i == move_index for i in range(3)]:
                         if pgl_key(m) != pgl_key(((1, 0), (0, 1))):
                             return m
@@ -200,15 +184,11 @@ def coxeter_generators() -> tuple[list[Mat], dict]:
     gens = [_stabilizer_search(i) for i in range(3)]
     g0, g1, g2 = gens
     ident = pgl_key(((1, 0), (0, 1)))
-
-    def proj(m):
-        return pgl_key(m)
-
     g0g1 = mat_mul(g0, g1)
     report = {
-        "involutions": [proj(mat_mul(g, g)) == ident for g in gens],
-        "braid_cubed": proj(mat_mul(mat_mul(g0g1, g0g1), g0g1)) == ident,
-        "commute_02": proj(mat_mul(g0, g2)) == proj(mat_mul(g2, g0)),
+        "involutions": [pgl_key(mat_mul(g, g)) == ident for g in gens],
+        "braid_cubed": pgl_key(mat_mul(mat_mul(g0g1, g0g1), g0g1)) == ident,
+        "commute_02": pgl_key(mat_mul(g0, g2)) == pgl_key(mat_mul(g2, g0)),
     }
     return gens, report
 

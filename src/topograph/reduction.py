@@ -16,7 +16,7 @@ quotient of its continued fraction, not their sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bqf import BQF, INDEFINITE, POSITIVE_DEFINITE, classify
 from .classical import is_square
@@ -42,23 +42,20 @@ TRIAD_WELL = "triad-well"
 CELL_WELL = "cell-well"
 
 
-@dataclass(frozen=True)
-class Well:
+class Well(NamedTuple):
     kind: str
     values: tuple[int, int, int]  # sorted u <= v <= w
     vectors: tuple[Vec, Vec, Vec]  # signed, matching values, summing to zero
     orientation: str  # positive / negative / ambiguous
 
 
-@dataclass(frozen=True)
-class MinimumReport:
+class MinimumReport(NamedTuple):
     mu: int
     witness: Vec
     disc: int
 
 
-@dataclass(frozen=True)
-class RiverPeriod:
+class RiverPeriod(NamedTuple):
     """One river period, stored as runs.
 
     ``edges`` holds the start edge, every riverbend after it and the closing
@@ -110,7 +107,7 @@ def _drop(h: list):
 
 
 def _named(q: BQF) -> str:
-    return f"the form {brief((q.a, q.b, q.c))}"
+    return f"the form {brief(tuple(q))}"
 
 
 def _mixed(vals: list) -> bool:
@@ -127,7 +124,7 @@ def _descend(q: BQF, start: Superbase):
     previous run kept, so the passes are bounded by the bit length of the
     largest starting value.
     """
-    vs = list(start.vectors)
+    vs = list(start)
     vals = [q(v) for v in vs]
     sign = 1 if vals[0] > 0 else -1
     disc = q.discriminant()
@@ -335,8 +332,7 @@ def minimum_nonzero(q: BQF) -> MinimumReport:
     return _minimum(trace_river(q))
 
 
-@dataclass(frozen=True)
-class PellSolution:
+class PellSolution(NamedTuple):
     d: int
     x: int
     y: int

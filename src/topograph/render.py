@@ -10,7 +10,6 @@ element ordering, fixed 4-decimal coordinate precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .bqf import BQF, POSITIVE_DEFINITE, classify
 from .diform import BLUE, BQD, RED, diform_well, pinwheel_faces, pinwheel_key
@@ -24,14 +23,14 @@ VERTEX_BUDGET = 25_000
 _COUNTED_DEPTH = 64
 
 
-@dataclass
 class LayoutPatch:
-    geometry: str
-    depth: int
-    form: tuple | None
-    vertices: list = field(default_factory=list)  # {id, x, y, classes}
-    edges: list = field(default_factory=list)  # {v1, v2, faces, classes}
-    faces: list = field(default_factory=list)  # {id, x, y, label, classes}
+    def __init__(self, geometry: str, depth: int, form: tuple | None):
+        self.geometry = geometry
+        self.depth = depth
+        self.form = form
+        self.vertices = []  # {id, x, y, classes}
+        self.edges = []  # {v1, v2, end, faces, classes}
+        self.faces = []  # {id, x, y, label, classes}
 
     def counts(self) -> dict:
         return {
@@ -92,7 +91,7 @@ class _Superbases:
     ``normalize_superbase``'s canonical order, its key the sorted lax faces."""
 
     degree = 3
-    root = STANDARD_SUPERBASE.vectors
+    root = STANDARD_SUPERBASE
     face_name = "{},{}"
 
     def __init__(self, form):

@@ -8,7 +8,6 @@ x + y*theta.  All arithmetic is exact; Python integers are unbounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import IntegralityError, TagMismatchError, UnsupportedRingError
 
@@ -30,21 +29,38 @@ _SQ = {
 }
 
 
-@dataclass(frozen=True)
+def _immutable(self, name, value=None):
+    raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+
 class QRE:
-    """Quadratic ring element x + y*theta."""
+    """Quadratic ring element x + y*theta; immutable.  Not a tuple, so
+    ``3 * z`` and ``z + 1`` raise ``TypeError``."""
 
-    ring: str
-    x: int
-    y: int
+    __slots__ = ("ring", "x", "y")
 
-    def __post_init__(self):
-        if self.ring not in _SQ:
-            raise UnsupportedRingError(f"unknown ring {self.ring!r}")
-        if self.ring == Z and self.y != 0:
+    def __init__(self, ring: str, x: int, y: int):
+        if ring not in _SQ:
+            raise UnsupportedRingError(f"unknown ring {ring!r}")
+        if ring == Z and y != 0:
             raise TagMismatchError("ring Z has no theta component")
+        _set_ring(self, ring)
+        _set_x(self, x)
+        _set_y(self, y)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is not QRE:
+            return NotImplemented
+        return self.x == other.x and self.y == other.y and self.ring == other.ring
+
+    def __hash__(self):
+        return hash((self.ring, self.x, self.y))
 
     def _check(self, other: "QRE") -> None:
+        if other.__class__ is not QRE:
+            raise TypeError(f"QRE and {type(other).__name__} do not combine")
         if self.ring != other.ring:
             raise TagMismatchError(f"{self.ring} vs {other.ring}")
 
@@ -91,6 +107,11 @@ class QRE:
 
     def __repr__(self):
         return f"QRE({self.ring}, {self.x}, {self.y})"
+
+
+# __setattr__ refuses every assignment, so __init__ fills the slots through
+# their descriptors
+_set_ring, _set_x, _set_y = (QRE.ring.__set__, QRE.x.__set__, QRE.y.__set__)
 
 
 def zero(ring: str) -> QRE:

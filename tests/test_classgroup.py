@@ -25,6 +25,7 @@ from topograph.classical import (
     reduce_indefinite,
 )
 from topograph.errors import (
+    BudgetError,
     ClassificationError,
     DivisibilityError,
     IntegralityError,
@@ -395,3 +396,20 @@ def test_build_table_matches_public_compose(d):
     assert t.table == [[t.class_index(compose(f, g)) for g in t.reps]
                        for f in t.reps]
 
+
+def test_build_table_refuses_past_its_budget_before_composing(monkeypatch):
+    t = enumerate_classes(-56)  # h = 4, so 16 cells
+
+    def never(f, g):
+        raise AssertionError("build_table composed past its budget")
+
+    monkeypatch.setattr(classgroup, "_compose", never)
+    monkeypatch.setattr(classgroup, "TABLE_BUDGET", 15)
+    with pytest.raises(BudgetError, match="order 4 needs 16 table cells, over "
+                                          "the budget of 15"):
+        t.build_table()
+    assert t.table == []
+    monkeypatch.undo()
+    monkeypatch.setattr(classgroup, "TABLE_BUDGET", 16)
+    t.build_table()
+    assert len(t.table) == 4

@@ -38,7 +38,6 @@ def pell_by_continued_fractions(d: int) -> tuple[int, int]:
 
 
 def test_well_kinds():
-    assert find_well(BQF(1, 0, 1)).kind == TRIAD_WELL or True
     w = find_well(BQF(1, 1, 1))
     assert w.values == (1, 1, 1)
     assert w.kind == TRIAD_WELL
@@ -112,7 +111,7 @@ def single_step_descent(q: BQF):
     """The single-step walk the run-length walks replaced: from the standard
     superbase, replace the face of largest |Q| while it exceeds the sum of
     the other two, until a well or a superbase with faces of both signs."""
-    vs = list(STANDARD_SUPERBASE.vectors)
+    vs = list(STANDARD_SUPERBASE)
     vals = [q(v) for v in vs]
     while not (min(vals) < 0 < max(vals)):
         sign = 1 if vals[0] > 0 else -1
@@ -261,7 +260,7 @@ def test_river_search_names_a_huge_form_by_size(monkeypatch):
     # a descent that never meets the river; str of the 5,001-digit
     # coefficient would raise ValueError in place of the typed error
     monkeypatch.setattr(reduction, "_descend",
-                        lambda q, start: (list(start.vectors), [1, 1, 1]))
+                        lambda q, start: (list(start), [1, 1, 1]))
     with pytest.raises(ClassificationError, match="16610/1/1-bit integers"):
         find_river_edge(BQF(10 ** 5000, 1, -1))
 

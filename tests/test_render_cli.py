@@ -166,7 +166,7 @@ def test_superbase_step_matches_neighbors():
         for vs in frontier:
             for i, want in enumerate(neighbors(normalize_superbase(vs))):
                 t, back = geo.step(vs, i)
-                assert t == want.vectors
+                assert t == want
                 assert geo.step(t, back)[0] == vs
                 if geo.key(t) not in seen:
                     seen.add(geo.key(t))
@@ -213,6 +213,18 @@ def test_cli_classgroup_roundtrip():
     assert data["h"] == 2
     assert data["classes"] == [[1, 0, 5], [2, 2, 3]]
     assert data["table"] == [[0, 1], [1, 0]]
+
+
+def test_cli_classgroup_refuses_past_the_table_budget(monkeypatch, capsys):
+    from topograph import classgroup
+
+    monkeypatch.setattr(classgroup, "TABLE_BUDGET", 3)
+    assert main(["classgroup", "--delta=-20"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "budget"
+    assert "order 2 needs 4 table cells" in error["message"]
 
 
 def test_cli_river_revalidates():
@@ -287,21 +299,37 @@ SUBCOMMAND_MODULES = [
      _WALK_MODULES | {"diform", "render"}),
 ]
 
+# stdlib modules costly to import (dataclasses loads inspect, about 9 ms per
+# process) that no subcommand needs
+_COSTLY = ("dataclasses", "inspect")
+
 _LOADED_SCRIPT = """\
 import json, sys, topograph.cli
 code = topograph.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("topograph."))]))
-"""
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("topograph.")),
+                  sorted(m for m in %r if m in sys.modules)]))
+""" % (_COSTLY,)
+
+
+@pytest.fixture(scope="module")
+def costly_at_startup():
+    """The costly modules a bare interpreter in this environment loads."""
+    script = "import json, sys; print(json.dumps([m for m in %r if m in sys.modules]))"
+    proc = subprocess.run([sys.executable, "-c", script % (_COSTLY,)],
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout))
 
 
 @pytest.mark.parametrize("argv, modules", SUBCOMMAND_MODULES)
-def test_cli_subcommand_imports_only_its_modules(argv, modules, tmp_path):
+def test_cli_subcommand_imports_only_its_modules(argv, modules, tmp_path,
+                                                 costly_at_startup):
     argv = [a.format(out=tmp_path / "patch.svg") for a in argv]
     proc = subprocess.run([sys.executable, "-c", _LOADED_SCRIPT, *argv],
                           capture_output=True, text=True)
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    code, loaded, costly = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0
     assert loaded == sorted(f"topograph.{m}" for m in modules)
+    assert set(costly) <= costly_at_startup
 
 
 def test_cli_classgroup_imprimitive_ambiguous_form():

@@ -21,7 +21,7 @@ from topograph.lax import (
 
 
 def test_standard_superbase_zero_sum():
-    u, v, w = STANDARD_SUPERBASE.vectors
+    u, v, w = STANDARD_SUPERBASE
     assert (u[0] + v[0] + w[0], u[1] + v[1] + w[1]) == (0, 0)
 
 
@@ -99,6 +99,28 @@ def test_library_has_no_assert_or_blanket_except():
                 if any(t is None or isinstance(t, ast.Name) and t.id in (
                         "Exception", "BaseException") for t in caught):
                     found.append(f"{path.name}:{node.lineno} blanket except")
+    assert found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # importing dataclasses loads inspect, and each decorated class execs its
+    # methods: milliseconds of start-up in every CLI process
+    import ast
+    from pathlib import Path
+
+    import topograph
+
+    found = []
+    for path in sorted(Path(topograph.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "dataclasses" for n in names):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
