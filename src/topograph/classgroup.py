@@ -12,6 +12,7 @@ from .classical import (
     cycle_fingerprint,
     is_reduced_indefinite,
     is_square,
+    red_blue_forms,
     reduce_definite,
     reduce_indefinite,
 )
@@ -149,16 +150,19 @@ class ClassGroupTable:
 
     def build_table(self) -> None:
         """Fill the h x h composition table; past TABLE_BUDGET cells raise
-        BudgetError before any composition."""
+        BudgetError before any composition.  Cl(D) is abelian, so each
+        unordered pair is composed once and fills both of its cells."""
         h = self.h
         if h * h > TABLE_BUDGET:
             raise BudgetError(
                 f"a class group of order {brief(h)} needs {brief(h * h)} table "
                 f"cells, over the budget of {TABLE_BUDGET}")
         # the reps are primitive of discriminant disc, as enumerated
-        self.table = [
-            [self._lookup(_compose(f, g)) for g in self.reps] for f in self.reps
-        ]
+        table = [[0] * h for _ in range(h)]
+        for i, f in enumerate(self.reps):
+            for j, g in enumerate(self.reps[i:], i):
+                table[i][j] = table[j][i] = self._lookup(_compose(f, g))
+        self.table = table
 
     def to_json(self) -> dict:
         a_index = {}
@@ -274,12 +278,6 @@ def is_diform_discriminant(sigma: int, d: int) -> bool:
         return False
     q = d // sigma
     return q % 4 == 0 or (q - sigma) % 4 == 0
-
-
-def red_blue_forms(sigma: int, a: int, b: int, c: int) -> tuple[Form, Form]:
-    """The restrictions of the diform a x^2 + b sqrt(sigma) x y + c y^2 to red
-    and blue divectors."""
-    return (a, b * sigma, c * sigma), (a * sigma, b * sigma, c)
 
 
 def verify_red_blue(sigma: int, a: int, b: int, c: int) -> dict:

@@ -123,6 +123,12 @@ def cycle_fingerprint(form: Form) -> tuple[Form, ...]:
     return tuple(sorted(indefinite_cycle(form)))
 
 
+def red_blue_forms(sigma: int, a: int, b: int, c: int) -> tuple[Form, Form]:
+    """The restrictions of the diform a x^2 + b sqrt(sigma) x y + c y^2 to red
+    and blue divectors."""
+    return (a, b * sigma, c * sigma), (a * sigma, b * sigma, c)
+
+
 def content(form: Form) -> int:
     a, b, c = form
     return math.gcd(a, b, c)

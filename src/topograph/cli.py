@@ -118,6 +118,7 @@ def _cmd_classgroup(args) -> None:
 
 def _cmd_diform(args) -> None:
     from .classgroup import is_diform_discriminant, verify_red_blue
+    from .classical import red_blue_forms
     from .diform import BQD, diform_river, diform_well
 
     a, b, c = _parse_form(args.form)
@@ -125,12 +126,13 @@ def _cmd_diform(args) -> None:
         raise PreconditionError("--sigma must be 2 or 3")
     q = BQD(args.sigma, a, b, c)
     d = q.discriminant()
+    red, blue = red_blue_forms(*q)
     out = {
         "sigma": args.sigma,
         "form": [a, b, c],
         "delta": d,
-        "red": list(q.red_blue()[0]),
-        "blue": list(q.red_blue()[1]),
+        "red": list(red),
+        "blue": list(blue),
         "well": None,
         "river": None,
         "class_relation": None,

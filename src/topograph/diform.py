@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .classical import is_square, reduce_definite
+from .classical import is_square, red_blue_forms, reduce_definite
 from .errors import (
     ClassificationError,
     DibasisError,
@@ -182,10 +182,6 @@ class BQD(NamedTuple):
 
     def is_primitive(self) -> bool:
         return math.gcd(self.a, self.b, self.c) == 1
-
-    def red_blue(self):
-        s = self.sigma
-        return (self.a, self.b * s, self.c * s), (self.a * s, self.b * s, self.c)
 
 
 class DiCellValues(NamedTuple):
@@ -384,7 +380,7 @@ def diform_well(q: BQD, start=None) -> dict:
         nb = _other_vertex(p, s, vertex, sigma)
         if _vertex_weight(q, nb) == weight:
             flats.append(tuple(sorted([vertex.key(), nb.key()])))
-    red, blue = q.red_blue()
+    red, blue = red_blue_forms(*q)
     return {
         "source": vertex,
         "source_values": tuple(q(f) for f in vertex.faces),

@@ -10,7 +10,9 @@ the faces on the other side a quadratic sequence in the step number, with
 second difference 2 Q(F).  So the length of each monotone run is one exact
 floor division or ``isqrt``: well descent and the river search cost
 O(log |coefficients|) runs, and a river period costs one run per partial
-quotient of its continued fraction, not their sum.
+quotient of its continued fraction, not their sum.  The walks carry face
+values by the same rule, so Q is evaluated only on the start superbase and
+in the automorph certificate: never once per run.
 """
 
 from __future__ import annotations
@@ -61,11 +63,13 @@ class RiverPeriod(NamedTuple):
     ``edges`` holds the start edge, every riverbend after it and the closing
     translate, as signed (pos_vec, neg_vec) pairs, Q-positive first.  Between
     two consecutive entries one side of the river stays fixed and the other
-    advances by multiples of it.  ``steps`` counts the single river edges in
-    the period.
+    advances by multiples of it.  ``cells`` holds the local form
+    (u, b, v) = (Q(p), Q(p + n) - u - v, Q(n)) of each entry (p, n) of
+    ``edges``.  ``steps`` counts the single river edges in the period.
     """
 
     edges: tuple
+    cells: tuple
     steps: int
     automorph: tuple  # 2x2 integer matrix translating the river one period
     form: BQF
@@ -76,8 +80,7 @@ def _step(vs: list, j: int) -> list:
     flips sign, which keeps the zero-sum convention."""
     p, r = vs[(j + 1) % 3], vs[(j + 2) % 3]
     out = list(vs)
-    out[j] = vsub(p, r)
-    out[(j + 1) % 3] = vneg(p)
+    out[j], out[(j + 1) % 3] = vsub(p, r), vneg(p)
     return out
 
 
@@ -137,7 +140,8 @@ def _descend(q: BQF, start: Superbase):
         if j is None:
             return vs, vals
         vs = _step(vs, j)
-        vals[j] = q(vs[j])
+        # the arithmetic progression rule across the crossed edge
+        vals[j] = 2 * (vals[(j + 1) % 3] + vals[(j + 2) % 3]) - vals[j]
         h = [sign * x for x in vals]
         if _mixed(vals) or (j2 := _drop(h)) is None:
             return vs, vals
@@ -153,7 +157,11 @@ def _descend(q: BQF, start: Superbase):
             if x >= 2 and phi * x * x + (b - a - phi) * x + a < 0:
                 k = min(k, x - 1)
         vs = _run(vs, j2, fixed, k)
-        vals = [q(v) for v in vs]
+        # the moving faces now hold H(k) and H(k + 1); the steps of the run
+        # replace vs[j2], vs[j], vs[j2], ... in turn
+        hk = phi * k * k + (b - a - phi) * k + a
+        new, old = (j2, j) if k % 2 else (j, j2)
+        vals[new], vals[old] = sign * (hk + 2 * phi * k + b - a), sign * hk
     raise ClassificationError(
         f"descent of {_named(q)} not finished after {limit} runs")
 
@@ -198,35 +206,21 @@ def _require_indefinite(q: BQF) -> None:
         )
 
 
-def find_river_edge(q: BQF) -> tuple[Vec, Vec]:
-    """A lax basis whose faces carry opposite signs; Q-positive vector first."""
+def _river_cell(q: BQF):
+    """``find_river_edge``'s (p, n) and the local form (u, b, v) of that
+    edge, read off the descent's values: p + n is minus the third face."""
     _require_indefinite(q)
     vs, vals = _descend(q, STANDARD_SUPERBASE)
-    for i in range(3):
-        for j in range(3):
-            if i != j and vals[i] > 0 > vals[j]:
-                return vs[i], vs[j]
-    raise ClassificationError(f"no river edge found for {_named(q)}")
+    if not _mixed(vals):
+        raise ClassificationError(f"no river edge found for {_named(q)}")
+    i = next(i for i in range(3) if vals[i] > 0)
+    j = next(j for j in range(3) if vals[j] < 0)
+    return vs[i], vs[j], (vals[i], vals[3 - i - j] - vals[i] - vals[j], vals[j])
 
 
-def _river_run(q: BQF, p: Vec, n: Vec, root: int):
-    """Follow the river from edge (p, n) to the next bend.  While the face
-    p + n is positive p advances by n, else n advances by p; the run ends
-    where Q(p + j n) or Q(n + j p) changes sign, at the floor of a root of
-    a quadratic with discriminant Q's."""
-    qp, qn = q(p), q(n)
-    b = q(vadd(p, n)) - qp - qn
-    if qp + b + qn > 0:
-        k = (b + root) // (-2 * qn)
-        return (p[0] + k * n[0], p[1] + k * n[1]), n, k
-    k = (root - b) // (2 * qp)
-    return p, (n[0] + k * p[0], n[1] + k * p[1]), k
-
-
-def _is_bend(q: BQF, p: Vec, n: Vec) -> bool:
-    """The river turns at edge (p, n): the faces p - n and p + n, one at each
-    end of the edge, carry opposite signs."""
-    return q(vsub(p, n)) * q(vadd(p, n)) < 0
+def find_river_edge(q: BQF) -> tuple[Vec, Vec]:
+    """A lax basis whose faces carry opposite signs; Q-positive vector first."""
+    return _river_cell(q)[:2]
 
 
 def trace_river(q: BQF) -> RiverPeriod:
@@ -240,25 +234,39 @@ def trace_river(q: BQF) -> RiverPeriod:
     (a, b, c), with 0 < b and 0 < |a| below sqrt(disc), which bounds the
     runs.
     """
-    _require_indefinite(q)
-    p0, n0 = find_river_edge(q)
+    p0, n0, (u, b, v) = _river_cell(q)
     root = math.isqrt(q.discriminant())
     limit = 2 * root * root + 2
-    edges = [(p0, n0)]
-    ref = (p0, n0) if _is_bend(q, p0, n0) else None
+    edges, cells = [(p0, n0)], [(u, b, v)]
+    # the river turns at an edge whose end faces p - n and p + n, of values
+    # u + v - b and u + v + b, carry opposite signs: where |b| > |u + v|
+    ref = (cells[0], (p0, n0)) if abs(b) > abs(u + v) else None
     ref_steps = steps = 0
     p, n = p0, n0
     for _ in range(limit):
-        p, n, k = _river_run(q, p, n, root)
+        # While the face p + n is positive p advances by n, else n advances
+        # by p; the run ends where Q(p + j n) or Q(n + j p) changes sign, at
+        # the floor of a root of a quadratic with discriminant Q's.
+        if u + b + v > 0:
+            k = (b + root) // (-2 * v)
+            p = (p[0] + k * n[0], p[1] + k * n[1])
+            u, b = u + k * (b + k * v), b + 2 * k * v
+        else:
+            k = (root - b) // (2 * u)
+            n = (n[0] + k * p[0], n[1] + k * p[1])
+            v, b = v + k * (b + k * u), b + 2 * k * u
         steps += k
+        cell = (u, b, v)
         if ref is None:
-            ref, ref_steps = (p, n), steps
-        elif q(p) == q(ref[0]) and q(n) == q(ref[1]):
-            t = _change_of_basis(ref[0], ref[1], p, n)
+            ref, ref_steps = (cell, (p, n)), steps
+        elif cell == ref[0]:
+            t = _change_of_basis(*ref[1], p, n)
             if t is not None and q.transform(t) == q:
                 edges.append((mat_apply(t, p0), mat_apply(t, n0)))
-                return RiverPeriod(tuple(edges), steps - ref_steps, t, q)
+                cells.append(cells[0])
+                return RiverPeriod(tuple(edges), tuple(cells), steps - ref_steps, t, q)
         edges.append((p, n))
+        cells.append(cell)
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs")
 
@@ -289,21 +297,17 @@ def _period_faces(period: RiverPeriod):
     face with |Q| = 1.
     """
     faces = {}
-    for p, n in period.edges:
-        for v in (p, n):
-            faces.setdefault(lax(v), period.form(v))
+    for (p, n), (u, _, v) in zip(period.edges, period.cells):
+        faces.setdefault(lax(p), u)
+        faces.setdefault(lax(n), v)
     return faces
 
 
 def _bends(period: RiverPeriod) -> list[BQF]:
-    q = period.form
     out = []
-    for p, n in period.edges[:-1]:
-        u, v = q(p), q(n)
-        f = q(vadd(p, n))
-        e = q(vsub(p, n))
-        if e * f < 0:
-            b = det(p, n) * (f - e) // 2
+    for (p, n), (u, b, v) in zip(period.edges[:-1], period.cells):
+        if abs(b) > abs(u + v):  # a bend, as in trace_river
+            b *= det(p, n)
             # the two det +1 readings of the cell; exactly one has b > 0
             for cand in (BQF(u, b, v), BQF(v, -b, u)):
                 if cand.b > 0:
@@ -343,18 +347,11 @@ def pell_solve(d: int) -> PellSolution:
     """Fundamental solution of x^2 - D y^2 = 1 from the river of x^2 - D y^2."""
     if d < 2 or is_square(d):
         raise SquareDiscriminantError("need a nonsquare D >= 2")
-    q = BQF(1, 0, -d)
-    period = trace_river(q)
-    candidates = []
-    faces = _period_faces(period)
-    for (x, y), val in faces.items():
-        if val == 1 and y != 0:
-            candidates.append((abs(x), abs(y)))
-    tx, ty = period.automorph[0][0], period.automorph[1][0]
-    tv = (abs(tx), abs(ty))
-    if faces.get(lax((tx, ty)), q((tx, ty))) == 1 and ty != 0:
-        candidates.append(tv)
-    x, y = min(candidates)
+    period = trace_river(BQF(1, 0, -d))
+    (tx, _), (ty, _) = period.automorph
+    # the automorph preserves Q, so Q(tx, ty) = Q(1, 0) = 1
+    ones = [v for v, val in _period_faces(period).items() if val == 1] + [(tx, ty)]
+    x, y = min((abs(x), abs(y)) for x, y in ones if y != 0)
     if x * x - d * y * y != 1:
         raise IntegralityError(
             f"(x, y, D) = {brief((x, y, d))} does not solve x^2 - D y^2 = 1")

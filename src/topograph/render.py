@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 from .bqf import BQF, POSITIVE_DEFINITE, classify
+from .classical import red_blue_forms
 from .diform import BLUE, BQD, RED, diform_well, pinwheel_faces, pinwheel_key
 from .errors import BudgetError, PreconditionError
 from .lax import STANDARD_SUPERBASE, lax
@@ -133,7 +134,7 @@ class _Pinwheels:
         self.q = BQD(self.sigma, *form) if form else None
         if self.q is not None:
             # a diform restricts to one binary form on each colour
-            red, blue = self.q.red_blue()
+            red, blue = red_blue_forms(*self.q)
             self.forms = {RED: BQF(*red), BLUE: BQF(*blue)}
         self.root = pinwheel_faces((RED, 1, 0), (BLUE, 0, 1), self.sigma)
 

@@ -20,10 +20,9 @@ from topograph.classgroup import (
     class_represents,
     enumerate_classes,
     is_diform_discriminant,
-    red_blue_forms,
     verify_red_blue,
 )
-from topograph.classical import content, is_square, reduce_definite
+from topograph.classical import content, is_square, red_blue_forms, reduce_definite
 from topograph.diform import (
     BQD,
     Divector,

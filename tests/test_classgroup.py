@@ -155,7 +155,7 @@ def test_converse_search_skips_only_typed_errors(monkeypatch):
     t = ClassGroupTable(-20, [(1, 0, 5)], [(1, 0, 5)])
     found = find_diform_for_classes(2, -20, 0, 0, t)
     if found is not None:
-        q_red, q_blue = classgroup.red_blue_forms(2, *found)
+        q_red, q_blue = classical.red_blue_forms(2, *found)
         assert t.class_index(q_red) == t.class_index(q_blue) == 0
 
     def broken(self, form):
@@ -395,6 +395,22 @@ def test_build_table_matches_public_compose(d):
     t.build_table()
     assert t.table == [[t.class_index(compose(f, g)) for g in t.reps]
                        for f in t.reps]
+
+
+@pytest.mark.parametrize("d", [-20, -171, -384, -4004, 12, 229, 1001])
+def test_build_table_composes_each_unordered_pair_once(d, monkeypatch):
+    calls = []
+    real = classgroup._compose
+
+    def counted(f, g):
+        calls.append((f, g))
+        return real(f, g)
+
+    monkeypatch.setattr(classgroup, "_compose", counted)
+    t = enumerate_classes(d)
+    t.build_table()
+    assert len(calls) == t.h * (t.h + 1) // 2
+    assert t.table == [list(column) for column in zip(*t.table)]
 
 
 def test_build_table_refuses_past_its_budget_before_composing(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import topograph.diform as diform_module
-from topograph.classical import reduce_definite
+from topograph.classical import red_blue_forms, reduce_definite
 from topograph.diform import (
     BLUE,
     BQD,
@@ -435,7 +435,7 @@ def test_well_matches_single_step_walker(q, start_moves):
     assert faces(w["source"]) == faces(source)
     assert w["source_values"] == tuple(q(f) for f in source.faces)
     assert w["flat_edges"] == flats
-    red, blue = q.red_blue()
+    red, blue = red_blue_forms(*q)
     assert (w["reduced_red"], w["reduced_blue"]) == (reduce_definite(red),
                                                      reduce_definite(blue))
 
@@ -486,7 +486,7 @@ def test_far_forms_beyond_the_old_step_cap(sigma, k, e):
         for p, s in w["source"].edges():
             assert _vertex_weight(q, _other_vertex(p, s, w["source"], sigma)) >= weight
         assert sorted(vals) == sorted(diform_well(near)["source_values"])
-        red, blue = q.red_blue()
+        red, blue = red_blue_forms(*q)
         assert w["reduced_red"] == reduce_definite(red)
         assert w["reduced_blue"] == reduce_definite(blue)
     else:

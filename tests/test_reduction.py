@@ -264,3 +264,63 @@ def test_river_search_names_a_huge_form_by_size(monkeypatch):
     with pytest.raises(ClassificationError, match="16610/1/1-bit integers"):
         find_river_edge(BQF(10 ** 5000, 1, -1))
 
+
+# --- values carried by the arithmetic progression rule -----------------------
+
+shear = st.integers(-10 ** 12, 10 ** 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_indefinite, shear, shear)
+def test_river_period_cells_are_the_local_forms_of_its_edges(form, t1, t2):
+    q = sl2_move(form, t1, t2)
+    period = trace_river(q)
+    assert len(period.cells) == len(period.edges)
+    for (p, n), cell in zip(period.edges, period.cells):
+        assert cell == (q(p), q(vadd(p, n)) - q(p) - q(n), q(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_definite, shear, shear)
+def test_well_descent_values_are_the_values_of_its_vectors(form, t1, t2):
+    # the descent find_well runs
+    q = sl2_move(form, t1, t2)
+    vs, vals = reduction._descend(q, STANDARD_SUPERBASE)
+    assert vals == [q(v) for v in vs]
+    assert find_well(q).values == tuple(sorted(vals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_indefinite, shear, shear)
+def test_river_descent_values_are_the_values_of_its_vectors(form, t1, t2):
+    # the descent find_river_edge runs
+    q = sl2_move(form, t1, t2)
+    vs, vals = reduction._descend(q, STANDARD_SUPERBASE)
+    assert vals == [q(v) for v in vs]
+    p, n = find_river_edge(q)
+    assert reduction._river_cell(q) == (p, n, (q(p), q(vadd(p, n)) - q(p) - q(n), q(n)))
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    real = BQF.__call__
+
+    def counted(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(BQF, "__call__", counted)
+    return calls
+
+
+@pytest.mark.parametrize("form", [(1, 0, -3), (1, 0, -61), (-22, 6, 24),
+                                  (1, 0, -(10 ** 6) ** 2 - 1)])
+def test_river_walks_evaluate_q_a_fixed_number_of_times(form, monkeypatch):
+    # three for the start superbase and three in the automorph certificate,
+    # whatever the number of runs (17 for (-22, 6, 24)) or of single steps
+    # (4 * 10^6 for the last form)
+    calls = _count_evaluations(monkeypatch)
+    for walk in (trace_river, riverbends, minimum_nonzero):
+        calls.clear()
+        walk(BQF(*form))
+        assert len(calls) == 6
