@@ -8,15 +8,18 @@ pairs forming a dilinear matrix of determinant +-1); points are pinwheels of
 A binary quadratic diform a x^2 + b sqrt(sigma) x y + c y^2 takes integer
 values on divectors; its rivers and wells are navigated here.
 
-Every walk moves a whole run at a time.  Around a fixed face F the faces on
-the other side are D - j sqrt(sigma) F, so the faces of the j-th vertex
-along F, and of its neighbours, are linear in j, and their values and the
-vertex weights are quadratic in j with leading coefficient a positive
-multiple of Q(F).  One exact ``isqrt`` therefore gives where a run ends:
-where the walker stops descending or turns away from F, where a face of the
-other sign appears, or where the river leaves F.  The walks jump to that
-point and take the turn itself one step at a time, so they return the
-same pinwheels, in the same face order, as a walk of single steps.
+The walks carry values, not divectors.  A vertex is its generating dibasis
+(F0, F1) with the local form (A, beta, C) of Q there, Q(x F0 + y F1) =
+A x^2 + beta sqrt(sigma) x y + C y^2.  Turning to (F1, sqrt(sigma) F1 - F0)
+maps it to (C, 2C - beta, A - sigma beta + sigma C), which gives every face
+value, and crossing an edge to the next pinwheel negates beta.  Every walk
+moves a whole run at a time: along a kept face F the faces on the other side
+are D - j sqrt(sigma) F, with local form (A, beta - 2jA, C + sigma j (jA -
+beta)), so the values, vertex weights and margins along F are quadratic in
+j, and one exact ``isqrt`` gives where a run ends.  The walks jump there and
+take the turn itself one step at a time, so they return the same pinwheels,
+in the same face order, as a walk of single steps, and evaluate Q three
+times, on the start dibasis, whatever their length.
 """
 
 from __future__ import annotations
@@ -67,11 +70,6 @@ class Divector(NamedTuple):
         if self.color == RED:
             return Divector(BLUE, self.u, sigma * self.v)
         return Divector(RED, sigma * self.u, self.v)
-
-    def is_primitive(self, sigma: int) -> bool:
-        if self.color == RED:
-            return math.gcd(self.u, sigma * self.v) == 1
-        return math.gcd(sigma * self.u, self.v) == 1
 
 
 def _shown(face) -> str:
@@ -201,24 +199,12 @@ class DiCellValues(NamedTuple):
 def dicell_values(q: BQD, r: Divector, b: Divector) -> DiCellValues:
     """Flanking values of the edge {r, b}; e/e' (and m/m' for sigma = 3) sit
     around the pinwheel generated by (r, b), f/f' (n/n') around the other."""
-    sigma = q.sigma
     if r.color != RED:
         r, b = b, r
-    if not is_dibasis(r, b, sigma):
-        raise DibasisError("cell values need a dibasis")
-    sr = r.times_sqrt(sigma)
-    sb = b.times_sqrt(sigma)
-    u, v = q(r), q(b)
-    e, f = q(sr.sub(b)), q(sr.add(b))
-    e2, f2 = q(r.sub(sb)), q(r.add(sb))
-    m = n = m2 = n2 = None
-    if sigma == 3:
-        r2 = Divector(RED, 2 * r.u, 2 * r.v)
-        b2 = Divector(BLUE, 2 * b.u, 2 * b.v)
-        m, n = q(r2.sub(sb)), q(r2.add(sb))
-        m2, n2 = q(sr.sub(b2)), q(sr.add(b2))
-    step = (f - e) // 2
-    return DiCellValues(u, v, e, f, e2, f2, m, n, m2, n2, step)
+    u, beta, v = _local_form(q, r, b)
+    (e, f), (e2, f2), *mn = _cell_pairs(u, beta, v, q.sigma)
+    (m, n), (m2, n2) = mn or ((None, None), (None, None))
+    return DiCellValues(u, v, e, f, e2, f2, m, n, m2, n2, (f - e) // 2)
 
 
 STANDARD_DIBASIS = (Divector(RED, 1, 0), Divector(BLUE, 0, 1))
@@ -248,14 +234,60 @@ def _named(q: BQD) -> str:
     return f"the sigma = {q.sigma} diform {brief((q.a, q.b, q.c))}"
 
 
-def _vertex_weight(q: BQD, vertex: Pinwheel) -> int:
-    return sum(q(f) for f in vertex.faces)
+def _neg(face: tuple) -> tuple:
+    color, u, v = face
+    return color, -u, -v
 
 
-def _along(d: Divector, f: Divector, j: int, sigma: int) -> Divector:
-    """d - j sqrt(sigma) f: the face j steps along the face f from d."""
-    g = f.times_sqrt(sigma)
-    return Divector(d.color, d.u - j * g.u, d.v - j * g.v)
+def _local_form(q: BQD, d0: tuple, d1: tuple) -> tuple:
+    """(A, beta, C) with Q(x d0 + y d1) = A x^2 + beta sqrt(sigma) x y + C y^2
+    for the dibasis (d0, d1): the third face of its pinwheel,
+    sqrt(sigma) d1 - d0, has the value A - sigma beta + sigma C."""
+    sigma = q.sigma
+    a, c = q(d0), q(d1)
+    return a, (a + sigma * c - q(pinwheel_faces(d0, d1, sigma)[2])) // sigma, c
+
+
+def _cells(t: tuple, sigma: int) -> list:
+    """The local forms at the dibases (f_i, f_i+1), i < 2 sigma, of the
+    pinwheel with first local form t, by turning: cells[i][0] = Q(f_i)."""
+    cells = [t]
+    for _ in range(2 * sigma - 1):
+        a, beta, c = cells[-1]
+        cells.append((c, 2 * c - beta, a - sigma * (beta - c)))
+    return cells
+
+
+def _cross(d0: tuple, d1: tuple, cells: list, i: int, sigma: int):
+    """The neighbour over edge i of the pinwheel of (d0, d1), as its dibasis
+    (f_i, -f_i+1) and local form: crossing negates beta_i."""
+    faces = pinwheel_faces(d0, d1, sigma)
+    a, beta, c = cells[i]
+    after = faces[0] if i == 2 * sigma - 1 else _neg(faces[i + 1])
+    return faces[i], after, (a, -beta, c)
+
+
+def _run(f: tuple, d: tuple, t: tuple, j: int, sigma: int):
+    """j steps along the face f from the dibasis (f, d) of local form t: the
+    face d - j sqrt(sigma) f, and the local form at (f, d - j sqrt(sigma) f)."""
+    a, beta, c = t
+    color, u, v = d
+    _, fu, fv = f
+    du, dv = (sigma * fu, fv) if color == RED else (fu, sigma * fv)
+    return ((color, u - j * du, v - j * dv),
+            (a, beta - 2 * j * a, c + sigma * j * (j * a - beta)))
+
+
+def _cell_pairs(r: int, beta: int, b: int, sigma: int) -> list:
+    """dicell_values' (e, f), (e', f') and, for sigma = 3, (m, n), (m', n') of
+    an edge from its red value r, blue value b and local beta."""
+    s = sigma * beta
+    x, y = sigma * r + b, r + sigma * b
+    pairs = [(x - s, x + s), (y - s, y + s)]
+    if sigma == 3:
+        x, y = 4 * r + 3 * b, 3 * r + 4 * b
+        pairs += [(x - 2 * s, x + 2 * s), (y - 2 * s, y + 2 * s)]
+    return pairs
 
 
 def _ceil_div(x: int, y: int) -> int:
@@ -289,67 +321,70 @@ def _first_nonpositive(y0: int, y1: int, y2: int) -> int | None:
 def _first_root(a: int, b: int, c: int) -> int | None:
     """The least integer j >= 1 with a j^2 + b j + c == 0 (a != 0), or None."""
     disc = b * b - 4 * a * c
-    if disc < 0 or math.isqrt(disc) ** 2 != disc:
+    s = math.isqrt(max(disc, 0))
+    if s * s != disc:
         return None
-    s = math.isqrt(disc)
     roots = sorted(x // (2 * a) for x in (-b - s, -b + s) if x % (2 * a) == 0)
     return next((j for j in roots if j >= 1), None)
 
 
-def _best_step(q: BQD, vertex: Pinwheel, sign: int, weight: int, by_key: bool):
-    """The walker's next step from ``vertex``: (edge index, pinwheel, weight)
-    of the neighbour with the least sign * weight below ``weight``.  Ties go
-    to the least key when ``by_key``, else to the first edge.  None at a
-    local minimum."""
-    best = None
-    for i, (p, s) in enumerate(vertex.edges()):
-        nb = _other_vertex(p, s, vertex, q.sigma)
-        w = sign * _vertex_weight(q, nb)
-        if w < weight and (best is None or w < best[2] or (
-                by_key and w == best[2] and nb.key() < best[1].key())):
-            best = (i, nb, w)
-    return best
+def _descend(d0: tuple, d1: tuple, cells: list, sign: int, river: bool,
+             sigma: int):
+    """The walker's next stop from the pinwheel of (d0, d1) with local forms
+    ``cells``, as (d0, d1, cells), or None at a local minimum.  Crossing edge
+    i moves the weight by 8 beta_i (sigma = 2) or 36 beta_i (sigma = 3), so
+    the walker takes the edge of least sign * beta_i below 0; ties go to the
+    first edge on the way to the river, else to the neighbour of least key."""
+    def key(i):
+        return pinwheel_key(pinwheel_faces(*_cross(d0, d1, cells, i, sigma)[:2], sigma))
 
-
-def _descent_run(q: BQD, vertex: Pinwheel, i: int, sign: int, mixed_stops: bool):
-    """Where the walker, having chosen edge i of ``vertex``, must next decide
-    for itself, if that step keeps a face; else None.
-
-    Every pinwheel of the walk is generated by its first two faces, so the
-    step keeps the first face when it crosses the last edge and the second
-    when it crosses edge 1.  With F the face kept and D the other of the two,
-    the walk along F visits u_j = pinwheel(F, D - j sqrt(sigma) F) up to
-    orientation, and leaves u_j over its last edge.  The walker surely takes
-    that edge while it is strictly lower than u_j and than every other
-    neighbour of u_j, and, when ``mixed_stops``, while u_j has no face of
-    the other sign: each margin is quadratic in j, so the first j where one
-    fails is read off its values at j = 0, 1, 2.  The walker alternates F
-    between the first and second place, which fixes the returned orientation.
-    """
-    sigma = q.sigma
-    if i == 2 * sigma - 1:
-        f, d, f_first = vertex.faces[0], vertex.faces[1], True
-    elif i == 1:
-        f, d, f_first = vertex.faces[1], vertex.faces[0], False
-    else:
+    i = None
+    for k, (_, beta, _) in enumerate(cells):
+        w = sign * beta
+        if w < 0 and (i is None or w < low or (
+                not river and w == low and key(k) < key(i))):
+            i, low = k, w
+    if i is None:
         return None
+    d0, d1, t = (_descent_run(d0, d1, cells[0], i, sign, river, sigma)
+                 or _cross(d0, d1, cells, i, sigma))
+    return d0, d1, _cells(t, sigma)
+
+
+def _descent_run(d0: tuple, d1: tuple, t: tuple, i: int, sign: int,
+                 mixed_stops: bool, sigma: int):
+    """Where the walker, leaving the pinwheel of (d0, d1), of local form t,
+    over edge i, must next decide for itself, as (d0, d1, t), if that step
+    keeps a face: d0 over the last edge, d1 over edge 1.  Else None.
+    With F the face kept and D the other, the walk along F visits
+    u_j = pinwheel(F, D - j sqrt(sigma) F) up to orientation, and leaves u_j
+    over its last edge while that is strictly lower than u_j and than every
+    other neighbour of u_j, and, when ``mixed_stops``, while u_j has no face
+    of the other sign.  Each margin is quadratic in j, so the first j where
+    one fails is read off its values at j = 0, 1, 2.  The walker alternates
+    F between the first and second place, which fixes the orientation.
+    """
+    if i not in (1, 2 * sigma - 1):
+        return None
+    f, d, t = (d0, d1, t) if i > 1 else (d1, d0, t[::-1])
     margins = []
     for j in range(3):
-        g = pinwheel_complete(f, _along(d, f, j, sigma), sigma)
-        ahead = [sign * _vertex_weight(q, _other_vertex(a, b, g, sigma))
-                 for a, b in g.edges()]
-        nxt = ahead.pop()
-        row = [sign * _vertex_weight(q, g) - nxt] + [w - nxt for w in ahead]
+        cells = _cells(_run(f, d, t, j, sigma)[1], sigma)
+        # beta_i - beta_last is the i-th neighbour's weight less the next
+        # vertex's, up to the positive factor of the weight change
+        nxt = cells[-1][1]
+        row = [sign * (beta - nxt) for _, beta, _ in cells]
+        row[-1] = -sign * nxt
         if mixed_stops:
-            row += [sign * q(x) for x in g.faces]
+            row += [sign * c[0] for c in cells]
         margins.append(row)
-    # the first margin is linear in j with negative slope, so it ends the run
+    # the last margin is linear in j with negative slope, so it ends the run
     ends = (_first_nonpositive(*ys) for ys in zip(*margins))
     j = max(min(e for e in ends if e is not None), 1)
-    d = _along(d, f, j, sigma)
-    if (j % 2 == 0) == f_first:
-        return pinwheel_complete(f, d, sigma)
-    return pinwheel_complete(d, f, sigma)
+    d, t = _run(f, d, t, j, sigma)
+    if (j % 2 == 0) == (i > 1):
+        return f, d, t
+    return d, f, t[::-1]
 
 
 def diform_well(q: BQD, start=None) -> dict:
@@ -359,60 +394,55 @@ def diform_well(q: BQD, start=None) -> dict:
     source, and the classically reduced pair for Q_red, Q_blue.
     """
     if not (q.a > 0 and q.discriminant() < 0):
-        raise ClassificationError("well descent needs a positive-definite diform")
+        raise ClassificationError(
+            f"well descent needs a positive-definite diform, not {_named(q)}")
     sigma = q.sigma
-    r, b = start or STANDARD_DIBASIS
-    vertex = pinwheel_complete(r, b, sigma)
-    weight = _vertex_weight(q, vertex)
+    d0, d1 = start or STANDARD_DIBASIS
+    cells = _cells(_local_form(q, d0, d1), sigma)
     # the weight is a positive integer and falls at every pass
-    limit = weight + 1
+    limit = sum(c[0] for c in cells) + 1
     for _ in range(limit):
-        step = _best_step(q, vertex, 1, weight, True)
+        step = _descend(d0, d1, cells, 1, False, sigma)
         if step is None:
             break
-        vertex = _descent_run(q, vertex, step[0], 1, False) or step[1]
-        weight = _vertex_weight(q, vertex)
+        d0, d1, cells = step
     else:
         raise ClassificationError(
             f"well descent of {_named(q)} not finished after {brief(limit)} runs")
-    flats = []
-    for p, s in vertex.edges():
-        nb = _other_vertex(p, s, vertex, sigma)
-        if _vertex_weight(q, nb) == weight:
-            flats.append(tuple(sorted([vertex.key(), nb.key()])))
+    source = pinwheel_complete(d0, d1, sigma)
+    # a neighbour of equal weight lies over an edge with beta = 0
+    flats = {tuple(sorted([source.key(), _other_vertex(p, s, source, sigma).key()]))
+             for (p, s), c in zip(source.edges(), cells) if c[1] == 0}
     red, blue = red_blue_forms(*q)
     return {
-        "source": vertex,
-        "source_values": tuple(q(f) for f in vertex.faces),
-        "flat_edges": tuple(sorted(set(flats))),
+        "source": source,
+        "source_values": tuple(c[0] for c in cells),
+        "flat_edges": tuple(sorted(flats)),
         "reduced_red": reduce_definite(red),
         "reduced_blue": reduce_definite(blue),
     }
 
 
 def _find_river_edge(q: BQD):
-    """A dibasis whose faces carry opposite signs, positive face first."""
+    """The first pinwheel of the walk with faces of both signs, as
+    (i, d0, d1, cells): its dibasis (d0, d1), its local forms, and the first
+    edge i whose faces i, i + 1 carry opposite signs."""
     sigma = q.sigma
-    vertex = pinwheel_complete(*STANDARD_DIBASIS, sigma)
+    d0, d1 = STANDARD_DIBASIS
+    cells = _cells(_local_form(q, d0, d1), sigma)
     # while no face changes sign, the weight times that sign is a positive
     # integer and falls at every pass
-    limit = sum(abs(q(f)) for f in vertex.faces) + 1
+    limit = sum(abs(c[0]) for c in cells) + 1
     for _ in range(limit):
-        vals = [q(f) for f in vertex.faces]
-        if 0 in vals:
-            raise SquareDiscriminantError("diform represents zero")
-        n = len(vals)
-        for i in range(n):
-            a, b = vals[i], vals[(i + 1) % n]
-            if a > 0 > b:
-                return vertex.faces[i], vertex.faces[(i + 1) % n], vertex
-            if b > 0 > a:
-                return vertex.faces[(i + 1) % n], vertex.faces[i], vertex
-        sign = 1 if vals[0] > 0 else -1
-        step = _best_step(q, vertex, sign, sign * sum(vals), False)
+        if any(c[0] == 0 for c in cells):
+            raise SquareDiscriminantError(f"{_named(q)} represents zero")
+        for i, (a, _, c) in enumerate(cells):
+            if a * c < 0:
+                return i, d0, d1, cells
+        step = _descend(d0, d1, cells, 1 if cells[0][0] > 0 else -1, True, sigma)
         if step is None:
-            raise ClassificationError("no descent toward the river")
-        vertex = _descent_run(q, vertex, step[0], sign, True) or step[1]
+            raise ClassificationError(f"no descent toward the river of {_named(q)}")
+        d0, d1, cells = step
     raise ClassificationError(
         f"river search for {_named(q)} not finished after {brief(limit)} runs")
 
@@ -442,28 +472,16 @@ class DiRiverPeriod(NamedTuple):
     form: BQD
 
 
-def _edge_is_bend(q: BQD, p: Divector, s: Divector) -> bool:
-    cv = dicell_values(q, p, s)
-    if cv.e * cv.f < 0 or cv.e2 * cv.f2 < 0:
-        return True
-    if q.sigma == 3 and (cv.m * cv.n < 0 or cv.m2 * cv.n2 < 0):
-        return True
-    return False
-
-
-def _raw_coords(d: Divector):
+def _raw_coords(d: tuple):
     """(x, y) with each component as (integer part, sqrt(sigma) part)."""
-    if d.color == RED:
-        return ((d.u, 0), (0, d.v))
-    return ((0, d.u), (d.v, 0))
+    color, u, v = d
+    if color == RED:
+        return ((u, 0), (0, v))
+    return ((0, u), (v, 0))
 
 
 def _qre_mul(a, b, sigma):
     return (a[0] * b[0] + sigma * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _qre_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
 
 
 def _qre_add(a, b):
@@ -471,8 +489,8 @@ def _qre_add(a, b):
 
 
 def _qre_det(t, sigma):
-    return _qre_sub(_qre_mul(t[0][0], t[1][1], sigma),
-                    _qre_mul(t[0][1], t[1][0], sigma))
+    x, y = _qre_mul(t[0][0], t[1][1], sigma), _qre_mul(t[0][1], t[1][0], sigma)
+    return (x[0] - y[0], x[1] - y[1])
 
 
 def _mat_mul(m, n, sigma):
@@ -483,7 +501,7 @@ def _mat_mul(m, n, sigma):
         for i in range(2))
 
 
-def _columns(p: Divector, q: Divector):
+def _columns(p: tuple, q: tuple):
     """The matrix with columns p and q."""
     return tuple(zip(_raw_coords(p), _raw_coords(q)))
 
@@ -519,48 +537,40 @@ def is_dilinear(t, sigma: int) -> bool:
     return plus or minus
 
 
-def _river_run(q: BQD, vertex: Pinwheel, i: int, p: Divector, neg: Divector,
-               start: tuple):
-    """Where the river walk at the edge (p, neg) of ``vertex``, leaving over
-    edge i, must next record an edge, if it leaves along p or neg: the
-    number of edges passed over, and the walker's (p, neg, vertex) there.
-    Else None.
-
-    Every vertex after the first is pinwheel(p, +-neg).  Leaving over its
-    last edge keeps p and reaches (p, s_j) with s_j = s - j sqrt(sigma) p,
-    s its second face; leaving over edge 1 keeps s and reaches
-    ((-1)^j (p - j sqrt(sigma) s), (-1)^(j+1) s).  While the faces D_j beside
-    the kept face F have the other sign, every other face of the vertices
-    between has that sign too and a larger |Q| than the D_j there, so those
-    edges do not bend and those vertices hold no smallest face: |Q(D_j)| is
-    strictly concave in j.  The run is cut before the first D_j of F's sign,
-    or at an edge with the values of the start edge, which may close the
-    period.  The vertex before the returned edge is passed over, so the
-    caller notes the edge's faces.
+def _river_run(d0: tuple, d1: tuple, t: tuple, i: int, start: tuple, sigma: int):
+    """Where the river walk at the edge (d0, +-d1) of the pinwheel of
+    (d0, d1), d0 the positive face and t the local form, leaving over edge
+    i, must next record an edge: the number of edges passed over, and the
+    walker's positive and negative face and local form there.  None unless
+    i is 1 or the last edge.  The last edge keeps d0 and reaches
+    (d0, d1 - j sqrt(sigma) d0); edge 1 keeps d1 and reaches
+    (-1)^j (d0 - j sqrt(sigma) d1, d1).  While the faces D_j beside the kept
+    face F have the other sign, every other face of the vertices between has
+    that sign too and a larger |Q| than the D_j there, so those edges do not
+    bend and those vertices hold no smallest face: |Q(D_j)| is strictly
+    concave in j.  The run is cut before the first D_j of F's sign, or at an
+    edge with the values ``start`` of the start edge, which may close the
+    period.
     """
-    sigma = q.sigma
-    a, b = vertex.faces[0], vertex.faces[1]
-    if a != p or b.lax() != neg.lax() or i not in (1, 2 * sigma - 1):
+    if i not in (1, 2 * sigma - 1):
         return None
-    f, d = (a, b) if i == 2 * sigma - 1 else (b, a)
-    qf = q(f)
-    sf = 1 if qf > 0 else -1
-    ys = [q(_along(d, f, j, sigma)) for j in range(3)]
-    j = _first_nonpositive(*(-sf * y for y in ys)) - 1
-    p0, n0 = start
-    if qf == q(p0 if sf > 0 else n0):
-        # Q(D_j) = sigma Q(F) j^2 + lin j + Q(D_0)
-        lin = ys[1] - ys[0] - sigma * qf
-        target = q(n0 if sf > 0 else p0)
-        root = _first_root(sigma * qf, lin, ys[0] - target)
+    f, d, t = (d0, d1, t) if i > 1 else (d1, d0, t[::-1])
+    a, beta, c = t
+    sf = 1 if a > 0 else -1
+    # Q(D_j) = sigma a j^2 - sigma beta j + c
+    j = _first_nonpositive(*(-sf * (c + sigma * k * (k * a - beta))
+                             for k in range(3))) - 1
+    near, far = start if sf > 0 else start[::-1]
+    if a == near:
+        root = _first_root(sigma * a, -sigma * beta, c - far)
         if root is not None and root < j:
             j = root
-    d = _along(d, f, j, sigma)
-    if i == 2 * sigma - 1:
-        return j - 1, p, d, pinwheel_complete(p, d, sigma)
+    d, t = _run(f, d, t, j, sigma)
+    if i > 1:
+        return j - 1, f, d, t
     if j % 2:
-        d, b = -d, -b
-    return j - 1, d, -b, pinwheel_complete(d, b, sigma)
+        d, f = _neg(d), _neg(f)
+    return j - 1, d, _neg(f), t[::-1]
 
 
 def diform_river(q: BQD) -> DiRiverPeriod:
@@ -571,19 +581,23 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     minimum theorems.
     """
     if not q.is_primitive():
-        raise PreconditionError("river analysis expects a primitive diform")
+        raise PreconditionError(
+            f"river analysis expects a primitive diform, not {_named(q)}")
     d = q.discriminant()
     if d <= 0 or is_square_diform_disc(q):
-        raise SquareDiscriminantError("need a nondegenerate indefinite diform")
+        raise SquareDiscriminantError(
+            f"need a nondegenerate indefinite diform, not {_named(q)}")
     sigma = q.sigma
-    p, neg, vertex = _find_river_edge(q)
-    p0, n0 = p, neg
+    n = 2 * sigma
+    here, d0, d1, cells = _find_river_edge(q)
+    faces = pinwheel_faces(d0, d1, sigma)
+    x, y = faces[here], faces[(here + 1) % n]
+    p0, n0 = p, neg = (x, y) if cells[here][0] > 0 else (y, x)
+    start = max(cells[here][::2]), min(cells[here][::2])
     steps = []
     edges = bends = 0
-    face_values = {}
-
-    def note(face):
-        face_values.setdefault(face.lax(), q(face))
+    # (|Q(f)|, f) for each face the walk passes, for mu and the witness
+    seen = []
 
     # Read as a dibasis of determinant 1, each river edge gives Q the
     # coefficients (a', b', c') with a'c' < 0 and d = sigma^2 b'^2 + 4 sigma
@@ -593,49 +607,45 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     m = d // (4 * sigma)
     limit = 4 * m * (m.bit_length() + 1) + 1
     for _ in range(limit):
-        bend = _edge_is_bend(q, p, neg)
-        steps.append(DiRiverStep(p, neg, bend))
+        # the walker stands at the edge {p, neg} = {f_here, f_here+1}
+        red = cells[here] if faces[here][0] == RED else cells[here][::-1]
+        bend = any(e * f < 0 for e, f in _cell_pairs(*red, sigma))
+        steps.append(DiRiverStep(Divector._make(p), Divector._make(neg), bend))
         edges += 1
         bends += bend
-        for f in vertex.faces:
-            note(f)
+        seen += [(abs(c[0]), f) for f, c in zip(faces, cells)]
         # continuation: the unique other sign-separating adjacent pair
-        vals = [q(f) for f in vertex.faces]
-        n = len(vals)
-        here = {p.lax(), neg.lax()}
-        crossings = []
-        for i in range(n):
-            x, y = vertex.faces[i], vertex.faces[(i + 1) % n]
-            if {x.lax(), y.lax()} == here:
-                continue
-            if vals[i] * vals[(i + 1) % n] < 0:
-                crossings.append(i)
+        crossings = [i for i, (a, _, c) in enumerate(cells) if i != here and a * c < 0]
         if len(crossings) != 1:
             raise ClassificationError(
-                f"river is not a single line at a vertex ({len(crossings)} exits)"
-            )
+                f"river is not a single line at a vertex of {_named(q)} "
+                f"({len(crossings)} exits)")
         i = crossings[0]
-        run = _river_run(q, vertex, i, p, neg, (p0, n0))
-        if run is None:
-            x, y = vertex.faces[i], vertex.faces[(i + 1) % n]
-            p, neg = (x, y) if q(x) > 0 else (y, x)
-            vertex = _other_vertex(p, neg, vertex, sigma)
-        else:
-            skipped, p, neg, vertex = run
+        run = here == 0 and p == d0 and _river_run(d0, d1, cells[0], i, start, sigma)
+        if run:
+            skipped, p, neg, t = run
             edges += skipped
-            # the vertex before this edge, passed over, also holds its faces
-            note(p)
-            note(neg)
-        if (q(p), q(neg)) == (q(p0), q(n0)) and (p, neg) != (p0, n0):
-            t = _translation_automorph((p0, n0), (p, neg), q)
-            if t is not None:
+        else:
+            x, y = faces[i], faces[(i + 1) % n]
+            a, beta, c = cells[i]
+            p, neg, t = (x, y, (a, -beta, c)) if a > 0 else (y, x, (c, -beta, a))
+        # either way the next pinwheel is generated by (p, -neg), or by
+        # (p, neg) when the walker left over the last edge
+        d0, d1 = p, (neg if i == n - 1 else _neg(neg))
+        cells, here = _cells(t, sigma), 0
+        # the vertex before this edge, passed over by a run, holds its faces
+        seen += [(abs(t[0]), p), (abs(t[2]), neg)]
+        if (t[0], t[2]) == start and (p, neg) != (p0, n0):
+            auto = _translation_automorph((p0, n0), (p, neg), q)
+            if auto is not None:
                 exceptional = bends == 0
                 mu = wit = None
                 if not exceptional:
-                    wit = min(face_values, key=lambda k: (abs(face_values[k]), k))
-                    mu = abs(face_values[wit])
-                return DiRiverPeriod(tuple(steps), edges, bends, t, mu, wit,
+                    mu = min(v for v, _ in seen)
+                    wit = min(Divector._make(f).lax() for v, f in seen if v == mu)
+                return DiRiverPeriod(tuple(steps), edges, bends, auto, mu, wit,
                                      exceptional, q)
+        faces = pinwheel_faces(d0, d1, sigma)
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs "
         f"({edges} edges)")
@@ -647,14 +657,10 @@ def _translation_automorph(e0, e1, q: BQD):
     determinant -1 are reflections of the river, not translations."""
     sigma = q.sigma
     p0, n0 = e0
-    for flip in (n0, -n0):
+    for flip in (n0, _neg(n0)):
         t = _change_of_dibasis((p0, flip), e1, sigma)
-        if (
-            t is not None
-            and _qre_det(t, sigma) == (1, 0)
-            and is_dilinear(t, sigma)
-            and _preserves_form(t, q)
-        ):
+        if (t is not None and _qre_det(t, sigma) == (1, 0)
+                and is_dilinear(t, sigma) and _preserves_form(t, q)):
             return t
     return None
 
@@ -670,19 +676,14 @@ def _dl_plus_samples(sigma: int, count: int, seed: int = 7):
     import random
 
     rng = random.Random(seed)
-
-    # matrices as ((x, y) pairs); the + pattern has integer diagonal and
+    # rows of (x, y) entries: the + pattern has an integer diagonal and
     # sqrt(sigma)-multiple off-diagonal entries
-    def m(a, b, c, d):
-        return ((a, b), (c, d))
-
-    t_up = m((1, 0), (0, 1), (0, 0), (1, 0))
-    t_lo = m((1, 0), (0, 0), (0, 1), (1, 0))
-    flip = m((-1, 0), (0, 0), (0, 0), (1, 0))
-    gens = [t_up, t_lo, flip]
+    gens = [(((1, 0), (0, 1)), ((0, 0), (1, 0))),
+            (((1, 0), (0, 0)), ((0, 1), (1, 0))),
+            (((-1, 0), (0, 0)), ((0, 0), (1, 0)))]
     out = []
     for _ in range(count):
-        acc = m((1, 0), (0, 0), (0, 0), (1, 0))
+        acc = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
         for _ in range(rng.randint(1, 8)):
             acc = _mat_mul(acc, rng.choice(gens), sigma)
         out.append(acc)
@@ -711,10 +712,8 @@ def verify_gamma0_conjugation(sigma: int, count: int = 100) -> dict:
         acc = ((1, 0), (0, 1))
         for _ in range(rng.randint(1, 8)):
             acc = mat_mul(acc, rng.choice(gens))
-        (a2, b2), (c2, d2) = acc
         # g^-1 M g = [[a, b*sqrt(s)], [c/sqrt(s), d]]
-        if c2 % sigma == 0:
-            back += 1
+        back += acc[1][0] % sigma == 0
     return {
         "sigma": sigma,
         "dl_plus_into_gamma0": into,

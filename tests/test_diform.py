@@ -14,13 +14,17 @@ from topograph.diform import (
     DiRiverStep,
     RED,
     STANDARD_DIBASIS,
-    _edge_is_bend,
+    DiCellValues,
+    Pinwheel,
+    _cells,
+    _cross,
     _find_river_edge,
+    _local_form,
     _other_vertex,
     _preserves_form,
     _qre_det,
+    _run,
     _translation_automorph,
-    _vertex_weight,
     dibasis_det,
     dicell_values,
     diform_river,
@@ -29,6 +33,7 @@ from topograph.diform import (
     is_dilinear,
     is_square_diform_disc,
     pinwheel_complete,
+    pinwheel_faces,
     verify_gamma0_conjugation,
 )
 from topograph.errors import (
@@ -237,6 +242,45 @@ def test_gamma0_conjugation_rejects_a_sample_outside_dl_plus(monkeypatch):
 
 # --- oracles for the run-length walks ----------------------------------------
 
+# The walks read values off local forms; the single-step oracles below
+# evaluate Q on divectors instead.
+
+def divector_cell_values(q: BQD, r: Divector, b: Divector) -> DiCellValues:
+    """Flanking values of the edge {r, b}; e/e' (and m/m' for sigma = 3) sit
+    around the pinwheel generated by (r, b), f/f' (n/n') around the other."""
+    sigma = q.sigma
+    if r.color != RED:
+        r, b = b, r
+    if not is_dibasis(r, b, sigma):
+        raise DibasisError("cell values need a dibasis")
+    sr = r.times_sqrt(sigma)
+    sb = b.times_sqrt(sigma)
+    u, v = q(r), q(b)
+    e, f = q(sr.sub(b)), q(sr.add(b))
+    e2, f2 = q(r.sub(sb)), q(r.add(sb))
+    m = n = m2 = n2 = None
+    if sigma == 3:
+        r2 = Divector(RED, 2 * r.u, 2 * r.v)
+        b2 = Divector(BLUE, 2 * b.u, 2 * b.v)
+        m, n = q(r2.sub(sb)), q(r2.add(sb))
+        m2, n2 = q(sr.sub(b2)), q(sr.add(b2))
+    step = (f - e) // 2
+    return DiCellValues(u, v, e, f, e2, f2, m, n, m2, n2, step)
+
+
+def _vertex_weight(q: BQD, vertex: Pinwheel) -> int:
+    return sum(q(f) for f in vertex.faces)
+
+
+def _edge_is_bend(q: BQD, p: Divector, s: Divector) -> bool:
+    cv = divector_cell_values(q, p, s)
+    if cv.e * cv.f < 0 or cv.e2 * cv.f2 < 0:
+        return True
+    if q.sigma == 3 and (cv.m * cv.n < 0 or cv.m2 * cv.n2 < 0):
+        return True
+    return False
+
+
 def two_candidate_other_vertex(p, s, vertex, sigma):
     """The far vertex of {p, s} as the pinwheel of (p, -s) or (p, s) whose
     key differs from the vertex's."""
@@ -443,9 +487,13 @@ def test_well_matches_single_step_walker(q, start_moves):
 @settings(max_examples=100, deadline=None)
 @given(moved_diforms(definite=False))
 def test_river_edge_matches_single_step_walker(q):
-    p, neg, vertex = _find_river_edge(q)
+    i, d0, d1, cells = _find_river_edge(q)
+    vertex = pinwheel_complete(d0, d1, q.sigma)
+    x, y = vertex.faces[i], vertex.faces[(i + 1) % len(vertex.faces)]
+    p, neg = (x, y) if q(x) > 0 else (y, x)
     p1, neg1, vertex1 = single_step_river_edge(q)
     assert (p, neg, faces(vertex)) == (p1, neg1, faces(vertex1))
+    assert [c[0] for c in cells] == [q(f) for f in vertex.faces]
 
 
 @settings(max_examples=100, deadline=None)
@@ -499,20 +547,119 @@ def test_far_forms_beyond_the_old_step_cap(sigma, k, e):
         assert _qre_det(t, sigma) == (1, 0)
 
 
+# At most this many evaluations of Q, pinwheel recurrences and Pinwheel
+# objects for one diform_well and one diform_river on (1, 2k, sigma k^2 +- 1),
+# whatever k: Q three times on each start dibasis; the recurrence for each
+# start, the source and its flat neighbour, and the river's first vertex.
+FAR_WALK_BOUNDS = {"q": 6, "pinwheel_faces": 5, "pinwheel_complete": 2}
+
+
 @pytest.mark.parametrize("sigma", [2, 3])
 def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
-    built = []
-    real = diform_module.pinwheel_complete
+    calls = {name: 0 for name in FAR_WALK_BOUNDS}
 
-    def counting(d1, d2, sigma):
-        built.append(1)
-        return real(d1, d2, sigma)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(diform_module, "pinwheel_complete", counting)
+    monkeypatch.setattr(BQD, "__call__", counting("q", BQD.__call__))
+    for name in ("pinwheel_faces", "pinwheel_complete"):
+        monkeypatch.setattr(diform_module, name,
+                            counting(name, getattr(diform_module, name)))
     costs = []
-    for k in (10, 10 ** 9):
-        built.clear()
+    for k in (10, 10 ** 9, 10 ** 40):
+        calls.update(dict.fromkeys(calls, 0))
         diform_well(BQD(sigma, 1, 2 * k, sigma * k * k + 1))
         diform_river(BQD(sigma, 1, 2 * k, sigma * k * k - 1))
-        costs.append(len(built))
-    assert costs[0] == costs[1]
+        costs.append(dict(calls))
+    assert costs[0] == costs[1] == costs[2]
+    # Q is evaluated on the start dibasis of each walk only
+    assert costs[0]["q"] == 6
+    for name, bound in FAR_WALK_BOUNDS.items():
+        assert costs[0][name] <= bound
+
+
+# --- the local form (A, beta, C) against values on divectors ---------------
+
+coefficients = st.integers(-10 ** 12, 10 ** 12)
+far_moves = st.lists(st.tuples(st.sampled_from("xys"), st.integers(-10 ** 3, 10 ** 3)),
+                     max_size=5)
+
+
+def local_form_on_divectors(q: BQD, f, g):
+    """(Q(f), beta, Q(g)) with Q(sqrt(sigma) g + f) - Q(sqrt(sigma) g - f)
+    = 2 sigma beta, from Q on divectors."""
+    f, g = Divector(*f), Divector(*g)
+    sg = g.times_sqrt(q.sigma)
+    beta, rest = divmod(q(sg.add(f)) - q(sg.sub(f)), 2 * q.sigma)
+    assert rest == 0
+    return q(f), beta, q(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((2, 3)), coefficients, coefficients, coefficients, far_moves,
+       st.booleans(), st.integers(0, 10 ** 9))
+def test_local_form_maps_match_values_on_divectors(sigma, a, b, c, dibasis_moves,
+                                                   swap, j):
+    q = BQD(sigma, a, b, c)
+    d0, d1 = STANDARD_DIBASIS
+    for move, t in dibasis_moves:
+        d0, d1 = shear_dibasis((d0, d1), sigma, move, t)
+    if swap:
+        d0, d1 = d1, d0
+    ring = pinwheel_faces(d0, d1, sigma)
+    signed = ring + (tuple(-Divector(*ring[0])),)
+    t = _local_form(q, d0, d1)
+    assert t == local_form_on_divectors(q, d0, d1)
+    # turning: the local form at every dibasis (f_i, f_i+1) of the pinwheel
+    cells = _cells(t, sigma)
+    assert cells == [local_form_on_divectors(q, signed[i], signed[i + 1])
+                     for i in range(2 * sigma)]
+    # crossing: the neighbour's dibasis is (f_i, -f_i+1), and beta_i flips
+    vertex = pinwheel_complete(d0, d1, sigma)
+    for i, (p, s) in enumerate(vertex.edges()):
+        e0, e1, crossed = _cross(d0, d1, cells, i, sigma)
+        assert faces(pinwheel_complete(e0, e1, sigma)) == faces(
+            _other_vertex(p, s, vertex, sigma))
+        assert crossed == local_form_on_divectors(q, e0, e1)
+    # a run of j steps along d0: d1 - j sqrt(sigma) d0
+    step = Divector(*d0).times_sqrt(sigma)
+    dj, tj = _run(d0, d1, t, j, sigma)
+    assert dj == Divector(*d1).sub(Divector(step.color, j * step.u, j * step.v))
+    assert tj == local_form_on_divectors(q, d0, dj)
+    # cell values, linear in the local form of the edge
+    r, bl = Divector(*d0), Divector(*d1)
+    assert dicell_values(q, r, bl) == divector_cell_values(q, r, bl)
+
+
+# --- errors on huge diforms ---------------------------------------------------
+
+HUGE = 10 ** 5000  # str() of it raises ValueError; errors give bit lengths
+
+
+def test_diform_errors_name_huge_forms(monkeypatch):
+    with pytest.raises(ClassificationError, match="positive-definite diform.*16610"):
+        diform_well(BQD(2, HUGE, 0, -1))
+    with pytest.raises(PreconditionError, match="primitive diform.*16611"):
+        diform_river(BQD(2, 2 * HUGE, 2, 2))
+    with pytest.raises(SquareDiscriminantError, match="indefinite diform.*16610"):
+        diform_river(BQD(3, HUGE, 1, HUGE))
+    with pytest.raises(SquareDiscriminantError, match="16610-bit.*represents zero"):
+        _find_river_edge(BQD(2, 0, 1, HUGE))
+    far = BQD(3, 1, 2 * HUGE, 3 * HUGE * HUGE - 1)
+    real_edge = diform_module._find_river_edge
+
+    def misplaced_edge(q):
+        # the walker set on an edge whose faces share a sign sees two exits
+        i, d0, d1, cells = real_edge(q)
+        same = next(k for k, (a, _, c) in enumerate(cells) if a * c > 0)
+        return same, d0, d1, cells
+
+    monkeypatch.setattr(diform_module, "_find_river_edge", misplaced_edge)
+    with pytest.raises(ClassificationError, match="single line.*33221"):
+        diform_river(far)
+    monkeypatch.setattr(diform_module, "_descend", lambda *args: None)
+    with pytest.raises(ClassificationError, match="no descent toward the river.*33221"):
+        real_edge(far)
