@@ -10,7 +10,6 @@ from .classical import (
     Form,
     content,
     cycle_fingerprint,
-    is_reduced_indefinite,
     is_square,
     red_blue_forms,
     reduce_definite,
@@ -41,61 +40,80 @@ def principal_form(d: int) -> Form:
 
 
 def _enumerate_definite(d: int) -> list[Form]:
+    """Every primitive reduced positive form (a, b, c) of discriminant d < 0,
+    sorted: |b| <= a <= c, and b >= 0 when |b| = a or a = c.
+
+    For each b >= 0 with b = d (mod 2), m = (b^2 - d)/4 = ac, and the window
+    max(b, 1) <= a <= isqrt(m) holds exactly the a with b <= a <= c; the
+    mirror (a, -b, c) is reduced too when 0 < b < a < c.  As 4a^2 <= 4m <=
+    a^2 - d, every a tested is at most amax = isqrt(-d // 3)."""
     out = []
-    amax = math.isqrt(-d // 3) if d < -3 else 1
-    for a in range(1, amax + 1):
-        for b in range(-a, a + 1):
-            if (b - d) % 2:
+    for b in range(d & 1, math.isqrt(-d // 3) + 1, 2):
+        m = (b * b - d) // 4
+        for a in range(b or 1, math.isqrt(m) + 1):
+            if m % a:
                 continue
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if (b < 0 and (-b == a or a == c)):
-                continue
-            if content((a, b, c)) != 1:
+            c = m // a
+            if math.gcd(a, b, c) != 1:
                 continue
             out.append((a, b, c))
+            if 0 < b < a < c:
+                out.append((a, -b, c))
     return sorted(out)
 
 
 def _enumerate_indefinite(d: int) -> list[tuple[Form, ...]]:
     """The fingerprint of every cycle of primitive reduced indefinite forms,
-    ordered by least form."""
+    ordered by least form.
+
+    A reduced form has 0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b;
+    as 4|ac| = d - b^2, |c| then lies in the same window.  So for each
+    b <= s = isqrt(d) with b = d (mod 2) and m = (d - b^2)/4, the reduced
+    forms with a > 0 are (a, b, -m/a) and (m/a, b, -a) for the divisors a of
+    m with (s - b)/2 < a <= isqrt(m): d is not a square, so sqrt(d) - b < 2a
+    iff s - b < 2a, and 2a <= 2 sqrt(m) < sqrt(d) + b.  In a reduced form a
+    and c have opposite signs and rho sends (a, b, c) to (c, ., .), so every
+    rho-cycle alternates the sign of a and holds a reduced form with a > 0:
+    the windows meet every cycle."""
     s = math.isqrt(d)
     seen = set()
     cycles = []
-    for b in range(1, s + 1):
-        if (b - d) % 2:
-            continue
+    for b in range(2 - (d & 1), s + 1, 2):
         m = (d - b * b) // 4  # -ac > 0; parity makes this exact
-        for a in _divisors(m):
-            for aa in (a, -a):
-                c = (b * b - d) // (4 * aa)
-                f = (aa, b, c)
-                if f in seen or not is_reduced_indefinite(f, d):
-                    continue
-                if content(f) != 1:
-                    continue
-                fp = cycle_fingerprint(f)
-                seen.update(fp)
-                cycles.append(fp)
+        for a in range((s - b) // 2 + 1, math.isqrt(m) + 1):
+            if m % a:
+                continue
+            c = m // a
+            if math.gcd(a, b, c) != 1:
+                continue
+            for f in ((a, b, -c), (c, b, -a)):
+                if f not in seen:
+                    fp = cycle_fingerprint(f)
+                    seen.update(fp)
+                    cycles.append(fp)
     # a fingerprint is sorted, so it starts with the cycle's least form
     return sorted(cycles)
 
 
-def _divisors(m: int) -> list[int]:
-    out = set()
-    for a in range(1, math.isqrt(m) + 1):
-        if m % a == 0:
-            out.add(a)
-            out.add(m // a)
-    return sorted(out)
+def _enumeration_size(d: int) -> int:
+    """An upper bound on the candidates (a, b) the enumerators test.
+
+    d < 0: each tested (a, b) has 0 <= b <= a <= amax = isqrt(-d // 3) and
+    b = d (mod 2), at most a // 2 + 1 values of b for each a, and
+    sum(a // 2 + 1 for a = 1..amax) = amax^2 // 4 + amax.
+    d > 0: each tested (a, b) has 2a <= 2 sqrt(m) < sqrt(d), so a <= s // 2
+    with s = isqrt(d), and s + 1 - 2a <= b <= s, at most a values of b of
+    the parity of d; sum(a for a = 1..s // 2) <= s^2 // 4."""
+    if d < 0:
+        amax = math.isqrt(-d // 3)
+        return amax * amax // 4 + amax
+    s = math.isqrt(d)
+    return s * s // 4
 
 
-# most cells build_table fills, h^2 compositions
+# most candidate forms enumerate_classes tests
+ENUM_BUDGET = 50_000_000
+# most cells build_table fills
 TABLE_BUDGET = 1_000_000
 
 
@@ -150,19 +168,38 @@ class ClassGroupTable:
 
     def build_table(self) -> None:
         """Fill the h x h composition table; past TABLE_BUDGET cells raise
-        BudgetError before any composition.  Cl(D) is abelian, so each
-        unordered pair is composed once and fills both of its cells."""
+        BudgetError before any composition.
+
+        Rows are filled by subgroup: starting from the identity row, the
+        least class u with no row is composed with every class whose row is
+        not known yet (Cl(D) is abelian, so the rest of u's row is a column
+        of known rows).  The rows of the cosets u^k H of the group H reached
+        so far follow by row[u x][y] = row[u][row[x][y]], until u^k lands
+        in H.  Each generator u at least doubles H, so there are at most
+        (h - 1).bit_length() generators, with at most h compositions each."""
         h = self.h
         if h * h > TABLE_BUDGET:
             raise BudgetError(
                 f"a class group of order {brief(h)} needs {brief(h * h)} table "
                 f"cells, over the budget of {TABLE_BUDGET}")
         # the reps are primitive of discriminant disc, as enumerated
-        table = [[0] * h for _ in range(h)]
-        for i, f in enumerate(self.reps):
-            for j, g in enumerate(self.reps[i:], i):
-                table[i][j] = table[j][i] = self._lookup(_compose(f, g))
-        self.table = table
+        rows = [None] * h
+        e = self._lookup(principal_form(self.disc))
+        rows[e] = list(range(h))
+        group = [e]
+        for u, f in enumerate(self.reps):
+            if rows[u] is not None:
+                continue
+            row = [self._lookup(_compose(f, g)) if rows[y] is None
+                   else rows[y][u] for y, g in enumerate(self.reps)]
+            cosets = [group]
+            while rows[row[cosets[-1][0]]] is None:
+                coset = [row[x] for x in cosets[-1]]
+                for x, y in zip(cosets[-1], coset):
+                    rows[y] = [row[z] for z in rows[x]]
+                cosets.append(coset)
+            group = [x for coset in cosets for x in coset]
+        self.table = rows
 
     def to_json(self) -> dict:
         a_index = {}
@@ -182,7 +219,15 @@ class ClassGroupTable:
 
 
 def enumerate_classes(d: int) -> ClassGroupTable:
+    """The classes of primitive forms of discriminant d, with one
+    representative each; past ENUM_BUDGET candidate forms raise BudgetError
+    before any is tested."""
     _validate_disc(d)
+    size = _enumeration_size(d)
+    if size > ENUM_BUDGET:
+        raise BudgetError(
+            f"enumerating the classes of discriminant {brief(d)} tests up to "
+            f"{brief(size)} candidate forms, over the budget of {ENUM_BUDGET}")
     if d < 0:
         classes = _enumerate_definite(d)
         return ClassGroupTable(d, classes, list(classes))

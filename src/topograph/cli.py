@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .errors import PreconditionError, TopographError
+from .errors import BudgetError, PreconditionError, TopographError
 
 # JSON field layout of every subcommand's stdout, for `dump --json`
 SCHEMAS = {
@@ -154,8 +154,11 @@ def _cmd_diform(args) -> None:
             "bends": r.bend_count,
         }
     if not args.reduce and not args.river and is_diform_discriminant(args.sigma, d):
+        # a relation that does not apply is null; a refused one is an error
         try:
             out["class_relation"] = verify_red_blue(args.sigma, a, b, c)
+        except BudgetError:
+            raise
         except TopographError:
             out["class_relation"] = None
     _emit(out)

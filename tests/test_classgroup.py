@@ -1,4 +1,6 @@
 import math
+import random
+import time
 from itertools import product
 
 import pytest
@@ -389,7 +391,14 @@ def test_imprimitive_huge_form_raises_its_typed_error():
         enumerate_classes(-20).class_index((4, 2 * b, 2 * c))
 
 
-@pytest.mark.parametrize("d", [-20, -171, -384, -4004, 12, 229, 1001])
+def is_discriminant(d):
+    return d % 4 in (0, 1) and d != 0 and not (d > 0 and math.isqrt(d) ** 2 == d)
+
+
+SMALL = [d for d in range(-400, 401) if is_discriminant(d)] + [-4004, 1001]
+
+
+@pytest.mark.parametrize("d", SMALL)
 def test_build_table_matches_public_compose(d):
     t = enumerate_classes(d)
     t.build_table()
@@ -398,7 +407,7 @@ def test_build_table_matches_public_compose(d):
 
 
 @pytest.mark.parametrize("d", [-20, -171, -384, -4004, 12, 229, 1001])
-def test_build_table_composes_each_unordered_pair_once(d, monkeypatch):
+def test_build_table_composes_generator_rows_only(d, monkeypatch):
     calls = []
     real = classgroup._compose
 
@@ -409,7 +418,8 @@ def test_build_table_composes_each_unordered_pair_once(d, monkeypatch):
     monkeypatch.setattr(classgroup, "_compose", counted)
     t = enumerate_classes(d)
     t.build_table()
-    assert len(calls) == t.h * (t.h + 1) // 2
+    # at most (h - 1).bit_length() generators, h compositions each
+    assert len(calls) <= t.h * (t.h - 1).bit_length()
     assert t.table == [list(column) for column in zip(*t.table)]
 
 
@@ -429,3 +439,165 @@ def test_build_table_refuses_past_its_budget_before_composing(monkeypatch):
     monkeypatch.setattr(classgroup, "TABLE_BUDGET", 16)
     t.build_table()
     assert len(t.table) == 4
+
+
+def test_enumerate_classes_refuses_past_its_budget_before_enumerating(
+        monkeypatch):
+    def never(d):
+        raise AssertionError("enumerate_classes searched past its budget")
+
+    for d in (-4004, 1001):
+        size = classgroup._enumeration_size(d)
+        monkeypatch.setattr(classgroup, "_enumerate_definite", never)
+        monkeypatch.setattr(classgroup, "_enumerate_indefinite", never)
+        monkeypatch.setattr(classgroup, "ENUM_BUDGET", size - 1)
+        with pytest.raises(BudgetError, match=(
+                f"discriminant {d} tests up to {size} candidate forms, over "
+                f"the budget of {size - 1}")):
+            enumerate_classes(d)
+        monkeypatch.undo()
+        monkeypatch.setattr(classgroup, "ENUM_BUDGET", size)
+        assert enumerate_classes(d).h == {-4004: 40, 1001: 4}[d]
+        monkeypatch.undo()
+
+
+def test_enumerate_classes_refuses_a_huge_discriminant_at_once():
+    start = time.perf_counter()
+    with pytest.raises(BudgetError, match="-400000000004 tests up to"):
+        enumerate_classes(-400000000004)
+    assert time.perf_counter() - start < 1
+    # h = 8064, enumerated in seconds, stays admitted
+    assert classgroup._enumeration_size(-446185740) <= classgroup.ENUM_BUDGET
+
+
+# --- the blind-search enumerators that the reduced windows replaced ---
+
+
+def blind_definite(d):
+    out = []
+    amax = math.isqrt(-d // 3) if d < -3 else 1
+    for a in range(1, amax + 1):
+        for b in range(-a, a + 1):
+            if (b - d) % 2:
+                continue
+            num = b * b - d
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if (b < 0 and (-b == a or a == c)):
+                continue
+            if content((a, b, c)) != 1:
+                continue
+            out.append((a, b, c))
+    return sorted(out)
+
+
+def blind_indefinite(d):
+    s = math.isqrt(d)
+    seen = set()
+    cycles = []
+    for b in range(1, s + 1):
+        if (b - d) % 2:
+            continue
+        m = (d - b * b) // 4
+        for a in _divisors(m):
+            for aa in (a, -a):
+                c = (b * b - d) // (4 * aa)
+                f = (aa, b, c)
+                if f in seen or not is_reduced_indefinite(f, d):
+                    continue
+                if content(f) != 1:
+                    continue
+                fp = cycle_fingerprint(f)
+                seen.update(fp)
+                cycles.append(fp)
+    return sorted(cycles)
+
+
+def _divisors(m):
+    out = set()
+    for a in range(1, math.isqrt(m) + 1):
+        if m % a == 0:
+            out.add(a)
+            out.add(m // a)
+    return sorted(out)
+
+
+def window_candidates(d):
+    """The (a, b) pairs the reduced windows test, counted window by window."""
+    if d < 0:
+        return sum(max(0, math.isqrt((b * b - d) // 4) - max(b, 1) + 1)
+                   for b in range(d & 1, math.isqrt(-d) + 1, 2))
+    s = math.isqrt(d)
+    return sum(max(0, math.isqrt((d - b * b) // 4) - (s - b) // 2)
+               for b in range(2 - (d & 1), s + 1, 2))
+
+
+def check_enumeration(d):
+    if d < 0:
+        assert classgroup._enumerate_definite(d) == blind_definite(d), d
+    else:
+        assert classgroup._enumerate_indefinite(d) == blind_indefinite(d), d
+    assert window_candidates(d) <= classgroup._enumeration_size(d), d
+
+
+def test_enumeration_matches_blind_search_up_to_3000():
+    for d in range(-3000, 3001):
+        if is_discriminant(d):
+            check_enumeration(d)
+
+
+def test_enumeration_matches_blind_search_at_random_up_to_10_to_5():
+    rng = random.Random(20181)
+    drawn = 0
+    while drawn < 100:
+        d = rng.randint(-10 ** 5, 10 ** 5)
+        if is_discriminant(d):
+            check_enumeration(d)
+            drawn += 1
+
+
+def kronecker(d, n):
+    """The Kronecker symbol (d/n) for n > 0."""
+    result = 1
+    while n % 2 == 0:
+        n //= 2
+        if d % 2 == 0:
+            return 0
+        if d % 8 in (3, 5):
+            result = -result
+    a = d % n  # the Jacobi symbol (a/n), n odd
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def is_fundamental(d):
+    def squarefree(m):
+        return all(m % (p * p) for p in range(2, math.isqrt(m) + 1))
+
+    if d % 4 == 1:
+        return squarefree(abs(d))
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(abs(d) // 4)
+
+
+def test_class_numbers_match_dirichlets_formula():
+    # h = -(w / 2|d|) sum(n (d/n) for 0 < n < |d|), d < 0 fundamental
+    checked = 0
+    for d in range(-3, -2001, -1):
+        if not is_fundamental(d):
+            continue
+        w = {-3: 6, -4: 4}.get(d, 2)
+        total = sum(n * kronecker(d, n) for n in range(1, -d))
+        assert enumerate_classes(d).h * 2 * -d == -w * total, d
+        checked += 1
+    assert checked == 611

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -225,6 +226,28 @@ def test_cli_classgroup_refuses_past_the_table_budget(monkeypatch, capsys):
     error = json.loads(err)
     assert error["error"] == "budget"
     assert "order 2 needs 4 table cells" in error["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["classgroup", "--delta=-400000000004"],
+    # the class relation of this diform needs Cl(D) for D about 8 * 10^20
+    ["diform", "--sigma", "2", "--form", "1,1,-100000000000000000001"],
+])
+def test_cli_refuses_class_groups_past_the_enumeration_budget(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "budget"
+    assert "candidate forms, over the budget of" in error["message"]
+
+
+def test_cli_diform_class_relation_is_null_when_it_does_not_apply(capsys):
+    # sigma | a: the red form (30, 0, 2) is imprimitive
+    assert main(["diform", "--sigma", "2", "--form", "30,0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["class_relation"] is None
 
 
 def test_cli_river_revalidates():
