@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .classical import is_square
+from .classical import is_square, transform
 from .lax import Superbase, Vec, vadd, vsub
 
 POSITIVE_DEFINITE = "positive-definite"
@@ -33,11 +33,7 @@ class BQF(NamedTuple):
 
     def transform(self, m) -> "BQF":
         """Coefficients of Q((x,y) -> M.(x,y)); columns of m are the new basis."""
-        (p, r), (q, s) = m
-        a2 = self((p, q))
-        c2 = self((r, s))
-        b2 = self((p + r, q + s)) - a2 - c2
-        return BQF(a2, b2, c2)
+        return BQF(*transform(self, m))
 
 
 def classify(q: BQF) -> str:

@@ -123,6 +123,15 @@ def cycle_fingerprint(form: Form) -> tuple[Form, ...]:
     return tuple(sorted(indefinite_cycle(form)))
 
 
+def transform(form: Form, m) -> Form:
+    """Coefficients of Q((x,y) -> M.(x,y)); columns of m are the new basis."""
+    a, b, c = form
+    (p, r), (q, s) = m
+    return (a * p * p + b * p * q + c * q * q,
+            2 * a * p * r + b * (p * s + q * r) + 2 * c * q * s,
+            a * r * r + b * r * s + c * s * s)
+
+
 def red_blue_forms(sigma: int, a: int, b: int, c: int) -> tuple[Form, Form]:
     """The restrictions of the diform a x^2 + b sqrt(sigma) x y + c y^2 to red
     and blue divectors."""

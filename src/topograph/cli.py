@@ -22,7 +22,8 @@ SCHEMAS = {
               "reduced_cycle": "[[a,b,c]]"},
     "pell": {"d": "int", "x": "int", "y": "int", "automorph": "[[int]*2]*2"},
     "classgroup": {"delta": "int", "h": "int", "classes": "[[a,b,c]]",
-                   "table": "[[int]]"},
+                   "table": "[[int]]",
+                   "A_class_index": "{2: int | null, 3: int | null}"},
     "diform": {"sigma": "int", "form": "[a,b,c]", "delta": "int",
                "red": "[a,b,c]", "blue": "[a,b,c]",
                "well": "{source_values, reduced_red, reduced_blue} | null",
@@ -168,9 +169,7 @@ def _cmd_hermitian(args) -> None:
     from .hermitian import BHF, STANDARD_CUBASIS, cube_values, empirical_minimum
     from .rings import EISENSTEIN, GAUSS, QRE
 
-    ring = {"g": GAUSS, "e": EISENSTEIN}.get(args.ring)
-    if ring is None:
-        raise PreconditionError("--ring must be g or e")
+    ring = {"g": GAUSS, "e": EISENSTEIN}[args.ring]
     a, gx, gy, c = _parse_form(args.form, 4)
     h = BHF(ring, a, QRE(ring, gx, gy), c)
     d = h.discriminant()

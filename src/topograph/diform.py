@@ -20,6 +20,11 @@ j, and one exact ``isqrt`` gives where a run ends.  The walks jump there and
 take the turn itself one step at a time, so they return the same pinwheels,
 in the same face order, as a walk of single steps, and evaluate Q three
 times, on the start dibasis, whatever their length.
+
+A river period is certified over Z, as a BQF river is: blue (u, v) becomes
+(u, v) and red (u, v) becomes (u, sigma v), conjugation by diag(1, sqrt(sigma))
+up to a scalar, and the integer change of basis between two river edges must
+lie in Gamma_0(sigma) and fix Q_blue.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .classical import is_square, red_blue_forms, reduce_definite
+from .classical import is_square, red_blue_forms, reduce_definite, transform
 from .errors import (
     ClassificationError,
     DibasisError,
@@ -35,7 +40,7 @@ from .errors import (
     SquareDiscriminantError,
     brief,
 )
-from .lax import mat_mul
+from .lax import change_of_basis, mat_det, mat_mul
 
 RED = "red"
 BLUE = "blue"
@@ -472,71 +477,6 @@ class DiRiverPeriod(NamedTuple):
     form: BQD
 
 
-def _raw_coords(d: tuple):
-    """(x, y) with each component as (integer part, sqrt(sigma) part)."""
-    color, u, v = d
-    if color == RED:
-        return ((u, 0), (0, v))
-    return ((0, u), (v, 0))
-
-
-def _qre_mul(a, b, sigma):
-    return (a[0] * b[0] + sigma * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _qre_add(a, b):
-    return (a[0] + b[0], a[1] + b[1])
-
-
-def _qre_det(t, sigma):
-    x, y = _qre_mul(t[0][0], t[1][1], sigma), _qre_mul(t[0][1], t[1][0], sigma)
-    return (x[0] - y[0], x[1] - y[1])
-
-
-def _mat_mul(m, n, sigma):
-    """The product of 2x2 matrices over Z[sqrt(sigma)], entries (x, y) pairs."""
-    return tuple(
-        tuple(_qre_add(_qre_mul(m[i][0], n[0][j], sigma),
-                       _qre_mul(m[i][1], n[1][j], sigma)) for j in range(2))
-        for i in range(2))
-
-
-def _columns(p: tuple, q: tuple):
-    """The matrix with columns p and q."""
-    return tuple(zip(_raw_coords(p), _raw_coords(q)))
-
-
-def _change_of_dibasis(e0, e1, sigma):
-    """T over Z[sqrt(sigma)] with T e0 = e1 (columnwise), when det e0 = +-1."""
-    (a, b), (c, d) = m0 = _columns(*e0)
-    det = _qre_det(m0, sigma)
-    if det not in ((1, 0), (-1, 0)):
-        return None
-    s = det[0]
-
-    def scl(v, k):
-        return (k * v[0], k * v[1])
-
-    # the inverse of m0 is its adjugate over det = s
-    inv = ((scl(d, s), scl(b, -s)), (scl(c, -s), scl(a, s)))
-    return _mat_mul(_columns(*e1), inv, sigma)
-
-
-def _preserves_form(t, q: BQD) -> bool:
-    """Exact Gram check: T^t G T == G with G = [[2a, b*sqrt(s)], [b*sqrt(s), 2c]]."""
-    g = (((2 * q.a, 0), (0, q.b)), ((0, q.b), (2 * q.c, 0)))
-    t_transposed = ((t[0][0], t[1][0]), (t[0][1], t[1][1]))
-    return _mat_mul(_mat_mul(t_transposed, g, q.sigma), t, q.sigma) == g
-
-
-def is_dilinear(t, sigma: int) -> bool:
-    """Does the matrix (entries as (x, y) pairs) have a dilinear pattern?"""
-    (a, b), (c, d) = t
-    plus = a[1] == 0 and d[1] == 0 and b[0] == 0 and c[0] == 0
-    minus = a[0] == 0 and d[0] == 0 and b[1] == 0 and c[1] == 0
-    return plus or minus
-
-
 def _river_run(d0: tuple, d1: tuple, t: tuple, i: int, start: tuple, sigma: int):
     """Where the river walk at the edge (d0, +-d1) of the pinwheel of
     (d0, d1), d0 the positive face and t the local form, leaving over edge
@@ -651,17 +591,43 @@ def diform_river(q: BQD) -> DiRiverPeriod:
         f"({edges} edges)")
 
 
+def _lattice(face: tuple, sigma: int) -> tuple:
+    """The integer vector of a divector: g d for red d and g d / sqrt(sigma)
+    for blue d, g = diag(1, sqrt(sigma)); the factor cancels in a change of
+    basis between edges of the same colours."""
+    color, u, v = face
+    return (u, v) if color == BLUE else (u, sigma * v)
+
+
 def _translation_automorph(e0, e1, q: BQD):
     """An orientation-preserving dilinear map carrying the lax edge e0 to e1
     and fixing Q, or None.  Sign flips of e0 reach the same lax edge; maps of
-    determinant -1 are reflections of the river, not translations."""
-    sigma = q.sigma
-    p0, n0 = e0
+    determinant -1 are reflections of the river, not translations.
+
+    The integer change of basis t between the ``_lattice`` images is
+    g T g^-1, g = diag(1, sqrt(sigma)), and T = g^-1 t g has its entries in
+    Z[sqrt(sigma)], so is dilinear, iff t[1][0] = 0 (mod sigma).  T fixes Q
+    iff t fixes Q_blue, Q on blue divectors.  If e0 and e1 start on faces of
+    different colours, T = T' W for W = [[0, 1], [1, 0]], (c, u, v) ->
+    (c', v, u), where T' keeps colours, has determinant -1 and carries Q to
+    Q o W, the diform (c, b, a).
+    """
+    sigma, a, b, c = q
+    (p0, n0), (p1, n1) = e0, e1
+    swap = p0[0] != p1[0]
+    if swap:
+        p0, n0 = ((RED if col == BLUE else BLUE, v, u) for col, u, v in (p0, n0))
+    blue = red_blue_forms(*q)[1]
+    target = red_blue_forms(sigma, c, b, a)[1] if swap else blue
     for flip in (n0, _neg(n0)):
-        t = _change_of_dibasis((p0, flip), e1, sigma)
-        if (t is not None and _qre_det(t, sigma) == (1, 0)
-                and is_dilinear(t, sigma) and _preserves_form(t, q)):
-            return t
+        t = change_of_basis(*(_lattice(d, sigma) for d in (p0, flip, p1, n1)))
+        if (t is not None and mat_det(t) == (-1 if swap else 1)
+                and t[1][0] % sigma == 0 and transform(blue, t) == target):
+            (x, y), (z, w) = t
+            # g^-1 t g = [[x, y sqrt(sigma)], [(z / sigma) sqrt(sigma), w]]
+            auto = ((x, 0), (0, y)), ((0, z // sigma), (w, 0))
+            # T = T' W: W swaps the columns
+            return tuple(row[::-1] for row in auto) if swap else auto
     return None
 
 
@@ -672,21 +638,24 @@ def is_square_diform_disc(q: BQD) -> bool:
 # --- dilinear / congruence conjugation checks ------------------------------
 
 def _dl_plus_samples(sigma: int, count: int, seed: int = 7):
-    """Random-ish DL2+ elements built from generators of the + pattern."""
+    """Random-ish DL2+ elements built from generators of the + pattern, as
+    rows of (x, y) pairs meaning x + y sqrt(sigma)."""
     import random
+    from functools import reduce
 
+    from .rings import QRE, ZSQRT2, ZSQRT3
+
+    ring = {2: ZSQRT2, 3: ZSQRT3}[sigma]
+    one, zero, root = (QRE(ring, x, y) for x, y in ((1, 0), (0, 0), (0, 1)))
     rng = random.Random(seed)
-    # rows of (x, y) entries: the + pattern has an integer diagonal and
-    # sqrt(sigma)-multiple off-diagonal entries
-    gens = [(((1, 0), (0, 1)), ((0, 0), (1, 0))),
-            (((1, 0), (0, 0)), ((0, 1), (1, 0))),
-            (((-1, 0), (0, 0)), ((0, 0), (1, 0)))]
+    # the + pattern has an integer diagonal and sqrt(sigma)-multiple
+    # off-diagonal entries
+    gens = [((one, root), (zero, one)), ((one, zero), (root, one)),
+            ((-one, zero), (zero, one))]
     out = []
     for _ in range(count):
-        acc = (((1, 0), (0, 0)), ((0, 0), (1, 0)))
-        for _ in range(rng.randint(1, 8)):
-            acc = _mat_mul(acc, rng.choice(gens), sigma)
-        out.append(acc)
+        acc = reduce(mat_mul, [rng.choice(gens) for _ in range(rng.randint(1, 8))])
+        out.append(tuple(tuple((e.x, e.y) for e in row) for row in acc))
     return out
 
 
@@ -701,9 +670,10 @@ def verify_gamma0_conjugation(sigma: int, count: int = 100) -> dict:
         (a, b), (c, d) = mat
         if not (a[1] == 0 and d[1] == 0 and b[0] == 0 and c[0] == 0):
             raise PreconditionError(f"sample {mat} is not in DL2+")
-        # g M g^-1 = [[a, b/sqrt(s)], [c*sqrt(s), d]]
-        a2, b2, c2, d2 = a[0], b[1], c[1] * sigma, d[0]
-        if a2 * d2 - b2 * c2 in (1, -1) and c2 % sigma == 0:
+        # g M g^-1 has the certificate's images of M's columns as columns
+        (x, z), (y, w) = (_lattice(col, sigma) for col in ((RED, a[0], c[1]),
+                                                            (BLUE, b[1], d[0])))
+        if mat_det(((x, y), (z, w))) in (1, -1) and z % sigma == 0:
             into += 1
     rng = random.Random(11)
     gens = (((1, 1), (0, 1)), ((1, 0), (sigma, 1)), ((-1, 0), (0, 1)))

@@ -60,10 +60,6 @@ class Superbase(NamedTuple):
     def key(self) -> tuple[Vec, Vec, Vec]:
         return tuple(sorted(lax(t) for t in self))
 
-    def edges(self) -> list[frozenset]:
-        return [frozenset((lax(self[(j + 1) % 3]), lax(self[(j + 2) % 3])))
-                for j in range(3)]
-
 
 def normalize_superbase(vectors) -> Superbase:
     """Canonicalize three vectors into a Superbase (signs summing to zero)."""
@@ -137,6 +133,16 @@ def mat_apply(m: Mat, v: Vec) -> Vec:
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
 
+def change_of_basis(p0: Vec, n0: Vec, p1: Vec, n1: Vec) -> Mat | None:
+    """T with T p0 = p1 and T n0 = n1 if (p0, n0) is unimodular, else None."""
+    d = det(p0, n0)
+    if d not in (1, -1):
+        return None
+    # the inverse of the column matrix [p0 n0] is its adjugate over d
+    return mat_mul(((p1[0], n1[0]), (p1[1], n1[1])),
+                   ((n0[1] * d, -n0[0] * d), (-p0[1] * d, p0[0] * d)))
+
+
 def pgl_key(m: Mat) -> Mat:
     """Canonical sign for an element of PGL_2(Z)."""
     flat = (m[0][0], m[0][1], m[1][0], m[1][1])
@@ -193,11 +199,10 @@ def coxeter_generators() -> tuple[list[Mat], dict]:
     return gens, report
 
 
-def superbase_ball(depth: int, start: Superbase | None = None):
+def superbase_ball(depth: int):
     """BFS ball of superbases; returns dict key -> (distance, Superbase)."""
-    start = start or STANDARD_SUPERBASE
-    seen = {start.key(): (0, start)}
-    frontier = [start]
+    seen = {STANDARD_SUPERBASE.key(): (0, STANDARD_SUPERBASE)}
+    frontier = [STANDARD_SUPERBASE]
     for d in range(1, depth + 1):
         nxt = []
         for s in frontier:
@@ -210,27 +215,7 @@ def superbase_ball(depth: int, start: Superbase | None = None):
     return seen
 
 
-def ball_json(depth: int) -> dict:
-    """JSON-ready dump of a BFS ball: superbases and adjacency, for render."""
-    seen = superbase_ball(depth)
-    keys = sorted(seen)
-    index = {k: i for i, k in enumerate(keys)}
-    adjacency = []
-    for k in keys:
-        _, s = seen[k]
-        row = sorted(index[t.key()] for t in neighbors(s) if t.key() in index)
-        adjacency.append(row)
-    return {
-        "depth": depth,
-        "superbases": [[list(v) for v in k] for k in keys],
-        "adjacency": adjacency,
-    }
-
-
 # --- desk-scale Coxeter correspondence -------------------------------------
-
-_REWRITES = ("00", "11", "22")
-
 
 def _word_moves(word: str, cap: int):
     """Neighbouring words under the (3,inf) relations, length-capped."""

@@ -32,6 +32,7 @@ from .lax import (
     STANDARD_SUPERBASE,
     Superbase,
     Vec,
+    change_of_basis,
     det,
     lax,
     mat_apply,
@@ -166,10 +167,10 @@ def _descend(q: BQF, start: Superbase):
         f"descent of {_named(q)} not finished after {limit} runs")
 
 
-def find_well(q: BQF, start: Superbase | None = None) -> Well:
+def find_well(q: BQF) -> Well:
     if classify(q) != POSITIVE_DEFINITE:
         raise ClassificationError("well search needs a positive-definite form")
-    vs, vals = _descend(q, start or STANDARD_SUPERBASE)
+    vs, vals = _descend(q, STANDARD_SUPERBASE)
     order = sorted(range(3), key=lambda i: (vals[i], lax(vs[i])))
     u, v, w = (vals[i] for i in order)
     vecs = tuple(vs[i] for i in order)
@@ -189,14 +190,14 @@ def _well_form(well: Well) -> BQF:
     return BQF(u, b, v)
 
 
-def gauss_reduced(q: BQF, start: Superbase | None = None) -> BQF:
+def gauss_reduced(q: BQF) -> BQF:
     """Gauss-reduced form read off the well.
 
     In the basis (x_u, x_v) of the well the middle coefficient is
     w - u - v; flipping the second basis vector restores det +1 when needed,
     so b = -det(x_u, x_v) * (u + v - w) lands in the SL2 class of q.
     """
-    return _well_form(find_well(q, start))
+    return _well_form(find_well(q))
 
 
 def _require_indefinite(q: BQF) -> None:
@@ -260,7 +261,7 @@ def trace_river(q: BQF) -> RiverPeriod:
         if ref is None:
             ref, ref_steps = (cell, (p, n)), steps
         elif cell == ref[0]:
-            t = _change_of_basis(*ref[1], p, n)
+            t = change_of_basis(*ref[1], p, n)
             if t is not None and q.transform(t) == q:
                 edges.append((mat_apply(t, p0), mat_apply(t, n0)))
                 cells.append(cells[0])
@@ -269,23 +270,6 @@ def trace_river(q: BQF) -> RiverPeriod:
         cells.append(cell)
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs")
-
-
-def _change_of_basis(p0: Vec, n0: Vec, p1: Vec, n1: Vec):
-    """Integer matrix with T p0 = p1, T n0 = n1, if unimodular."""
-    d = det(p0, n0)
-    if d not in (1, -1):
-        return None
-    # inverse of the column matrix [p0 n0]
-    inv = ((n0[1] * d, -n0[0] * d), (-p0[1] * d, p0[0] * d))
-    cols = ((p1[0], n1[0]), (p1[1], n1[1]))
-    t = (
-        (cols[0][0] * inv[0][0] + cols[0][1] * inv[1][0],
-         cols[0][0] * inv[0][1] + cols[0][1] * inv[1][1]),
-        (cols[1][0] * inv[0][0] + cols[1][1] * inv[1][0],
-         cols[1][0] * inv[0][1] + cols[1][1] * inv[1][1]),
-    )
-    return t
 
 
 def _period_faces(period: RiverPeriod):

@@ -17,8 +17,6 @@ ZSQRT3 = "Z_sqrt3"
 GAUSS = "Gauss"
 EISENSTEIN = "Eisenstein"
 
-RINGS = (Z, ZSQRT2, ZSQRT3, GAUSS, EISENSTEIN)
-
 # theta^2 = _SQ[ring][0] + _SQ[ring][1] * theta
 _SQ = {
     Z: (0, 0),

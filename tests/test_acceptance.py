@@ -14,10 +14,10 @@ import sys
 
 import pytest
 
+from box_search import class_represents
 from topograph.bqf import BQF, cell_values
 from topograph.classgroup import (
     ambiguous_form_A,
-    class_represents,
     enumerate_classes,
     is_diform_discriminant,
     verify_red_blue,

@@ -7,15 +7,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from box_search import find_diform_for_classes, represents
 from topograph import classgroup, classical
 from topograph.classgroup import (
     ClassGroupTable,
     ambiguous_form_A,
     compose,
     enumerate_classes,
-    find_diform_for_classes,
     principal_form,
-    represents,
     verify_red_blue,
 )
 from topograph.classical import (

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,8 +22,6 @@ from topograph.diform import (
     _find_river_edge,
     _local_form,
     _other_vertex,
-    _preserves_form,
-    _qre_det,
     _run,
     _translation_automorph,
     dibasis_det,
@@ -30,7 +29,6 @@ from topograph.diform import (
     diform_river,
     diform_well,
     is_dibasis,
-    is_dilinear,
     is_square_diform_disc,
     pinwheel_complete,
     pinwheel_faces,
@@ -42,6 +40,8 @@ from topograph.errors import (
     PreconditionError,
     SquareDiscriminantError,
 )
+from topograph.lax import mat_mul
+from topograph.rings import QRE, ZSQRT2, ZSQRT3
 
 
 def random_dibasis(rng, sigma):
@@ -315,6 +315,93 @@ def single_step_well(q: BQD, start=None):
     return vertex, tuple(sorted(set(flats)))
 
 
+# --- the Z[sqrt(sigma)] river certificate that Gamma_0 replaced, as oracle ---
+
+
+def _raw_coords(d: tuple):
+    """(x, y) with each component as (integer part, sqrt(sigma) part)."""
+    color, u, v = d
+    if color == RED:
+        return ((u, 0), (0, v))
+    return ((0, u), (v, 0))
+
+
+def _qre_mul(a, b, sigma):
+    return (a[0] * b[0] + sigma * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _qre_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _qre_det(t, sigma):
+    x, y = _qre_mul(t[0][0], t[1][1], sigma), _qre_mul(t[0][1], t[1][0], sigma)
+    return (x[0] - y[0], x[1] - y[1])
+
+
+def _mat_mul(m, n, sigma):
+    """The product of 2x2 matrices over Z[sqrt(sigma)], entries (x, y) pairs."""
+    return tuple(
+        tuple(_qre_add(_qre_mul(m[i][0], n[0][j], sigma),
+                       _qre_mul(m[i][1], n[1][j], sigma)) for j in range(2))
+        for i in range(2))
+
+
+def _columns(p: tuple, q: tuple):
+    """The matrix with columns p and q."""
+    return tuple(zip(_raw_coords(p), _raw_coords(q)))
+
+
+def _change_of_dibasis(e0, e1, sigma):
+    """T over Z[sqrt(sigma)] with T e0 = e1 (columnwise), when det e0 = +-1."""
+    (a, b), (c, d) = m0 = _columns(*e0)
+    det = _qre_det(m0, sigma)
+    if det not in ((1, 0), (-1, 0)):
+        return None
+    s = det[0]
+
+    def scl(v, k):
+        return (k * v[0], k * v[1])
+
+    # the inverse of m0 is its adjugate over det = s
+    inv = ((scl(d, s), scl(b, -s)), (scl(c, -s), scl(a, s)))
+    return _mat_mul(_columns(*e1), inv, sigma)
+
+
+def _preserves_form(t, q: BQD) -> bool:
+    """Exact Gram check: T^t G T == G with G = [[2a, b*sqrt(s)], [b*sqrt(s), 2c]]."""
+    g = (((2 * q.a, 0), (0, q.b)), ((0, q.b), (2 * q.c, 0)))
+    t_transposed = ((t[0][0], t[1][0]), (t[0][1], t[1][1]))
+    return _mat_mul(_mat_mul(t_transposed, g, q.sigma), t, q.sigma) == g
+
+
+def is_dilinear(t, sigma: int) -> bool:
+    """Does the matrix (entries as (x, y) pairs) have a dilinear pattern?"""
+    (a, b), (c, d) = t
+    plus = a[1] == 0 and d[1] == 0 and b[0] == 0 and c[0] == 0
+    minus = a[0] == 0 and d[0] == 0 and b[1] == 0 and c[1] == 0
+    return plus or minus
+
+
+def _neg(face: tuple) -> tuple:
+    color, u, v = face
+    return color, -u, -v
+
+
+def reference_translation_automorph(e0, e1, q: BQD):
+    """An orientation-preserving dilinear map carrying the lax edge e0 to e1
+    and fixing Q, or None.  Sign flips of e0 reach the same lax edge; maps of
+    determinant -1 are reflections of the river, not translations."""
+    sigma = q.sigma
+    p0, n0 = e0
+    for flip in (n0, _neg(n0)):
+        t = _change_of_dibasis((p0, flip), e1, sigma)
+        if (t is not None and _qre_det(t, sigma) == (1, 0)
+                and is_dilinear(t, sigma) and _preserves_form(t, q)):
+            return t
+    return None
+
+
 def single_step_river_edge(q: BQD):
     sigma = q.sigma
     vertex = pinwheel_complete(*STANDARD_DIBASIS, sigma)
@@ -364,7 +451,7 @@ def single_step_river(q: BQD):
         p, neg = (x, y) if q(x) > 0 else (y, x)
         vertex = two_candidate_other_vertex(p, neg, vertex, q.sigma)
         if (q(p), q(neg)) == (q(p0), q(n0)) and (p, neg) != (p0, n0):
-            t = _translation_automorph((p0, n0), (p, neg), q)
+            t = reference_translation_automorph((p0, n0), (p, neg), q)
             if t is not None:
                 break
     bends = sum(s.bend for s in steps)
@@ -542,9 +629,101 @@ def test_far_forms_beyond_the_old_step_cap(sigma, k, e):
         ref = diform_river(near)
         assert (r.exceptional, r.edge_count, r.bend_count) == (
             ref.exceptional, ref.edge_count, ref.bend_count)
-        t = r.automorph
-        assert is_dilinear(t, sigma) and _preserves_form(t, q)
-        assert _qre_det(t, sigma) == (1, 0)
+        assert_dilinear_automorph(r.automorph, q)
+
+
+# --- the automorph certificate through Gamma_0(sigma) -------------------------
+
+def assert_dilinear_automorph(t, q: BQD):
+    """T, entries as (x, y) pairs, is dilinear of determinant 1 and fixes Q:
+    T^t G T == G over rings.QRE, G = [[2a, b sqrt(sigma)], [b sqrt(sigma), 2c]]."""
+    (a, b), (c, d) = t
+    assert (a[1] == d[1] == b[0] == c[0] == 0) or (a[0] == d[0] == b[1] == c[1] == 0)
+    ring = {2: ZSQRT2, 3: ZSQRT3}[q.sigma]
+    m = tuple(tuple(QRE(ring, *e) for e in row) for row in t)
+    (ma, mb), (mc, md) = m
+    assert ma * md - mb * mc == QRE(ring, 1, 0)
+    g = ((QRE(ring, 2 * q.a, 0), QRE(ring, 0, q.b)),
+         (QRE(ring, 0, q.b), QRE(ring, 2 * q.c, 0)))
+    assert mat_mul(mat_mul(((ma, mc), (mb, md)), g), m) == g
+
+
+def apply_dilinear(t, d: tuple, sigma: int) -> Divector:
+    """The divector T d, T's entries as (x, y) pairs."""
+    x0, y0 = _raw_coords(d)
+    x, y = (_qre_add(_qre_mul(r0, x0, sigma), _qre_mul(r1, y0, sigma)) for r0, r1 in t)
+    if x[1] == 0 and y[0] == 0:
+        return Divector(RED, x[0], y[1])
+    return Divector(BLUE, x[1], y[0])
+
+
+def river_edges(r) -> list:
+    """The edges the river walk recorded, then the automorph's image of the
+    start edge."""
+    edges = [(s.pos, s.neg) for s in r.steps]
+    sigma = r.form.sigma
+    return edges + [tuple(apply_dilinear(r.automorph, f, sigma) for f in edges[0])]
+
+
+def swaps_colours(t, sigma: int) -> bool:
+    return apply_dilinear(t, (RED, 1, 0), sigma).color == BLUE
+
+
+# the pair matrices of the moves in ``shear``: x -> x + t sqrt(sigma) y,
+# y -> y + t sqrt(sigma) x, and the colour swap W of x and y
+def move_matrix(move: str, t: int):
+    if move == "x":
+        return ((1, 0), (0, t)), ((0, 0), (1, 0))
+    if move == "y":
+        return ((1, 0), (0, 0)), ((0, t), (1, 0))
+    return ((0, 0), (1, 0)), ((1, 0), (0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(moved_diforms(definite=False), moves)
+def test_translation_automorph_matches_reference(q, word):
+    sigma = q.sigma
+    r = diform_river(q)
+    edges = river_edges(r)
+    for e1 in edges:
+        assert (_translation_automorph(edges[0], e1, q)
+                == reference_translation_automorph(edges[0], e1, q))
+    assert _translation_automorph(edges[0], edges[-1], q) == r.automorph
+    assert_dilinear_automorph(r.automorph, q)
+    # move the form and the period by a dilinear word M: M T M^-1 carries
+    # M e0 to M e1 and fixes Q o M^-1, whatever colours M sends e0 to
+    form, (e0, e1) = tuple(q)[1:], (edges[0], edges[-1])
+    for move, t in word:
+        m = move_matrix(move, t)
+        e0, e1 = (tuple(apply_dilinear(m, f, sigma) for f in e) for e in (e0, e1))
+        form = shear(form, sigma, move, -t)
+    moved = BQD(sigma, *form)
+    auto = _translation_automorph(e0, e1, moved)
+    assert auto is not None
+    assert auto == reference_translation_automorph(e0, e1, moved)
+    assert swaps_colours(auto, sigma) == swaps_colours(r.automorph, sigma)
+
+
+def test_translation_automorph_matches_reference_on_a_grid():
+    kinds = set()
+    for sigma, form in product((2, 3), product(range(-4, 5), repeat=3)):
+        q = BQD(sigma, *form)
+        if (q.discriminant() <= 0 or is_square_diform_disc(q)
+                or not q.is_primitive()):
+            continue
+        r = diform_river(q)
+        edges = river_edges(r)
+        assert reference_translation_automorph(edges[0], edges[-1], q) == r.automorph
+        kinds.add(swaps_colours(r.automorph, sigma))
+    assert kinds == {False, True}
+
+
+def test_colour_swapping_automorph_pinned():
+    # the river of (-11, -12, -5) at sigma = 2 starts on the red positive face
+    # (-1, 1) and closes one period later on a blue one
+    r = diform_river(BQD(2, -11, -12, -5))
+    assert r.automorph == (((0, 9), (5, 0)), ((-11, 0), (0, -3)))
+    assert swaps_colours(r.automorph, 2)
 
 
 # At most this many evaluations of Q, pinwheel recurrences and Pinwheel

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topograph import reduction
+from topograph import bqf, reduction
 from topograph.bqf import BQF
 from topograph.classical import indefinite_cycle, is_square, reduce_definite
 from topograph.errors import ClassificationError, SquareDiscriminantError
@@ -302,14 +302,20 @@ def test_river_descent_values_are_the_values_of_its_vectors(form, t1, t2):
 
 
 def _count_evaluations(monkeypatch):
+    """Every evaluation of Q: one per BQF call, three per form transform."""
     calls = []
-    real = BQF.__call__
+    real_call, real_transform = BQF.__call__, bqf.transform
 
     def counted(self, v):
         calls.append(v)
-        return real(self, v)
+        return real_call(self, v)
+
+    def counted_transform(form, m):
+        calls.extend([m] * 3)
+        return real_transform(form, m)
 
     monkeypatch.setattr(BQF, "__call__", counted)
+    monkeypatch.setattr(bqf, "transform", counted_transform)
     return calls
 
 

@@ -299,6 +299,30 @@ def test_cli_dump_schema():
     }
 
 
+# one real invocation of each subcommand that prints a JSON line
+_ONE_RUN = {
+    "reduce": ["--form=5,7,3"],
+    "river": ["--form=1,0,-3"],
+    "pell": ["--d=61"],
+    "classgroup": ["--delta=-20"],
+    "diform": ["--sigma=2", "--form=1,1,3"],
+    "hermitian": ["--ring=g", "--form=1,0,0,-2", "--min-box=2"],
+    "render": ["--geometry=3inf", "--depth=2", "--out={out}"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ONE_RUN))
+def test_cli_dump_schema_keys_match_stdout(command, tmp_path, capsys):
+    argv = [a.format(out=tmp_path / "patch.svg") for a in _ONE_RUN[command]]
+    assert main([command, *argv]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert main(["dump", "--json"]) == 0
+    schemas = {entry["command"]: entry["schema"]
+               for entry in map(json.loads, capsys.readouterr().out.splitlines())}
+    assert sorted(schemas) == sorted(_ONE_RUN)
+    assert sorted(schemas[command]) == sorted(printed)
+
+
 def test_cli_seed_flag_is_noop():
     a = run_cli("--seed", "1", "pell", "--d", "7")
     b = run_cli("--seed", "2", "pell", "--d", "7")

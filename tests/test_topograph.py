@@ -9,7 +9,6 @@ import topograph
 from topograph.errors import NotASuperbaseError
 from topograph.lax import (
     STANDARD_SUPERBASE,
-    ball_json,
     coxeter_generators,
     mat_mul,
     neighbors,
@@ -42,14 +41,6 @@ def test_ball_sizes_are_tree_counts():
         ball = superbase_ball(depth)
         expected = 1 + 3 * (2 ** depth - 1)
         assert len(ball) == expected
-
-
-def test_ball_json_adjacency_is_symmetric():
-    data = ball_json(3)
-    adj = data["adjacency"]
-    for i, row in enumerate(adj):
-        for j in row:
-            assert i in adj[j]
 
 
 def test_generator_relations():
