@@ -41,10 +41,6 @@ def vadd(u: Vec, v: Vec) -> Vec:
     return (u[0] + v[0], u[1] + v[1])
 
 
-def vneg(u: Vec) -> Vec:
-    return (-u[0], -u[1])
-
-
 class Superbase(NamedTuple):
     """Lax superbase, stored as signed vectors u + v + w = 0.
 

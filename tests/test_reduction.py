@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from topograph import bqf, reduction
 from topograph.bqf import BQF
 from topograph.classical import indefinite_cycle, is_square, reduce_definite
-from topograph.errors import ClassificationError, SquareDiscriminantError
+from topograph.errors import BudgetError, ClassificationError, SquareDiscriminantError
 from topograph.lax import STANDARD_SUPERBASE, det, lax, vadd, vsub
 from topograph.reduction import (
     CELL_WELL,
@@ -124,11 +125,68 @@ def single_step_descent(q: BQF):
     return vs, vals
 
 
-def single_step_river_edge(q: BQF):
-    vs, vals = single_step_descent(q)
+def _river_edge(vs, vals):
     p0 = next(v for v, x in zip(vs, vals) if x > 0)
     n0 = next(v for v, x in zip(vs, vals) if x < 0)
     return p0, n0
+
+
+def single_step_river_edge(q: BQF):
+    return _river_edge(*single_step_descent(q))
+
+
+def superbase_descent(q: BQF):
+    """The previous run-length walk, on signed superbases: each pass takes one
+    single step, then the rest of the run around the face that the next step
+    keeps, in closed form.  The reference for shears far too long for the
+    single-step walk."""
+    def step(vs, j):
+        p, r = vs[(j + 1) % 3], vs[(j + 2) % 3]
+        out = list(vs)
+        out[j], out[(j + 1) % 3] = vsub(p, r), (-p[0], -p[1])
+        return out
+
+    def drop(h):
+        j = max(range(3), key=h.__getitem__)
+        return j if 2 * h[j] > sum(h) else None
+
+    vs = list(STANDARD_SUPERBASE)
+    vals = [q(v) for v in vs]
+    sign = 1 if vals[0] > 0 else -1
+    disc = q.discriminant()
+    root = math.isqrt(disc) if disc > 0 else None
+    while not min(vals) < 0 < max(vals):
+        if (j := drop([sign * x for x in vals])) is None:
+            break
+        vs = step(vs, j)
+        vals[j] = 2 * (vals[(j + 1) % 3] + vals[(j + 2) % 3]) - vals[j]
+        h = [sign * x for x in vals]
+        if min(vals) < 0 < max(vals) or (j2 := drop(h)) is None:
+            break
+        fixed = 3 - j - j2
+        phi, a, b = h[fixed], h[j2], h[j]
+        k = -((b - a + phi) // (2 * phi))
+        if root is not None:
+            x = (phi + a - b - root - 1) // (2 * phi) + 1
+            if x >= 2 and phi * x * x + (b - a - phi) * x + a < 0:
+                k = min(k, x - 1)
+        # k steps around vs[fixed], the first replacing vs[j2]: two steps
+        # flip the fixed face and move the other one 2F along
+        p, r = vs[(j2 + 1) % 3], vs[(j2 + 2) % 3]
+        m, odd = divmod(k, 2)
+        s = -1 if m % 2 else 1
+        if fixed == (j2 + 2) % 3:
+            p = (p[0] - 2 * m * r[0], p[1] - 2 * m * r[1])
+        else:
+            r = (r[0] - 2 * m * p[0], r[1] - 2 * m * p[1])
+        p, r = (s * p[0], s * p[1]), (s * r[0], s * r[1])
+        vs[j2], vs[(j2 + 1) % 3], vs[(j2 + 2) % 3] = (-p[0] - r[0], -p[1] - r[1]), p, r
+        if odd:
+            vs = step(vs, j2)
+        hk = phi * k * k + (b - a - phi) * k + a
+        new, old = (j2, j) if k % 2 else (j, j2)
+        vals[new], vals[old] = sign * (hk + 2 * phi * k + b - a), sign * hk
+    return vs, vals
 
 
 def single_step_minimum(q: BQF) -> tuple[int, tuple[int, int]]:
@@ -234,6 +292,35 @@ def test_minimum_matches_single_step_walker(form, t1, t2):
     assert (rep.mu, rep.witness) == single_step_minimum(q)
 
 
+def _grid_forms():
+    span = range(-12, 13)
+    for form in itertools.product(span, span, span):
+        d = form[1] ** 2 - 4 * form[0] * form[2]
+        if math.gcd(*form) == 1 and (d < 0 < form[0] or d > 0 and not is_square(d)):
+            yield form
+
+
+def test_walks_match_the_single_step_walker_on_a_grid():
+    # every primitive positive-definite and indefinite non-square form with
+    # coefficients in [-12, 12], so every tie of two cell wells; 10^12 steps
+    # are out of the single-step walker's reach, and the previous run-length
+    # walker, checked against it on the short shears, stands in there
+    forms = list(_grid_forms())
+    assert len(forms) == 2323 + 6220
+    for t1, t2 in ((0, 0), (3, -5), (40, 11), (10 ** 12, -(10 ** 12))):
+        oracle = superbase_descent if t1 > 40 else single_step_descent
+        for form in forms:
+            q = sl2_move(form, t1, t2)
+            vs, vals = oracle(q)
+            if t1 <= 40:
+                assert (vs, vals) == superbase_descent(q)
+            if form[1] ** 2 < 4 * form[0] * form[2]:
+                well = find_well(q)
+                assert sorted(zip(well.values, well.vectors)) == sorted(zip(vals, vs))
+            else:
+                assert find_river_edge(q) == _river_edge(vs, vals)
+
+
 def test_river_period_counts_steps_and_runs():
     period = trace_river(BQF(-22, 6, 24))
     assert period.steps == 78
@@ -260,9 +347,21 @@ def test_river_search_names_a_huge_form_by_size(monkeypatch):
     # a descent that never meets the river; str of the 5,001-digit
     # coefficient would raise ValueError in place of the typed error
     monkeypatch.setattr(reduction, "_descend",
-                        lambda q, start: (list(start), [1, 1, 1]))
+                        lambda q, root: (list(STANDARD_SUPERBASE), [1, 1, 1]))
     with pytest.raises(ClassificationError, match="16610/1/1-bit integers"):
         find_river_edge(BQF(10 ** 5000, 1, -1))
+
+
+def test_river_period_past_its_run_budget_is_refused(monkeypatch):
+    # (-22, 6, 24) closes its period after 16 runs (17 edges)
+    monkeypatch.setattr(reduction, "RIVER_BUDGET", 10)
+    with pytest.raises(BudgetError, match="2148, not closed after 10 runs"):
+        trace_river(BQF(-22, 6, 24))
+    monkeypatch.setattr(reduction, "RIVER_BUDGET", 16)
+    assert len(trace_river(BQF(-22, 6, 24)).edges) == 17
+    big = -(10 ** 5000 + 7)
+    with pytest.raises(BudgetError, match="discriminant a 16612-bit integer"):
+        pell_solve(-big)
 
 
 # --- values carried by the arithmetic progression rule -----------------------
@@ -285,7 +384,7 @@ def test_river_period_cells_are_the_local_forms_of_its_edges(form, t1, t2):
 def test_well_descent_values_are_the_values_of_its_vectors(form, t1, t2):
     # the descent find_well runs
     q = sl2_move(form, t1, t2)
-    vs, vals = reduction._descend(q, STANDARD_SUPERBASE)
+    vs, vals = reduction._descend(q, None)
     assert vals == [q(v) for v in vs]
     assert find_well(q).values == tuple(sorted(vals))
 
@@ -295,10 +394,12 @@ def test_well_descent_values_are_the_values_of_its_vectors(form, t1, t2):
 def test_river_descent_values_are_the_values_of_its_vectors(form, t1, t2):
     # the descent find_river_edge runs
     q = sl2_move(form, t1, t2)
-    vs, vals = reduction._descend(q, STANDARD_SUPERBASE)
+    root = math.isqrt(q.discriminant())
+    vs, vals = reduction._descend(q, root)
     assert vals == [q(v) for v in vs]
     p, n = find_river_edge(q)
-    assert reduction._river_cell(q) == (p, n, (q(p), q(vadd(p, n)) - q(p) - q(n), q(n)))
+    assert reduction._river_cell(q) == (
+        p, n, (q(p), q(vadd(p, n)) - q(p) - q(n), q(n)), root)
 
 
 def _count_evaluations(monkeypatch):
@@ -322,11 +423,21 @@ def _count_evaluations(monkeypatch):
 @pytest.mark.parametrize("form", [(1, 0, -3), (1, 0, -61), (-22, 6, 24),
                                   (1, 0, -(10 ** 6) ** 2 - 1)])
 def test_river_walks_evaluate_q_a_fixed_number_of_times(form, monkeypatch):
-    # three for the start superbase and three in the automorph certificate,
-    # whatever the number of runs (17 for (-22, 6, 24)) or of single steps
-    # (4 * 10^6 for the last form)
+    # the three of the automorph certificate, whatever the number of runs
+    # (17 for (-22, 6, 24)) or of single steps (4 * 10^6 for the last form)
     calls = _count_evaluations(monkeypatch)
     for walk in (trace_river, riverbends, minimum_nonzero):
         calls.clear()
         walk(BQF(*form))
-        assert len(calls) == 6
+        assert len(calls) == 3
+
+
+@pytest.mark.parametrize("form", [(5, 7, 3), (25, 36, 13),
+                                  (1, 2 * 10 ** 6, 10 ** 12 + 1)])
+def test_well_walks_evaluate_q_zero_times(form, monkeypatch):
+    # the start edge's local form is the coefficients; the last form's well
+    # is 10^6 single steps away
+    calls = _count_evaluations(monkeypatch)
+    for walk in (find_well, gauss_reduced):
+        walk(BQF(*form))
+    assert calls == []

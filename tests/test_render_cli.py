@@ -244,6 +244,20 @@ def test_cli_refuses_class_groups_past_the_enumeration_budget(argv, capsys):
     assert "candidate forms, over the budget of" in error["message"]
 
 
+def test_cli_refuses_river_periods_past_the_run_budget(capsys):
+    # the period of sqrt(D) for this 55-digit D has far more than 20,000
+    # partial quotients; without the budget the walk runs for hours
+    d = "1000000000000000000000000000000000000000000000000000007"
+    start = time.perf_counter()
+    assert main(["pell", "--d", d]) == 1
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "budget"
+    assert f"discriminant {4 * int(d)}, not closed after 20000 runs" in error["message"]
+
+
 def test_cli_diform_class_relation_is_null_when_it_does_not_apply(capsys):
     # sigma | a: the red form (30, 0, 2) is imprimitive
     assert main(["diform", "--sigma", "2", "--form", "30,0,1"]) == 0
