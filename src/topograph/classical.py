@@ -61,8 +61,12 @@ def is_reduced_indefinite(form: Form, d: int) -> bool:
 
 def rho(form: Form, d: int) -> Form:
     """Reduction/cycle step for indefinite forms (Cohen's rho)."""
+    return _rho(form, d, math.isqrt(d))
+
+
+def _rho(form: Form, d: int, s: int) -> Form:
+    """``rho`` with s = isqrt(d) given, for loops that step one d."""
     a, b, c = form
-    s = math.isqrt(d)
     t = 2 * abs(c)
     if abs(c) > s:
         # choose b' = -b mod t with |b'| minimal
@@ -93,6 +97,7 @@ def reduce_indefinite(form: Form) -> Form:
     # steps.  a plays no part, as the first step drops it.
     excess = c.bit_length() - (d.bit_length() - 1) // 2
     limit = max(excess, 0) // 2 + 3
+    s = math.isqrt(d)
     f = (a, b, c)
     steps = 0
     while not is_reduced_indefinite(f, d):
@@ -100,7 +105,7 @@ def reduce_indefinite(form: Form) -> Form:
             raise ClassificationError(
                 f"rho reduction of {brief(form)} did not terminate in {steps} steps"
             )
-        f = rho(f, d)
+        f = _rho(f, d, s)
         steps += 1
     return f
 
@@ -109,12 +114,13 @@ def indefinite_cycle(form: Form) -> tuple[Form, ...]:
     """The cycle of reduced forms SL2-equivalent to an indefinite form."""
     start = reduce_indefinite(form)
     d = start[1] ** 2 - 4 * start[0] * start[2]
+    s = math.isqrt(d)
     # rho permutes the finitely many reduced forms of discriminant d
     cycle = [start]
-    f = rho(start, d)
+    f = _rho(start, d, s)
     while f != start:
         cycle.append(f)
-        f = rho(f, d)
+        f = _rho(f, d, s)
     return tuple(cycle)
 
 

@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 from .classical import is_square, red_blue_forms, reduce_definite, transform
 from .errors import (
+    BudgetError,
     ClassificationError,
     DibasisError,
     PreconditionError,
@@ -44,6 +45,8 @@ from .lax import change_of_basis, mat_det, mat_mul
 
 RED = "red"
 BLUE = "blue"
+# runs a river period may take, as reduction.RIVER_BUDGET for BQF rivers
+RIVER_BUDGET = 20_000
 
 
 class Divector(NamedTuple):
@@ -518,7 +521,8 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     the minimum.
 
     A fully straight period marks the exceptional forms excluded by the
-    minimum theorems.
+    minimum theorems.  A period has no cheap advance estimate, so one longer
+    than ``RIVER_BUDGET`` runs raises BudgetError during the walk.
     """
     if not q.is_primitive():
         raise PreconditionError(
@@ -546,7 +550,7 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     # period has at most 4 #{x y <= m} <= 4 m (1 + ln m) edges, m = d / 4 sigma.
     m = d // (4 * sigma)
     limit = 4 * m * (m.bit_length() + 1) + 1
-    for _ in range(limit):
+    for _ in range(min(limit, RIVER_BUDGET)):
         # the walker stands at the edge {p, neg} = {f_here, f_here+1}
         red = cells[here] if faces[here][0] == RED else cells[here][::-1]
         bend = any(e * f < 0 for e, f in _cell_pairs(*red, sigma))
@@ -586,6 +590,10 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                 return DiRiverPeriod(tuple(steps), edges, bends, auto, mu, wit,
                                      exceptional, q)
         faces = pinwheel_faces(d0, d1, sigma)
+    if limit > RIVER_BUDGET:
+        raise BudgetError(
+            f"river period of {_named(q)}, discriminant {brief(d)}, not closed "
+            f"after {RIVER_BUDGET} runs ({edges} edges), the budget")
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs "
         f"({edges} edges)")

@@ -165,24 +165,25 @@ def find_cubasis(seed) -> tuple:
     seed_keys = {_lax_key(s1), _lax_key(s2), _lax_key(s3)}
     if len(seed_keys) != 3:
         raise PreconditionError("seed vectors must be distinct lax vectors")
+    # each candidate keyed once, for the distinctness tests below
     cands = [
-        p
+        (p, key)
         for p in _box_vectors(ring, SEARCH_BOUND)
-        if _lax_key(p) not in seed_keys
+        if (key := _lax_key(p)) not in seed_keys
     ]
-    p1s = [p for p in cands if is_ring_superbase(s2, s3, p)]
-    for p1 in p1s:
+    p1s = [(p, key) for p, key in cands if is_ring_superbase(s2, s3, p)]
+    for p1, key1 in p1s:
         p2s = [
-            p
-            for p in cands
-            if _lax_key(p) != _lax_key(p1)
+            (p, key)
+            for p, key in cands
+            if key != key1
             and is_ring_superbase(s1, s3, p)
             and _is_unimodular(p1, p)
             and is_ring_superbase(p1, s3, p)
         ]
-        for p2 in p2s:
-            for p3 in cands:
-                if _lax_key(p3) in (_lax_key(p1), _lax_key(p2)):
+        for p2, key2 in p2s:
+            for p3, key3 in cands:
+                if key3 in (key1, key2):
                     continue
                 if not is_ring_superbase(s1, s2, p3):
                     continue

@@ -252,26 +252,14 @@ def trace_river(q: BQF) -> RiverPeriod:
         f"river period of {_named(q)} not closed after {brief(limit)} runs")
 
 
-def _period_faces(period: RiverPeriod):
-    """The faces at the run ends of the period, as {lax vector: Q}.
-
-    Inside a run |Q| of the moving faces is strictly concave in the step
-    number, so it is smallest only at the run's ends.  These faces therefore
-    include every face of the period that attains its least |Q|, and every
-    face with |Q| = 1.
-    """
-    faces = {}
-    for (p, n), (u, _, v) in zip(period.edges, period.cells):
-        faces.setdefault(lax(p), u)
-        faces.setdefault(lax(n), v)
-    return faces
-
-
 def _bends(period: RiverPeriod) -> list[BQF]:
+    # a run keeps det(p, n), and so does the automorph, so every edge of the
+    # period has the start edge's
+    sign = det(*period.edges[0])
     out = []
-    for (p, n), (u, b, v) in zip(period.edges[:-1], period.cells):
+    for u, b, v in period.cells[:-1]:
         if abs(b) > abs(u + v):  # a bend, as in trace_river
-            b *= det(p, n)
+            b *= sign
             # of the two det +1 readings (u, b, v) and (v, -b, u), the one
             # with b > 0
             out.append(BQF(u, b, v) if b > 0 else BQF(v, -b, u))
@@ -288,9 +276,22 @@ def riverbends(q: BQF) -> list[BQF]:
 
 
 def _minimum(period: RiverPeriod) -> MinimumReport:
-    faces = _period_faces(period)
-    mu_vec = min(faces, key=lambda v: (abs(faces[v]), v))
-    return MinimumReport(abs(faces[mu_vec]), mu_vec, period.form.discriminant())
+    """The least |Q| over the faces at the run ends of the period, and the
+    least lax vector attaining it.
+
+    Inside a run |Q| of the moving faces is strictly concave in the step
+    number, so it is smallest only at the run's ends.  These faces therefore
+    include every face of the period that attains its least |Q|.  Each edge
+    (p, n) has Q(p) = u > 0 > v = Q(n).
+    """
+    mu = min(min(u, -v) for u, _, v in period.cells)
+    ties = []
+    for (p, n), (u, _, v) in zip(period.edges, period.cells):
+        if u == mu:
+            ties.append(lax(p))
+        if v == -mu:
+            ties.append(lax(n))
+    return MinimumReport(mu, min(ties), period.form.discriminant())
 
 
 def minimum_nonzero(q: BQF) -> MinimumReport:
@@ -312,8 +313,10 @@ def pell_solve(d: int) -> PellSolution:
         raise SquareDiscriminantError("need a nonsquare D >= 2")
     period = trace_river(BQF(1, 0, -d))
     (tx, _), (ty, _) = period.automorph
-    # the automorph preserves Q, so Q(tx, ty) = Q(1, 0) = 1
-    ones = [v for v, val in _period_faces(period).items() if val == 1] + [(tx, ty)]
+    # the faces of value 1 are run ends (see _minimum), and the automorph
+    # preserves Q, so Q(tx, ty) = Q(1, 0) = 1
+    ones = [p for (p, _), (u, _, _) in zip(period.edges, period.cells) if u == 1]
+    ones.append((tx, ty))
     x, y = min((abs(x), abs(y)) for x, y in ones if y != 0)
     if x * x - d * y * y != 1:
         raise IntegralityError(

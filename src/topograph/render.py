@@ -41,52 +41,6 @@ class LayoutPatch:
         }
 
 
-def _tree_layout(root_key, neighbor_keys, depth: int):
-    """Angular-subdivision positions for a BFS tree in the unit disk.
-
-    A depth-``d`` patch places the vertices at BFS distance < d ("real") and
-    uses the distance-d shell as phantom endpoints for boundary edge stubs.
-    Children split their parent's angular interval; a vertex sits at the
-    midpoint of its interval, at radius proportional to its BFS level.
-    """
-    pos = {root_key: (0.0, 0.0)}
-    intervals = {root_key: (0.0, 2.0 * math.pi)}
-    level = {root_key: 0}
-    # the BFS expands exactly the real vertices; the edge pass reuses them
-    adjacent = {}
-    frontier = [root_key]
-    for d in range(1, depth + 1):
-        nxt = []
-        for k in frontier:
-            adjacent[k] = neighbor_keys(k)
-            kids = [t for t in adjacent[k] if t not in pos]
-            lo, hi = intervals[k]
-            n = max(len(kids), 1)
-            for i, t in enumerate(kids):
-                a = lo + (hi - lo) * i / n
-                b = lo + (hi - lo) * (i + 1) / n
-                mid = (a + b) / 2.0
-                r = d / (depth + 0.0)
-                pos[t] = (r * math.cos(mid), r * math.sin(mid))
-                if d < depth:
-                    intervals[t] = (a, b)
-                level[t] = d
-                nxt.append(t)
-        frontier = nxt
-    real = sorted(k for k, lv in level.items() if lv < depth)
-    # walking the sorted real vertices and their sorted neighbours lists
-    # the edges and the stubs in sorted order
-    edges = []
-    stubs = []
-    for k in real:
-        for t in sorted(adjacent[k]):
-            if level[t] == depth:
-                stubs.append((k, t))
-            elif k < t:
-                edges.append((k, t))
-    return pos, real, edges, stubs
-
-
 class _Superbases:
     """(3,inf) adapter: a vertex is a signed superbase triple in
     ``normalize_superbase``'s canonical order, its key the sorted lax faces."""
@@ -157,66 +111,98 @@ class _Pinwheels:
 
 
 def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
-    """The depth-``depth`` patch of the geometry, each vertex built once:
-    from its parent, across one edge.  The edge back is not crossed again,
-    since the parent's key is known."""
+    """The depth-``depth`` patch of the geometry, embedded in the unit disk
+    by angular subdivision.
+
+    The patch places the vertices at BFS distance < depth ("real") and uses
+    the distance-depth shell as phantom endpoints for boundary edge stubs.
+    Children split their parent's angular interval; a vertex sits at the
+    midpoint of its interval, at radius proportional to its BFS level.
+
+    Each vertex is built once, from its parent, across one edge; the edge
+    back is not crossed again.  The geometry is a tree, so every vertex the
+    BFS builds is new, and its id is its index in ``keys`` and ``pos``.
+    The BFS numbers one level after the other, so the real vertices are the
+    ids below ``len(adjacent)``.  Keys serve only to order the output and to
+    name the faces an edge shares; the form is valued once per face.
+    """
     geo = _Superbases(form) if geometry == "3inf" else _Pinwheels(geometry, form)
-    root_key = geo.key(geo.root)
-    # key -> (vertex, position of the edge to the parent, parent key, level);
-    # the shell, at level depth, is never expanded and keeps only its key
-    built = {root_key: (geo.root, None, None, 0)}
+    keys = [geo.key(geo.root)]
+    pos = [(0.0, 0.0)]
+    adjacent = []  # the neighbour ids of each real vertex
+    # (id, vertex, position of the edge to the parent, parent id, interval)
+    frontier = [(0, geo.root, None, None, 0.0, 2.0 * math.pi)]
+    for d in range(1, depth + 1):
+        r = d / (depth + 0.0)
+        nxt = []
+        for k, vertex, back, parent, lo, hi in frontier:
+            out = []
+            n = geo.degree - (back is not None)
+            j = 0
+            for i in range(geo.degree):
+                if i == back:
+                    out.append(parent)
+                    continue
+                t, t_back = geo.step(vertex, i)
+                a = lo + (hi - lo) * j / n
+                b = lo + (hi - lo) * (j + 1) / n
+                mid = (a + b) / 2.0
+                j += 1
+                out.append(len(keys))
+                if d < depth:
+                    nxt.append((len(keys), t, t_back, k, a, b))
+                keys.append(geo.key(t))
+                pos.append((r * math.cos(mid), r * math.sin(mid)))
+            adjacent.append(out)
+        frontier = nxt
+    real = len(adjacent)
+    order = sorted(range(real), key=keys.__getitem__)
+    rank = [0] * real  # the output id of each real vertex
+    for i, k in enumerate(order):
+        rank[k] = i
 
-    def neighbor_keys(k):
-        vertex, back, parent, level = built[k]
-        out = []
-        for i in range(geo.degree):
-            if i == back:
-                out.append(parent)
-                continue
-            t, t_back = geo.step(vertex, i)
-            tk = geo.key(t)
-            if level + 1 < depth:
-                built[tk] = (t, t_back, k, level + 1)
-            out.append(tk)
-        return out
+    incidence: dict = {}
+    for k in order:
+        for f in keys[k]:
+            incidence.setdefault(f, []).append(pos[k])
+    faces = sorted(incidence)
+    value = dict(zip(faces, map(geo.value, faces))) if geo.q is not None else None
 
-    pos, real, edge_keys, stub_keys = _tree_layout(root_key, neighbor_keys, depth)
     patch = LayoutPatch(geometry, depth, form)
-    ids = {k: i for i, k in enumerate(real)}
-
     well_key = geo.well_key()
-    for k in real:
-        classes = ["vertex"]
-        if k == well_key:
-            classes.append("well")
+    for i, k in enumerate(order):
+        classes = ["vertex", "well"] if keys[k] == well_key else ["vertex"]
         x, y = pos[k]
-        patch.vertices.append({"id": ids[k], "x": x, "y": y, "classes": classes})
+        patch.vertices.append({"id": i, "x": x, "y": y, "classes": classes})
 
-    def edge(k1, k2, v2, end):
+    def edge(k, t, v2, end):
         # a key lists its vertex's lax faces; an edge's are the shared ones
-        shared = sorted(set(k1).intersection(k2))
+        shared = sorted(set(keys[k]).intersection(keys[t]))
         classes = ["edge"]
-        if geo.q is not None and len(shared) == 2:
-            if geo.value(shared[0]) * geo.value(shared[1]) < 0:
+        if value is not None and len(shared) == 2:
+            if value[shared[0]] * value[shared[1]] < 0:
                 classes.append("river")
-        return {"v1": ids[k1], "v2": v2, "end": end, "faces": shared,
+        return {"v1": rank[k], "v2": v2, "end": end, "faces": shared,
                 "classes": classes}
 
-    for k1, k2 in edge_keys:
-        patch.edges.append(edge(k1, k2, ids[k2], pos[k2]))
-    for k1, k2 in stub_keys:
-        (x1, y1), (x2, y2) = pos[k1], pos[k2]
-        patch.edges.append(edge(k1, k2, None, ((x1 + x2) / 2.0, (y1 + y2) / 2.0)))
+    # walking the sorted real vertices and their sorted neighbours lists
+    # the edges and the stubs in sorted order
+    stubs = []
+    for k in order:
+        for t in sorted(adjacent[k], key=keys.__getitem__):
+            if t >= real:
+                stubs.append((k, t))
+            elif rank[k] < rank[t]:
+                patch.edges.append(edge(k, t, rank[t], pos[t]))
+    for k, t in stubs:
+        (x1, y1), (x2, y2) = pos[k], pos[t]
+        patch.edges.append(edge(k, t, None, ((x1 + x2) / 2.0, (y1 + y2) / 2.0)))
 
-    face_incidence: dict = {}
-    for k in real:
-        for f in k:
-            face_incidence.setdefault(f, []).append(pos[k])
-    for i, f in enumerate(sorted(face_incidence)):
-        pts = face_incidence[f]
+    for i, f in enumerate(faces):
+        pts = incidence[f]
         x = sum(p[0] for p in pts) / len(pts)
         y = sum(p[1] for p in pts) / len(pts)
-        label = str(geo.value(f)) if geo.q is not None else geo.face_name.format(*f)
+        label = str(value[f]) if value is not None else geo.face_name.format(*f)
         patch.faces.append(
             {"id": i, "x": x, "y": y, "label": label, "classes": ["face-label"]}
         )

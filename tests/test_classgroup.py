@@ -372,8 +372,17 @@ def test_rho_reduction_far_from_the_cycle():
     assert t.class_index(form) == t.class_index((1, 0, -2))
 
 
+def test_public_rho_steps_the_cycle():
+    # reduction and cycles step a private rho given isqrt(d) once; the public
+    # rho computes it per call and must agree
+    for form in [(1, 0, -2), (-22, 6, 24), (7, 37, -11)]:
+        cycle = indefinite_cycle(form)
+        d = form[1] ** 2 - 4 * form[0] * form[2]
+        assert [classical.rho(f, d) for f in cycle] == list(cycle[1:] + cycle[:1])
+
+
 def test_rho_reduction_overrun_is_typed(monkeypatch):
-    monkeypatch.setattr(classical, "rho", lambda form, d: form)
+    monkeypatch.setattr(classical, "_rho", lambda form, d, s: form)
     with pytest.raises(ClassificationError, match=r"\(1, 0, -3\).* 3 steps"):
         reduce_indefinite((1, 0, -3))
     # a form too long to print is named by its coefficient sizes

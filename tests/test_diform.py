@@ -35,6 +35,7 @@ from topograph.diform import (
     verify_gamma0_conjugation,
 )
 from topograph.errors import (
+    BudgetError,
     ClassificationError,
     DibasisError,
     PreconditionError,
@@ -842,3 +843,21 @@ def test_diform_errors_name_huge_forms(monkeypatch):
     monkeypatch.setattr(diform_module, "_descend", lambda *args: None)
     with pytest.raises(ClassificationError, match="no descent toward the river.*33221"):
         real_edge(far)
+
+
+def test_diform_river_period_past_its_run_budget_is_refused(monkeypatch):
+    # (7, 5, -11) over sigma = 3 closes its period after 6 runs (18 edges)
+    q = BQD(3, 7, 5, -11)
+    monkeypatch.setattr(diform_module, "RIVER_BUDGET", 5)
+    with pytest.raises(BudgetError, match="1149, not closed after 5 runs"):
+        diform_river(q)
+    monkeypatch.setattr(diform_module, "RIVER_BUDGET", 6)
+    assert diform_river(q).edge_count == 18
+    with pytest.raises(BudgetError, match="discriminant a 16613-bit integer"):
+        diform_river(BQD(2, 1, 0, -(HUGE + 7)))
+    # under the budget, the derived bound 4 m (bits(m) + 1) + 1 on the runs,
+    # m = 1149 // 12, stays a ClassificationError
+    monkeypatch.setattr(diform_module, "RIVER_BUDGET", 20_000)
+    monkeypatch.setattr(diform_module, "_translation_automorph", lambda *args: None)
+    with pytest.raises(ClassificationError, match="not closed after 3041 runs"):
+        diform_river(q)

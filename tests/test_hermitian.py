@@ -86,6 +86,24 @@ def test_find_cubasis_standard_seed():
                 assert is_ring_superbase(t1, t2, t3)
 
 
+def test_find_cubasis_keys_each_candidate_once(monkeypatch):
+    from topograph import hermitian
+
+    calls = []
+    real = hermitian._lax_key
+
+    def counted(v):
+        calls.append(v)
+        return real(v)
+
+    monkeypatch.setattr(hermitian, "_lax_key", counted)
+    assert find_cubasis(STANDARD_GAUSS_SEED) == STANDARD_CUBASIS
+    # every box vector and the three seeds, 171 keys; recomputing them in
+    # the inner loops took 510
+    box = hermitian._box_vectors(GAUSS, hermitian.SEARCH_BOUND)
+    assert len(calls) <= len(box) + 3
+
+
 def test_find_tetrabasis_standard_seed():
     tb = find_tetrabasis(STANDARD_EISENSTEIN_SEED)
     assert len(tb) == 4

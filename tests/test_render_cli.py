@@ -7,6 +7,7 @@ import time
 import pytest
 
 from topograph import render
+from topograph.bqf import BQF
 from topograph.cli import main
 from topograph.diform import Divector, Pinwheel, _other_vertex
 from topograph.errors import BudgetError, PreconditionError
@@ -102,6 +103,14 @@ SVG_SHA256 = [
     ('4inf', 4, (3, 5, -7), '549de8d5e7cab074e47329d79257ac1e108ea790ff015bc7200e03368d505542'),
     ('6inf', 3, (5, 3, 7), '6f0cedebd0aa09e7a4f1c4df802bc59e0d78b3d382f7471a1364d05e04a16f63'),
     ('6inf', 3, (1, 1, -1), '2f8c95982a838c14e47182a3351bfb56819f41d5bd79a0c54b6628d0358c8426'),
+    # the benchmark's patch sizes, recorded before layout ran on integer
+    # vertex ids
+    ('3inf', 8, (3, 1, 5), '2e0d92b921eac1d64acaaacc20ad3292a3c36ae14cb94560c6161e9c24856648'),
+    ('3inf', 8, (2, 3, -7), 'b4fee08018314b8797b36473f977ea8b22dfe359d9c0c17922321004b7d4c38c'),
+    ('4inf', 5, (1, 1, 3), '218207fec4adeda768e11aebc71c9fb779eefdb7990ac19ba4f3edf96297c320'),
+    ('4inf', 5, (3, 5, -7), '08eb6871ea3d63f33c178be7d97333814bb4c43377a70e4c98506212ac894da4'),
+    ('6inf', 4, (5, 3, 7), '0ea91a656c4410cc3d9a84b15aae02ed99147ecd4bf36199f167310223b727bc'),
+    ('6inf', 4, (1, 1, -1), '44cfe6e22862bf04d8529e8ceb421558946bda4eb9c4db184d5a12c02544d9ba'),
 ]
 
 
@@ -109,6 +118,28 @@ SVG_SHA256 = [
 def test_svg_bytes_pinned(geometry, depth, form, digest):
     svg = emit_svg(layout(geometry, depth, form))
     assert hashlib.sha256(svg).hexdigest() == digest
+
+
+@pytest.mark.parametrize("geometry, depth, form", [
+    ("3inf", 8, (3, 1, 5)), ("3inf", 8, (2, 3, -7)), ("4inf", 5, (1, 1, 3)),
+    ("4inf", 5, (3, 5, -7)), ("6inf", 4, (5, 3, 7)), ("6inf", 4, (1, 1, -1)),
+])
+def test_layout_values_each_face_once(geometry, depth, form, monkeypatch):
+    # the face values label the faces and mark the rivers; each edge looks
+    # its two faces up instead of evaluating them again
+    calls = []
+    real = BQF.__call__
+
+    def counted(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(BQF, "__call__", counted)
+    patch = layout(geometry, depth, form)
+    assert len(calls) == len(patch.faces)
+    # each input marks a well or a river
+    assert any("river" in e["classes"] for e in patch.edges) or any(
+        "well" in v["classes"] for v in patch.vertices)
 
 
 @pytest.mark.parametrize("geometry, adapter", [
@@ -274,6 +305,22 @@ def test_cli_river_revalidates():
     assert data["mu"] == minimum_nonzero(BQF(1, 0, -3)).mu
     x, y = data["witness"]
     assert abs(x * x - 3 * y * y) == data["mu"]
+
+
+def test_cli_river_traces_its_period_once(capsys, monkeypatch):
+    from topograph import reduction
+
+    calls = []
+    real = reduction.trace_river
+
+    def counted(q):
+        calls.append(q)
+        return real(q)
+
+    monkeypatch.setattr(reduction, "trace_river", counted)
+    assert main(["river", "--form=-22,6,24"]) == 0
+    assert json.loads(capsys.readouterr().out)["delta"] == 2148
+    assert calls == [(-22, 6, 24)]
 
 
 def test_cli_diform_and_hermitian():
