@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 from .classical import is_square, red_blue_forms, reduce_definite, transform
 from .errors import (
-    BudgetError,
     ClassificationError,
     DibasisError,
     PreconditionError,
@@ -42,11 +41,10 @@ from .errors import (
     brief,
 )
 from .lax import change_of_basis, mat_det, mat_mul
+from .walk import CHUNK, charge
 
 RED = "red"
 BLUE = "blue"
-# runs a river period may take, as reduction.RIVER_BUDGET for BQF rivers
-RIVER_BUDGET = 20_000
 
 
 class Divector(NamedTuple):
@@ -115,18 +113,32 @@ def _face_det(f: tuple, g: tuple, sigma: int) -> int:
     return ug * vf - sigma * vg * uf
 
 
-def pinwheel_faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
-    """The faces, as signed (color, u, v) tuples, of the pinwheel generated
-    by the ordered dibasis (d1, d2): x_{k+1} = sqrt(sigma) x_k - x_{k-1}."""
-    if _face_det(d1, d2, sigma) not in (1, -1):
-        raise DibasisError(f"{_shown(d1)}, {_shown(d2)} do not form a dibasis")
+def _recur(d1: tuple, d2: tuple, sigma: int, count: int) -> list:
+    """The first ``count`` terms of x_{k+1} = sqrt(sigma) x_k - x_{k-1} from
+    (d1, d2), as (color, u, v) tuples, unchecked."""
     faces = [d1, d2]
-    for _ in range(2 * sigma - 1):
+    for _ in range(count - 2):
         (_, u0, v0), (c1, u1, v1) = faces[-2], faces[-1]
         if c1 == RED:
             faces.append((BLUE, u1 - u0, sigma * v1 - v0))
         else:
             faces.append((RED, sigma * u1 - u0, v1 - v0))
+    return faces
+
+
+def _faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
+    """``pinwheel_faces`` without its checks, for the walks: they check their
+    start dibasis once, and the recurrence keeps the determinant of each
+    adjacent pair, so every later pinwheel is one."""
+    return tuple(_recur(d1, d2, sigma, 2 * sigma))
+
+
+def pinwheel_faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
+    """The faces, as signed (color, u, v) tuples, of the pinwheel generated
+    by the ordered dibasis (d1, d2): x_{k+1} = sqrt(sigma) x_k - x_{k-1}."""
+    if _face_det(d1, d2, sigma) not in (1, -1):
+        raise DibasisError(f"{_shown(d1)}, {_shown(d2)} do not form a dibasis")
+    faces = _recur(d1, d2, sigma, 2 * sigma + 1)
     color, u, v = faces.pop()
     if (color, -u, -v) != d1:
         raise DibasisError(f"pinwheel of {_shown(d1)}, {_shown(d2)} failed to close")
@@ -269,7 +281,7 @@ def _cells(t: tuple, sigma: int) -> list:
 def _cross(d0: tuple, d1: tuple, cells: list, i: int, sigma: int):
     """The neighbour over edge i of the pinwheel of (d0, d1), as its dibasis
     (f_i, -f_i+1) and local form: crossing negates beta_i."""
-    faces = pinwheel_faces(d0, d1, sigma)
+    faces = _faces(d0, d1, sigma)
     a, beta, c = cells[i]
     after = faces[0] if i == 2 * sigma - 1 else _neg(faces[i + 1])
     return faces[i], after, (a, -beta, c)
@@ -344,7 +356,7 @@ def _descend(d0: tuple, d1: tuple, cells: list, sign: int, river: bool,
     the walker takes the edge of least sign * beta_i below 0; ties go to the
     first edge on the way to the river, else to the neighbour of least key."""
     def key(i):
-        return pinwheel_key(pinwheel_faces(*_cross(d0, d1, cells, i, sigma)[:2], sigma))
+        return pinwheel_key(_faces(*_cross(d0, d1, cells, i, sigma)[:2], sigma))
 
     i = None
     for k, (_, beta, _) in enumerate(cells):
@@ -395,7 +407,7 @@ def _descent_run(d0: tuple, d1: tuple, t: tuple, i: int, sign: int,
     return d, f, t[::-1]
 
 
-def diform_well(q: BQD, start=None) -> dict:
+def diform_well(q: BQD) -> dict:
     """Descend the climbing flow of a positive-definite diform to its source.
 
     Returns the source pinwheel (faces and values), the flat edges at the
@@ -404,8 +416,12 @@ def diform_well(q: BQD, start=None) -> dict:
     if not (q.a > 0 and q.discriminant() < 0):
         raise ClassificationError(
             f"well descent needs a positive-definite diform, not {_named(q)}")
+    return _well(q, *STANDARD_DIBASIS)
+
+
+def _well(q: BQD, d0: tuple, d1: tuple) -> dict:
+    """``diform_well``'s report, descending from the dibasis (d0, d1)."""
     sigma = q.sigma
-    d0, d1 = start or STANDARD_DIBASIS
     cells = _cells(_local_form(q, d0, d1), sigma)
     # the weight is a positive integer and falls at every pass
     limit = sum(c[0] for c in cells) + 1
@@ -480,7 +496,8 @@ class DiRiverPeriod(NamedTuple):
     form: BQD
 
 
-def _river_run(d0: tuple, d1: tuple, t: tuple, i: int, start: tuple, sigma: int):
+def _river_run(d0: tuple, d1: tuple, t: tuple, i: int, start: tuple, root: int,
+               sigma: int):
     """Where the river walk at the edge (d0, +-d1) of the pinwheel of
     (d0, d1), d0 the positive face and t the local form, leaving over edge
     i, must next record an edge: the number of edges passed over, and the
@@ -493,16 +510,17 @@ def _river_run(d0: tuple, d1: tuple, t: tuple, i: int, start: tuple, sigma: int)
     bend and those vertices hold no smallest face: |Q(D_j)| is strictly
     concave in j.  The run is cut before the first D_j of F's sign, or at an
     edge with the values ``start`` of the start edge, which may close the
-    period.
+    period.  Q(D_j) = sigma a j^2 - sigma beta j + c has Q's discriminant, so
+    with ``root`` = isqrt of it the run's length is one floor division.
     """
     if i not in (1, 2 * sigma - 1):
         return None
     f, d, t = (d0, d1, t) if i > 1 else (d1, d0, t[::-1])
     a, beta, c = t
     sf = 1 if a > 0 else -1
-    # Q(D_j) = sigma a j^2 - sigma beta j + c
-    j = _first_nonpositive(*(-sf * (c + sigma * k * (k * a - beta))
-                             for k in range(3))) - 1
+    # the last D_j of the other sign sits below the root of F's side, which
+    # is irrational
+    j = (sf * sigma * beta + root) // (2 * sigma * sf * a)
     near, far = start if sf > 0 else start[::-1]
     if a == near:
         root = _first_root(sigma * a, -sigma * beta, c - far)
@@ -521,8 +539,9 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     the minimum.
 
     A fully straight period marks the exceptional forms excluded by the
-    minimum theorems.  A period has no cheap advance estimate, so one longer
-    than ``RIVER_BUDGET`` runs raises BudgetError during the walk.
+    minimum theorems.  A period has no cheap advance estimate, so one whose
+    steps and faces pass ``walk.RIVER_BUDGET`` bits raises BudgetError
+    during the walk.
     """
     if not q.is_primitive():
         raise PreconditionError(
@@ -534,12 +553,16 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     sigma = q.sigma
     n = 2 * sigma
     here, d0, d1, cells = _find_river_edge(q)
-    faces = pinwheel_faces(d0, d1, sigma)
+    root = math.isqrt(d)
+    faces = _faces(d0, d1, sigma)
     x, y = faces[here], faces[(here + 1) % n]
     p0, n0 = p, neg = (x, y) if cells[here][0] > 0 else (y, x)
     start = max(cells[here][::2]), min(cells[here][::2])
     steps = []
-    edges = bends = 0
+    edges = bends = kept = 0
+    # the faces seen up to the last count of the bits kept, and the run of
+    # the next count
+    counted, due = 0, CHUNK - 1
     # (|Q(f)|, f) for each face the walk passes, for mu and the witness
     seen = []
 
@@ -550,7 +573,7 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     # period has at most 4 #{x y <= m} <= 4 m (1 + ln m) edges, m = d / 4 sigma.
     m = d // (4 * sigma)
     limit = 4 * m * (m.bit_length() + 1) + 1
-    for _ in range(min(limit, RIVER_BUDGET)):
+    for run in range(limit):
         # the walker stands at the edge {p, neg} = {f_here, f_here+1}
         red = cells[here] if faces[here][0] == RED else cells[here][::-1]
         bend = any(e * f < 0 for e, f in _cell_pairs(*red, sigma))
@@ -565,9 +588,10 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                 f"river is not a single line at a vertex of {_named(q)} "
                 f"({len(crossings)} exits)")
         i = crossings[0]
-        run = here == 0 and p == d0 and _river_run(d0, d1, cells[0], i, start, sigma)
-        if run:
-            skipped, p, neg, t = run
+        jump = here == 0 and p == d0 and _river_run(d0, d1, cells[0], i, start, root,
+                                                    sigma)
+        if jump:
+            skipped, p, neg, t = jump
             edges += skipped
         else:
             x, y = faces[i], faces[(i + 1) % n]
@@ -589,11 +613,10 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                     wit = min(Divector._make(f).lax() for v, f in seen if v == mu)
                 return DiRiverPeriod(tuple(steps), edges, bends, auto, mu, wit,
                                      exceptional, q)
-        faces = pinwheel_faces(d0, d1, sigma)
-    if limit > RIVER_BUDGET:
-        raise BudgetError(
-            f"river period of {_named(q)}, discriminant {brief(d)}, not closed "
-            f"after {RIVER_BUDGET} runs ({edges} edges), the budget")
+        faces = _faces(d0, d1, sigma)
+        if run == due:
+            kept = charge(kept, run + 1, _named(q), d, steps[-CHUNK:], seen[counted:])
+            counted, due = len(seen), due + CHUNK
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs "
         f"({edges} edges)")

@@ -25,19 +25,16 @@ from typing import NamedTuple
 from .bqf import BQF, POSITIVE_DEFINITE, classify
 from .classical import is_square
 from .errors import (
-    BudgetError,
     ClassificationError,
     IntegralityError,
     SquareDiscriminantError,
     brief,
 )
 from .lax import Vec, change_of_basis, det, lax, mat_apply
+from .walk import CHUNK, charge
 
 TRIAD_WELL = "triad-well"
 CELL_WELL = "cell-well"
-# runs a river period may take; the edges it keeps grow with each run, and
-# 20,000 runs for a 55-digit D take about 0.1 s and 115 MiB (Python 3.11)
-RIVER_BUDGET = 20_000
 
 
 class Well(NamedTuple):
@@ -210,7 +207,8 @@ def trace_river(q: BQF) -> RiverPeriod:
     gives the automorph, and the closing edge is the automorph's image of
     the start.  The bends of one period read off distinct reduced forms
     (a, b, c), with 0 < b and 0 < |a| below sqrt(disc), which bounds the
-    runs.  A period longer than ``RIVER_BUDGET`` runs raises BudgetError.
+    runs.  A period whose edges and cells pass ``walk.RIVER_BUDGET`` bits
+    raises BudgetError.
     """
     p0, n0, (u, b, v), root = _river_cell(q)
     limit = 2 * root * root + 2
@@ -218,9 +216,10 @@ def trace_river(q: BQF) -> RiverPeriod:
     # the river turns at an edge whose end faces p - n and p + n, of values
     # u + v - b and u + v + b, carry opposite signs: where |b| > |u + v|
     ref = (cells[0], (p0, n0)) if abs(b) > abs(u + v) else None
-    ref_steps = steps = 0
+    ref_steps = steps = kept = 0
+    due = CHUNK - 1
     p, n = p0, n0
-    for _ in range(min(limit, RIVER_BUDGET)):
+    for run in range(limit):
         # While the face p + n is positive p advances by n, else n advances
         # by p; the run ends where Q(p + j n) or Q(n + j p) changes sign, at
         # the floor of a root of a quadratic with discriminant Q's.
@@ -244,10 +243,10 @@ def trace_river(q: BQF) -> RiverPeriod:
                 return RiverPeriod(tuple(edges), tuple(cells), steps - ref_steps, t, q)
         edges.append((p, n))
         cells.append(cell)
-    if limit > RIVER_BUDGET:
-        raise BudgetError(
-            f"river period of {_named(q)}, discriminant {brief(q.discriminant())},"
-            f" not closed after {RIVER_BUDGET} runs, the budget")
+        if run == due:
+            kept = charge(kept, run + 1, _named(q), q.discriminant(),
+                          edges[-CHUNK:], cells[-CHUNK:])
+            due += CHUNK
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs")
 

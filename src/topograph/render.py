@@ -13,7 +13,7 @@ import math
 
 from .bqf import BQF, POSITIVE_DEFINITE, classify
 from .classical import red_blue_forms
-from .diform import BLUE, BQD, RED, diform_well, pinwheel_faces, pinwheel_key
+from .diform import BLUE, BQD, RED, _faces, diform_well, pinwheel_faces, pinwheel_key
 from .errors import BudgetError, PreconditionError
 from .lax import STANDARD_SUPERBASE, lax
 from .reduction import find_well
@@ -95,11 +95,12 @@ class _Pinwheels:
     def step(self, faces, i):
         """The pinwheel across the edge (faces[i], faces[i + 1]), generated
         by (p, -s), or by (p, s) across the wrap edge, as in
-        ``_other_vertex``; its first edge leads back."""
+        ``_other_vertex``; its first edge leads back.  Only the root is
+        checked: every edge of a pinwheel is a dibasis."""
         if i + 1 < len(faces):
             color, u, v = faces[i + 1]
-            return pinwheel_faces(faces[i], (color, -u, -v), self.sigma), 0
-        return pinwheel_faces(faces[i], faces[0], self.sigma), 0
+            return _faces(faces[i], (color, -u, -v), self.sigma), 0
+        return _faces(faces[i], faces[0], self.sigma), 0
 
     def value(self, f):
         return self.forms[f[0]]((f[1], f[2]))

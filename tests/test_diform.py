@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import topograph.diform as diform_module
+import topograph.walk as walk_module
 from topograph.classical import red_blue_forms, reduce_definite
 from topograph.diform import (
     BLUE,
@@ -24,6 +25,7 @@ from topograph.diform import (
     _other_vertex,
     _run,
     _translation_automorph,
+    _well,
     dibasis_det,
     dicell_values,
     diform_river,
@@ -167,7 +169,7 @@ def test_well_descent_agrees_from_random_starts():
     base = diform_well(q)["source"].key()
     for _ in range(10):
         start = random_dibasis(rng, 2)
-        assert diform_well(q, start)["source"].key() == base
+        assert _well(q, *start)["source"].key() == base
 
 
 def test_well_rejects_indefinite():
@@ -562,7 +564,7 @@ def test_well_matches_single_step_walker(q, start_moves):
     start = STANDARD_DIBASIS
     for move, t in start_moves:
         start = shear_dibasis(start, q.sigma, move, t)
-    w = diform_well(q, start)
+    w = _well(q, *start)
     source, flats = single_step_well(q, start)
     assert faces(w["source"]) == faces(source)
     assert w["source_values"] == tuple(q(f) for f in source.faces)
@@ -727,16 +729,14 @@ def test_colour_swapping_automorph_pinned():
     assert swaps_colours(r.automorph, 2)
 
 
-# At most this many evaluations of Q, pinwheel recurrences and Pinwheel
-# objects for one diform_well and one diform_river on (1, 2k, sigma k^2 +- 1),
-# whatever k: Q three times on each start dibasis; the recurrence for each
-# start, the source and its flat neighbour, and the river's first vertex.
-FAR_WALK_BOUNDS = {"q": 6, "pinwheel_faces": 5, "pinwheel_complete": 2}
+# Pell diforms (1, 0, -c) whose river periods take more than 100 runs
+LONG_RIVER = {2: 1283, 3: 2383}
 
 
 @pytest.mark.parametrize("sigma", [2, 3])
 def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
-    calls = {name: 0 for name in FAR_WALK_BOUNDS}
+    names = ("q", "pinwheel_faces", "pinwheel_complete")
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, real):
         def wrapper(*args):
@@ -744,21 +744,31 @@ def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
             return real(*args)
         return wrapper
 
+    def cost(walk, q):
+        calls.update(dict.fromkeys(names, 0))
+        result = walk(q)
+        return result, dict(calls)
+
     monkeypatch.setattr(BQD, "__call__", counting("q", BQD.__call__))
-    for name in ("pinwheel_faces", "pinwheel_complete"):
+    for name in names[1:]:
         monkeypatch.setattr(diform_module, name,
                             counting(name, getattr(diform_module, name)))
     costs = []
     for k in (10, 10 ** 9, 10 ** 40):
-        calls.update(dict.fromkeys(calls, 0))
-        diform_well(BQD(sigma, 1, 2 * k, sigma * k * k + 1))
-        diform_river(BQD(sigma, 1, 2 * k, sigma * k * k - 1))
-        costs.append(dict(calls))
+        costs.append((cost(diform_well, BQD(sigma, 1, 2 * k, sigma * k * k + 1))[1],
+                      cost(diform_river, BQD(sigma, 1, 2 * k, sigma * k * k - 1))[1]))
     assert costs[0] == costs[1] == costs[2]
-    # Q is evaluated on the start dibasis of each walk only
-    assert costs[0]["q"] == 6
-    for name, bound in FAR_WALK_BOUNDS.items():
-        assert costs[0][name] <= bound
+    period, long = cost(diform_river, BQD(sigma, 1, 0, -LONG_RIVER[sigma]))
+    assert len(period.steps) > 100
+    well, river = costs[0]
+    for walk in (well, river, long):
+        # Q three times on the start dibasis, and the recurrence checked once
+        # there and once for each pinwheel the walk returns
+        assert walk["q"] == 3
+        assert walk["pinwheel_faces"] == 1 + walk["pinwheel_complete"]
+    # the source and its one flat neighbour
+    assert well["pinwheel_complete"] == 2
+    assert river["pinwheel_complete"] == long["pinwheel_complete"] == 0
 
 
 # --- the local form (A, beta, C) against values on divectors ---------------
@@ -845,19 +855,21 @@ def test_diform_errors_name_huge_forms(monkeypatch):
         real_edge(far)
 
 
-def test_diform_river_period_past_its_run_budget_is_refused(monkeypatch):
-    # (7, 5, -11) over sigma = 3 closes its period after 6 runs (18 edges)
-    q = BQD(3, 7, 5, -11)
-    monkeypatch.setattr(diform_module, "RIVER_BUDGET", 5)
-    with pytest.raises(BudgetError, match="1149, not closed after 5 runs"):
+def test_diform_river_period_past_its_bit_budget_is_refused(monkeypatch):
+    # (1, 0, -2383) over sigma = 3 closes its period after 105 runs (342
+    # edges); the walk counts the bits it keeps once, after 64 runs
+    q = BQD(3, 1, 0, -2383)
+    monkeypatch.setattr(walk_module, "RIVER_BUDGET", 148735)
+    with pytest.raises(BudgetError, match="28596, not closed after 64 runs keeping 148736"):
         diform_river(q)
-    monkeypatch.setattr(diform_module, "RIVER_BUDGET", 6)
-    assert diform_river(q).edge_count == 18
+    monkeypatch.setattr(walk_module, "RIVER_BUDGET", 148736)
+    assert diform_river(q).edge_count == 342
+    monkeypatch.undo()
     with pytest.raises(BudgetError, match="discriminant a 16613-bit integer"):
         diform_river(BQD(2, 1, 0, -(HUGE + 7)))
     # under the budget, the derived bound 4 m (bits(m) + 1) + 1 on the runs,
     # m = 1149 // 12, stays a ClassificationError
-    monkeypatch.setattr(diform_module, "RIVER_BUDGET", 20_000)
+    q = BQD(3, 7, 5, -11)
     monkeypatch.setattr(diform_module, "_translation_automorph", lambda *args: None)
     with pytest.raises(ClassificationError, match="not closed after 3041 runs"):
         diform_river(q)

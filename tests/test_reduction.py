@@ -1,11 +1,13 @@
 import itertools
 import math
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topograph import bqf, reduction
+from topograph import bqf, reduction, walk
 from topograph.bqf import BQF
 from topograph.classical import indefinite_cycle, is_square, reduce_definite
 from topograph.errors import BudgetError, ClassificationError, SquareDiscriminantError
@@ -352,16 +354,44 @@ def test_river_search_names_a_huge_form_by_size(monkeypatch):
         find_river_edge(BQF(10 ** 5000, 1, -1))
 
 
-def test_river_period_past_its_run_budget_is_refused(monkeypatch):
-    # (-22, 6, 24) closes its period after 16 runs (17 edges)
-    monkeypatch.setattr(reduction, "RIVER_BUDGET", 10)
-    with pytest.raises(BudgetError, match="2148, not closed after 10 runs"):
-        trace_river(BQF(-22, 6, 24))
-    monkeypatch.setattr(reduction, "RIVER_BUDGET", 16)
-    assert len(trace_river(BQF(-22, 6, 24)).edges) == 17
+def test_river_period_past_its_bit_budget_is_refused(monkeypatch):
+    # the Pell period of 1201 closes after 103 runs; the walk counts the bits
+    # it keeps once, after 64 runs: the 64 edges and cells since the start,
+    # each as the larger of the chunk's two ends, 409 bits
+    q = BQF(1, 0, -1201)
+    monkeypatch.setattr(walk, "RIVER_BUDGET", 64 * 409 - 1)
+    with pytest.raises(BudgetError, match="4804, not closed after 64 runs keeping 26176 bits"):
+        trace_river(q)
+    monkeypatch.setattr(walk, "RIVER_BUDGET", 64 * 409)
+    assert len(trace_river(q).edges) == 104
+    monkeypatch.undo()
     big = -(10 ** 5000 + 7)
     with pytest.raises(BudgetError, match="discriminant a 16612-bit integer"):
         pell_solve(-big)
+
+
+_PEAK_SCRIPT = """\
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from topograph.errors import BudgetError
+from topograph.reduction import pell_solve
+try:
+    pell_solve(10 ** 5000 + 7)
+    print("solved")
+except BudgetError:
+    print("budget", resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_river_budget_bounds_the_memory_of_a_huge_period():
+    # the edges of this period grow by thousands of bits a run; a count of
+    # runs alone let it reach 4.4 GiB.  The child caps its own address space
+    # at 1 GiB, so a regression fails there instead of filling the machine
+    proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], capture_output=True,
+                          text=True, timeout=120)
+    word, peak_kib = proc.stdout.split()
+    assert word == "budget"
+    assert int(peak_kib) < 256 * 1024
 
 
 # --- values carried by the arithmetic progression rule -----------------------
@@ -421,10 +451,11 @@ def _count_evaluations(monkeypatch):
 
 
 @pytest.mark.parametrize("form", [(1, 0, -3), (1, 0, -61), (-22, 6, 24),
-                                  (1, 0, -(10 ** 6) ** 2 - 1)])
+                                  (1, 0, -(10 ** 6) ** 2 - 1), (1, 0, -1201)])
 def test_river_walks_evaluate_q_a_fixed_number_of_times(form, monkeypatch):
     # the three of the automorph certificate, whatever the number of runs
-    # (17 for (-22, 6, 24)) or of single steps (4 * 10^6 for the last form)
+    # (17 for (-22, 6, 24), 103 for (1, 0, -1201)) or of single steps
+    # (4 * 10^6 for (1, 0, -10^12 - 1))
     calls = _count_evaluations(monkeypatch)
     for walk in (trace_river, riverbends, minimum_nonzero):
         calls.clear()

@@ -275,9 +275,10 @@ def test_cli_refuses_class_groups_past_the_enumeration_budget(argv, capsys):
     assert "candidate forms, over the budget of" in error["message"]
 
 
-def test_cli_refuses_river_periods_past_the_run_budget(capsys):
-    # the period of sqrt(D) for this 55-digit D has far more than 20,000
-    # partial quotients; without the budget the walk runs for hours
+def test_cli_refuses_river_periods_past_the_bit_budget(capsys):
+    # the period of sqrt(D) for this 55-digit D has far more partial
+    # quotients than its edges can keep within the budget, which it reaches
+    # after 11,776 runs; without the budget the walk runs for hours
     d = "1000000000000000000000000000000000000000000000000000007"
     start = time.perf_counter()
     assert main(["pell", "--d", d]) == 1
@@ -286,7 +287,8 @@ def test_cli_refuses_river_periods_past_the_run_budget(capsys):
     assert out == ""
     error = json.loads(err)
     assert error["error"] == "budget"
-    assert f"discriminant {4 * int(d)}, not closed after 20000 runs" in error["message"]
+    assert f"discriminant {4 * int(d)}, not closed after " in error["message"]
+    assert "bits, past the budget of 536870912" in error["message"]
 
 
 def test_cli_diform_class_relation_is_null_when_it_does_not_apply(capsys):
@@ -392,7 +394,7 @@ def test_cli_seed_flag_is_noop():
 
 # the topograph modules a process loads for each subcommand: the CLI imports
 # a handler's modules only when that handler runs
-_WALK_MODULES = {"cli", "errors", "bqf", "classical", "lax", "reduction"}
+_WALK_MODULES = {"cli", "errors", "bqf", "classical", "lax", "reduction", "walk"}
 SUBCOMMAND_MODULES = [
     (("dump", "--json"), {"cli", "errors"}),
     (("reduce", "--form=5,7,3"), _WALK_MODULES),
@@ -402,7 +404,7 @@ SUBCOMMAND_MODULES = [
      {"cli", "errors", "hermitian", "rings"}),
     (("classgroup", "--delta=-20"), {"cli", "errors", "classgroup", "classical"}),
     (("diform", "--sigma=2", "--form=1,0,-1"),
-     {"cli", "errors", "classgroup", "classical", "diform", "lax"}),
+     {"cli", "errors", "classgroup", "classical", "diform", "lax", "walk"}),
     (("render", "--geometry=4inf", "--depth=2", "--out={out}"),
      _WALK_MODULES | {"diform", "render"}),
 ]
