@@ -12,14 +12,17 @@ The walks carry values, not divectors.  A vertex is its generating dibasis
 (F0, F1) with the local form (A, beta, C) of Q there, Q(x F0 + y F1) =
 A x^2 + beta sqrt(sigma) x y + C y^2.  Turning to (F1, sqrt(sigma) F1 - F0)
 maps it to (C, 2C - beta, A - sigma beta + sigma C), which gives every face
-value, and crossing an edge to the next pinwheel negates beta.  Every walk
-moves a whole run at a time: along a kept face F the faces on the other side
-are D - j sqrt(sigma) F, with local form (A, beta - 2jA, C + sigma j (jA -
-beta)), so the values, vertex weights and margins along F are quadratic in
-j, and one exact ``isqrt`` gives where a run ends.  The walks jump there and
-take the turn itself one step at a time, so they return the same pinwheels,
-in the same face order, as a walk of single steps, and evaluate Q three
-times, on the start dibasis, whatever their length.
+value, and crossing an edge to the next pinwheel negates beta.  The walker's
+edge is forced, the one edge that descends, and it moves a whole run at a
+time: along a kept face F the faces on the other side are D - j sqrt(sigma) F,
+with local form (A, beta - 2jA, C + sigma j (jA - beta)), and a run stops
+where its last edge stops descending or, in the river search, before the
+first face of the other sign, both floor divisions (``_descend``).  So a
+well descent takes no ``isqrt``, the river search one, and a river period
+one more, plus ``_first_root``'s where the start edge's values cut a run.
+The walks jump to each stop and take each turn as one step, so they return
+the same pinwheels, in the same face order, as a walk of single steps, and
+evaluate Q three times, on the start dibasis, whatever their length.
 
 A river period is certified over Z, as a BQF river is: blue (u, v) becomes
 (u, v) and red (u, v) becomes (u, sigma v), conjugation by diag(1, sqrt(sigma))
@@ -310,34 +313,6 @@ def _cell_pairs(r: int, beta: int, b: int, sigma: int) -> list:
     return pairs
 
 
-def _ceil_div(x: int, y: int) -> int:
-    return -(-x // y)
-
-
-def _first_nonpositive(y0: int, y1: int, y2: int) -> int | None:
-    """The least j >= 0 at which the integer quadratic through (0, y0),
-    (1, y1), (2, y2) is <= 0, or None if there is none."""
-    # 2 y(j) = a j^2 + b j + c, and 4 a y(j) = (2 a j + b)^2 - disc
-    a, b, c = y2 - 2 * y1 + y0, 4 * y1 - 3 * y0 - y2, 2 * y0
-    if c <= 0:
-        return 0
-    if a == 0:
-        return None if b >= 0 else _ceil_div(c, -b)
-    disc = b * b - 4 * a * c
-    if a > 0:
-        # y(j) <= 0 where |2 a j + b| <= isqrt(disc)
-        if disc < 0:
-            return None
-        s = math.isqrt(disc)
-        lo, hi = max(_ceil_div(-s - b, 2 * a), 0), (s - b) // (2 * a)
-        return lo if lo <= hi else None
-    # a < 0 and y(0) > 0: y(j) <= 0 once 2 a j + b <= -sqrt(disc)
-    s = math.isqrt(disc)
-    if s * s < disc:
-        s += 1
-    return _ceil_div(s + b, -2 * a)
-
-
 def _first_root(a: int, b: int, c: int) -> int | None:
     """The least integer j >= 1 with a j^2 + b j + c == 0 (a != 0), or None."""
     disc = b * b - 4 * a * c
@@ -348,63 +323,54 @@ def _first_root(a: int, b: int, c: int) -> int | None:
     return next((j for j in roots if j >= 1), None)
 
 
-def _descend(d0: tuple, d1: tuple, cells: list, sign: int, river: bool,
+def _descend(d0: tuple, d1: tuple, cells: list, sign: int, root: int | None,
              sigma: int):
-    """The walker's next stop from the pinwheel of (d0, d1) with local forms
-    ``cells``, as (d0, d1, cells), or None at a local minimum.  Crossing edge
-    i moves the weight by 8 beta_i (sigma = 2) or 36 beta_i (sigma = 3), so
-    the walker takes the edge of least sign * beta_i below 0; ties go to the
-    first edge on the way to the river, else to the neighbour of least key."""
-    def key(i):
-        return pinwheel_key(_faces(*_cross(d0, d1, cells, i, sigma)[:2], sigma))
+    """The walker's next stop from the pinwheel of (d0, d1), with local forms
+    ``cells`` and faces of sign ``sign``, as (d0, d1, cells), or None at a
+    local minimum of sign times the weight, the sum of the face values.
 
-    i = None
-    for k, (_, beta, _) in enumerate(cells):
-        w = sign * beta
-        if w < 0 and (i is None or w < low or (
-                not river and w == low and key(k) < key(i))):
-            i, low = k, w
-    if i is None:
-        return None
-    d0, d1, t = (_descent_run(d0, d1, cells[0], i, sign, river, sigma)
-                 or _cross(d0, d1, cells, i, sigma))
-    return d0, d1, _cells(t, sigma)
+    The edge is forced.  Crossing edge i moves the weight by 8 beta_i
+    (sigma = 2) or 36 beta_i (sigma = 3), and at most one edge has
+    sign * beta_i < 0: with v_k = Q(f_k), indices mod 2 sigma, turning gives
+    beta_k + beta_k+1 = 2 v_k+1 and v_k+2 = v_k + sigma (v_k+1 - beta_k), so
+    beta_k + beta_k+2 = v_k+1 + v_k+3 at sigma = 2, and beta_k + beta_k+3 =
+    v_k + v_k+3 and 3 (beta_k + beta_k+2) = 4 v_k+1 + 2 v_k+3 at sigma = 3:
+    sign times a sum of two betas is positive.
 
-
-def _descent_run(d0: tuple, d1: tuple, t: tuple, i: int, sign: int,
-                 mixed_stops: bool, sigma: int):
-    """Where the walker, leaving the pinwheel of (d0, d1), of local form t,
-    over edge i, must next decide for itself, as (d0, d1, t), if that step
-    keeps a face: d0 over the last edge, d1 over edge 1.  Else None.
-    With F the face kept and D the other, the walk along F visits
-    u_j = pinwheel(F, D - j sqrt(sigma) F) up to orientation, and leaves u_j
-    over its last edge while that is strictly lower than u_j and than every
-    other neighbour of u_j, and, when ``mixed_stops``, while u_j has no face
-    of the other sign.  Each margin is quadratic in j, so the first j where
-    one fails is read off its values at j = 0, 1, 2.  The walker alternates
-    F between the first and second place, which fixes the orientation.
+    Over the last edge or edge 1 the walk runs along the face F = d0 or d1
+    it keeps, else it takes one step.  With D the other face, (A, beta, C)
+    the local form at (F, D) and D_x = D - x sqrt(sigma) F, it visits
+    u_j = pinwheel(F, D_j) up to orientation.  The faces of u_j after F are
+    D_j, sqrt(sigma) D_j+1/sigma, at sigma = 3 also 2 D_j+1/2 and
+    sqrt(3) D_j+2/3, and D_j+1, so each has the sign of q(x) = Q(D_x) =
+    sigma A x^2 - sigma beta x + C at an x in [j, j + 1].  sign * q is
+    convex, least at x* = beta / 2A, and the last edge of u_j has beta
+    2A (j + 1) - beta; while it descends, j + 1 < x*, sign * q falls on
+    [j, j + 1], and every face of u_j has the sign of Q(D_j+1).  The run
+    stops at j = ceil(x*) - 1, where the last edge stops descending, or, in
+    the river search, given ``root`` = isqrt(disc), at j = floor(x-) if
+    less, x- the smaller root of q, irrational as q has Q's discriminant.
+    Both stops are at least 1: edge i descends, and D_1 is a face of this
+    pinwheel.  F alternates between the first and second place of the
+    dibasis, which fixes the orientation.
     """
-    if i not in (1, 2 * sigma - 1):
+    for i, (_, beta, _) in enumerate(cells):
+        if sign * beta < 0:
+            break
+    else:
         return None
-    f, d, t = (d0, d1, t) if i > 1 else (d1, d0, t[::-1])
-    margins = []
-    for j in range(3):
-        cells = _cells(_run(f, d, t, j, sigma)[1], sigma)
-        # beta_i - beta_last is the i-th neighbour's weight less the next
-        # vertex's, up to the positive factor of the weight change
-        nxt = cells[-1][1]
-        row = [sign * (beta - nxt) for _, beta, _ in cells]
-        row[-1] = -sign * nxt
-        if mixed_stops:
-            row += [sign * c[0] for c in cells]
-        margins.append(row)
-    # the last margin is linear in j with negative slope, so it ends the run
-    ends = (_first_nonpositive(*ys) for ys in zip(*margins))
-    j = max(min(e for e in ends if e is not None), 1)
+    if i not in (1, 2 * sigma - 1):
+        d0, d1, t = _cross(d0, d1, cells, i, sigma)
+        return d0, d1, _cells(t, sigma)
+    f, d, t = (d0, d1, cells[0]) if i > 1 else (d1, d0, cells[0][::-1])
+    a, beta = sign * t[0], sign * t[1]
+    j = (beta - 1) // (2 * a)
+    if root is not None:
+        j = min(j, (sigma * beta - root - 1) // (2 * sigma * a))
     d, t = _run(f, d, t, j, sigma)
     if (j % 2 == 0) == (i > 1):
-        return f, d, t
-    return d, f, t[::-1]
+        return f, d, _cells(t, sigma)
+    return d, f, _cells(t[::-1], sigma)
 
 
 def diform_well(q: BQD) -> dict:
@@ -426,7 +392,7 @@ def _well(q: BQD, d0: tuple, d1: tuple) -> dict:
     # the weight is a positive integer and falls at every pass
     limit = sum(c[0] for c in cells) + 1
     for _ in range(limit):
-        step = _descend(d0, d1, cells, 1, False, sigma)
+        step = _descend(d0, d1, cells, 1, None, sigma)
         if step is None:
             break
         d0, d1, cells = step
@@ -450,8 +416,10 @@ def _well(q: BQD, d0: tuple, d1: tuple) -> dict:
 def _find_river_edge(q: BQD):
     """The first pinwheel of the walk with faces of both signs, as
     (i, d0, d1, cells): its dibasis (d0, d1), its local forms, and the first
-    edge i whose faces i, i + 1 carry opposite signs."""
+    edge i whose faces i, i + 1 carry opposite signs.  Q is indefinite, of a
+    discriminant that is not a square, as ``diform_river`` checks."""
     sigma = q.sigma
+    root = math.isqrt(q.discriminant())
     d0, d1 = STANDARD_DIBASIS
     cells = _cells(_local_form(q, d0, d1), sigma)
     # while no face changes sign, the weight times that sign is a positive
@@ -463,7 +431,7 @@ def _find_river_edge(q: BQD):
         for i, (a, _, c) in enumerate(cells):
             if a * c < 0:
                 return i, d0, d1, cells
-        step = _descend(d0, d1, cells, 1 if cells[0][0] > 0 else -1, True, sigma)
+        step = _descend(d0, d1, cells, 1 if cells[0][0] > 0 else -1, root, sigma)
         if step is None:
             raise ClassificationError(f"no descent toward the river of {_named(q)}")
         d0, d1, cells = step
@@ -540,8 +508,7 @@ def diform_river(q: BQD) -> DiRiverPeriod:
 
     A fully straight period marks the exceptional forms excluded by the
     minimum theorems.  A period has no cheap advance estimate, so one whose
-    steps and faces pass ``walk.RIVER_BUDGET`` bits raises BudgetError
-    during the walk.
+    steps pass ``walk.RIVER_BUDGET`` bits raises BudgetError during the walk.
     """
     if not q.is_primitive():
         raise PreconditionError(
@@ -560,11 +527,9 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     start = max(cells[here][::2]), min(cells[here][::2])
     steps = []
     edges = bends = kept = 0
-    # the faces seen up to the last count of the bits kept, and the run of
-    # the next count
-    counted, due = 0, CHUNK - 1
-    # (|Q(f)|, f) for each face the walk passes, for mu and the witness
-    seen = []
+    # the least (|Q(f)|, lax f) over the faces the walk passes, for mu and
+    # the witness
+    least = start[0], Divector._make(p0).lax()
 
     # Read as a dibasis of determinant 1, each river edge gives Q the
     # coefficients (a', b', c') with a'c' < 0 and d = sigma^2 b'^2 + 4 sigma
@@ -580,7 +545,9 @@ def diform_river(q: BQD) -> DiRiverPeriod:
         steps.append(DiRiverStep(Divector._make(p), Divector._make(neg), bend))
         edges += 1
         bends += bend
-        seen += [(abs(c[0]), f) for f, c in zip(faces, cells)]
+        for f, (v, _, _) in zip(faces, cells):
+            if abs(v) <= least[0]:
+                least = min(least, (abs(v), Divector._make(f).lax()))
         # continuation: the unique other sign-separating adjacent pair
         crossings = [i for i, (a, _, c) in enumerate(cells) if i != here and a * c < 0]
         if len(crossings) != 1:
@@ -601,22 +568,20 @@ def diform_river(q: BQD) -> DiRiverPeriod:
         # (p, neg) when the walker left over the last edge
         d0, d1 = p, (neg if i == n - 1 else _neg(neg))
         cells, here = _cells(t, sigma), 0
-        # the vertex before this edge, passed over by a run, holds its faces
-        seen += [(abs(t[0]), p), (abs(t[2]), neg)]
         if (t[0], t[2]) == start and (p, neg) != (p0, n0):
             auto = _translation_automorph((p0, n0), (p, neg), q)
             if auto is not None:
                 exceptional = bends == 0
                 mu = wit = None
                 if not exceptional:
-                    mu = min(v for v, _ in seen)
-                    wit = min(Divector._make(f).lax() for v, f in seen if v == mu)
+                    # and the closing edge, whose faces the next pass would add
+                    mu, wit = min([least] + [(abs(v), Divector._make(f).lax())
+                                             for f, v in ((p, t[0]), (neg, t[2]))])
                 return DiRiverPeriod(tuple(steps), edges, bends, auto, mu, wit,
                                      exceptional, q)
         faces = _faces(d0, d1, sigma)
-        if run == due:
-            kept = charge(kept, run + 1, _named(q), d, steps[-CHUNK:], seen[counted:])
-            counted, due = len(seen), due + CHUNK
+        if (run + 1) % CHUNK == 0:
+            kept = charge(kept, run + 1, _named(q), d, steps[-CHUNK:])
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs "
         f"({edges} edges)")

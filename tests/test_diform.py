@@ -1,6 +1,7 @@
 import math
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -735,7 +736,7 @@ LONG_RIVER = {2: 1283, 3: 2383}
 
 @pytest.mark.parametrize("sigma", [2, 3])
 def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
-    names = ("q", "pinwheel_faces", "pinwheel_complete")
+    names = ("q", "pinwheel_faces", "pinwheel_complete", "isqrt")
     calls = dict.fromkeys(names, 0)
 
     def counting(name, real):
@@ -750,17 +751,25 @@ def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
         return result, dict(calls)
 
     monkeypatch.setattr(BQD, "__call__", counting("q", BQD.__call__))
-    for name in names[1:]:
+    for name in names[1:3]:
         monkeypatch.setattr(diform_module, name,
                             counting(name, getattr(diform_module, name)))
+    monkeypatch.setattr(diform_module, "math",
+                        SimpleNamespace(gcd=math.gcd, isqrt=counting("isqrt", math.isqrt)))
     costs = []
     for k in (10, 10 ** 9, 10 ** 40):
+        river_form = BQD(sigma, 1, 2 * k, sigma * k * k - 1)
         costs.append((cost(diform_well, BQD(sigma, 1, 2 * k, sigma * k * k + 1))[1],
-                      cost(diform_river, BQD(sigma, 1, 2 * k, sigma * k * k - 1))[1]))
+                      cost(diform_river, river_form)[1],
+                      cost(_find_river_edge, river_form)[1]))
     assert costs[0] == costs[1] == costs[2]
     period, long = cost(diform_river, BQD(sigma, 1, 0, -LONG_RIVER[sigma]))
     assert len(period.steps) > 100
-    well, river = costs[0]
+    well, river, search = costs[0]
+    # every run of a well descent ends in a floor division, and the river
+    # search shares one isqrt among its runs
+    assert well["isqrt"] == 0
+    assert search["isqrt"] == 1
     for walk in (well, river, long):
         # Q three times on the start dibasis, and the recurrence checked once
         # there and once for each pinwheel the walk returns
@@ -824,6 +833,57 @@ def test_local_form_maps_match_values_on_divectors(sigma, a, b, c, dibasis_moves
     assert dicell_values(q, r, bl) == divector_cell_values(q, r, bl)
 
 
+def assert_one_descending_edge(cells, sigma):
+    """The identities behind the forced edge choice, and the choice: at a
+    pinwheel whose faces share a sign, at most one edge descends."""
+    n = 2 * sigma
+    v = [c[0] for c in cells] * 2
+    beta = [c[1] for c in cells] * 2
+    for k in range(n):
+        assert beta[k] + beta[k + 1] == 2 * v[k + 1]
+        if sigma == 2:
+            assert beta[k] + beta[k + 2] == v[k + 1] + v[k + 3]
+        else:
+            assert beta[k] + beta[k + 3] == v[k] + v[k + 3]
+            assert 3 * (beta[k] + beta[k + 2]) == 4 * v[k + 1] + 2 * v[k + 3]
+    for sign in (1, -1):
+        if all(sign * x > 0 for x in v):
+            assert sum(sign * b < 0 for b in beta[:n]) <= 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3)), coefficients, coefficients, coefficients,
+       st.integers(0, 2 ** 32), far_moves, st.integers(0, 10 ** 9))
+def test_descent_choices_are_forced(sigma, a, b, c, seed, dibasis_moves, j):
+    q = BQD(sigma, a, b, c)
+    f, d = random_dibasis(random.Random(seed), sigma)
+    for move, t in dibasis_moves:
+        f, d = shear_dibasis((f, d), sigma, move, t)
+    t = _local_form(q, f, d)
+    assert_one_descending_edge(_cells(t, sigma), sigma)
+    # a run along f visits u_j = pinwheel(f, d - j sqrt(sigma) f): while its
+    # last edge descends and that edge's other face d - (j + 1) sqrt(sigma) f
+    # keeps f's sign, every face of u_j has it
+    A, beta, _ = t
+    assume(A != 0)
+    sign = 1 if A > 0 else -1
+    # the runs' two stops: the last edge stops descending, and the smaller
+    # root of Q(d - x sqrt(sigma) f), when it is real
+    ends = [(sign * beta - 1) // (2 * sign * A)]
+    disc = q.discriminant()
+    if disc > 0:
+        ends.append((sigma * sign * beta - math.isqrt(disc) - 1) // (2 * sigma * sign * A))
+    for x in {j, *(e + dj for e in ends for dj in (-1, 0, 1))}:
+        if x < 0:
+            continue
+        dx, tx = _run(f, d, t, x, sigma)
+        cells = _cells(tx, sigma)
+        assert_one_descending_edge(cells, sigma)
+        values = [q(face) for face in pinwheel_faces(f, dx, sigma)]
+        if sign * cells[-1][1] < 0 and sign * values[-1] > 0:
+            assert all(sign * v > 0 for v in values)
+
+
 # --- errors on huge diforms ---------------------------------------------------
 
 HUGE = 10 ** 5000  # str() of it raises ValueError; errors give bit lengths
@@ -857,12 +917,13 @@ def test_diform_errors_name_huge_forms(monkeypatch):
 
 def test_diform_river_period_past_its_bit_budget_is_refused(monkeypatch):
     # (1, 0, -2383) over sigma = 3 closes its period after 105 runs (342
-    # edges); the walk counts the bits it keeps once, after 64 runs
+    # edges); the walk counts the bits of the steps it keeps once, after 64
+    # runs
     q = BQD(3, 1, 0, -2383)
-    monkeypatch.setattr(walk_module, "RIVER_BUDGET", 148735)
-    with pytest.raises(BudgetError, match="28596, not closed after 64 runs keeping 148736"):
+    monkeypatch.setattr(walk_module, "RIVER_BUDGET", 28927)
+    with pytest.raises(BudgetError, match="28596, not closed after 64 runs keeping 28928"):
         diform_river(q)
-    monkeypatch.setattr(walk_module, "RIVER_BUDGET", 148736)
+    monkeypatch.setattr(walk_module, "RIVER_BUDGET", 28928)
     assert diform_river(q).edge_count == 342
     monkeypatch.undo()
     with pytest.raises(BudgetError, match="discriminant a 16613-bit integer"):
