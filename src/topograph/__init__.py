@@ -21,19 +21,19 @@ _HOME = {
     "compose": "classgroup",
     "enumerate_classes": "classgroup",
     "verify_red_blue": "classgroup",
-    "BQD": "diform",
-    "Divector": "diform",
-    "Pinwheel": "diform",
     "diform_river": "diform",
     "diform_well": "diform",
+    "BQD": "dilinear",
+    "Divector": "dilinear",
+    "Pinwheel": "dilinear",
     "TopographError": "errors",
+    "verify_simple_transitivity": "groups",
     "BHF": "hermitian",
     "bhf_evaluate": "hermitian",
     "cube_values": "hermitian",
     "empirical_minimum": "hermitian",
     "Superbase": "lax",
     "normalize_superbase": "lax",
-    "verify_simple_transitivity": "lax",
     "find_well": "reduction",
     "gauss_reduced": "reduction",
     "minimum_nonzero": "reduction",

@@ -1,8 +1,8 @@
 """Command-line interface: line-delimited JSON on stdout, SVG files on disk.
 
 Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
-2 usage error.  Each handler imports the modules it calls, so a process
-pays only for the imports of its own subcommand.
+2 usage error.  Each handler imports only the modules its run calls (the
+diform walks only under --reduce or --river), so a process compiles no more.
 """
 
 from __future__ import annotations
@@ -118,16 +118,14 @@ def _cmd_classgroup(args) -> None:
 
 
 def _cmd_diform(args) -> None:
-    from .classgroup import is_diform_discriminant, verify_red_blue
     from .classical import red_blue_forms
-    from .diform import BQD, diform_river, diform_well
 
     a, b, c = _parse_form(args.form)
     if args.sigma not in (2, 3):
         raise PreconditionError("--sigma must be 2 or 3")
-    q = BQD(args.sigma, a, b, c)
-    d = q.discriminant()
-    red, blue = red_blue_forms(*q)
+    red, blue = red_blue_forms(args.sigma, a, b, c)
+    # the diform's discriminant is its red form's
+    d = red[1] * red[1] - 4 * red[0] * red[2]
     out = {
         "sigma": args.sigma,
         "form": [a, b, c],
@@ -138,6 +136,23 @@ def _cmd_diform(args) -> None:
         "river": None,
         "class_relation": None,
     }
+    if not args.reduce and not args.river:
+        from .classgroup import is_diform_discriminant, verify_red_blue
+
+        if is_diform_discriminant(args.sigma, d):
+            # a relation that does not apply is null; a refused one is an error
+            try:
+                out["class_relation"] = verify_red_blue(args.sigma, a, b, c)
+            except BudgetError:
+                raise
+            except TopographError:
+                out["class_relation"] = None
+        _emit(out)
+        return
+    from .diform import diform_river, diform_well
+    from .dilinear import BQD
+
+    q = BQD(args.sigma, a, b, c)
     if args.reduce:
         w = diform_well(q)
         out["well"] = {
@@ -154,14 +169,6 @@ def _cmd_diform(args) -> None:
             "period_steps": r.edge_count,
             "bends": r.bend_count,
         }
-    if not args.reduce and not args.river and is_diform_discriminant(args.sigma, d):
-        # a relation that does not apply is null; a refused one is an error
-        try:
-            out["class_relation"] = verify_red_blue(args.sigma, a, b, c)
-        except BudgetError:
-            raise
-        except TopographError:
-            out["class_relation"] = None
     _emit(out)
 
 

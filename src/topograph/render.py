@@ -4,7 +4,8 @@ Patches are BFS balls of the (3,inf) superbase tree or the (4,inf)/(6,inf)
 pinwheel geometries, embedded in the unit disk by recursive angular
 subdivision.  Coordinates are decorative; the combinatorics, the face
 values, and river/well markers are exact.  Output bytes are stable: fixed
-element ordering, fixed 4-decimal coordinate precision.
+element ordering, fixed 4-decimal coordinate precision.  The walks that
+mark a well are imported only for a definite form, which has one.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import math
 
 from .bqf import BQF, POSITIVE_DEFINITE, classify
 from .classical import red_blue_forms
-from .diform import BLUE, BQD, RED, _faces, diform_well, pinwheel_faces, pinwheel_key
+from .dilinear import BLUE, BQD, RED, _faces, pinwheel_faces, pinwheel_key
 from .errors import BudgetError, PreconditionError
 from .lax import STANDARD_SUPERBASE, lax
-from .reduction import find_well
 
 GEOMETRIES = ("3inf", "4inf", "6inf")
 # largest real-vertex count layout builds; 6inf depth 7 has 23,437
@@ -72,6 +72,8 @@ class _Superbases:
     def well_key(self):
         if self.q is None or classify(self.q) != POSITIVE_DEFINITE:
             return None
+        from .reduction import find_well
+
         return tuple(sorted(lax(v) for v in find_well(self.q).vectors))
 
 
@@ -108,6 +110,8 @@ class _Pinwheels:
     def well_key(self):
         if self.q is None or self.q.a <= 0 or self.q.discriminant() >= 0:
             return None
+        from .diform import diform_well
+
         return diform_well(self.q)["source"].key()
 
 

@@ -23,13 +23,13 @@ from topograph.classgroup import (
     verify_red_blue,
 )
 from topograph.classical import content, is_square, red_blue_forms, reduce_definite
-from topograph.diform import (
+from topograph.diform import diform_river
+from topograph.dilinear import (
     BQD,
     Divector,
     RED,
     BLUE,
     dicell_values,
-    diform_river,
     is_dibasis,
 )
 from topograph.errors import SquareDiscriminantError
@@ -46,7 +46,7 @@ from topograph.hermitian import (
     is_ring_superbase,
     unit_invariance_holds,
 )
-from topograph.lax import superbase_ball, verify_simple_transitivity
+from topograph.groups import superbase_ball, verify_simple_transitivity
 from topograph.reduction import gauss_reduced, minimum_nonzero, pell_solve
 from topograph.rings import EISENSTEIN, GAUSS, QRE, zero
 

@@ -9,7 +9,8 @@ from topograph.bqf import (
     cell_values,
     classify,
 )
-from topograph.lax import STANDARD_SUPERBASE, normalize_superbase, superbase_ball
+from topograph.groups import superbase_ball
+from topograph.lax import STANDARD_SUPERBASE, normalize_superbase
 
 
 def test_evaluation():

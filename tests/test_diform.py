@@ -8,34 +8,37 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import topograph.diform as diform_module
+import topograph.dilinear as dilinear_module
+import topograph.groups as groups_module
 import topograph.walk as walk_module
 from topograph.classical import red_blue_forms, reduce_definite
 from topograph.diform import (
+    DiRiverStep,
+    _cells,
+    _cross,
+    _find_river_edge,
+    _run,
+    _translation_automorph,
+    _well,
+    diform_river,
+    diform_well,
+    is_square_diform_disc,
+)
+from topograph.dilinear import (
     BLUE,
     BQD,
     Divector,
-    DiRiverStep,
     RED,
     STANDARD_DIBASIS,
     DiCellValues,
     Pinwheel,
-    _cells,
-    _cross,
-    _find_river_edge,
     _local_form,
     _other_vertex,
-    _run,
-    _translation_automorph,
-    _well,
     dibasis_det,
     dicell_values,
-    diform_river,
-    diform_well,
     is_dibasis,
-    is_square_diform_disc,
     pinwheel_complete,
     pinwheel_faces,
-    verify_gamma0_conjugation,
 )
 from topograph.errors import (
     BudgetError,
@@ -44,6 +47,7 @@ from topograph.errors import (
     PreconditionError,
     SquareDiscriminantError,
 )
+from topograph.groups import verify_gamma0_conjugation
 from topograph.lax import mat_mul
 from topograph.rings import QRE, ZSQRT2, ZSQRT3
 
@@ -85,7 +89,7 @@ def test_pinwheel_key_matches_all_rotations(sigma):
         moved = [-f if rng.random() < 0.5 else f for f in moved]
         if rng.random() < 0.5:
             moved.reverse()
-        assert diform_module.Pinwheel(sigma, tuple(moved)).key() == pw.key()
+        assert dilinear_module.Pinwheel(sigma, tuple(moved)).key() == pw.key()
 
 
 def test_pinwheel_fixture_sigma_3():
@@ -231,14 +235,14 @@ def test_pinwheel_rejects_a_non_dibasis_edge(monkeypatch):
         calls.append((d1, d2))
         return 1 if len(calls) == 1 else 0
 
-    monkeypatch.setattr(diform_module, "_face_det", first_call_only)
+    monkeypatch.setattr(dilinear_module, "_face_det", first_call_only)
     with pytest.raises(DibasisError):
         pinwheel_complete(*STANDARD_DIBASIS, 2)
 
 
 def test_gamma0_conjugation_rejects_a_sample_outside_dl_plus(monkeypatch):
     minus = (((0, 0), (1, 0)), ((-1, 0), (0, 0)))
-    monkeypatch.setattr(diform_module, "_dl_plus_samples",
+    monkeypatch.setattr(groups_module, "_dl_plus_samples",
                         lambda sigma, count: [minus])
     with pytest.raises(PreconditionError):
         verify_gamma0_conjugation(2, 1)
@@ -578,7 +582,7 @@ def test_well_matches_single_step_walker(q, start_moves):
 @settings(max_examples=100, deadline=None)
 @given(moved_diforms(definite=False))
 def test_river_edge_matches_single_step_walker(q):
-    i, d0, d1, cells = _find_river_edge(q)
+    i, d0, d1, cells = _find_river_edge(q, math.isqrt(q.discriminant()))
     vertex = pinwheel_complete(d0, d1, q.sigma)
     x, y = vertex.faces[i], vertex.faces[(i + 1) % len(vertex.faces)]
     p, neg = (x, y) if q(x) > 0 else (y, x)
@@ -750,10 +754,16 @@ def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
         result = walk(q)
         return result, dict(calls)
 
+    def search_from_root(q):
+        # the test's own isqrt, not counted: the search makes none
+        return _find_river_edge(q, math.isqrt(q.discriminant()))
+
     monkeypatch.setattr(BQD, "__call__", counting("q", BQD.__call__))
-    for name in names[1:3]:
-        monkeypatch.setattr(diform_module, name,
-                            counting(name, getattr(diform_module, name)))
+    # each name is counted in every module that looks it up
+    for module in (diform_module, dilinear_module):
+        for name in names[1:3]:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(diform_module, "math",
                         SimpleNamespace(gcd=math.gcd, isqrt=counting("isqrt", math.isqrt)))
     costs = []
@@ -761,15 +771,18 @@ def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
         river_form = BQD(sigma, 1, 2 * k, sigma * k * k - 1)
         costs.append((cost(diform_well, BQD(sigma, 1, 2 * k, sigma * k * k + 1))[1],
                       cost(diform_river, river_form)[1],
-                      cost(_find_river_edge, river_form)[1]))
+                      cost(search_from_root, river_form)[1]))
     assert costs[0] == costs[1] == costs[2]
     period, long = cost(diform_river, BQD(sigma, 1, 0, -LONG_RIVER[sigma]))
     assert len(period.steps) > 100
     well, river, search = costs[0]
-    # every run of a well descent ends in a floor division, and the river
-    # search shares one isqrt among its runs
+    # every run of a well descent ends in a floor division; a river period
+    # takes one isqrt, which its search and runs share, and the long periods
+    # two more in _first_root, where the start edge's values cut a run
     assert well["isqrt"] == 0
-    assert search["isqrt"] == 1
+    assert search["isqrt"] == 0
+    assert river["isqrt"] == 1
+    assert long["isqrt"] == 3
     for walk in (well, river, long):
         # Q three times on the start dibasis, and the recurrence checked once
         # there and once for each pinwheel the walk returns
@@ -897,13 +910,13 @@ def test_diform_errors_name_huge_forms(monkeypatch):
     with pytest.raises(SquareDiscriminantError, match="indefinite diform.*16610"):
         diform_river(BQD(3, HUGE, 1, HUGE))
     with pytest.raises(SquareDiscriminantError, match="16610-bit.*represents zero"):
-        _find_river_edge(BQD(2, 0, 1, HUGE))
+        _find_river_edge(BQD(2, 0, 1, HUGE), 2)
     far = BQD(3, 1, 2 * HUGE, 3 * HUGE * HUGE - 1)
     real_edge = diform_module._find_river_edge
 
-    def misplaced_edge(q):
+    def misplaced_edge(q, root):
         # the walker set on an edge whose faces share a sign sees two exits
-        i, d0, d1, cells = real_edge(q)
+        i, d0, d1, cells = real_edge(q, root)
         same = next(k for k, (a, _, c) in enumerate(cells) if a * c > 0)
         return same, d0, d1, cells
 
@@ -912,7 +925,7 @@ def test_diform_errors_name_huge_forms(monkeypatch):
         diform_river(far)
     monkeypatch.setattr(diform_module, "_descend", lambda *args: None)
     with pytest.raises(ClassificationError, match="no descent toward the river.*33221"):
-        real_edge(far)
+        real_edge(far, math.isqrt(far.discriminant()))
 
 
 def test_diform_river_period_past_its_bit_budget_is_refused(monkeypatch):

@@ -5,22 +5,21 @@ import pytest
 
 from topograph.bqf import BQF, CellValues, cell_values
 from topograph.classgroup import ClassGroupTable
-from topograph.diform import (
+from topograph.diform import DiRiverPeriod, DiRiverStep, diform_river
+from topograph.dilinear import (
     BLUE,
     BQD,
     RED,
     DiCellValues,
-    DiRiverPeriod,
-    DiRiverStep,
     Divector,
     Pinwheel,
     dicell_values,
-    diform_river,
     pinwheel_complete,
 )
 from topograph.errors import PreconditionError, TagMismatchError, UnsupportedRingError
 from topograph.hermitian import BHF, STANDARD_CUBASIS, CubeValues, cube_values
-from topograph.lax import STANDARD_FLAG, STANDARD_SUPERBASE, Flag, Superbase
+from topograph.groups import STANDARD_FLAG, Flag
+from topograph.lax import STANDARD_SUPERBASE, Superbase
 from topograph.reduction import (
     MinimumReport,
     PellSolution,

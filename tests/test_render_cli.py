@@ -9,7 +9,7 @@ import pytest
 from topograph import render
 from topograph.bqf import BQF
 from topograph.cli import main
-from topograph.diform import Divector, Pinwheel, _other_vertex
+from topograph.dilinear import Divector, Pinwheel, _other_vertex
 from topograph.errors import BudgetError, PreconditionError
 from topograph.lax import neighbors, normalize_superbase
 from topograph.render import LayoutPatch, emit_svg, layout
@@ -393,8 +393,11 @@ def test_cli_seed_flag_is_noop():
 
 
 # the topograph modules a process loads for each subcommand: the CLI imports
-# a handler's modules only when that handler runs
+# a handler's modules only when that handler runs, and only the walks its
+# run takes
 _WALK_MODULES = {"cli", "errors", "bqf", "classical", "lax", "reduction", "walk"}
+_DIFORM_WALK_MODULES = {"cli", "errors", "classical", "dilinear", "diform", "lax", "walk"}
+_RENDER_MODULES = {"cli", "errors", "bqf", "classical", "lax", "dilinear", "render"}
 SUBCOMMAND_MODULES = [
     (("dump", "--json"), {"cli", "errors"}),
     (("reduce", "--form=5,7,3"), _WALK_MODULES),
@@ -404,9 +407,17 @@ SUBCOMMAND_MODULES = [
      {"cli", "errors", "hermitian", "rings"}),
     (("classgroup", "--delta=-20"), {"cli", "errors", "classgroup", "classical"}),
     (("diform", "--sigma=2", "--form=1,0,-1"),
-     {"cli", "errors", "classgroup", "classical", "diform", "lax", "walk"}),
-    (("render", "--geometry=4inf", "--depth=2", "--out={out}"),
-     _WALK_MODULES | {"diform", "render"}),
+     {"cli", "errors", "classgroup", "classical"}),
+    (("diform", "--sigma=2", "--form=1,1,3", "--reduce"), _DIFORM_WALK_MODULES),
+    (("diform", "--sigma=3", "--form=1,0,-2", "--river"), _DIFORM_WALK_MODULES),
+    (("render", "--geometry=4inf", "--depth=2", "--out={out}"), _RENDER_MODULES),
+    # a definite form has a well to mark, found by its walk
+    (("render", "--geometry=3inf", "--depth=2", "--form=5,7,3", "--out={out}"),
+     _RENDER_MODULES | {"reduction", "walk"}),
+    (("render", "--geometry=4inf", "--depth=2", "--form=1,1,3", "--out={out}"),
+     _RENDER_MODULES | {"diform", "walk"}),
+    (("render", "--geometry=6inf", "--depth=2", "--form=1,0,-2", "--out={out}"),
+     _RENDER_MODULES),
 ]
 
 # stdlib modules costly to import (dataclasses loads inspect, about 9 ms per

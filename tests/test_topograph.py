@@ -7,16 +7,13 @@ import pytest
 
 import topograph
 from topograph.errors import NotASuperbaseError
-from topograph.lax import (
-    STANDARD_SUPERBASE,
+from topograph.groups import (
     coxeter_generators,
-    mat_mul,
-    neighbors,
-    normalize_superbase,
     pgl_key,
     superbase_ball,
     verify_simple_transitivity,
 )
+from topograph.lax import STANDARD_SUPERBASE, mat_mul, neighbors, normalize_superbase
 
 
 def test_standard_superbase_zero_sum():
@@ -138,3 +135,24 @@ def test_bare_package_import_loads_no_submodule():
     listed, loaded = json.loads(proc.stdout)
     assert set(topograph.__all__) <= set(listed)
     assert loaded == []
+
+
+def test_moved_names_resolve_to_their_new_homes():
+    homes = {"verify_simple_transitivity": "groups", "BQD": "dilinear",
+             "Divector": "dilinear", "Pinwheel": "dilinear"}
+    for name, home in homes.items():
+        assert topograph._HOME[name] == home
+        assert getattr(topograph, name).__module__ == f"topograph.{home}"
+
+
+def test_geometry_modules_do_not_load_the_walks_or_the_group_checks():
+    # with no byte-code cache each process compiles every module it imports
+    script = ("import json, sys\n"
+              "import topograph.lax, topograph.dilinear, topograph.render\n"
+              "print(json.dumps(sorted(m for m in sys.modules "
+              "if m.startswith('topograph.'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    loaded = set(json.loads(proc.stdout))
+    assert "topograph.dilinear" in loaded
+    assert not loaded & {"topograph.groups", "topograph.diform", "topograph.reduction"}
