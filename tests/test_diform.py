@@ -909,8 +909,9 @@ def test_diform_errors_name_huge_forms(monkeypatch):
         diform_river(BQD(2, 2 * HUGE, 2, 2))
     with pytest.raises(SquareDiscriminantError, match="indefinite diform.*16610"):
         diform_river(BQD(3, HUGE, 1, HUGE))
+    zero = BQD(2, 0, 1, HUGE)
     with pytest.raises(SquareDiscriminantError, match="16610-bit.*represents zero"):
-        _find_river_edge(BQD(2, 0, 1, HUGE), 2)
+        _find_river_edge(zero, math.isqrt(zero.discriminant()))
     far = BQD(3, 1, 2 * HUGE, 3 * HUGE * HUGE - 1)
     real_edge = diform_module._find_river_edge
 
