@@ -29,9 +29,9 @@ class LayoutPatch:
         self.geometry = geometry
         self.depth = depth
         self.form = form
-        self.vertices = []  # {id, x, y, classes}
-        self.edges = []  # {v1, v2, end, faces, classes}
-        self.faces = []  # {id, x, y, label, classes}
+        self.vertices = []  # (x, y, well); a vertex's index is its id
+        self.edges = []  # (v1, v2 or None for a stub, end, faces, river)
+        self.faces = []  # {x, y, label}
 
     def counts(self) -> dict:
         return {
@@ -175,20 +175,13 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
 
     patch = LayoutPatch(geometry, depth, form)
     well_key = geo.well_key()
-    for i, k in enumerate(order):
-        classes = ["vertex", "well"] if keys[k] == well_key else ["vertex"]
-        x, y = pos[k]
-        patch.vertices.append({"id": i, "x": x, "y": y, "classes": classes})
+    patch.vertices.extend((*pos[k], keys[k] == well_key) for k in order)
 
     def edge(k, t, v2, end):
         # a key lists its vertex's lax faces; an edge's are the shared ones
-        shared = sorted(set(keys[k]).intersection(keys[t]))
-        classes = ["edge"]
-        if value is not None and len(shared) == 2:
-            if value[shared[0]] * value[shared[1]] < 0:
-                classes.append("river")
-        return {"v1": rank[k], "v2": v2, "end": end, "faces": shared,
-                "classes": classes}
+        f, g = shared = tuple(sorted(set(keys[k]).intersection(keys[t])))
+        river = value is not None and value[f] * value[g] < 0
+        return rank[k], v2, end, shared, river
 
     # walking the sorted real vertices and their sorted neighbours lists
     # the edges and the stubs in sorted order
@@ -203,14 +196,12 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
         (x1, y1), (x2, y2) = pos[k], pos[t]
         patch.edges.append(edge(k, t, None, ((x1 + x2) / 2.0, (y1 + y2) / 2.0)))
 
-    for i, f in enumerate(faces):
+    for f in faces:
         pts = incidence[f]
         x = sum(p[0] for p in pts) / len(pts)
         y = sum(p[1] for p in pts) / len(pts)
         label = str(value[f]) if value is not None else geo.face_name.format(*f)
-        patch.faces.append(
-            {"id": i, "x": x, "y": y, "label": label, "classes": ["face-label"]}
-        )
+        patch.faces.append({"x": x, "y": y, "label": label})
     return patch
 
 
@@ -259,33 +250,31 @@ _STYLE = (
 )
 
 
-def emit_svg(patch: LayoutPatch | None) -> bytes:
-    """Byte-deterministic SVG 1.1 document for a layout patch."""
+def emit_svg(patch: LayoutPatch) -> bytes:
+    """Byte-deterministic SVG 1.1 document for a layout patch.  Only here
+    do the well and river flags become CSS classes."""
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         'viewBox="-1.1 -1.1 2.2 2.2">',
     ]
-    if patch is not None and (patch.vertices or patch.edges or patch.faces):
+    if patch.vertices or patch.edges or patch.faces:
         lines.append(f"<style>{_STYLE}</style>")
-        vpos = {v["id"]: (v["x"], v["y"]) for v in patch.vertices}
-        for e in patch.edges:
-            (x1, y1), (x2, y2) = vpos[e["v1"]], e["end"]
-            cls = " ".join(e["classes"])
+        for v1, _, (x2, y2), _, river in patch.edges:
+            x1, y1, _ = patch.vertices[v1]
+            cls = "edge river" if river else "edge"
             lines.append(
                 f'<line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
                 f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
             )
-        for v in patch.vertices:
-            cls = " ".join(v["classes"])
+        for x, y, well in patch.vertices:
+            cls = "vertex well" if well else "vertex"
             lines.append(
-                f'<circle class="{cls}" cx="{_fmt(v["x"])}" cy="{_fmt(v["y"])}" '
-                'r="0.015"/>'
+                f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="0.015"/>'
             )
         for f in patch.faces:
-            cls = " ".join(f["classes"])
             lines.append(
-                f'<text class="{cls}" x="{_fmt(f["x"])}" y="{_fmt(f["y"])}">'
+                f'<text class="face-label" x="{_fmt(f["x"])}" y="{_fmt(f["y"])}">'
                 f'{_elide(f["label"])}</text>'
             )
     lines.append("</svg>")

@@ -161,7 +161,7 @@ def test_mutable_records_start_empty_and_keep_their_fields():
     patch = LayoutPatch("3inf", 2, (1, 0, 1))
     assert (patch.geometry, patch.depth, patch.form) == ("3inf", 2, (1, 0, 1))
     assert patch.counts() == {"vertices": 0, "edges": 0, "faces": 0}
-    patch.vertices.append({})
+    patch.vertices.append((0.0, 0.0, False))
     assert LayoutPatch("3inf", 2, None).vertices == []
     t = ClassGroupTable(-20, [(1, 0, 5), (2, 2, 3)], [(1, 0, 5), (2, 2, 3)])
     assert (t.disc, t.h, t.table) == (-20, 2, [])

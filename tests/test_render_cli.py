@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import subprocess
@@ -55,7 +56,7 @@ def test_patch_vertices_closed_form(geometry, depths):
 
 def test_vertices_do_not_coincide():
     p = layout("3inf", 5)
-    pts = {(round(v["x"], 8), round(v["y"], 8)) for v in p.vertices}
+    pts = {(round(x, 8), round(y, 8)) for x, y, _ in p.vertices}
     assert len(pts) == len(p.vertices)
 
 
@@ -76,10 +77,9 @@ def test_face_labels_fixture():
 
 def test_river_edges_flagged():
     p = layout("3inf", 4, (1, 0, -3))
-    rivers = [e for e in p.edges if "river" in e["classes"]]
+    rivers = [faces for _, _, _, faces, river in p.edges if river]
     assert rivers
-    for e in rivers:
-        f1, f2 = e["faces"]
+    for f1, f2 in rivers:
         q = lambda v: v[0] * v[0] - 3 * v[1] * v[1]
         assert q(f1) * q(f2) < 0
 
@@ -120,6 +120,11 @@ def test_svg_bytes_pinned(geometry, depth, form, digest):
     assert hashlib.sha256(svg).hexdigest() == digest
 
 
+# the river edges of each indefinite form's patch below; a definite form's
+# patch has none
+RIVER_EDGES = {(2, 3, -7): 16, (3, 5, -7): 10, (1, 1, -1): 8}
+
+
 @pytest.mark.parametrize("geometry, depth, form", [
     ("3inf", 8, (3, 1, 5)), ("3inf", 8, (2, 3, -7)), ("4inf", 5, (1, 1, 3)),
     ("4inf", 5, (3, 5, -7)), ("6inf", 4, (5, 3, 7)), ("6inf", 4, (1, 1, -1)),
@@ -137,9 +142,31 @@ def test_layout_values_each_face_once(geometry, depth, form, monkeypatch):
     monkeypatch.setattr(BQF, "__call__", counted)
     patch = layout(geometry, depth, form)
     assert len(calls) == len(patch.faces)
-    # each input marks a well or a river
-    assert any("river" in e["classes"] for e in patch.edges) or any(
-        "well" in v["classes"] for v in patch.vertices)
+    # a definite form marks its one well and no river, an indefinite form
+    # its river edges and no well
+    rivers = RIVER_EDGES.get(form, 0)
+    wells = sum(well for _, _, well in patch.vertices)
+    assert wells == (rivers == 0)
+    assert sum(river for *_, river in patch.edges) == rivers
+    svg = emit_svg(patch)
+    assert svg.count(b'class="vertex well"') == wells
+    assert svg.count(b'class="edge river"') == rivers
+
+
+@pytest.mark.parametrize("geometry, depth, form", [
+    ("3inf", 6, (1, 0, -3)), ("4inf", 4, (1, 1, 3)), ("6inf", 4, (1, 1, -1)),
+])
+def test_patch_records_are_not_left_to_the_collector(geometry, depth, form):
+    # records of atomic values are untracked by the collector, so a large
+    # patch adds no containers for it to traverse.  A collection untracks a
+    # tuple only once what it holds is untracked, and an edge nests tuples
+    # three deep (edge, faces, lax face), so three collections are needed
+    # when the collector visits the outer tuples first
+    patch = layout(geometry, depth, form)
+    for _ in range(3):
+        gc.collect()
+    records = patch.vertices + patch.edges + patch.faces
+    assert not any(map(gc.is_tracked, records))
 
 
 @pytest.mark.parametrize("geometry, adapter", [
@@ -159,7 +186,7 @@ def test_layout_builds_each_vertex_once(geometry, adapter, monkeypatch):
 
     monkeypatch.setattr(adapter, "step", counted)
     patch = layout(geometry, 4)
-    shell = sum(e["v2"] is None for e in patch.edges)
+    shell = sum(v2 is None for _, v2, *_ in patch.edges)
     # one build per vertex of the ball but the root, real and shell alike:
     # the parent is never built again from its child
     assert len(built) == len(patch.vertices) - 1 + shell
