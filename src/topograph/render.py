@@ -1,12 +1,10 @@
 """Deterministic SVG rendering of topograph patches.
 
 Patches are BFS balls of the (3,inf) superbase tree or the (4,inf)/(6,inf)
-pinwheel geometries, embedded in the unit disk by recursive angular
-subdivision.  Coordinates are decorative; the combinatorics, the face
-values, and river/well markers are exact.  Output bytes are stable: fixed
-element ordering, fixed 4-decimal coordinate precision.  The walks that
-mark a well are imported only for a definite form, which has one.
-"""
+pinwheel geometries, embedded in the unit disk by angular subdivision.
+Coordinates are decorative; the combinatorics, face values and river/well
+markers are exact.  Output bytes are stable: fixed element order, 4-decimal
+coordinates.  The walks that mark a well load only for a definite form."""
 
 from __future__ import annotations
 
@@ -26,19 +24,14 @@ _COUNTED_DEPTH = 64
 
 class LayoutPatch:
     def __init__(self, geometry: str, depth: int, form: tuple | None):
-        self.geometry = geometry
-        self.depth = depth
-        self.form = form
+        self.geometry, self.depth, self.form = geometry, depth, form
         self.vertices = []  # (x, y, well); a vertex's index is its id
         self.edges = []  # (v1, v2 or None for a stub, end, faces, river)
         self.faces = []  # {x, y, label}
 
     def counts(self) -> dict:
-        return {
-            "vertices": len(self.vertices),
-            "edges": len(self.edges),
-            "faces": len(self.faces),
-        }
+        return {"vertices": len(self.vertices), "edges": len(self.edges),
+                "faces": len(self.faces)}
 
 
 class _Superbases:
@@ -50,13 +43,11 @@ class _Superbases:
     face_name = "{},{}"
 
     def __init__(self, form):
-        # the face value is the form's value at the face
-        self.q = self.value = BQF(*form) if form else None
+        self.q = self.value = BQF(*form) if form else None  # valued at faces
 
     def step(self, vs, i):
         """The superbase across the edge opposite vs[i], and the position in
-        it of the edge back, opposite the new vector.  As in ``neighbors``,
-        the pair p, q stays and p - q replaces the third vector."""
+        it of the edge back.  As in ``neighbors``, p - q replaces vs[i]."""
         p, q = vs[i - 2], vs[i - 1]
         new = (q[0] - p[0], q[1] - p[1])
         t = sorted((p, (-q[0], -q[1]), new), key=lax)
@@ -65,15 +56,13 @@ class _Superbases:
             new = (-new[0], -new[1])
         return tuple(t), t.index(new)
 
-    @staticmethod
-    def key(vs):
-        return tuple(lax(v) for v in vs)
+    key = staticmethod(lambda vs: tuple(map(lax, vs)))
+    seams = staticmethod(lambda vs, key: (-1, 1))  # the key is in slot order
 
     def well_key(self):
         if self.q is None or classify(self.q) != POSITIVE_DEFINITE:
             return None
         from .reduction import find_well
-
         return tuple(sorted(lax(v) for v in find_well(self.q).vectors))
 
 
@@ -96,13 +85,21 @@ class _Pinwheels:
 
     def step(self, faces, i):
         """The pinwheel across the edge (faces[i], faces[i + 1]), generated
-        by (p, -s), or by (p, s) across the wrap edge, as in
-        ``_other_vertex``; its first edge leads back.  Only the root is
-        checked: every edge of a pinwheel is a dibasis."""
+        by (p, -s), or by (p, s) across the wrap edge, as in ``_other_vertex``;
+        its first edge leads back.  Every edge of a pinwheel is a dibasis."""
         if i + 1 < len(faces):
             color, u, v = faces[i + 1]
             return _faces(faces[i], (color, -u, -v), self.sigma), 0
         return _faces(faces[i], faces[0], self.sigma), 0
+
+    @staticmethod
+    def seams(faces, key):
+        # the key reads the lax faces rotated, and perhaps reflected, so
+        # slot i's, faces[i] and faces[i + 1], end at key[base + sign * i]
+        j = key.index((faces[0][0], *lax(faces[0][1:])))
+        if key[j + 1 - len(key)] == (faces[1][0], *lax(faces[1][1:])):
+            return j + 1 - len(key), 1
+        return j, -1
 
     def value(self, f):
         return self.forms[f[0]]((f[1], f[2]))
@@ -111,66 +108,65 @@ class _Pinwheels:
         if self.q is None or self.q.a <= 0 or self.q.discriminant() >= 0:
             return None
         from .diform import diform_well
-
         return diform_well(self.q)["source"].key()
 
 
 def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
-    """The depth-``depth`` patch of the geometry, embedded in the unit disk
-    by angular subdivision.
-
-    The patch places the vertices at BFS distance < depth ("real") and uses
-    the distance-depth shell as phantom endpoints for boundary edge stubs.
-    Children split their parent's angular interval; a vertex sits at the
-    midpoint of its interval, at radius proportional to its BFS level.
-
-    Each vertex is built once, from its parent, across one edge; the edge
-    back is not crossed again.  The geometry is a tree, so every vertex the
-    BFS builds is new, and its id is its index in ``keys`` and ``pos``.
-    The BFS numbers one level after the other, so the real vertices are the
-    ids below ``len(adjacent)``.  Keys serve only to order the output and to
-    name the faces an edge shares; the form is valued once per face.
-    """
+    """The depth-``depth`` patch of the geometry in the unit disk: the real
+    vertices are those at BFS distance < depth, and the distance-depth shell
+    holds the stubs' far ends.  A child sits mid-way in its share of its
+    parent's angular interval, at radius proportional to its BFS level.  The
+    geometry is a tree, so each vertex is built once, from its parent, and
+    its id indexes the flat lists ``keys``, ``pos`` and ``seam``; the real
+    vertices come first.  The form is valued once per face."""
     geo = _Superbases(form) if geometry == "3inf" else _Pinwheels(geometry, form)
+    degree = geo.degree
     keys = [geo.key(geo.root)]
     pos = [(0.0, 0.0)]
-    adjacent = []  # the neighbour ids of each real vertex
+    seam = [0]  # a vertex shares keys[parent][s - 1] and [s] with its parent
+    nbrs = []  # real vertex k's neighbour across slot i is nbrs[k*degree + i]
     # (id, vertex, position of the edge to the parent, parent id, interval)
     frontier = [(0, geo.root, None, None, 0.0, 2.0 * math.pi)]
     for d in range(1, depth + 1):
         r = d / (depth + 0.0)
         nxt = []
         for k, vertex, back, parent, lo, hi in frontier:
-            out = []
-            n = geo.degree - (back is not None)
-            j = 0
-            for i in range(geo.degree):
+            n = degree - (back is not None)
+            base, sign = geo.seams(vertex, keys[k])
+            j, b = 0, lo
+            for i in range(degree):
                 if i == back:
-                    out.append(parent)
+                    nbrs.append(parent)
                     continue
                 t, t_back = geo.step(vertex, i)
-                a = lo + (hi - lo) * j / n
-                b = lo + (hi - lo) * (j + 1) / n
-                mid = (a + b) / 2.0
                 j += 1
-                out.append(len(keys))
+                a, b = b, lo + (hi - lo) * j / n
+                mid = (a + b) / 2.0
+                nbrs.append(len(keys))
                 if d < depth:
                     nxt.append((len(keys), t, t_back, k, a, b))
                 keys.append(geo.key(t))
+                seam.append(base + sign * i)
                 pos.append((r * math.cos(mid), r * math.sin(mid)))
-            adjacent.append(out)
         frontier = nxt
-    real = len(adjacent)
+    real = len(nbrs) // degree
     order = sorted(range(real), key=keys.__getitem__)
     rank = [0] * real  # the output id of each real vertex
+    # each face's record sums its points in output order, as sum() would,
+    # and their count n; the sums become the mean once all are placed
+    recs = {}
     for i, k in enumerate(order):
         rank[k] = i
-
-    incidence: dict = {}
-    for k in order:
+        x, y = pos[k]
         for f in keys[k]:
-            incidence.setdefault(f, []).append(pos[k])
-    faces = sorted(incidence)
+            rec = recs.get(f)
+            if rec is None:
+                recs[f] = {"x": 0.0 + x, "y": 0.0 + y, "n": 1}
+            else:
+                rec["x"] += x
+                rec["y"] += y
+                rec["n"] += 1
+    faces = sorted(recs)
     value = dict(zip(faces, map(geo.value, faces))) if geo.q is not None else None
 
     patch = LayoutPatch(geometry, depth, form)
@@ -178,30 +174,32 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
     patch.vertices.extend((*pos[k], keys[k] == well_key) for k in order)
 
     def edge(k, t, v2, end):
-        # a key lists its vertex's lax faces; an edge's are the shared ones
-        f, g = shared = tuple(sorted(set(keys[k]).intersection(keys[t])))
+        # the parent has the lower id, its child the seam
+        key, s = (keys[k], seam[t]) if k < t else (keys[t], seam[k])
+        f, g = key[s - 1], key[s]
         river = value is not None and value[f] * value[g] < 0
-        return rank[k], v2, end, shared, river
+        return rank[k], v2, end, (f, g) if f < g else (g, f), river
 
-    # walking the sorted real vertices and their sorted neighbours lists
-    # the edges and the stubs in sorted order
+    # sorted vertices, then sorted neighbours: edges and stubs come out sorted
     stubs = []
     for k in order:
-        for t in sorted(adjacent[k], key=keys.__getitem__):
+        for t in sorted(nbrs[k * degree:(k + 1) * degree], key=keys.__getitem__):
             if t >= real:
-                stubs.append((k, t))
+                (x1, y1), (x2, y2) = pos[k], pos[t]
+                stubs.append(edge(k, t, None, ((x1 + x2) / 2.0, (y1 + y2) / 2.0)))
             elif rank[k] < rank[t]:
                 patch.edges.append(edge(k, t, rank[t], pos[t]))
-    for k, t in stubs:
-        (x1, y1), (x2, y2) = pos[k], pos[t]
-        patch.edges.append(edge(k, t, None, ((x1 + x2) / 2.0, (y1 + y2) / 2.0)))
+    patch.edges += stubs
 
     for f in faces:
-        pts = incidence[f]
-        x = sum(p[0] for p in pts) / len(pts)
-        y = sum(p[1] for p in pts) / len(pts)
-        label = str(value[f]) if value is not None else geo.face_name.format(*f)
-        patch.faces.append({"x": x, "y": y, "label": label})
+        rec = recs[f]
+        n = rec.pop("n")
+        rec["x"], rec["y"] = rec["x"] / n, rec["y"] / n
+        try:
+            rec["label"] = geo.face_name.format(*f) if value is None else str(value[f])
+        except ValueError:  # past sys.get_int_max_str_digits(), 4,300 by default
+            rec["label"] = _sci(value[f])
+        patch.faces.append(rec)
     return patch
 
 
@@ -217,14 +215,12 @@ def layout(geometry: str, depth: int, form: tuple | None = None) -> LayoutPatch:
         raise PreconditionError(f"unknown geometry {geometry!r}")
     if depth < 0:
         raise PreconditionError("depth must be nonnegative")
-    # the count at least doubles per level, so past _COUNTED_DEPTH it is
-    # named by a lower bound
+    # the count at least doubles per level: past _COUNTED_DEPTH, a bound
     count = patch_vertices(geometry, min(depth, _COUNTED_DEPTH))
     if count > VERTEX_BUDGET:
         over = "more than " if depth > _COUNTED_DEPTH else ""
-        raise BudgetError(
-            f"a depth-{depth} {geometry} patch has {over}{count} vertices, "
-            f"over the budget of {VERTEX_BUDGET}")
+        raise BudgetError(f"a depth-{depth} {geometry} patch has {over}{count} "
+                          f"vertices, over the budget of {VERTEX_BUDGET}")
     return _patch(geometry, depth, form)
 
 
@@ -233,49 +229,52 @@ def _fmt(x: float) -> str:
     return "0.0000" if s == "-0.0000" else s
 
 
+def _sci(n: int) -> str:
+    """``f"{n:.4e}"``, exactly: five digits rounded half to even, exponent."""
+    m = abs(n)
+    # floor(log10(m)), or one less
+    e = (m.bit_length() - 1) * 30102999566 // 10**11
+    e += 10 ** (e + 1) <= m
+    unit = 10 ** (e - 4)
+    q, r = divmod(m, unit)
+    d = str(q + (2 * r > unit or 2 * r == unit and q & 1))
+    return f"{'-' * (n < 0)}{d[0]}.{d[1:5]}e+{e + len(d) - 5:02d}"
+
+
 def _elide(label: str) -> str:
     """Labels longer than 12 digits collapse to scientific style."""
     digits = label.lstrip("-")
     if digits.isdigit() and len(digits) > 12:
-        return f"{float(label):.4e}"
+        x = float(label)
+        return f"{x:.4e}" if math.isfinite(x) else _sci(int(label))
     return label
 
 
 _STYLE = (
-    ".edge{stroke:#555;stroke-width:0.006;}"
-    ".river{stroke:#06c;stroke-width:0.012;}"
-    ".vertex{fill:#222;}"
-    ".well{fill:#c30;}"
-    ".face-label{font-size:0.05px;font-family:monospace;text-anchor:middle;}"
-)
+    ".edge{stroke:#555;stroke-width:0.006;}.river{stroke:#06c;stroke-width:0.012;}"
+    ".vertex{fill:#222;}.well{fill:#c30;}"
+    ".face-label{font-size:0.05px;font-family:monospace;text-anchor:middle;}")
 
 
 def emit_svg(patch: LayoutPatch) -> bytes:
     """Byte-deterministic SVG 1.1 document for a layout patch.  Only here
     do the well and river flags become CSS classes."""
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        'viewBox="-1.1 -1.1 2.2 2.2">',
-    ]
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+             'viewBox="-1.1 -1.1 2.2 2.2">']
     if patch.vertices or patch.edges or patch.faces:
         lines.append(f"<style>{_STYLE}</style>")
-        for v1, _, (x2, y2), _, river in patch.edges:
-            x1, y1, _ = patch.vertices[v1]
-            cls = "edge river" if river else "edge"
-            lines.append(
-                f'<line class="{cls}" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-                f'x2="{_fmt(x2)}" y2="{_fmt(y2)}"/>'
-            )
-        for x, y, well in patch.vertices:
+        # each vertex's point is formatted once; a real edge ends at its v2's
+        pts = [(_fmt(x), _fmt(y)) for x, y, _ in patch.vertices]
+        for v1, v2, end, _, river in patch.edges:
+            (x1, y1), (x2, y2) = pts[v1], pts[v2] if v2 is not None else map(_fmt, end)
+            lines.append(f'<line class="{"edge river" if river else "edge"}" '
+                         f'x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}"/>')
+        for (x, y), (_, _, well) in zip(pts, patch.vertices):
             cls = "vertex well" if well else "vertex"
-            lines.append(
-                f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="0.015"/>'
-            )
+            lines.append(f'<circle class="{cls}" cx="{x}" cy="{y}" r="0.015"/>')
         for f in patch.faces:
-            lines.append(
-                f'<text class="face-label" x="{_fmt(f["x"])}" y="{_fmt(f["y"])}">'
-                f'{_elide(f["label"])}</text>'
-            )
+            lines.append(f'<text class="face-label" x="{_fmt(f["x"])}" '
+                         f'y="{_fmt(f["y"])}">{_elide(f["label"])}</text>')
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode("utf-8")

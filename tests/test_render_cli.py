@@ -111,6 +111,13 @@ SVG_SHA256 = [
     ('4inf', 5, (3, 5, -7), '08eb6871ea3d63f33c178be7d97333814bb4c43377a70e4c98506212ac894da4'),
     ('6inf', 4, (5, 3, 7), '0ea91a656c4410cc3d9a84b15aae02ed99147ecd4bf36199f167310223b727bc'),
     ('6inf', 4, (1, 1, -1), '44cfe6e22862bf04d8529e8ceb421558946bda4eb9c4db184d5a12c02544d9ba'),
+    # the form-less benchmark patches and two deep patches with many stubs,
+    # recorded before faces were summed as they are placed
+    ('3inf', 8, None, '0b1f8aadc9bd8d14593485a608a7df65e935fba6ad32f84a9bd648a6eda6c3d7'),
+    ('4inf', 5, None, '0a8be785a50054b40e15f3d8994acac6338225bc3b87a4d66023ec77dc2509f1'),
+    ('6inf', 4, None, 'aa6c3c360c60c9c1c7a28511537f6fff286d28307c1c0d9728a7dddde0973c29'),
+    ('6inf', 6, (1, 1, -2), 'b8ba80bc16f2d28c37446ffadaa99b73942157fbadba247c18a2d81c78c328a6'),
+    ('3inf', 12, (1, 0, -7), '49aff4134f6c88ee91753d4ab034bef39b771c5ae0e8cde21e0576148cb58749'),
 ]
 
 
@@ -167,6 +174,31 @@ def test_patch_records_are_not_left_to_the_collector(geometry, depth, form):
         gc.collect()
     records = patch.vertices + patch.edges + patch.faces
     assert not any(map(gc.is_tracked, records))
+
+
+def test_layout_keeps_no_list_per_vertex_or_face():
+    # the build keeps flat lists, so the lists the collector traverses do
+    # not grow with the patch.  Frozen objects are invisible to
+    # gc.get_objects, so each count walks only what the call made
+    lists = []
+
+    def count(phase, info):
+        if phase == "start":
+            lists.append(list(map(type, gc.get_objects())).count(list))
+
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.freeze()
+    before = list(map(type, gc.get_objects())).count(list)
+    gc.set_threshold(500, 5, 5)
+    gc.callbacks.append(count)
+    try:
+        layout("6inf", 6, (1, 1, -2))
+    finally:
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+        gc.unfreeze()
+    assert lists and max(lists) <= before + 100
 
 
 @pytest.mark.parametrize("geometry, adapter", [
@@ -239,6 +271,18 @@ def test_label_eliding():
 
     assert _elide("123") == "123"
     assert _elide(str(1766319049 ** 2)) == f"{float(1766319049 ** 2):.4e}"
+    # past the largest float the text is built from the exact integer
+    assert _elide(str(2 ** 1024)) == "1.7977e+308"
+    assert _elide(str(-10 ** 400)) == "-1.0000e+400"
+
+
+def test_face_values_past_the_str_digit_limit():
+    # str() refuses an int of more than 4,300 digits, so such a face is
+    # labelled with its elided text
+    patch = layout("3inf", 2, (10 ** 5000, 1, 1))
+    labels = [f["label"] for f in patch.faces]
+    assert "1.0000e+5000" in labels
+    assert b">1.0000e+5000</text>" in emit_svg(patch)
 
 
 def test_cli_pell():
