@@ -37,8 +37,25 @@ SCHEMAS = {
 }
 
 
+def _any_digits(convert):
+    """convert() with Python's int/str digit limit (4,300 digits by default)
+    lifted, then restored.  Only the CLI's own text passes through here: an
+    argument string is at most 128 KiB on Linux, and the budgets bound the
+    results.  The work keeps the limit, so render still writes labels past
+    it as d.dddde+N instead of paying a quadratic str() for each."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # Python 3.10.0 to 3.10.6 have no limit
+        return convert()
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert()
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    sys.stdout.write(_any_digits(lambda: json.dumps(obj, sort_keys=True)) + "\n")
 
 
 def _parse_form(text: str, n: int = 3):
@@ -46,7 +63,7 @@ def _parse_form(text: str, n: int = 3):
     if len(parts) != n:
         raise PreconditionError(f"--form expects {n} comma-separated integers")
     try:
-        return tuple(int(p) for p in parts)
+        return _any_digits(lambda: tuple(int(p) for p in parts))
     except ValueError as exc:
         raise PreconditionError(f"--form expects integers: {exc}") from exc
 

@@ -10,7 +10,6 @@ Vertex residues of the associated geometry are cubes (Gauss) or tetrahedra
 from __future__ import annotations
 
 import math
-from itertools import product
 from typing import NamedTuple
 
 from .errors import (
@@ -21,9 +20,10 @@ from .errors import (
     NotASuperbaseError,
     PreconditionError,
     SearchExhaustedError,
+    TagMismatchError,
     brief,
 )
-from .rings import _SQ, EISENSTEIN, GAUSS, QRE, _immutable, units, zero
+from .rings import _SQ, EISENSTEIN, GAUSS, QRE, Z, _immutable, units, zero
 
 RVec = tuple[QRE, QRE]
 
@@ -64,10 +64,8 @@ class BHF:
     def discriminant(self) -> int:
         # 4*(N(beta) - ac) = 2*N(gamma) - 4ac over Gauss (N(1+i) = 2);
         # 3*(N(beta) - ac) = N(gamma) - 3ac over Eisenstein (N(1-w) = 3)
-        n = self.gamma.norm()
-        if self.ring == GAUSS:
-            return 2 * n - 4 * self.a * self.c
-        return n - 3 * self.a * self.c
+        n, ac = self.gamma.norm(), self.a * self.c
+        return 2 * n - 4 * ac if self.ring == GAUSS else n - 3 * ac
 
     def __call__(self, v: RVec) -> int:
         return bhf_evaluate(self, v[0], v[1])
@@ -83,10 +81,7 @@ def bhf_evaluate(h: BHF, x: QRE, y: QRE) -> int:
     if x.ring != h.ring or y.ring != h.ring:
         raise PreconditionError("vector must live in the form's ring")
     t = h.gamma * x.conj() * y
-    if h.ring == GAUSS:
-        trace = t.x + t.y
-    else:
-        trace = t.x - t.y
+    trace = t.x + t.y if h.ring == GAUSS else t.x - t.y
     # cross-check: N(d) * Tr(t/d) = Tr(t * conj(d)) must be exactly divisible
     d = _DIFFERENT[h.ring]
     s = t * d.conj()
@@ -96,126 +91,131 @@ def bhf_evaluate(h: BHF, x: QRE, y: QRE) -> int:
     return h.a * x.norm() + trace + h.c * y.norm()
 
 
-def _is_unimodular(v1: RVec, v2: RVec) -> bool:
-    d = v1[0] * v2[1] - v1[1] * v2[0]
-    return d.is_unit()
+def _xy(ring: str, v: RVec) -> tuple:
+    """The vector (x, y) as coordinates (x0, x1, y0, y1): x = x0 + x1 theta."""
+    if v[0].ring != ring or v[1].ring != ring:
+        raise TagMismatchError(f"{v[0].ring}/{v[1].ring} vector vs {ring}")
+    return (v[0].x, v[0].y, v[1].x, v[1].y)
+
+
+# the units (e0, e1), e = e0 + e1 theta, of the rings where they are finite
+_UNITS = {r: [(e.x, e.y) for e in units(r)] for r in (Z, GAUSS, EISENSTEIN)}
+
+
+def _multiples(ring: str, p: tuple) -> list:
+    """The vectors e p over the units e (units() refuses infinite groups)."""
+    s, t = _SQ[ring]
+    x0, x1, y0, y1 = p
+    return [(e0 * x0 + s * e1 * x1, e0 * x1 + e1 * x0 + t * e1 * x1,
+             e0 * y0 + s * e1 * y1, e0 * y1 + e1 * y0 + t * e1 * y1)
+            for e0, e1 in _UNITS.get(ring) or units(ring)]
+
+
+def _norm(s: int, t: int, a0: int, a1: int) -> int:
+    # theta^2 = s + t theta: N(a0 + a1 theta) = a0^2 + t a0 a1 - s a1^2
+    return a0 * a0 + t * a0 * a1 - s * a1 * a1
+
+
+def _unimodular(ring: str, u: tuple, v: tuple) -> bool:
+    """Is det(u, v) = u_x v_y - u_y v_x a unit?"""
+    s, t = _SQ[ring]
+    cross = u[1] * v[3] - u[3] * v[1]
+    d0 = u[0] * v[2] - u[2] * v[0] + s * cross
+    d1 = u[0] * v[3] + u[1] * v[2] - u[2] * v[1] - u[3] * v[0] + t * cross
+    return _norm(s, t, d0, d1) in (1, -1)
+
+
+def _superbase(ring: str, u: tuple, v: tuple, w: tuple) -> bool:
+    """is_ring_superbase on coordinates: is -(u + e1 v) some e2 w?"""
+    if not all(_unimodular(ring, a, b) for a, b in ((u, v), (v, w), (u, w))):
+        return False
+    ws = _multiples(ring, w)
+    return any((-u[0] - a, -u[1] - b, -u[2] - c, -u[3] - d) in ws
+               for a, b, c, d in _multiples(ring, v))
 
 
 def is_ring_superbase(u: RVec, v: RVec, w: RVec) -> bool:
     """Pairwise unimodular with some unit-scaled sum u + e1*v + e2*w = 0."""
-    if not (_is_unimodular(u, v) and _is_unimodular(v, w) and _is_unimodular(u, w)):
-        return False
-    ring = u[0].ring
-    for e1 in units(ring):
-        for e2 in units(ring):
-            if (u[0] + e1 * v[0] + e2 * w[0]).is_zero() and (
-                u[1] + e1 * v[1] + e2 * w[1]
-            ).is_zero():
-                return True
-    return False
+    return _superbase(u[0].ring, *(_xy(u[0].ring, x) for x in (u, v, w)))
 
 
-def _box_elements(ring: str, norm_bound: int) -> list[QRE]:
-    out = []
-    for x in range(-norm_bound, norm_bound + 1):
-        for y in range(-norm_bound, norm_bound + 1):
-            z = QRE(ring, x, y)
-            if z.norm() <= norm_bound:
-                out.append(z)
-    out.sort(key=lambda z: (z.norm(), z.x, z.y))
-    return out
-
-
-def _box_vectors(ring: str, norm_bound: int) -> list[RVec]:
-    els = _box_elements(ring, norm_bound)
-    return [(x, y) for x, y in product(els, repeat=2)
-            if not (x.is_zero() and y.is_zero())]
-
-
-def _lax_key(v: RVec):
+def _lax_key(ring: str, p: tuple) -> tuple:
     """Canonical label of a vector up to unit scaling."""
-    return min(
-        ((e * v[0]).x, (e * v[0]).y, (e * v[1]).x, (e * v[1]).y)
-        for e in units(v[0].ring)
-    )
+    return min(_multiples(ring, p))
 
 
-def _check_seed(seed, ring: str) -> None:
+def _check_seed(seed, ring: str) -> tuple:
+    """The seed's coordinates and lax keys, once it is checked."""
     if len(seed) != 3:
         raise PreconditionError("seed must be a triple of ring vectors")
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not _is_unimodular(seed[i], seed[j]):
-                raise PreconditionError("seed triple is not pairwise unimodular")
-    for v in seed:
-        if v[0].ring != ring:
-            raise PreconditionError(f"seed must live over {ring}")
+    own = seed[0][0].ring
+    s1, s2, s3 = xy = [_xy(own, v) for v in seed]
+    if not all(_unimodular(own, a, b) for a, b in ((s1, s2), (s1, s3), (s2, s3))):
+        raise PreconditionError("seed triple is not pairwise unimodular")
+    if own != ring:
+        raise PreconditionError(f"seed must live over {ring}")
+    keys = {_lax_key(ring, v) for v in xy}
+    if len(keys) != 3:  # unit multiples are never unimodular: a safeguard
+        raise PreconditionError("seed vectors must be distinct lax vectors")
+    return xy, keys
 
 
 SEARCH_BOUND = 4
 
 
+def _completions(ring: str, v: tuple, w: tuple, seed_keys: set):
+    """Yield the p = -(e1 v + e2 w), e1 and e2 units, that make a superbase
+    with (v, w), lie in the box (coordinate norms <= SEARCH_BOUND) and are no
+    seed's lax vector, with their keys, in the box's scan order (N(x), x, N(y), y)."""
+    s, t = _SQ[ring]
+    ws = _multiples(ring, w)
+    sums = [(a + e, b + f, c + g, d + h)
+            for a, b, c, d in _multiples(ring, v) for e, f, g, h in ws]
+    for nx, _, ny, _, p in sorted((_norm(s, t, *p[:2]), p[:2], _norm(s, t, *p[2:]),
+                                   p[2:], p) for p in sums):
+        if nx <= SEARCH_BOUND and ny <= SEARCH_BOUND:
+            key = _lax_key(ring, p)
+            if key not in seed_keys and _superbase(ring, v, w, p):
+                yield p, key
+
+
 def find_cubasis(seed) -> tuple:
     """Complete a pairwise-unimodular Gaussian triple to a cubasis: three
     opposite pairs (seed_i, partner_i) all eight of whose transversal triples
-    are lax superbases.  Deterministic scan, coordinate norms <= 4."""
+    are lax superbases.  A partner is one of the 16 _completions of the other
+    two seed vectors; the answer is the first a scan of the box would meet."""
     ring = GAUSS
-    _check_seed(seed, ring)
-    s1, s2, s3 = seed
-    seed_keys = {_lax_key(s1), _lax_key(s2), _lax_key(s3)}
-    if len(seed_keys) != 3:
-        raise PreconditionError("seed vectors must be distinct lax vectors")
-    # each candidate keyed once, for the distinctness tests below
-    cands = [
-        (p, key)
-        for p in _box_vectors(ring, SEARCH_BOUND)
-        if (key := _lax_key(p)) not in seed_keys
-    ]
-    p1s = [(p, key) for p, key in cands if is_ring_superbase(s2, s3, p)]
-    for p1, key1 in p1s:
-        p2s = [
-            (p, key)
-            for p, key in cands
-            if key != key1
-            and is_ring_superbase(s1, s3, p)
-            and _is_unimodular(p1, p)
-            and is_ring_superbase(p1, s3, p)
-        ]
+    (s1, s2, s3), seed_keys = _check_seed(seed, ring)
+    p2s_all = list(_completions(ring, s1, s3, seed_keys))
+    p3s = list(_completions(ring, s1, s2, seed_keys))
+    for p1, key1 in _completions(ring, s2, s3, seed_keys):
+        p2s = [(p, key) for p, key in p2s_all if key != key1
+               and _unimodular(ring, p1, p) and _superbase(ring, p1, s3, p)]
         for p2, key2 in p2s:
-            for p3, key3 in cands:
-                if key3 in (key1, key2):
-                    continue
-                if not is_ring_superbase(s1, s2, p3):
-                    continue
-                if all(is_ring_superbase(t1, t2, t3) for t1 in (s1, p1)
-                       for t2 in (s2, p2) for t3 in (s3, p3)):
-                    return ((s1, p1), (s2, p2), (s3, p3))
+            for p3, key3 in p3s:
+                if key3 not in (key1, key2) and all(
+                        _superbase(ring, t1, t2, t3) for t1 in (s1, p1)
+                        for t2 in (s2, p2) for t3 in (s3, p3)):
+                    return tuple((v, (QRE(ring, *p[:2]), QRE(ring, *p[2:])))
+                                 for v, p in zip(seed, (p1, p2, p3)))
     raise SearchExhaustedError(
-        f"no cubasis completion with coordinate norms <= {SEARCH_BOUND}"
-    )
+        f"no cubasis completion with coordinate norms <= {SEARCH_BOUND}")
 
 
 def find_tetrabasis(seed) -> tuple:
     """Complete a pairwise-unimodular Eisenstein triple to a tetrabasis: four
-    vectors any three of which form a lax superbase."""
+    vectors any three of which form a lax superbase.  The fourth is the first
+    of the 36 _completions of (seed_1, seed_2) that a scan of the box meets
+    and that makes superbases with seed_3 too."""
     ring = EISENSTEIN
-    _check_seed(seed, ring)
-    s1, s2, s3 = seed
-    if not is_ring_superbase(s1, s2, s3):
+    (s1, s2, s3), seed_keys = _check_seed(seed, ring)
+    if not _superbase(ring, s1, s2, s3):
         raise NotASuperbaseError("seed triple is not a lax superbase")
-    seed_keys = {_lax_key(s1), _lax_key(s2), _lax_key(s3)}
-    for p in _box_vectors(ring, SEARCH_BOUND):
-        if _lax_key(p) in seed_keys:
-            continue
-        if (
-            is_ring_superbase(s1, s2, p)
-            and is_ring_superbase(s1, s3, p)
-            and is_ring_superbase(s2, s3, p)
-        ):
-            return (s1, s2, s3, p)
+    for p, _ in _completions(ring, s1, s2, seed_keys):
+        if _superbase(ring, s1, s3, p) and _superbase(ring, s2, s3, p):
+            return (*seed, (QRE(ring, *p[:2]), QRE(ring, *p[2:])))
     raise SearchExhaustedError(
-        f"no tetrabasis completion with coordinate norms <= {SEARCH_BOUND}"
-    )
+        f"no tetrabasis completion with coordinate norms <= {SEARCH_BOUND}")
 
 
 PATTERN_I = "I"

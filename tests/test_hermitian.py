@@ -5,12 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from box_search import box_find_cubasis, box_find_tetrabasis
 from topograph.errors import (
     BudgetError,
     DegenerateFormError,
     NotASuperbaseError,
     PreconditionError,
     SearchExhaustedError,
+    TopographError,
 )
 from topograph.hermitian import (
     BHF,
@@ -86,22 +88,43 @@ def test_find_cubasis_standard_seed():
                 assert is_ring_superbase(t1, t2, t3)
 
 
-def test_find_cubasis_keys_each_candidate_once(monkeypatch):
+def _count_search_work(monkeypatch):
+    """Count the lax keys a search computes and the QREs hermitian builds."""
     from topograph import hermitian
 
-    calls = []
-    real = hermitian._lax_key
+    keys, built = [], []
+    real_key, real_qre = hermitian._lax_key, hermitian.QRE
 
-    def counted(v):
-        calls.append(v)
-        return real(v)
+    def counted_key(ring, p):
+        keys.append(p)
+        return real_key(ring, p)
 
-    monkeypatch.setattr(hermitian, "_lax_key", counted)
+    def counted_qre(ring, x, y):
+        built.append((x, y))
+        return real_qre(ring, x, y)
+
+    monkeypatch.setattr(hermitian, "_lax_key", counted_key)
+    monkeypatch.setattr(hermitian, "QRE", counted_qre)
+    return keys, built
+
+
+def test_find_cubasis_keys_only_unit_relation_candidates(monkeypatch):
+    keys, built = _count_search_work(monkeypatch)
     assert find_cubasis(STANDARD_GAUSS_SEED) == STANDARD_CUBASIS
-    # every box vector and the three seeds, 171 keys; recomputing them in
-    # the inner loops took 510
-    box = hermitian._box_vectors(GAUSS, hermitian.SEARCH_BOUND)
-    assert len(calls) <= len(box) + 3
+    # the three seeds and at most 16 candidates -(e1 v + e2 w) for each of
+    # the three seed pairs; the box scan keyed all 168 box vectors
+    assert len(keys) <= 3 + 3 * 16
+    # no box: the only QREs made are the three partners of the answer
+    assert len(built) == 6
+
+
+def test_find_tetrabasis_keys_only_unit_relation_candidates(monkeypatch):
+    keys, built = _count_search_work(monkeypatch)
+    # the fourth vector the box scan found: (-1 - w, -1)
+    assert find_tetrabasis(STANDARD_EISENSTEIN_SEED) == (
+        *STANDARD_EISENSTEIN_SEED, (eis(-1, -1), eis(-1)))
+    assert len(keys) <= 3 + 36
+    assert len(built) == 2
 
 
 def test_find_tetrabasis_standard_seed():
@@ -110,6 +133,62 @@ def test_find_tetrabasis_standard_seed():
     for i in range(4):
         triple = [tb[j] for j in range(4) if j != i]
         assert is_ring_superbase(*triple)
+
+
+def _search_outcome(search, seed):
+    try:
+        return search(seed)
+    except TopographError as exc:
+        return type(exc)
+
+
+def _oracle_seeds(ring, standard, other, rng):
+    """1,000 images of the standard seed under random unimodular matrices,
+    each vector scaled by a random unit, in random order; then the standard
+    seed, and seeds that are not pairwise unimodular, not a superbase, too
+    short or over the other ring."""
+    def mk(x, y=0):
+        return QRE(ring, x, y)
+
+    one, nil = mk(1), mk(0)
+    for _ in range(1000):
+        m = ((one, nil), (nil, one))
+        for _ in range(rng.randint(0, 3)):
+            a = mk(rng.randint(-1, 1), rng.randint(-1, 1))
+            e = ((one, a), (nil, one)) if rng.random() < 0.5 else ((one, nil), (a, one))
+            m = tuple(tuple(m[i][0] * e[0][j] + m[i][1] * e[1][j] for j in range(2))
+                      for i in range(2))
+        seed = []
+        for x, y in standard:
+            u = rng.choice(units(ring))
+            seed.append((u * (m[0][0] * x + m[0][1] * y),
+                         u * (m[1][0] * x + m[1][1] * y)))
+        rng.shuffle(seed)
+        yield tuple(seed)
+    yield standard
+    for _ in range(100):
+        yield tuple((mk(rng.randint(-2, 2), rng.randint(-2, 2)),
+                     mk(rng.randint(-2, 2), rng.randint(-2, 2))) for _ in range(3))
+    yield ((one, nil), (mk(2), nil), (nil, one))
+    yield ((one, nil), (nil, one), (one, mk(2)))
+    yield standard[:2]
+    yield other
+
+
+@pytest.mark.parametrize("ring", [GAUSS, EISENSTEIN])
+def test_searches_match_the_box_scan(ring):
+    if ring == GAUSS:
+        search, box, standard, other = (find_cubasis, box_find_cubasis,
+                                        STANDARD_GAUSS_SEED, STANDARD_EISENSTEIN_SEED)
+    else:
+        search, box, standard, other = (find_tetrabasis, box_find_tetrabasis,
+                                        STANDARD_EISENSTEIN_SEED, STANDARD_GAUSS_SEED)
+    outcomes = set()
+    for seed in _oracle_seeds(ring, standard, other, random.Random(20)):
+        got = _search_outcome(search, seed)
+        assert got == _search_outcome(box, seed), seed
+        outcomes.add(got if isinstance(got, type) else tuple)
+    assert outcomes == {tuple, SearchExhaustedError, PreconditionError}
 
 
 def test_cubasis_rejects_degenerate_seed():

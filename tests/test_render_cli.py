@@ -362,6 +362,55 @@ def test_cli_refuses_river_periods_past_the_bit_budget(capsys):
     assert "bits, past the budget of 536870912" in error["message"]
 
 
+def _digit_limit():
+    # Python 3.10.0 to 3.10.6 have no int/str digit limit
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def _loads_any_digits(text):
+    """json.loads of output whose integers may pass the digit limit."""
+    limit = _digit_limit()
+    if limit is None:
+        return json.loads(text)
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.loads(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_cli_pell_prints_results_past_the_str_digit_limit(capsys):
+    # x has 4,910 digits: json.dumps refused it under the 4,300-digit limit
+    limit = _digit_limit()
+    assert main(["pell", "--d", "10000141"]) == 0
+    assert _digit_limit() == limit
+    data = _loads_any_digits(capsys.readouterr().out)
+    x, y = data["x"], data["y"]
+    assert x.bit_length() > 16_000
+    assert x * x - 10000141 * y * y == 1
+
+
+def test_cli_river_prints_results_past_the_str_digit_limit(capsys):
+    limit = _digit_limit()
+    assert main(["river", "--form=1,0,-10000141"]) == 0
+    assert _digit_limit() == limit
+    data = _loads_any_digits(capsys.readouterr().out)
+    assert data["delta"] == 4 * 10000141
+
+
+def test_cli_render_parses_forms_past_the_str_digit_limit(tmp_path, capsys):
+    # the form is read whole, while the labels keep their elided text
+    limit = _digit_limit()
+    out = tmp_path / "big.svg"
+    form = "1" + "0" * 5000 + ",1,1"
+    argv = ["render", "--geometry", "3inf", "--depth", "2", "--form", form,
+            "--out", str(out)]
+    assert main(argv) == 0
+    assert _digit_limit() == limit
+    assert "1.0000e+5000" in out.read_text()
+    assert json.loads(capsys.readouterr().out)["counts"]["faces"] == 6
+
+
 def test_cli_diform_class_relation_is_null_when_it_does_not_apply(capsys):
     # sigma | a: the red form (30, 0, 2) is imprimitive
     assert main(["diform", "--sigma", "2", "--form", "30,0,1"]) == 0
