@@ -17,6 +17,8 @@ cut a run.
 The walks jump to each stop and take each turn as one step, so they return
 the same pinwheels, in the same face order, as a walk of single steps, and
 evaluate Q three times, on the start dibasis, whatever their length.
+They keep faces and river steps as (color, u, v) tuples and build the
+Divector, DiRiverStep and Pinwheel records of their answer once, at return.
 
 A river period is certified over Z, as a BQF river is: blue (u, v) becomes
 (u, v) and red (u, v) becomes (u, sigma v), conjugation by diag(1, sqrt(sigma))
@@ -29,11 +31,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .classical import is_square, red_blue_forms, reduce_definite, transform
-from .dilinear import (BLUE, BQD, RED, STANDARD_DIBASIS, Divector, _cell_pairs, _faces,
-                       _local_form, _other_vertex, pinwheel_complete)
+from .classical import red_blue_forms, reduce_definite, transform
+from .dilinear import (BLUE, BQD, RED, STANDARD_DIBASIS, Divector, _across, _faces,
+                       _local_form, pinwheel_complete, pinwheel_key)
 from .errors import ClassificationError, PreconditionError, SquareDiscriminantError, brief
-from .lax import change_of_basis, mat_det
+from .lax import change_of_basis, det, lax, mat_det
 from .walk import CHUNK, charge
 
 
@@ -44,6 +46,15 @@ def _named(q: BQD) -> str:
 def _neg(face: tuple) -> tuple:
     color, u, v = face
     return color, -u, -v
+
+
+def _bends(r: int, beta: int, b: int, sigma: int) -> bool:
+    """Does the edge of values r, b and local beta bend: does a pair
+    (x - s, x + s) of ``dilinear._cell_pairs`` change sign, |x| < |s|?  The
+    test is symmetric in r and b."""
+    s = abs(sigma * beta)
+    return (abs(sigma * r + b) < s or abs(r + sigma * b) < s or sigma == 3
+            and (abs(4 * r + 3 * b) < 2 * s or abs(3 * r + 4 * b) < 2 * s))
 
 
 def _cells(t: tuple, sigma: int) -> list:
@@ -57,12 +68,10 @@ def _cells(t: tuple, sigma: int) -> list:
 
 
 def _cross(d0: tuple, d1: tuple, cells: list, i: int, sigma: int):
-    """The neighbour over edge i of the pinwheel of (d0, d1), as its dibasis
-    (f_i, -f_i+1) and local form: crossing negates beta_i."""
-    faces = _faces(d0, d1, sigma)
+    """The neighbour over edge i of the pinwheel of (d0, d1), as its
+    generating dibasis (``_across``) and local form: crossing negates beta_i."""
     a, beta, c = cells[i]
-    after = faces[0] if i == 2 * sigma - 1 else _neg(faces[i + 1])
-    return faces[i], after, (a, -beta, c)
+    return (*_across(_faces(d0, d1, sigma), i, sigma)[:2], (a, -beta, c))
 
 
 def _run(f: tuple, d: tuple, t: tuple, j: int, sigma: int):
@@ -164,8 +173,8 @@ def _well(q: BQD, d0: tuple, d1: tuple) -> dict:
             f"well descent of {_named(q)} not finished after {brief(limit)} runs")
     source = pinwheel_complete(d0, d1, sigma)
     # a neighbour of equal weight lies over an edge with beta = 0
-    flats = {tuple(sorted([source.key(), _other_vertex(p, s, source, sigma).key()]))
-             for (p, s), c in zip(source.edges(), cells) if c[1] == 0}
+    flats = {tuple(sorted([source.key(), pinwheel_key(_across(source.faces, i, sigma))]))
+             for i, c in enumerate(cells) if c[1] == 0}
     red, blue = red_blue_forms(*q)
     return {
         "source": source,
@@ -277,12 +286,12 @@ def diform_river(q: BQD) -> DiRiverPeriod:
         raise PreconditionError(
             f"river analysis expects a primitive diform, not {_named(q)}")
     d = q.discriminant()
-    if d <= 0 or is_square_diform_disc(q):
+    root = math.isqrt(max(d, 0))
+    if d <= 0 or root * root == d:
         raise SquareDiscriminantError(
             f"need a nondegenerate indefinite diform, not {_named(q)}")
     sigma = q.sigma
     n = 2 * sigma
-    root = math.isqrt(d)
     here, d0, d1, cells = _find_river_edge(q, root)
     faces = _faces(d0, d1, sigma)
     x, y = faces[here], faces[(here + 1) % n]
@@ -292,7 +301,7 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     edges = bends = kept = 0
     # the least (|Q(f)|, lax f) over the faces the walk passes, for mu and
     # the witness
-    least = start[0], Divector._make(p0).lax()
+    least = start[0], (p0[0], *lax(p0[1:]))
 
     # Read as a dibasis of determinant 1, each river edge gives Q the
     # coefficients (a', b', c') with a'c' < 0 and d = sigma^2 b'^2 + 4 sigma
@@ -303,14 +312,13 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     limit = 4 * m * (m.bit_length() + 1) + 1
     for run in range(limit):
         # the walker stands at the edge {p, neg} = {f_here, f_here+1}
-        red = cells[here] if faces[here][0] == RED else cells[here][::-1]
-        bend = any(e * f < 0 for e, f in _cell_pairs(*red, sigma))
-        steps.append(DiRiverStep(Divector._make(p), Divector._make(neg), bend))
+        bend = _bends(*cells[here], sigma)
+        steps.append((p, neg, bend))
         edges += 1
         bends += bend
         for f, (v, _, _) in zip(faces, cells):
             if abs(v) <= least[0]:
-                least = min(least, (abs(v), Divector._make(f).lax()))
+                least = min(least, (abs(v), (f[0], *lax(f[1:]))))
         # continuation: the unique other sign-separating adjacent pair
         crossings = [i for i, (a, _, c) in enumerate(cells) if i != here and a * c < 0]
         if len(crossings) != 1:
@@ -338,10 +346,12 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                 mu = wit = None
                 if not exceptional:
                     # and the closing edge, whose faces the next pass would add
-                    mu, wit = min([least] + [(abs(v), Divector._make(f).lax())
+                    mu, wit = min([least] + [(abs(v), (f[0], *lax(f[1:])))
                                              for f, v in ((p, t[0]), (neg, t[2]))])
-                return DiRiverPeriod(tuple(steps), edges, bends, auto, mu, wit,
-                                     exceptional, q)
+                    wit = Divector._make(wit)
+                steps = tuple(DiRiverStep(Divector._make(x), Divector._make(y), b)
+                              for x, y, b in steps)
+                return DiRiverPeriod(steps, edges, bends, auto, mu, wit, exceptional, q)
         faces = _faces(d0, d1, sigma)
         if (run + 1) % CHUNK == 0:
             kept = charge(kept, run + 1, _named(q), d, steps[-CHUNK:])
@@ -378,17 +388,19 @@ def _translation_automorph(e0, e1, q: BQD):
         p0, n0 = ((RED if col == BLUE else BLUE, v, u) for col, u, v in (p0, n0))
     blue = red_blue_forms(*q)[1]
     target = red_blue_forms(sigma, c, b, a)[1] if swap else blue
-    for flip in (n0, _neg(n0)):
-        t = change_of_basis(*(_lattice(d, sigma) for d in (p0, flip, p1, n1)))
-        if (t is not None and mat_det(t) == (-1 if swap else 1)
-                and t[1][0] % sigma == 0 and transform(blue, t) == target):
-            (x, y), (z, w) = t
-            # g^-1 t g = [[x, y sqrt(sigma)], [(z / sigma) sqrt(sigma), w]]
-            auto = ((x, 0), (0, y)), ((0, z // sigma), (w, 0))
-            # T = T' W: W swaps the columns
-            return tuple(row[::-1] for row in auto) if swap else auto
-    return None
+    want = -1 if swap else 1
+    l0, m0, l1, m1 = [_lattice(d, sigma) for d in (p0, n0, p1, n1)]
+    # det t = det(l1, m1) det(l0, m0) when det(l0, m0) = +-1, so only one
+    # sign of n0 can give t the determinant wanted
+    if det(l0, m0) * det(l1, m1) != want:
+        m0 = (-m0[0], -m0[1])
+    t = change_of_basis(l0, m0, l1, m1)
+    if (t is None or mat_det(t) != want or t[1][0] % sigma
+            or transform(blue, t) != target):
+        return None
+    (x, y), (z, w) = t
+    # g^-1 t g = [[x, y sqrt(sigma)], [(z / sigma) sqrt(sigma), w]]
+    auto = ((x, 0), (0, y)), ((0, z // sigma), (w, 0))
+    # T = T' W: W swaps the columns
+    return tuple(row[::-1] for row in auto) if swap else auto
 
-
-def is_square_diform_disc(q: BQD) -> bool:
-    return is_square(q.discriminant())

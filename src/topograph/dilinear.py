@@ -106,6 +106,17 @@ def _faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
     return tuple(_recur(d1, d2, sigma, 2 * sigma))
 
 
+def _across(faces: tuple, i: int, sigma: int) -> tuple:
+    """The faces of the pinwheel across the edge (f_i, f_i+1) of the pinwheel
+    ``faces``, unchecked.  The recurrence runs the other way there, so it is
+    generated by (f_i, -f_i+1), or by (f_i, f_0) across the wrap edge, whose
+    neighbour in the signed cycle is -f_0; its first edge leads back."""
+    if i + 1 < len(faces):
+        color, u, v = faces[i + 1]
+        return tuple(_recur(faces[i], (color, -u, -v), sigma, 2 * sigma))
+    return tuple(_recur(faces[i], faces[0], sigma, 2 * sigma))
+
+
 def pinwheel_faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
     """The faces, as signed (color, u, v) tuples, of the pinwheel generated
     by the ordered dibasis (d1, d2): x_{k+1} = sqrt(sigma) x_k - x_{k-1}."""
@@ -201,26 +212,6 @@ def dicell_values(q: BQD, r: Divector, b: Divector) -> DiCellValues:
 
 
 STANDARD_DIBASIS = (Divector(RED, 1, 0), Divector(BLUE, 0, 1))
-
-
-def _other_vertex(p: Divector, s: Divector, vertex: Pinwheel, sigma: int) -> Pinwheel:
-    """The second pinwheel containing the edge {p, s} of ``vertex``.
-
-    In the signed cycle of ``vertex`` (its faces, then their negatives) the
-    recurrence runs from p through a neighbour; the pinwheel across the edge
-    runs the other way, so it is generated by (p, -s) when s is a neighbour
-    of p there, and by (p, s) when -s is.
-    """
-    cycle = vertex.faces + tuple(-f for f in vertex.faces)
-    try:
-        i = cycle.index(p)
-    except ValueError:
-        first, second = vertex.faces[:2]
-        raise DibasisError(f"{_shown(p)} is not a face of the pinwheel of "
-                           f"{_shown(first)}, {_shown(second)}") from None
-    if s in (cycle[i - 1], cycle[(i + 1) % len(cycle)]):
-        return pinwheel_complete(p, -s, sigma)
-    return pinwheel_complete(p, s, sigma)
 
 
 def _local_form(q: BQD, d0: tuple, d1: tuple) -> tuple:

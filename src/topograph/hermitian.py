@@ -17,7 +17,6 @@ from .errors import (
     ClassificationError,
     DegenerateFormError,
     IntegralityError,
-    NotASuperbaseError,
     PreconditionError,
     SearchExhaustedError,
     TagMismatchError,
@@ -126,12 +125,10 @@ def _unimodular(ring: str, u: tuple, v: tuple) -> bool:
 
 
 def _superbase(ring: str, u: tuple, v: tuple, w: tuple) -> bool:
-    """is_ring_superbase on coordinates: is -(u + e1 v) some e2 w?"""
-    if not all(_unimodular(ring, a, b) for a, b in ((u, v), (v, w), (u, w))):
-        return False
-    ws = _multiples(ring, w)
-    return any((-u[0] - a, -u[1] - b, -u[2] - c, -u[3] - d) in ws
-               for a, b, c, d in _multiples(ring, v))
+    """is_ring_superbase on coordinates.  Pairwise unimodularity implies the
+    unit relation: with det(v, w) a unit, u = alpha v + beta w for the units
+    alpha = det(u, w) / det(v, w) and beta = det(v, u) / det(v, w)."""
+    return all(_unimodular(ring, a, b) for a, b in ((u, v), (v, w), (u, w)))
 
 
 def is_ring_superbase(u: RVec, v: RVec, w: RVec) -> bool:
@@ -190,7 +187,7 @@ def find_cubasis(seed) -> tuple:
     p3s = list(_completions(ring, s1, s2, seed_keys))
     for p1, key1 in _completions(ring, s2, s3, seed_keys):
         p2s = [(p, key) for p, key in p2s_all if key != key1
-               and _unimodular(ring, p1, p) and _superbase(ring, p1, s3, p)]
+               and _superbase(ring, p1, s3, p)]
         for p2, key2 in p2s:
             for p3, key3 in p3s:
                 if key3 not in (key1, key2) and all(
@@ -209,8 +206,6 @@ def find_tetrabasis(seed) -> tuple:
     and that makes superbases with seed_3 too."""
     ring = EISENSTEIN
     (s1, s2, s3), seed_keys = _check_seed(seed, ring)
-    if not _superbase(ring, s1, s2, s3):
-        raise NotASuperbaseError("seed triple is not a lax superbase")
     for p, _ in _completions(ring, s1, s2, seed_keys):
         if _superbase(ring, s1, s3, p) and _superbase(ring, s2, s3, p):
             return (*seed, (QRE(ring, *p[:2]), QRE(ring, *p[2:])))

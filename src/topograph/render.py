@@ -12,7 +12,7 @@ import math
 
 from .bqf import BQF, POSITIVE_DEFINITE, classify
 from .classical import red_blue_forms
-from .dilinear import BLUE, BQD, RED, _faces, pinwheel_faces, pinwheel_key
+from .dilinear import BLUE, BQD, RED, _across, pinwheel_faces, pinwheel_key
 from .errors import BudgetError, PreconditionError
 from .lax import STANDARD_SUPERBASE, lax
 
@@ -84,13 +84,10 @@ class _Pinwheels:
         self.root = pinwheel_faces((RED, 1, 0), (BLUE, 0, 1), self.sigma)
 
     def step(self, faces, i):
-        """The pinwheel across the edge (faces[i], faces[i + 1]), generated
-        by (p, -s), or by (p, s) across the wrap edge, as in ``_other_vertex``;
-        its first edge leads back.  Every edge of a pinwheel is a dibasis."""
-        if i + 1 < len(faces):
-            color, u, v = faces[i + 1]
-            return _faces(faces[i], (color, -u, -v), self.sigma), 0
-        return _faces(faces[i], faces[0], self.sigma), 0
+        """The pinwheel across the edge (faces[i], faces[i + 1]), by
+        ``_across``; its first edge leads back.  Every edge of a pinwheel is
+        a dibasis."""
+        return _across(faces, i, self.sigma), 0
 
     @staticmethod
     def seams(faces, key):

@@ -11,9 +11,10 @@ import topograph.diform as diform_module
 import topograph.dilinear as dilinear_module
 import topograph.groups as groups_module
 import topograph.walk as walk_module
-from topograph.classical import red_blue_forms, reduce_definite
+from topograph.classical import is_square, red_blue_forms, reduce_definite
 from topograph.diform import (
     DiRiverStep,
+    _bends,
     _cells,
     _cross,
     _find_river_edge,
@@ -22,7 +23,6 @@ from topograph.diform import (
     _well,
     diform_river,
     diform_well,
-    is_square_diform_disc,
 )
 from topograph.dilinear import (
     BLUE,
@@ -32,13 +32,16 @@ from topograph.dilinear import (
     STANDARD_DIBASIS,
     DiCellValues,
     Pinwheel,
+    _across,
+    _cell_pairs,
     _local_form,
-    _other_vertex,
+    _shown,
     dibasis_det,
     dicell_values,
     is_dibasis,
     pinwheel_complete,
     pinwheel_faces,
+    pinwheel_key,
 )
 from topograph.errors import (
     BudgetError,
@@ -50,6 +53,10 @@ from topograph.errors import (
 from topograph.groups import verify_gamma0_conjugation
 from topograph.lax import mat_mul
 from topograph.rings import QRE, ZSQRT2, ZSQRT3
+
+
+def is_square_diform_disc(q: BQD) -> bool:
+    return is_square(q.discriminant())
 
 
 def random_dibasis(rng, sigma):
@@ -289,6 +296,26 @@ def _edge_is_bend(q: BQD, p: Divector, s: Divector) -> bool:
     return False
 
 
+def _other_vertex(p: Divector, s: Divector, vertex: Pinwheel, sigma: int) -> Pinwheel:
+    """The second pinwheel containing the edge {p, s} of ``vertex``.
+
+    In the signed cycle of ``vertex`` (its faces, then their negatives) the
+    recurrence runs from p through a neighbour; the pinwheel across the edge
+    runs the other way, so it is generated by (p, -s) when s is a neighbour
+    of p there, and by (p, s) when -s is.
+    """
+    cycle = vertex.faces + tuple(-f for f in vertex.faces)
+    try:
+        i = cycle.index(p)
+    except ValueError:
+        first, second = vertex.faces[:2]
+        raise DibasisError(f"{_shown(p)} is not a face of the pinwheel of "
+                           f"{_shown(first)}, {_shown(second)}") from None
+    if s in (cycle[i - 1], cycle[(i + 1) % len(cycle)]):
+        return pinwheel_complete(p, -s, sigma)
+    return pinwheel_complete(p, s, sigma)
+
+
 def two_candidate_other_vertex(p, s, vertex, sigma):
     """The far vertex of {p, s} as the pinwheel of (p, -s) or (p, s) whose
     key differs from the vertex's."""
@@ -505,6 +532,37 @@ def test_other_vertex_rejects_a_face_not_at_the_vertex():
     pw = pinwheel_complete(*STANDARD_DIBASIS, 2)
     with pytest.raises(DibasisError):
         _other_vertex(Divector(RED, 3, 1), pw.faces[1], pw, 2)
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_flat_edge_keys_match_two_candidate_neighbours(sigma):
+    # b = 0 and a = c forms have flat edges at their source
+    rng = random.Random(sigma)
+    forms = [(a, 0, c) for a in range(1, 9) for c in range(1, 9)]
+    forms += [(a, b, a) for a in range(1, 9) for b in range(-5, 6)]
+    forms += [tuple(rng.randint(-40, 40) for _ in range(3)) for _ in range(1200)]
+    flat = 0
+    for q in (BQD(sigma, *f) for f in forms):
+        if q.a <= 0 or q.discriminant() >= 0:
+            continue
+        w = diform_well(q)
+        source = w["source"]
+        want = set()
+        for i, (p, s) in enumerate(source.edges()):
+            nb = two_candidate_other_vertex(p, s, source, sigma)
+            assert pinwheel_key(_across(source.faces, i, sigma)) == nb.key()
+            if _vertex_weight(q, nb) == _vertex_weight(q, source):
+                want.add(tuple(sorted([source.key(), nb.key()])))
+        assert w["flat_edges"] == tuple(sorted(want))
+        flat += bool(want)
+    assert flat >= 50
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_bend_test_matches_cell_pair_signs_on_a_grid(sigma):
+    for r, beta, b in product(range(-8, 9), repeat=3):
+        assert _bends(r, beta, b, sigma) == any(
+            e * f < 0 for e, f in _cell_pairs(r, beta, b, sigma))
 
 
 def test_dibasis_errors_name_huge_divectors():
@@ -788,9 +846,36 @@ def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
         # there and once for each pinwheel the walk returns
         assert walk["q"] == 3
         assert walk["pinwheel_faces"] == 1 + walk["pinwheel_complete"]
-    # the source and its one flat neighbour
-    assert well["pinwheel_complete"] == 2
+    # the source alone: its flat neighbour's key is read off unchecked faces
+    assert well["pinwheel_complete"] == 1
     assert river["pinwheel_complete"] == long["pinwheel_complete"] == 0
+
+
+def test_diform_river_builds_its_steps_once_the_period_closes(monkeypatch):
+    events = []
+    real_step, real_automorph = DiRiverStep, diform_module._translation_automorph
+
+    def step(*args):
+        events.append("step")
+        return real_step(*args)
+
+    def automorph(*args):
+        found = real_automorph(*args)
+        events.append("open" if found is None else "closed")
+        return found
+
+    monkeypatch.setattr(diform_module, "DiRiverStep", step)
+    monkeypatch.setattr(diform_module, "_translation_automorph", automorph)
+    for q in (BQD(2, -11, -12, -5), BQD(2, 1, 0, -LONG_RIVER[2]),
+              BQD(3, 1, 0, -LONG_RIVER[3])):
+        events.clear()
+        r = diform_river(q)
+        n = len(r.steps)
+        assert events.count("step") == n
+        assert events[-n - 1:] == ["closed"] + ["step"] * n
+        assert all(type(s) is real_step and type(s.pos) is type(s.neg) is Divector
+                   for s in r.steps)
+        assert type(r.witness) is Divector
 
 
 # --- the local form (A, beta, C) against values on divectors ---------------
@@ -844,6 +929,13 @@ def test_local_form_maps_match_values_on_divectors(sigma, a, b, c, dibasis_moves
     # cell values, linear in the local form of the edge
     r, bl = Divector(*d0), Divector(*d1)
     assert dicell_values(q, r, bl) == divector_cell_values(q, r, bl)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((2, 3)), coefficients, coefficients, coefficients)
+def test_bend_test_matches_cell_pair_signs(sigma, r, beta, b):
+    want = any(e * f < 0 for e, f in _cell_pairs(r, beta, b, sigma))
+    assert _bends(r, beta, b, sigma) == _bends(b, beta, r, sigma) == want
 
 
 def assert_one_descending_edge(cells, sigma):

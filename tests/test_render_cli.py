@@ -7,10 +7,11 @@ import time
 
 import pytest
 
+from test_diform import _other_vertex
 from topograph import render
 from topograph.bqf import BQF
 from topograph.cli import main
-from topograph.dilinear import Divector, Pinwheel, _other_vertex
+from topograph.dilinear import Divector, Pinwheel
 from topograph.errors import BudgetError, PreconditionError
 from topograph.lax import neighbors, normalize_superbase
 from topograph.render import LayoutPatch, emit_svg, layout
