@@ -14,7 +14,6 @@ from typing import NamedTuple
 
 from .errors import (
     BudgetError,
-    ClassificationError,
     DegenerateFormError,
     IntegralityError,
     PreconditionError,
@@ -22,12 +21,9 @@ from .errors import (
     TagMismatchError,
     brief,
 )
-from .rings import _SQ, EISENSTEIN, GAUSS, QRE, Z, _immutable, units, zero
+from .rings import _SQ, EISENSTEIN, GAUSS, QRE, _immutable, units, zero
 
 RVec = tuple[QRE, QRE]
-
-# the different of Gauss / Eisenstein is generated by (1+i) / (1-w)
-_DIFFERENT = {GAUSS: QRE(GAUSS, 1, 1), EISENSTEIN: QRE(EISENSTEIN, 1, -1)}
 
 
 class BHF:
@@ -37,7 +33,7 @@ class BHF:
     __slots__ = ("ring", "a", "gamma", "c")
 
     def __init__(self, ring: str, a: int, gamma: QRE, c: int):
-        if ring not in _DIFFERENT:
+        if ring not in (GAUSS, EISENSTEIN):
             raise PreconditionError("Hermitian forms live over Gauss/Eisenstein")
         if gamma.ring != ring:
             raise PreconditionError("gamma must live in the form's ring")
@@ -81,12 +77,6 @@ def bhf_evaluate(h: BHF, x: QRE, y: QRE) -> int:
         raise PreconditionError("vector must live in the form's ring")
     t = h.gamma * x.conj() * y
     trace = t.x + t.y if h.ring == GAUSS else t.x - t.y
-    # cross-check: N(d) * Tr(t/d) = Tr(t * conj(d)) must be exactly divisible
-    d = _DIFFERENT[h.ring]
-    s = t * d.conj()
-    tr_s = 2 * s.x if h.ring == GAUSS else 2 * s.x - s.y
-    if tr_s != d.norm() * trace:
-        raise IntegralityError("trace term is not integral")
     return h.a * x.norm() + trace + h.c * y.norm()
 
 
@@ -97,17 +87,17 @@ def _xy(ring: str, v: RVec) -> tuple:
     return (v[0].x, v[0].y, v[1].x, v[1].y)
 
 
-# the units (e0, e1), e = e0 + e1 theta, of the rings where they are finite
-_UNITS = {r: [(e.x, e.y) for e in units(r)] for r in (Z, GAUSS, EISENSTEIN)}
+# the units (e0, e1), e = e0 + e1 theta, of the two rings
+_UNITS = {r: [(e.x, e.y) for e in units(r)] for r in (GAUSS, EISENSTEIN)}
 
 
 def _multiples(ring: str, p: tuple) -> list:
-    """The vectors e p over the units e (units() refuses infinite groups)."""
+    """The vectors e p over the units e of a Gauss or Eisenstein ring."""
     s, t = _SQ[ring]
     x0, x1, y0, y1 = p
     return [(e0 * x0 + s * e1 * x1, e0 * x1 + e1 * x0 + t * e1 * x1,
              e0 * y0 + s * e1 * y1, e0 * y1 + e1 * y0 + t * e1 * y1)
-            for e0, e1 in _UNITS.get(ring) or units(ring)]
+            for e0, e1 in _UNITS[ring]]
 
 
 def _norm(s: int, t: int, a0: int, a1: int) -> int:
@@ -124,16 +114,14 @@ def _unimodular(ring: str, u: tuple, v: tuple) -> bool:
     return _norm(s, t, d0, d1) in (1, -1)
 
 
-def _superbase(ring: str, u: tuple, v: tuple, w: tuple) -> bool:
-    """is_ring_superbase on coordinates.  Pairwise unimodularity implies the
-    unit relation: with det(v, w) a unit, u = alpha v + beta w for the units
-    alpha = det(u, w) / det(v, w) and beta = det(v, u) / det(v, w)."""
-    return all(_unimodular(ring, a, b) for a, b in ((u, v), (v, w), (u, w)))
-
-
 def is_ring_superbase(u: RVec, v: RVec, w: RVec) -> bool:
-    """Pairwise unimodular with some unit-scaled sum u + e1*v + e2*w = 0."""
-    return _superbase(u[0].ring, *(_xy(u[0].ring, x) for x in (u, v, w)))
+    """Pairwise unimodular with some unit-scaled sum u + e1*v + e2*w = 0.
+    Pairwise unimodularity implies the unit relation: with det(v, w) a unit,
+    u = alpha v + beta w for the units alpha = det(u, w) / det(v, w) and
+    beta = det(v, u) / det(v, w)."""
+    ring = u[0].ring
+    u, v, w = (_xy(ring, x) for x in (u, v, w))
+    return all(_unimodular(ring, a, b) for a, b in ((u, v), (v, w), (u, w)))
 
 
 def _lax_key(ring: str, p: tuple) -> tuple:
@@ -161,9 +149,11 @@ SEARCH_BOUND = 4
 
 
 def _completions(ring: str, v: tuple, w: tuple, seed_keys: set):
-    """Yield the p = -(e1 v + e2 w), e1 and e2 units, that make a superbase
-    with (v, w), lie in the box (coordinate norms <= SEARCH_BOUND) and are no
-    seed's lax vector, with their keys, in the box's scan order (N(x), x, N(y), y)."""
+    """Yield the p = -(e1 v + e2 w), e1 and e2 units, that lie in the box
+    (coordinate norms <= SEARCH_BOUND) and are no seed's lax vector, with
+    their keys, in the box's scan order (N(x), x, N(y), y).  Each makes a
+    superbase with the unimodular pair (v, w): det(v, p) = -e2 det(v, w) and
+    det(w, p) = -e1 det(w, v) are units."""
     s, t = _SQ[ring]
     ws = _multiples(ring, w)
     sums = [(a + e, b + f, c + g, d + h)
@@ -172,7 +162,7 @@ def _completions(ring: str, v: tuple, w: tuple, seed_keys: set):
                                    p[2:], p) for p in sums):
         if nx <= SEARCH_BOUND and ny <= SEARCH_BOUND:
             key = _lax_key(ring, p)
-            if key not in seed_keys and _superbase(ring, v, w, p):
+            if key not in seed_keys:
                 yield p, key
 
 
@@ -180,19 +170,19 @@ def find_cubasis(seed) -> tuple:
     """Complete a pairwise-unimodular Gaussian triple to a cubasis: three
     opposite pairs (seed_i, partner_i) all eight of whose transversal triples
     are lax superbases.  A partner is one of the 16 _completions of the other
-    two seed vectors; the answer is the first a scan of the box would meet."""
+    two seed vectors, so only det(p1, p2), det(p1, p3) and det(p2, p3) are
+    left to test; the answer is the first a scan of the box would meet."""
     ring = GAUSS
     (s1, s2, s3), seed_keys = _check_seed(seed, ring)
     p2s_all = list(_completions(ring, s1, s3, seed_keys))
     p3s = list(_completions(ring, s1, s2, seed_keys))
     for p1, key1 in _completions(ring, s2, s3, seed_keys):
         p2s = [(p, key) for p, key in p2s_all if key != key1
-               and _superbase(ring, p1, s3, p)]
+               and _unimodular(ring, p1, p)]
         for p2, key2 in p2s:
             for p3, key3 in p3s:
-                if key3 not in (key1, key2) and all(
-                        _superbase(ring, t1, t2, t3) for t1 in (s1, p1)
-                        for t2 in (s2, p2) for t3 in (s3, p3)):
+                if key3 not in (key1, key2) and _unimodular(ring, p1, p3) \
+                        and _unimodular(ring, p2, p3):
                     return tuple((v, (QRE(ring, *p[:2]), QRE(ring, *p[2:])))
                                  for v, p in zip(seed, (p1, p2, p3)))
     raise SearchExhaustedError(
@@ -203,11 +193,11 @@ def find_tetrabasis(seed) -> tuple:
     """Complete a pairwise-unimodular Eisenstein triple to a tetrabasis: four
     vectors any three of which form a lax superbase.  The fourth is the first
     of the 36 _completions of (seed_1, seed_2) that a scan of the box meets
-    and that makes superbases with seed_3 too."""
+    and that is unimodular with seed_3, the one pair not yet known to be."""
     ring = EISENSTEIN
     (s1, s2, s3), seed_keys = _check_seed(seed, ring)
     for p, _ in _completions(ring, s1, s2, seed_keys):
-        if _superbase(ring, s1, s3, p) and _superbase(ring, s2, s3, p):
+        if _unimodular(ring, s3, p):
             return (*seed, (QRE(ring, *p[:2]), QRE(ring, *p[2:])))
     raise SearchExhaustedError(
         f"no tetrabasis completion with coordinate norms <= {SEARCH_BOUND}")
@@ -234,7 +224,7 @@ class CubeValues(NamedTuple):
     pattern: str
 
 
-def cube_values(h: BHF, cubasis, expect_indefinite: bool = False) -> CubeValues:
+def cube_values(h: BHF, cubasis) -> CubeValues:
     """Evaluate H on the faces of a cubasis, check the exact cube identities
     and classify the sign pattern."""
     (s1, p1), (s2, p2), (s3, p3) = cubasis
@@ -246,24 +236,18 @@ def cube_values(h: BHF, cubasis, expect_indefinite: bool = False) -> CubeValues:
         raise IntegralityError("opposite-face sums disagree")
     if h.discriminant() != z * z - 2 * a * u - 2 * b * v - 2 * c * w:
         raise IntegralityError("cube discriminant identity failed")
-    pattern = _classify_pattern((a, u), (b, v), (c, w), expect_indefinite)
+    pattern = _classify_pattern((a, u), (b, v), (c, w))
     return CubeValues(a, b, c, u, v, w, z, pattern)
 
 
-def _classify_pattern(p1, p2, p3, expect_indefinite: bool) -> str:
+def _classify_pattern(p1, p2, p3) -> str:
     pairs = (p1, p2, p3)
     if any(x == 0 for pair in pairs for x in pair):
-        if expect_indefinite:
-            raise DegenerateFormError("zero face value on an indefinite cube")
         return PATTERN_MIXED_ZERO
     split = sum(1 for x, y in pairs if x * y < 0)
     has_pp = any(x > 0 and y > 0 for x, y in pairs)
     has_nn = any(x < 0 and y < 0 for x, y in pairs)
     if has_pp and has_nn:
-        if expect_indefinite:
-            raise ClassificationError(
-                "pattern IV on a nondegenerate indefinite form"
-            )
         return PATTERN_IV
     if split == 3:
         return PATTERN_III
@@ -312,8 +296,7 @@ def empirical_minimum(h: BHF, box: int = 10) -> dict:
     if d <= 0:
         raise PreconditionError("minimum bound applies to indefinite forms")
     # H(x, y) = a N(x) + sum t_ij x_i y_j + c N(y): the trace term is
-    # Z-bilinear, so its values on the basis pairs (1 and theta), with the
-    # integrality cross-check of bhf_evaluate, fix it everywhere
+    # Z-bilinear, so its values on the basis pairs (1, theta) fix it everywhere
     tr = _SQ[h.ring][1]
     a, c = h.a, h.c
     basis = (QRE(h.ring, 1, 0), QRE(h.ring, 0, 1))

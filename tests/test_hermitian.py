@@ -1,15 +1,15 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from box_search import box_find_cubasis, box_find_tetrabasis
+from box_search import _is_unimodular, box_find_cubasis, box_find_tetrabasis
 from topograph.errors import (
     BudgetError,
     DegenerateFormError,
-    NotASuperbaseError,
     PreconditionError,
     SearchExhaustedError,
     TopographError,
@@ -20,6 +20,8 @@ from topograph.hermitian import (
     STANDARD_CUBASIS,
     STANDARD_EISENSTEIN_SEED,
     STANDARD_GAUSS_SEED,
+    _check_seed,
+    _completions,
     _is_primitive_coords,
     bhf_evaluate,
     cube_values,
@@ -55,15 +57,43 @@ def test_discriminant_fixtures():
 
 
 def test_integrality_random():
+    """bhf_evaluate against the definition a N(x) + Tr(beta conj(x) y) + c N(y)
+    in exact rational coordinates, beta = gamma / d for the different
+    generator d = 1 + i or 1 - w; and the identity N(d) Tr(t / d) =
+    Tr(t conj(d)) that makes bhf_evaluate's closed-form trace integral."""
     rng = random.Random(23)
-    for ring, mk in ((GAUSS, gauss), (EISENSTEIN, eis)):
-        for _ in range(500):
-            h = BHF(ring, rng.randint(-9, 9),
-                    QRE(ring, rng.randint(-9, 9), rng.randint(-9, 9)),
-                    rng.randint(-9, 9))
-            v = (mk(rng.randint(-9, 9), rng.randint(-9, 9)),
-                 mk(rng.randint(-9, 9), rng.randint(-9, 9)))
-            assert isinstance(bhf_evaluate(h, *v), int)
+    for ring, mk, d in ((GAUSS, gauss, gauss(1, 1)), (EISENSTEIN, eis, eis(1, -1))):
+        s, tr = _SQ[ring]
+
+        def mul(p, q):  # theta^2 = s + tr theta
+            return (p[0] * q[0] + s * p[1] * q[1],
+                    p[0] * q[1] + p[1] * q[0] + tr * p[1] * q[1])
+
+        def conj(p):  # conj(theta) = tr - theta
+            return (p[0] + tr * p[1], -p[1])
+
+        def trace(p):
+            return 2 * p[0] + tr * p[1]
+
+        def norm(p):
+            return mul(p, conj(p))[0]
+
+        dc = conj((d.x, d.y))
+        inv_d = (Fraction(dc[0], norm(dc)), Fraction(dc[1], norm(dc)))
+        for i in range(1000):
+            k = 10 ** 12 if i % 2 else 9
+            a, c = rng.randint(-k, k), rng.randint(-k, k)
+            gamma, x, y = (mk(rng.randint(-k, k), rng.randint(-k, k)) for _ in range(3))
+            beta = mul((gamma.x, gamma.y), inv_d)
+            want = (a * norm((x.x, x.y))
+                    + trace(mul(mul(beta, conj((x.x, x.y))), (y.x, y.y)))
+                    + c * norm((y.x, y.y)))
+            got = bhf_evaluate(BHF(ring, a, gamma, c), x, y)
+            assert isinstance(got, int) and got == want
+            t = gamma * x.conj() * y
+            closed = t.x + t.y if ring == GAUSS else t.x - t.y
+            assert closed == trace(mul((t.x, t.y), inv_d))
+            assert d.norm() * closed == trace(((t * d.conj()).x, (t * d.conj()).y))
 
 
 def test_unit_invariance():
@@ -127,6 +157,35 @@ def test_find_tetrabasis_keys_only_unit_relation_candidates(monkeypatch):
     assert len(built) == 2
 
 
+def _count_unimodular(monkeypatch):
+    from topograph import hermitian
+
+    calls = []
+    real = hermitian._unimodular
+
+    def counted(ring, u, v):
+        calls.append((u, v))
+        return real(ring, u, v)
+
+    monkeypatch.setattr(hermitian, "_unimodular", counted)
+    return calls
+
+
+def test_find_cubasis_tests_only_the_unknown_determinants(monkeypatch):
+    calls = _count_unimodular(monkeypatch)
+    assert find_cubasis(STANDARD_GAUSS_SEED) == STANDARD_CUBASIS
+    # three for the seed, then det(p1, p2), det(p1, p3) and det(p2, p3) only:
+    # each completion is unimodular with the seed pair it completes
+    assert len(calls) == 17
+
+
+def test_find_tetrabasis_tests_only_the_unknown_determinant(monkeypatch):
+    calls = _count_unimodular(monkeypatch)
+    find_tetrabasis(STANDARD_EISENSTEIN_SEED)
+    # three for the seed, then det(s3, p) for each candidate p it scans
+    assert len(calls) == 4
+
+
 def test_find_tetrabasis_standard_seed():
     tb = find_tetrabasis(STANDARD_EISENSTEIN_SEED)
     assert len(tb) == 4
@@ -176,6 +235,25 @@ def _oracle_seeds(ring, standard, other, rng):
 
 
 @pytest.mark.parametrize("ring", [GAUSS, EISENSTEIN])
+def test_completions_are_unimodular_with_their_pair(ring):
+    standard, other = ((STANDARD_GAUSS_SEED, STANDARD_EISENSTEIN_SEED) if ring == GAUSS
+                       else (STANDARD_EISENSTEIN_SEED, STANDARD_GAUSS_SEED))
+    checked = 0
+    for seed in _oracle_seeds(ring, standard, other, random.Random(20)):
+        try:
+            (s1, s2, s3), keys = _check_seed(seed, ring)
+        except PreconditionError:
+            continue
+        for v, w in ((s1, s2), (s1, s3), (s2, s3)):
+            qv, qw = [(QRE(ring, *u[:2]), QRE(ring, *u[2:])) for u in (v, w)]
+            for p, _ in _completions(ring, v, w, keys):
+                qp = (QRE(ring, *p[:2]), QRE(ring, *p[2:]))
+                assert _is_unimodular(qv, qp) and _is_unimodular(qw, qp), (seed, p)
+                checked += 1
+    assert checked > 10_000
+
+
+@pytest.mark.parametrize("ring", [GAUSS, EISENSTEIN])
 def test_searches_match_the_box_scan(ring):
     if ring == GAUSS:
         search, box, standard, other = (find_cubasis, box_find_cubasis,
@@ -207,7 +285,8 @@ def test_tetrabasis_rejects_non_superbase():
         (zero(EISENSTEIN), eis(1)),
         (eis(1), eis(2)),
     )
-    with pytest.raises((NotASuperbaseError, PreconditionError)):
+    # det((1, 0), (1, 2)) = 2: not pairwise unimodular
+    with pytest.raises(PreconditionError):
         find_tetrabasis(bad)
 
 
