@@ -181,8 +181,8 @@ def find_cubasis(seed) -> tuple:
                and _unimodular(ring, p1, p)]
         for p2, key2 in p2s:
             for p3, key3 in p3s:
-                if key3 not in (key1, key2) and _unimodular(ring, p1, p3) \
-                        and _unimodular(ring, p2, p3):
+                if (key3 not in (key1, key2) and _unimodular(ring, p1, p3)
+                        and _unimodular(ring, p2, p3)):
                     return tuple((v, (QRE(ring, *p[:2]), QRE(ring, *p[2:])))
                                  for v, p in zip(seed, (p1, p2, p3)))
     raise SearchExhaustedError(

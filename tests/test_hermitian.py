@@ -91,9 +91,10 @@ def test_integrality_random():
             got = bhf_evaluate(BHF(ring, a, gamma, c), x, y)
             assert isinstance(got, int) and got == want
             t = gamma * x.conj() * y
+            td = t * d.conj()
             closed = t.x + t.y if ring == GAUSS else t.x - t.y
             assert closed == trace(mul((t.x, t.y), inv_d))
-            assert d.norm() * closed == trace(((t * d.conj()).x, (t * d.conj()).y))
+            assert d.norm() * closed == trace((td.x, td.y))
 
 
 def test_unit_invariance():
