@@ -8,12 +8,12 @@ import math
 
 from .classical import (
     Form,
+    _cycle,
+    _reduce,
     content,
-    cycle_fingerprint,
     is_square,
     red_blue_forms,
     reduce_definite,
-    reduce_indefinite,
 )
 from .errors import (
     BudgetError,
@@ -74,7 +74,7 @@ def _enumerate_indefinite(d: int) -> list[tuple[Form, ...]]:
     iff s - b < 2a, and 2a <= 2 sqrt(m) < sqrt(d) + b.  In a reduced form a
     and c have opposite signs and rho sends (a, b, c) to (c, ., .), so every
     rho-cycle alternates the sign of a and holds a reduced form with a > 0:
-    the windows meet every cycle."""
+    the windows meet every cycle, and rho steps it from a window form."""
     s = math.isqrt(d)
     seen = set()
     cycles = []
@@ -88,7 +88,7 @@ def _enumerate_indefinite(d: int) -> list[tuple[Form, ...]]:
                 continue
             for f in ((a, b, -c), (c, b, -a)):
                 if f not in seen:
-                    fp = cycle_fingerprint(f)
+                    fp = tuple(sorted(_cycle(f, d, s)))
                     seen.update(fp)
                     cycles.append(fp)
     # a fingerprint is sorted, so it starts with the cycle's least form
@@ -123,6 +123,7 @@ class ClassGroupTable:
         # canonical labels: reduced form (d<0) or cycle fingerprint
         self.classes = classes
         self.reps = reps  # one concrete form per class
+        self._root = math.isqrt(max(disc, 0))  # reduces forms when disc > 0
         self.table = []  # composition, index pairs; filled by build_table
         # reduced form -> class index; for d > 0 every form of each cycle
         if self.disc < 0:
@@ -146,10 +147,8 @@ class ClassGroupTable:
         a, b, c = form
         if b * b - 4 * a * c != self.disc:
             raise InvalidDiscriminantError("wrong discriminant")
-        if self.disc < 0:
-            reduced = reduce_definite(form)
-        else:
-            reduced = reduce_indefinite(form)
+        reduced = (reduce_definite(form) if self.disc < 0
+                   else _reduce(form, self.disc, self._root))
         try:
             return self._index[reduced]
         except KeyError:

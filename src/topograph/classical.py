@@ -87,20 +87,25 @@ def reduce_indefinite(form: Form) -> Form:
     """The first reduced form that rho reaches from an indefinite form."""
     a, b, c = form
     d = b * b - 4 * a * c
-    if d <= 0 or is_square(d):
+    s = math.isqrt(max(d, 0))
+    if d <= 0 or s * s == d:
         raise SquareDiscriminantError("rho needs a positive nonsquare discriminant")
+    return _reduce(form, d, s)
+
+
+def _reduce(form: Form, d: int, s: int) -> Form:
+    """``reduce_indefinite`` given s = isqrt(d): reduced means 0 < b <= s and
+    s - b < 2|a| <= s + b, as d is not a square."""
     # While |c| > sqrt(d), rho picks |b'| <= |c|, so |c'| = |b'^2 - d| / 4|c|
     # <= |c| / 4.  A j-th such step needs 4^j sqrt(d) < |c| of the input, so
     # there are at most excess // 2 + 1 of them.  Once |c| < sqrt(d), rho
     # gives (c, b1, c1) with sqrt(d) - 2|c| < b1 < sqrt(d), which is reduced
     # or has 2|c1| < sqrt(d), and the form after that is reduced: two more
     # steps.  a plays no part, as the first step drops it.
-    excess = c.bit_length() - (d.bit_length() - 1) // 2
+    excess = form[2].bit_length() - (d.bit_length() - 1) // 2
     limit = max(excess, 0) // 2 + 3
-    s = math.isqrt(d)
-    f = (a, b, c)
-    steps = 0
-    while not is_reduced_indefinite(f, d):
+    f, steps = tuple(form), 0
+    while not (0 < f[1] <= s and s - f[1] < 2 * abs(f[0]) <= s + f[1]):
         if steps == limit:
             raise ClassificationError(
                 f"rho reduction of {brief(form)} did not terminate in {steps} steps"
@@ -114,13 +119,15 @@ def indefinite_cycle(form: Form) -> tuple[Form, ...]:
     """The cycle of reduced forms SL2-equivalent to an indefinite form."""
     start = reduce_indefinite(form)
     d = start[1] ** 2 - 4 * start[0] * start[2]
-    s = math.isqrt(d)
+    return _cycle(start, d, math.isqrt(d))
+
+
+def _cycle(start: Form, d: int, s: int) -> tuple[Form, ...]:
+    """``indefinite_cycle`` of a reduced form, given s = isqrt(d)."""
     # rho permutes the finitely many reduced forms of discriminant d
     cycle = [start]
-    f = _rho(start, d, s)
-    while f != start:
+    while (f := _rho(cycle[-1], d, s)) != start:
         cycle.append(f)
-        f = _rho(f, d, s)
     return tuple(cycle)
 
 

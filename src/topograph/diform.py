@@ -15,8 +15,9 @@ well descent takes no ``isqrt``, and a river period one, shared by its
 search and its runs, plus ``_first_root``'s where the start edge's values
 cut a run.
 The walks jump to each stop and take each turn as one step, so they return
-the same pinwheels, in the same face order, as a walk of single steps, and
-evaluate Q three times, on the start dibasis, whatever their length.
+the same pinwheels, in the same face order, as a walk of single steps.  They
+start on ``STANDARD_DIBASIS``, checked once per process, whose local form is
+Q's coefficients (a, b, c), so they never evaluate Q.
 They keep faces and river steps as (color, u, v) tuples and build the
 Divector, DiRiverStep and Pinwheel records of their answer once, at return.
 
@@ -198,10 +199,12 @@ def _find_river_edge(q: BQD, root: int):
     # integer and falls at every pass
     limit = sum(abs(c[0]) for c in cells) + 1
     for _ in range(limit):
-        if any(c[0] == 0 for c in cells):
+        # one pass makes the products Q(f_i) Q(f_i+1); each face is in two
+        products = [a * c for a, _, c in cells]
+        if 0 in products:
             raise SquareDiscriminantError(f"{_named(q)} represents zero")
-        for i, (a, _, c) in enumerate(cells):
-            if a * c < 0:
+        for i, product in enumerate(products):
+            if product < 0:
                 return i, d0, d1, cells
         step = _descend(d0, d1, cells, 1 if cells[0][0] > 0 else -1, root, sigma)
         if step is None:
@@ -338,7 +341,6 @@ def diform_river(q: BQD) -> DiRiverPeriod:
         # either way the next pinwheel is generated by (p, -neg), or by
         # (p, neg) when the walker left over the last edge
         d0, d1 = p, (neg if i == n - 1 else _neg(neg))
-        cells, here = _cells(t, sigma), 0
         if (t[0], t[2]) == start and (p, neg) != (p0, n0):
             auto = _translation_automorph((p0, n0), (p, neg), q)
             if auto is not None:
@@ -352,6 +354,7 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                 steps = tuple(DiRiverStep(Divector._make(x), Divector._make(y), b)
                               for x, y, b in steps)
                 return DiRiverPeriod(steps, edges, bends, auto, mu, wit, exceptional, q)
+        cells, here = _cells(t, sigma), 0
         faces = _faces(d0, d1, sigma)
         if (run + 1) % CHUNK == 0:
             kept = charge(kept, run + 1, _named(q), d, steps[-CHUNK:])

@@ -100,9 +100,9 @@ def _recur(d1: tuple, d2: tuple, sigma: int, count: int) -> list:
 
 
 def _faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
-    """``pinwheel_faces`` without its checks, for the walks: they check their
-    start dibasis once, and the recurrence keeps the determinant of each
-    adjacent pair, so every later pinwheel is one."""
+    """``pinwheel_faces`` without its checks, for the walks: they start from
+    ``STANDARD_DIBASIS``, checked at import, and the recurrence keeps the
+    determinant of each adjacent pair, so every later pinwheel is one."""
     return tuple(_recur(d1, d2, sigma, 2 * sigma))
 
 
@@ -212,12 +212,17 @@ def dicell_values(q: BQD, r: Divector, b: Divector) -> DiCellValues:
 
 
 STANDARD_DIBASIS = (Divector(RED, 1, 0), Divector(BLUE, 0, 1))
+for _sigma in (2, 3):  # checked once per process; the walks start here
+    pinwheel_faces(*STANDARD_DIBASIS, _sigma)
 
 
 def _local_form(q: BQD, d0: tuple, d1: tuple) -> tuple:
     """(A, beta, C) with Q(x d0 + y d1) = A x^2 + beta sqrt(sigma) x y + C y^2
-    for the dibasis (d0, d1): the third face of its pinwheel,
-    sqrt(sigma) d1 - d0, has the value A - sigma beta + sigma C."""
+    for the dibasis (d0, d1): Q's (a, b, c) on ``STANDARD_DIBASIS``, at the
+    sigmas it is checked for, else read off its checked pinwheel's third
+    face sqrt(sigma) d1 - d0, of value A - sigma beta + sigma C."""
+    if (d0, d1) == STANDARD_DIBASIS and q.sigma in (2, 3):
+        return q.a, q.b, q.c
     sigma = q.sigma
     a, c = q(d0), q(d1)
     return a, (a + sigma * c - q(pinwheel_faces(d0, d1, sigma)[2])) // sigma, c

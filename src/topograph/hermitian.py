@@ -10,6 +10,7 @@ Vertex residues of the associated geometry are cubes (Gauss) or tetrahedra
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import (
@@ -225,8 +226,16 @@ class CubeValues(NamedTuple):
 
 
 def cube_values(h: BHF, cubasis) -> CubeValues:
-    """Evaluate H on the faces of a cubasis, check the exact cube identities
-    and classify the sign pattern."""
+    """Check that ``cubasis`` is one, evaluate H on its faces, check the
+    exact cube identities and classify the sign pattern.  No opposite pair
+    may be unit multiples, and the 12 other pairs must be unimodular, which
+    makes each transversal triple a superbase (see ``is_ring_superbase``)."""
+    faces = [(k, role, _xy(h.ring, v)) for k, pair in enumerate(cubasis, 1)
+             for role, v in zip(("seed", "partner"), pair)]
+    for (k, r, x), (m, t, y) in combinations(faces, 2):
+        if (x in _multiples(h.ring, y) if k == m else not _unimodular(h.ring, x, y)):
+            fault = "unit multiples" if k == m else "not unimodular"
+            raise PreconditionError(f"cubasis {r} {k} and {t} {m} are {fault}")
     (s1, p1), (s2, p2), (s3, p3) = cubasis
     a, u = h(s1), h(p1)
     b, v = h(s2), h(p2)

@@ -283,13 +283,13 @@ def _minimum(period: RiverPeriod) -> MinimumReport:
     include every face of the period that attains its least |Q|.  Each edge
     (p, n) has Q(p) = u > 0 > v = Q(n).
     """
-    mu = min(min(u, -v) for u, _, v in period.cells)
-    ties = []
+    mu, ties = period.cells[0][0], []
     for (p, n), (u, _, v) in zip(period.edges, period.cells):
-        if u == mu:
-            ties.append(lax(p))
-        if v == -mu:
-            ties.append(lax(n))
+        for value, face in ((u, p), (-v, n)):
+            if value < mu:
+                mu, ties = value, []
+            if value == mu:
+                ties.append(lax(face))
     return MinimumReport(mu, min(ties), period.form.discriminant())
 
 

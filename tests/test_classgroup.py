@@ -2,6 +2,7 @@ import math
 import random
 import time
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -388,6 +389,41 @@ def test_rho_reduction_overrun_is_typed(monkeypatch):
     # a form too long to print is named by its coefficient sizes
     with pytest.raises(ClassificationError, match="5001/5002/2-bit"):
         reduce_indefinite((2 ** 5000, 2 ** 5001 + 1, 3))
+
+
+def test_reduction_with_isqrt_given_stops_exactly_at_reduced_forms():
+    # a form rho fixes lies on its cycle, so _reduce returns its input iff
+    # the integer test 0 < b <= s, s - b < 2|a| <= s + b holds, which must
+    # be the exact test of is_reduced_indefinite
+    for d in range(2, 400):
+        if d % 4 not in (0, 1) or math.isqrt(d) ** 2 == d:
+            continue
+        s = math.isqrt(d)
+        for a, b in product(range(-2 * s - 2, 2 * s + 3), range(-s - 2, s + 3)):
+            if a == 0 or (b * b - d) % (4 * a):
+                continue
+            f = (a, b, (b * b - d) // (4 * a))
+            assert (classical._reduce(f, d, s) == f) == is_reduced_indefinite(f, d), f
+            assert classical._reduce(f, d, s) == reduce_indefinite(f)
+
+
+@pytest.mark.parametrize("d", [229, 1001, 4 * 1009])
+def test_class_group_code_takes_isqrt_once_per_discriminant(d, monkeypatch):
+    # the table keeps isqrt(d) for its lookups, and the enumeration steps
+    # the cycles of reduced window forms with its own: classical takes one,
+    # in is_square, to check the discriminant
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return math.isqrt(n)
+
+    monkeypatch.setattr(classical, "math", SimpleNamespace(isqrt=counting, gcd=math.gcd))
+    table = enumerate_classes(d)
+    table.build_table()
+    for f in table.reps:
+        table.class_index(classical.transform(f, ((2, 1), (1, 1))))
+    assert calls == [d]
 
 
 def test_imprimitive_huge_form_raises_its_typed_error():

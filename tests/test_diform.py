@@ -842,10 +842,11 @@ def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
     assert river["isqrt"] == 1
     assert long["isqrt"] == 3
     for walk in (well, river, long):
-        # Q three times on the start dibasis, and the recurrence checked once
-        # there and once for each pinwheel the walk returns
-        assert walk["q"] == 3
-        assert walk["pinwheel_faces"] == 1 + walk["pinwheel_complete"]
+        # the start local form is Q's coefficients, and the start dibasis is
+        # checked at import: the recurrence is checked only for each pinwheel
+        # the walk returns
+        assert walk["q"] == 0
+        assert walk["pinwheel_faces"] == walk["pinwheel_complete"]
     # the source alone: its flat neighbour's key is read off unchecked faces
     assert well["pinwheel_complete"] == 1
     assert river["pinwheel_complete"] == long["pinwheel_complete"] == 0
@@ -929,6 +930,40 @@ def test_local_form_maps_match_values_on_divectors(sigma, a, b, c, dibasis_moves
     # cell values, linear in the local form of the edge
     r, bl = Divector(*d0), Divector(*d1)
     assert dicell_values(q, r, bl) == divector_cell_values(q, r, bl)
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_standard_local_form_is_the_coefficients(sigma):
+    # the walks start here without evaluating Q; the three evaluations below
+    # read the local form off the faces F0, F1 and sqrt(sigma) F1 - F0
+    rng = random.Random(23 + sigma)
+    f0, f1 = STANDARD_DIBASIS
+    third = f1.times_sqrt(sigma).sub(f0)
+    for bound in (9, 10 ** 12, 10 ** 40) * 100:
+        q = BQD(sigma, *(rng.randint(-bound, bound) for _ in range(3)))
+        a, c, e = q(f0), q(f1), q(third)
+        beta, rest = divmod(a + sigma * c - e, sigma)
+        assert rest == 0
+        assert _local_form(q, f0, f1) == (a, beta, c) == (q.a, q.b, q.c)
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_standard_dibasis_pinwheel_closes(sigma):
+    # checked once, at import: x_k+1 = sqrt(sigma) x_k - x_k-1 carries the
+    # last two faces to -F0 and then -F1, and adjacent faces are dibases
+    faces = [Divector(*f) for f in pinwheel_faces(*STANDARD_DIBASIS, sigma)]
+    assert len(faces) == 2 * sigma and tuple(faces[:2]) == STANDARD_DIBASIS
+    f0, f1 = STANDARD_DIBASIS
+    after = faces[-1].times_sqrt(sigma).sub(faces[-2])
+    assert after == -f0
+    assert after.times_sqrt(sigma).sub(faces[-1]) == -f1
+    assert all(is_dibasis(x, y, sigma) for x, y in zip(faces, faces[1:] + [-f0]))
+
+
+def test_local_form_checks_the_standard_dibasis_only_where_it_closes():
+    # sqrt(5) does not close the pinwheel: the start is checked, not assumed
+    with pytest.raises(DibasisError):
+        _local_form(BQD(5, 1, 0, 1), *STANDARD_DIBASIS)
 
 
 @settings(max_examples=300, deadline=None)

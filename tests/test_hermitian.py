@@ -314,6 +314,62 @@ def test_cube_identities_random_and_pattern_iv_excluded():
             assert cv.pattern != PATTERN_IV
 
 
+def _unit_multiples(v, w):
+    return any((e * w[0], e * w[1]) == tuple(v) for e in units(v[0].ring))
+
+
+def _is_cubasis(cubasis):
+    """Every transversal triple a superbase, by determinants of QREs, and
+    no opposite pair unit multiples."""
+    return (all(_is_unimodular(x, y) and _is_unimodular(x, z) and _is_unimodular(y, z)
+                for x, y, z in product(*cubasis))
+            and not any(_unit_multiples(s, p) for s, p in cubasis))
+
+
+def test_cube_values_rejects_a_partner_equal_to_its_seed():
+    # the identities fail on these, but a non-cubasis is the caller's fault
+    h = BHF(GAUSS, 1, zero(GAUSS), -2)
+    (s1, _), *rest = STANDARD_CUBASIS
+    with pytest.raises(PreconditionError, match="seed 1 and partner 1 are unit multiples"):
+        cube_values(h, ((s1, s1), *rest))
+    # on the zero form every identity holds
+    with pytest.raises(PreconditionError, match="seed 1 and partner 1"):
+        cube_values(BHF(GAUSS, 0, zero(GAUSS), 0), tuple((s, s) for s, _ in STANDARD_CUBASIS))
+    (s1, p1), (s2, _), third = STANDARD_CUBASIS
+    # det((1, 0), (2, 1)) = 1 but det((-1, -1 - i), (2, 1)) = 1 + 2i
+    with pytest.raises(PreconditionError, match="partner 1 and partner 2 are not unimodular"):
+        cube_values(h, ((s1, p1), (s2, (gauss(2), gauss(1))), third))
+
+
+def test_cube_values_accepts_exactly_the_cubases():
+    rng = random.Random(22)
+    h = BHF(GAUSS, 3, gauss(1, 2), -5)
+    accepted, mutants = 0, []
+    for seed in _oracle_seeds(GAUSS, STANDARD_GAUSS_SEED, STANDARD_EISENSTEIN_SEED, rng):
+        try:
+            cubasis = find_cubasis(seed)
+        except (PreconditionError, SearchExhaustedError):
+            continue
+        assert _is_cubasis(cubasis)
+        cube_values(h, cubasis)
+        accepted += 1
+        # a vector replaced by a small one, a seed or a unit multiple of one
+        vectors = [v for pair in cubasis for v in pair]
+        i = rng.randrange(6)
+        vectors[i] = rng.choice([(gauss(rng.randint(-2, 2), rng.randint(-2, 2)),
+                                  gauss(rng.randint(-2, 2), rng.randint(-2, 2))),
+                                 tuple(rng.choice(units(GAUSS)) * x
+                                       for x in rng.choice(vectors))])
+        mutant = tuple(zip(vectors[::2], vectors[1::2]))
+        mutants.append(_is_cubasis(mutant))
+        if mutants[-1]:
+            cube_values(h, mutant)
+        else:
+            with pytest.raises(PreconditionError, match="cubasis"):
+                cube_values(h, mutant)
+    assert accepted > 500 and mutants.count(True) > 20 and mutants.count(False) > 500
+
+
 def test_empirical_minimum_fixtures():
     assert empirical_minimum(BHF(GAUSS, 1, zero(GAUSS), -2), 4)["mu"] == 1
     rep = empirical_minimum(BHF(EISENSTEIN, 1, zero(EISENSTEIN), -3), 4)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import subprocess
 import sys
 
@@ -472,3 +473,33 @@ def test_well_walks_evaluate_q_zero_times(form, monkeypatch):
     for walk in (find_well, gauss_reduced):
         walk(BQF(*form))
     assert calls == []
+
+
+def _two_pass_minimum(period):
+    """The least |Q| over the run ends of the period, then the least lax
+    face that attains it, in two passes."""
+    mu = min(min(u, -v) for u, _, v in period.cells)
+    ties = [lax(f) for (p, n), (u, _, v) in zip(period.edges, period.cells)
+            for f, value in ((p, u), (n, -v)) if value == mu]
+    return mu, min(ties)
+
+
+@pytest.mark.parametrize("base, tied", [((1, 1, -1), True), ((1, 0, -2), True),
+                                        ((1, 0, -1201), False), ((-22, 6, 24), False)])
+def test_one_pass_minimum_matches_two_passes(base, tied):
+    # (1, 1, -1) and (1, 0, -2) reach their minimum 1 on both sides of the
+    # river and at several edges, so the least-lax witness rule decides
+    rng = random.Random(sum(base))
+    for _ in range(200):
+        m = ((1, 0), (0, 1))
+        for _ in range(rng.randint(0, 6)):
+            t = rng.randint(-9, 9)
+            e = ((1, t), (0, 1)) if rng.random() < 0.5 else ((1, 0), (t, 1))
+            m = tuple(tuple(sum(m[i][k] * e[k][j] for k in range(2)) for j in range(2))
+                      for i in range(2))
+        period = trace_river(BQF(*base).transform(m))
+        rep = reduction._minimum(period)
+        assert (rep.mu, rep.witness) == _two_pass_minimum(period)
+        if tied:
+            assert sum(u == rep.mu for u, _, _ in period.cells) >= 2
+            assert sum(-v == rep.mu for _, _, v in period.cells) >= 2
