@@ -7,35 +7,11 @@ diform walks only under --reduce or --river), so a process compiles no more.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+from types import SimpleNamespace
 
 from .errors import BudgetError, PreconditionError, TopographError
-
-# JSON field layout of every subcommand's stdout, for `dump --json`
-SCHEMAS = {
-    "reduce": {"form": "[a,b,c]", "class": "str", "reduced": "[a,b,c]",
-               "well": "{kind, values} | null"},
-    "river": {"form": "[a,b,c]", "delta": "int", "period_edges": "int",
-              "mu": "int", "witness": "[x,y]", "automorph": "[[int]*2]*2",
-              "reduced_cycle": "[[a,b,c]]"},
-    "pell": {"d": "int", "x": "int", "y": "int", "automorph": "[[int]*2]*2"},
-    "classgroup": {"delta": "int", "h": "int", "classes": "[[a,b,c]]",
-                   "table": "[[int]]",
-                   "A_class_index": "{2: int | null, 3: int | null}"},
-    "diform": {"sigma": "int", "form": "[a,b,c]", "delta": "int",
-               "red": "[a,b,c]", "blue": "[a,b,c]",
-               "well": "{source_values, reduced_red, reduced_blue} | null",
-               "river": "{exceptional, mu, witness, period_steps, bends} | null",
-               "class_relation": "{...} | null"},
-    "hermitian": {"ring": "str", "form": "{a, gamma, c}", "delta": "int",
-                  "mu": "int | null", "bound_ok": "bool | null",
-                  "cube": "{faces, z, pattern} | null"},
-    "render": {"geometry": "str", "depth": "int",
-               "counts": "{vertices, edges, faces}", "out": "str"},
-}
-
 
 def _any_digits(convert):
     """convert() with Python's int/str digit limit (4,300 digits by default)
@@ -225,8 +201,11 @@ def _cmd_render(args) -> None:
     form = _parse_form(args.form) if args.form else None
     patch = layout(args.geometry, args.depth, form)
     data = emit_svg(patch)
-    with open(args.out, "wb") as fh:
-        fh.write(data)
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        _usage_error(f"argument --out: can't open {args.out!r}: {exc.strerror}")
     _emit({
         "geometry": args.geometry,
         "depth": args.depth,
@@ -242,64 +221,115 @@ def _cmd_dump(args) -> None:
         _emit({"command": name, "schema": SCHEMAS[name]})
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="topograph",
-        description="Arithmetic topographs: reduction, rivers, Pell, "
-        "class groups, diforms, Hermitian forms, SVG rendering.",
-    )
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; all algorithms are deterministic")
-    sub = parser.add_subparsers(dest="command", required=True)
+# JSON field layout of every subcommand's stdout, for `dump --json`
+SCHEMAS = {
+    "reduce": {"form": "[a,b,c]", "class": "str", "reduced": "[a,b,c]",
+               "well": "{kind, values} | null"},
+    "river": {"form": "[a,b,c]", "delta": "int", "period_edges": "int",
+              "mu": "int", "witness": "[x,y]", "automorph": "[[int]*2]*2",
+              "reduced_cycle": "[[a,b,c]]"},
+    "pell": {"d": "int", "x": "int", "y": "int", "automorph": "[[int]*2]*2"},
+    "classgroup": {"delta": "int", "h": "int", "classes": "[[a,b,c]]",
+                   "table": "[[int]]",
+                   "A_class_index": "{2: int | null, 3: int | null}"},
+    "diform": {"sigma": "int", "form": "[a,b,c]", "delta": "int",
+               "red": "[a,b,c]", "blue": "[a,b,c]",
+               "well": "{source_values, reduced_red, reduced_blue} | null",
+               "river": "{exceptional, mu, witness, period_steps, bends} | null",
+               "class_relation": "{...} | null"},
+    "hermitian": {"ring": "str", "form": "{a, gamma, c}", "delta": "int",
+                  "mu": "int | null", "bound_ok": "bool | null",
+                  "cube": "{faces, z, pattern} | null"},
+    "render": {"geometry": "str", "depth": "int",
+               "counts": "{vertices, edges, faces}", "out": "str"},
+}
 
-    p = sub.add_parser("reduce", help="reduce a binary quadratic form")
-    p.add_argument("--form", required=True, help="a,b,c")
-    p.set_defaults(func=_cmd_reduce)
+_FLAG = (bool, False, None)
+_FORM = (str, ..., "a,b,c")
 
-    p = sub.add_parser("river", help="trace one river period")
-    p.add_argument("--form", required=True, help="a,b,c")
-    p.set_defaults(func=_cmd_river)
+# each subcommand's handler, help line and options, read by parse_args (argparse
+# cost 5-7 ms a process); an option is (int, str or a tuple of choices; its
+# default, or ... if required; its metavar) or a _FLAG, which takes no value
+COMMANDS = {
+    "reduce": (_cmd_reduce, "reduce a binary quadratic form", {"--form": _FORM}),
+    "river": (_cmd_river, "trace one river period", {"--form": _FORM}),
+    "pell": (_cmd_pell, "fundamental solution of x^2 - D y^2 = 1",
+             {"--d": (int, ..., "D")}),
+    "classgroup": (_cmd_classgroup, "class group of a discriminant",
+                   {"--delta": (int, ..., "DELTA")}),
+    "diform": (_cmd_diform, "binary quadratic diform operations",
+               {"--sigma": (int, ..., "SIGMA"), "--form": _FORM,
+                "--reduce": _FLAG, "--river": _FLAG}),
+    "hermitian": (_cmd_hermitian, "binary Hermitian form report",
+                  {"--ring": (("g", "e"), ..., "{g,e}"),
+                   "--form": (str, ..., "a,gamma_x,gamma_y,c"),
+                   "--min-box": (int, 4, "BOX")}),
+    "render": (_cmd_render, "render a topograph patch to SVG",
+               {"--geometry": (("3inf", "4inf", "6inf"), ..., "{3inf,4inf,6inf}"),
+                "--depth": (int, ..., "DEPTH"), "--form": (str, None, "a,b,c"),
+                "--out": (str, ..., "PATH")}),
+    "dump": (_cmd_dump, "emit the JSON schema of every command", {"--json": _FLAG}),
+}
 
-    p = sub.add_parser("pell", help="fundamental solution of x^2 - D y^2 = 1")
-    p.add_argument("--d", required=True, type=int)
-    p.set_defaults(func=_cmd_pell)
 
-    p = sub.add_parser("classgroup", help="class group of a discriminant")
-    p.add_argument("--delta", required=True, type=int)
-    p.set_defaults(func=_cmd_classgroup)
+def _usage_error(message: str):
+    sys.stderr.write(f"topograph: error: {message}\n")
+    raise SystemExit(2)
 
-    p = sub.add_parser("diform", help="binary quadratic diform operations")
-    p.add_argument("--sigma", required=True, type=int)
-    p.add_argument("--form", required=True, help="a,b,c")
-    p.add_argument("--reduce", action="store_true")
-    p.add_argument("--river", action="store_true")
-    p.set_defaults(func=_cmd_diform)
 
-    p = sub.add_parser("hermitian", help="binary Hermitian form report")
-    p.add_argument("--ring", required=True, choices=["g", "e"])
-    p.add_argument("--form", required=True, help="a,gamma_x,gamma_y,c")
-    p.add_argument("--min-box", type=int, default=4)
-    p.set_defaults(func=_cmd_hermitian)
+def _help(command) -> None:
+    """Print the usage of one subcommand, or of every one, and exit 0."""
+    lines = [] if command else ["usage: topograph [-h] [--seed N] COMMAND [options]"]
+    for name in [command] if command else COMMANDS:
+        words = ["[-h]"]
+        for option, (_, default, metavar) in COMMANDS[name][2].items():
+            word = f"{option} {metavar}" if metavar else option
+            words.append(word if default is ... else f"[{word}]")
+        lines += [f"topograph {name} " + " ".join(words), "    " + COMMANDS[name][1]]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(0)
 
-    p = sub.add_parser("render", help="render a topograph patch to SVG")
-    p.add_argument("--geometry", required=True, choices=["3inf", "4inf", "6inf"])
-    p.add_argument("--depth", required=True, type=int)
-    p.add_argument("--form", default=None, help="a,b,c")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("dump", help="emit the JSON schema of every command")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_dump)
-
-    return parser
+def parse_args(argv) -> SimpleNamespace:
+    """The subcommand and options of argv; of a repeated option the last wins."""
+    command, options, values = None, {"--seed": (int, None, "N")}, {"--seed": None}
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok in ("-h", "--help"):
+            _help(command)
+        if command is None and tok in COMMANDS:
+            command, options = tok, COMMANDS[tok][2]
+            values.update((name, spec[1]) for name, spec in options.items())
+            continue
+        name, eq, value = tok.partition("=")
+        if name not in options:
+            _usage_error(f"unrecognized argument: {tok}")
+        kind = options[name][0]
+        if kind is bool and eq:
+            _usage_error(f"argument {name}: ignored explicit argument {value!r}")
+        if kind is not bool and not eq:
+            value = next(tokens, "--")
+            if value.startswith("--") or value == "-h":
+                _usage_error(f"argument {name}: expected one argument")
+        if kind is int:
+            try:
+                value = _any_digits(lambda: int(value))
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+        elif kind not in (bool, str) and value not in kind:
+            _usage_error(f"argument {name}: invalid choice: {value!r}")
+        values[name] = True if kind is bool else value
+    missing = [name for name, value in values.items() if value is ...]
+    if command is None or missing:
+        _usage_error("missing " + (", ".join(missing) or "the subcommand"))
+    return SimpleNamespace(command=command, **{
+        name[2:].replace("-", "_"): value for name, value in values.items()})
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
-        args.func(args)
+        COMMANDS[args.command][0](args)
     except TopographError as exc:
         sys.stderr.write(
             json.dumps({"error": exc.code, "message": str(exc)}) + "\n"

@@ -1,16 +1,24 @@
+import argparse
+import errno
 import gc
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from test_diform import _other_vertex
 from topograph import render
 from topograph.bqf import BQF
-from topograph.cli import main
+from topograph.cli import (
+    COMMANDS, _cmd_classgroup, _cmd_diform, _cmd_dump, _cmd_hermitian, _cmd_pell,
+    _cmd_reduce, _cmd_render, _cmd_river, main, parse_args,
+)
 from topograph.dilinear import Divector, Pinwheel
 from topograph.errors import BudgetError, PreconditionError
 from topograph.lax import neighbors, normalize_superbase
@@ -513,6 +521,235 @@ def test_cli_seed_flag_is_noop():
     assert a.stdout == b.stdout
 
 
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="topograph",
+        description="Arithmetic topographs: reduction, rivers, Pell, "
+        "class groups, diforms, Hermitian forms, SVG rendering.",
+    )
+    parser.add_argument("--seed", type=int, default=None,
+                        help="reserved; all algorithms are deterministic")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("reduce", help="reduce a binary quadratic form")
+    p.add_argument("--form", required=True, help="a,b,c")
+    p.set_defaults(func=_cmd_reduce)
+
+    p = sub.add_parser("river", help="trace one river period")
+    p.add_argument("--form", required=True, help="a,b,c")
+    p.set_defaults(func=_cmd_river)
+
+    p = sub.add_parser("pell", help="fundamental solution of x^2 - D y^2 = 1")
+    p.add_argument("--d", required=True, type=int)
+    p.set_defaults(func=_cmd_pell)
+
+    p = sub.add_parser("classgroup", help="class group of a discriminant")
+    p.add_argument("--delta", required=True, type=int)
+    p.set_defaults(func=_cmd_classgroup)
+
+    p = sub.add_parser("diform", help="binary quadratic diform operations")
+    p.add_argument("--sigma", required=True, type=int)
+    p.add_argument("--form", required=True, help="a,b,c")
+    p.add_argument("--reduce", action="store_true")
+    p.add_argument("--river", action="store_true")
+    p.set_defaults(func=_cmd_diform)
+
+    p = sub.add_parser("hermitian", help="binary Hermitian form report")
+    p.add_argument("--ring", required=True, choices=["g", "e"])
+    p.add_argument("--form", required=True, help="a,gamma_x,gamma_y,c")
+    p.add_argument("--min-box", type=int, default=4)
+    p.set_defaults(func=_cmd_hermitian)
+
+    p = sub.add_parser("render", help="render a topograph patch to SVG")
+    p.add_argument("--geometry", required=True, choices=["3inf", "4inf", "6inf"])
+    p.add_argument("--depth", required=True, type=int)
+    p.add_argument("--form", default=None, help="a,b,c")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_render)
+
+    p = sub.add_parser("dump", help="emit the JSON schema of every command")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_dump)
+
+    return parser
+
+
+# build_parser above is the CLI's former argparse parser, kept as the oracle
+# of parse_args: on every argv below the two agree on the exit code and, for
+# a valid argv, on the subcommand and every option value
+def _subparsers():
+    """{subcommand: its options' argparse actions} of the oracle."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: [a for a in p._actions if a.option_strings and a.dest != "help"]
+            for name, p in sub.choices.items()}
+
+
+_SAMPLE = {"--form": "5,7,3", "--d": "61", "--delta": "-20", "--sigma": "2",
+           "--ring": "g", "--min-box": "3", "--geometry": "4inf", "--depth": "2",
+           "--out": "x.svg"}
+
+
+def _option_spellings():
+    """Each option of each subcommand, as `--opt v` and as `--opt=v`, after
+    the subcommand's required options."""
+    for command, actions in _subparsers().items():
+        required = [w for a in actions if a.required
+                    for w in (a.option_strings[0], _SAMPLE[a.option_strings[0]])]
+        for a in actions:
+            opt = a.option_strings[0]
+            if a.nargs == 0:
+                yield [command, *required, opt]
+            else:
+                yield [command, *required, opt, _SAMPLE[opt]]
+                yield [command, *required, f"{opt}={_SAMPLE[opt]}"]
+
+
+def _readme_examples():
+    """The argv of every `topograph ...` line of README's code blocks."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return [line.split() for line in re.findall(r"^topograph ([^#\n]+)", text, re.M)]
+
+
+VALID_ARGV = _readme_examples() + list(_option_spellings()) + [
+    ["pell", "--d", "10000141"],
+    ["classgroup", "--delta", "-20"],
+    ["pell", "--d", "-4"],
+    ["pell", "--d", "2", "--d=3"],
+    ["hermitian", "--ring", "g", "--ring=e", "--form", "1,0,0,1", "--form=1,0,0,-2"],
+    ["--seed", "3", "pell", "--d", "2"],
+    ["--seed=-3", "pell", "--d", "2"],
+    ["diform", "--sigma", "2", "--form", "1,1,3", "--reduce", "--river"],
+    ["dump"],
+    ["render", "--geometry", "3inf", "--depth", "2", "--out", "x.svg", "--form="],
+]
+
+INVALID_ARGV = [
+    [],
+    ["--seed", "3"],
+    ["bogus"],
+    ["pell", "--bogus", "1"],
+    ["pell"],
+    ["render", "--geometry", "3inf", "--depth", "2"],
+    ["pell", "--d"],
+    ["pell", "--d", "--d", "2"],
+    ["diform", "--sigma", "2", "--form", "--river"],
+    ["pell", "--d=0x10"],
+    ["pell", "--d="],
+    ["--seed", "x", "pell", "--d", "2"],
+    ["hermitian", "--ring", "z", "--form", "1,0,0,1"],
+    ["render", "--geometry", "5inf", "--depth", "2", "--out", "x.svg"],
+    ["dump", "--json=1"],
+    ["pell", "--d", "2", "--seed", "3"],
+    ["pell", "--d", "2", "extra"],
+    ["extra", "pell", "--d", "2"],
+    ["reduce", "--form", "5,7,3", "dump"],
+    ["pell", "--d", "2", "-x"],
+]
+
+HELP_ARGV = [["-h"], ["--help"], ["--seed", "1", "-h"], ["pell", "--d=0", "--help"]] + [
+    [command, flag] for command in COMMANDS for flag in ("-h", "--help")]
+
+# the only argv on which the parsers differ: (argv, exit code of the
+# argparse oracle, exit code of parse_args), 0 when it parses
+DIFFERENCES = [
+    # prefix abbreviations are no longer accepted
+    (["diform", "--sig", "2", "--form", "1,1,3"], 0, 2),
+    # a value that begins with a single "-" may follow its option after a space
+    (["reduce", "--form", "-3,1,2"], 2, 0),
+    # integers of more than 4,300 digits are accepted
+    (["pell", "--d", "1" + "0" * 4400 + "1"], 2, 0),
+]
+
+
+def _outcome(parse, argv, capsys):
+    """(exit code, stdout) if parse exits, else (None, the parsed options)."""
+    try:
+        args = parse(list(argv))
+    except SystemExit as exc:
+        return exc.code, capsys.readouterr().out
+    options = dict(vars(args))
+    # the oracle names the handler; parse_args leaves it to COMMANDS
+    if "func" in options:
+        assert options.pop("func") is COMMANDS[options["command"]][0]
+    return None, options
+
+
+def _both(argv, capsys):
+    old = _outcome(lambda a: build_parser().parse_args(a), argv, capsys)
+    new = _outcome(parse_args, argv, capsys)
+    assert old[0] == new[0]
+    return old, new
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV, ids=" ".join)
+def test_parse_args_matches_argparse_on_valid_argv(argv, capsys):
+    old, new = _both(argv, capsys)
+    assert new[0] is None
+    assert new[1] == old[1]
+
+
+@pytest.mark.parametrize("argv", INVALID_ARGV, ids=" ".join)
+def test_parse_args_matches_argparse_on_usage_errors(argv, capsys):
+    old, new = _both(argv, capsys)
+    assert new[0] == 2
+    assert new[1] == ""
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+def test_parse_args_help_names_every_option(argv, capsys):
+    old, new = _both(argv, capsys)
+    assert new[0] == 0
+    command = next((a for a in argv if a in COMMANDS), None)
+    subparsers = _subparsers()
+    names = (["--seed", *COMMANDS] if command is None else []) + [
+        opt for name in ([command] if command else subparsers)
+        for a in subparsers[name] for opt in a.option_strings]
+    assert all(name in new[1] for name in names)
+
+
+@pytest.mark.parametrize("argv, old_code, new_code", DIFFERENCES)
+def test_parse_args_differs_from_argparse_only_as_listed(argv, old_code, new_code,
+                                                        capsys):
+    old = _outcome(lambda a: build_parser().parse_args(a), argv, capsys)
+    new = _outcome(parse_args, argv, capsys)
+    assert (old[0] or 0, new[0] or 0) == (old_code, new_code)
+
+
+@pytest.mark.parametrize("where, code", [("missing/x.svg", errno.ENOENT),
+                                         (".", errno.EISDIR)])
+def test_cli_render_out_that_cannot_be_opened_is_a_usage_error(where, code,
+                                                              tmp_path, capsys):
+    out = str(tmp_path / where)
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--geometry", "3inf", "--depth", "2", "--out", out])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"topograph: error: argument --out: can't open {out!r}: "
+                            f"{os.strerror(code)}\n")
+
+
+def test_cli_pell_reads_d_past_the_str_digit_limit(capsys):
+    # D = (10^2200)^2 + 1 has 4,401 digits and period 1
+    limit = _digit_limit()
+    assert main(["pell", "--d", "1" + "0" * 4399 + "1"]) == 0
+    assert _digit_limit() == limit
+    data = _loads_any_digits(capsys.readouterr().out)
+    d, x, y = data["d"], data["x"], data["y"]
+    assert d == 10 ** 4400 + 1
+    assert x * x - d * y * y == 1
+
+
+def test_cli_classgroup_reads_delta_past_the_str_digit_limit(capsys):
+    limit = _digit_limit()
+    assert main(["classgroup", "--delta=-1" + "0" * 4399 + "3"]) == 1
+    assert _digit_limit() == limit
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "budget"
+
+
 # the topograph modules a process loads for each subcommand: the CLI imports
 # a handler's modules only when that handler runs, and only the walks its
 # run takes
@@ -541,9 +778,10 @@ SUBCOMMAND_MODULES = [
      _RENDER_MODULES),
 ]
 
-# stdlib modules costly to import (dataclasses loads inspect, about 9 ms per
-# process) that no subcommand needs
-_COSTLY = ("dataclasses", "inspect")
+# stdlib modules costly to import that no subcommand needs: dataclasses loads
+# inspect, about 9 ms per process; argparse loads gettext, and building its
+# parsers looked up message catalogues through locale, about 5 ms together
+_COSTLY = ("dataclasses", "inspect", "argparse", "gettext", "locale")
 
 _LOADED_SCRIPT = """\
 import json, sys, topograph.cli
