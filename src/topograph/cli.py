@@ -247,9 +247,9 @@ SCHEMAS = {
 _FLAG = (bool, False, None)
 _FORM = (str, ..., "a,b,c")
 
-# each subcommand's handler, help line and options, read by parse_args (argparse
-# cost 5-7 ms a process); an option is (int, str or a tuple of choices; its
-# default, or ... if required; its metavar) or a _FLAG, which takes no value
+# each subcommand's handler, help line and options, read by parse_args (the
+# stdlib's option parser cost 5-7 ms of start-up a process); an option is
+# (int, str or a tuple of choices; default, or ... if required; metavar) or _FLAG
 COMMANDS = {
     "reduce": (_cmd_reduce, "reduce a binary quadratic form", {"--form": _FORM}),
     "river": (_cmd_river, "trace one river period", {"--form": _FORM}),
