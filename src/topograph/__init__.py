@@ -27,7 +27,6 @@ _HOME = {
     "Divector": "dilinear",
     "Pinwheel": "dilinear",
     "TopographError": "errors",
-    "verify_simple_transitivity": "groups",
     "BHF": "hermitian",
     "bhf_evaluate": "hermitian",
     "cube_values": "hermitian",

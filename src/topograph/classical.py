@@ -46,19 +46,6 @@ def reduce_definite(form: Form) -> Form:
     return (a, b, c)
 
 
-def is_reduced_indefinite(form: Form, d: int) -> bool:
-    a, b, c = form
-    if b <= 0 or b * b >= d or a == 0:
-        return False
-    t = 2 * abs(a)
-    # sqrt(d) - b < 2|a| < sqrt(d) + b, decided exactly
-    if (t + b) ** 2 <= d:
-        return False
-    if t - b >= 0 and (t - b) ** 2 >= d:
-        return False
-    return True
-
-
 def rho(form: Form, d: int) -> Form:
     """Reduction/cycle step for indefinite forms (Cohen's rho)."""
     return _rho(form, d, math.isqrt(d))
@@ -129,11 +116,6 @@ def _cycle(start: Form, d: int, s: int) -> tuple[Form, ...]:
     while (f := _rho(cycle[-1], d, s)) != start:
         cycle.append(f)
     return tuple(cycle)
-
-
-def cycle_fingerprint(form: Form) -> tuple[Form, ...]:
-    """Canonical SL2-class label for an indefinite form: its sorted cycle."""
-    return tuple(sorted(indefinite_cycle(form)))
 
 
 def transform(form: Form, m) -> Form:

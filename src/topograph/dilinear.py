@@ -63,18 +63,6 @@ def _same_color(d1: Divector, d2: Divector) -> None:
         raise DibasisError(f"{_shown(d1)} and {_shown(d2)} differ in colour")
 
 
-def dibasis_det(r: Divector, b: Divector, sigma: int) -> int:
-    """Determinant of the dilinear matrix with rows r (red) and b (blue)."""
-    if r.color != RED or b.color != BLUE:
-        raise DibasisError(
-            f"{_shown(r)}, {_shown(b)} are not a red and a blue divector")
-    return r.u * b.v - sigma * r.v * b.u
-
-
-def is_dibasis(d1: Divector, d2: Divector, sigma: int) -> bool:
-    return _face_det(d1, d2, sigma) in (1, -1)
-
-
 def _face_det(f: tuple, g: tuple, sigma: int) -> int:
     """Determinant of the dilinear matrix of two (color, u, v) faces, red row
     first; 0 when they share a colour."""

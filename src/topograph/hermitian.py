@@ -115,16 +115,6 @@ def _unimodular(ring: str, u: tuple, v: tuple) -> bool:
     return _norm(s, t, d0, d1) in (1, -1)
 
 
-def is_ring_superbase(u: RVec, v: RVec, w: RVec) -> bool:
-    """Pairwise unimodular with some unit-scaled sum u + e1*v + e2*w = 0.
-    Pairwise unimodularity implies the unit relation: with det(v, w) a unit,
-    u = alpha v + beta w for the units alpha = det(u, w) / det(v, w) and
-    beta = det(v, u) / det(v, w)."""
-    ring = u[0].ring
-    u, v, w = (_xy(ring, x) for x in (u, v, w))
-    return all(_unimodular(ring, a, b) for a, b in ((u, v), (v, w), (u, w)))
-
-
 def _lax_key(ring: str, p: tuple) -> tuple:
     """Canonical label of a vector up to unit scaling."""
     return min(_multiples(ring, p))
@@ -229,7 +219,9 @@ def cube_values(h: BHF, cubasis) -> CubeValues:
     """Check that ``cubasis`` is one, evaluate H on its faces, check the
     exact cube identities and classify the sign pattern.  No opposite pair
     may be unit multiples, and the 12 other pairs must be unimodular, which
-    makes each transversal triple a superbase (see ``is_ring_superbase``)."""
+    makes each transversal triple (u, v, w) a superbase: with det(v, w) a
+    unit, u = alpha v + beta w for the units alpha = det(u, w) / det(v, w)
+    and beta = det(v, u) / det(v, w)."""
     faces = [(k, role, _xy(h.ring, v)) for k, pair in enumerate(cubasis, 1)
              for role, v in zip(("seed", "partner"), pair)]
     for (k, r, x), (m, t, y) in combinations(faces, 2):
@@ -348,11 +340,6 @@ def empirical_minimum(h: BHF, box: int = 10) -> dict:
         "isotropic_in_box": isotropic,
         "bound_ok": isotropic or 6 * best * best <= d,
     }
-
-
-def unit_invariance_holds(h: BHF, v: RVec) -> bool:
-    base = h(v)
-    return all(h((e * v[0], e * v[1])) == base for e in units(h.ring))
 
 
 STANDARD_GAUSS_SEED = (

@@ -3,7 +3,7 @@
 Faces are primitive lax vectors (coprime pairs mod global sign), edges are
 lax bases (unimodular pairs), points are lax superbases (triples, pairwise
 unimodular, with signed representatives summing to zero).  Flags and the
-PGL_2(Z) action on them are checked in ``groups``.
+PGL_2(Z) action on them are in ``groups``.
 """
 
 from __future__ import annotations

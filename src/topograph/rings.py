@@ -7,8 +7,6 @@ x + y*theta.  All arithmetic is exact; Python integers are unbounded.
 
 from __future__ import annotations
 
-import math
-
 from .errors import IntegralityError, TagMismatchError, UnsupportedRingError
 
 Z = "Z"
@@ -129,48 +127,3 @@ def units(ring: str) -> list[QRE]:
             u.append(QRE(ring, -x, -y))
         return u
     raise UnsupportedRingError(f"{ring} has an infinite unit group")
-
-
-def _divmod_nearest(a: QRE, b: QRE) -> tuple[QRE, QRE]:
-    """Nearest-lattice-point division in a norm-Euclidean ring."""
-    n = b.norm()
-    num = a * b.conj()
-    qx = _round_div(num.x, n)
-    qy = _round_div(num.y, n)
-    q = QRE(a.ring, qx, qy)
-    return q, a - q * b
-
-
-def _round_div(p: int, q: int) -> int:
-    # round p/q to the nearest integer, ties toward +inf
-    if q < 0:
-        p, q = -p, -q
-    return (2 * p + q) // (2 * q)
-
-
-def euclid_gcd(a: QRE, b: QRE) -> QRE:
-    """gcd in Z[i] or Z[w] (both norm-Euclidean), up to units."""
-    if a.ring not in (GAUSS, EISENSTEIN):
-        raise UnsupportedRingError("euclidean gcd only over Gauss/Eisenstein")
-    while not b.is_zero():
-        _, r = _divmod_nearest(a, b)
-        a, b = b, r
-    return a
-
-
-def is_primitive(v: tuple[QRE, QRE]) -> bool:
-    """Is (x, y) a primitive vector (unit ideal / coprime pair)?"""
-    x, y = v
-    x._check(y)
-    if x.is_zero() and y.is_zero():
-        return False
-    ring = x.ring
-    if ring == Z:
-        return math.gcd(x.x, y.x) == 1
-    if ring in (GAUSS, EISENSTEIN):
-        if x.is_zero():
-            return y.is_unit()
-        if y.is_zero():
-            return x.is_unit()
-        return euclid_gcd(x, y).is_unit()
-    raise UnsupportedRingError("divector primitivity lives in the diform module")

@@ -14,7 +14,13 @@ import sys
 
 import pytest
 
-from box_search import class_represents
+from box_search import class_represents, is_ring_superbase
+from reference import (
+    is_dibasis,
+    superbase_ball,
+    unit_invariance_holds,
+    verify_simple_transitivity,
+)
 from topograph.bqf import BQF, cell_values
 from topograph.classgroup import (
     ambiguous_form_A,
@@ -30,7 +36,6 @@ from topograph.dilinear import (
     RED,
     BLUE,
     dicell_values,
-    is_dibasis,
 )
 from topograph.errors import SquareDiscriminantError
 from topograph.hermitian import (
@@ -43,10 +48,7 @@ from topograph.hermitian import (
     empirical_minimum,
     find_cubasis,
     find_tetrabasis,
-    is_ring_superbase,
-    unit_invariance_holds,
 )
-from topograph.groups import superbase_ball, verify_simple_transitivity
 from topograph.reduction import gauss_reduced, minimum_nonzero, pell_solve
 from topograph.rings import EISENSTEIN, GAUSS, QRE, zero
 
@@ -234,7 +236,7 @@ def _equivalent_to_multiple(form, base):
     g = (a // c, b // c, cc // c)
     if g[1] ** 2 - 4 * g[0] * g[2] != base[1] ** 2 - 4 * base[0] * base[2]:
         return False
-    from topograph.classical import cycle_fingerprint
+    from reference import cycle_fingerprint
 
     return cycle_fingerprint(g) == cycle_fingerprint(base)
 

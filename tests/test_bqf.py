@@ -1,5 +1,6 @@
 import random
 
+from reference import superbase_ball
 from topograph.bqf import (
     BQF,
     DEGENERATE,
@@ -9,7 +10,6 @@ from topograph.bqf import (
     cell_values,
     classify,
 )
-from topograph.groups import superbase_ball
 from topograph.lax import STANDARD_SUPERBASE, normalize_superbase
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from box_search import find_diform_for_classes, represents
+from reference import cycle_fingerprint, is_reduced_indefinite
 from topograph import classgroup, classical
 from topograph.classgroup import (
     ClassGroupTable,
@@ -20,9 +21,7 @@ from topograph.classgroup import (
 )
 from topograph.classical import (
     content,
-    cycle_fingerprint,
     indefinite_cycle,
-    is_reduced_indefinite,
     reduce_definite,
     reduce_indefinite,
 )

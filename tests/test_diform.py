@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 import topograph.diform as diform_module
 import topograph.dilinear as dilinear_module
-import topograph.groups as groups_module
 import topograph.walk as walk_module
+from reference import dibasis_det, is_dibasis, verify_gamma0_conjugation
 from topograph.classical import is_square, red_blue_forms, reduce_definite
 from topograph.diform import (
     DiRiverStep,
@@ -36,9 +37,7 @@ from topograph.dilinear import (
     _cell_pairs,
     _local_form,
     _shown,
-    dibasis_det,
     dicell_values,
-    is_dibasis,
     pinwheel_complete,
     pinwheel_faces,
     pinwheel_key,
@@ -50,7 +49,6 @@ from topograph.errors import (
     PreconditionError,
     SquareDiscriminantError,
 )
-from topograph.groups import verify_gamma0_conjugation
 from topograph.lax import mat_mul
 from topograph.rings import QRE, ZSQRT2, ZSQRT3
 
@@ -249,7 +247,7 @@ def test_pinwheel_rejects_a_non_dibasis_edge(monkeypatch):
 
 def test_gamma0_conjugation_rejects_a_sample_outside_dl_plus(monkeypatch):
     minus = (((0, 0), (1, 0)), ((-1, 0), (0, 0)))
-    monkeypatch.setattr(groups_module, "_dl_plus_samples",
+    monkeypatch.setattr(reference, "_dl_plus_samples",
                         lambda sigma, count: [minus])
     with pytest.raises(PreconditionError):
         verify_gamma0_conjugation(2, 1)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from box_search import _is_unimodular, box_find_cubasis, box_find_tetrabasis
+from box_search import (
+    _is_unimodular,
+    box_find_cubasis,
+    box_find_tetrabasis,
+    is_ring_superbase,
+)
+from reference import is_primitive, unit_invariance_holds
 from topograph.errors import (
     BudgetError,
     DegenerateFormError,
@@ -28,10 +34,8 @@ from topograph.hermitian import (
     empirical_minimum,
     find_cubasis,
     find_tetrabasis,
-    is_ring_superbase,
-    unit_invariance_holds,
 )
-from topograph.rings import _SQ, EISENSTEIN, GAUSS, QRE, is_primitive, units, zero
+from topograph.rings import _SQ, EISENSTEIN, GAUSS, QRE, units, zero
 
 
 def gauss(x, y=0):

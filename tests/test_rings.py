@@ -1,5 +1,6 @@
 import pytest
 
+from reference import euclid_gcd, is_primitive
 from topograph.errors import (
     IntegralityError,
     TagMismatchError,
@@ -10,8 +11,6 @@ from topograph.rings import (
     GAUSS,
     QRE,
     ZSQRT2,
-    euclid_gcd,
-    is_primitive,
     units,
     zero,
 )

@@ -6,13 +6,9 @@ import sys
 import pytest
 
 import topograph
+from reference import superbase_ball, verify_simple_transitivity
 from topograph.errors import NotASuperbaseError
-from topograph.groups import (
-    coxeter_generators,
-    pgl_key,
-    superbase_ball,
-    verify_simple_transitivity,
-)
+from topograph.groups import coxeter_generators, pgl_key
 from topograph.lax import STANDARD_SUPERBASE, mat_mul, neighbors, normalize_superbase
 
 
@@ -138,11 +134,15 @@ def test_bare_package_import_loads_no_submodule():
 
 
 def test_moved_names_resolve_to_their_new_homes():
-    homes = {"verify_simple_transitivity": "groups", "BQD": "dilinear",
-             "Divector": "dilinear", "Pinwheel": "dilinear"}
+    homes = {"BQD": "dilinear", "Divector": "dilinear", "Pinwheel": "dilinear"}
     for name, home in homes.items():
         assert topograph._HOME[name] == home
         assert getattr(topograph, name).__module__ == f"topograph.{home}"
+    # the simple-transitivity check is test code now
+    assert "verify_simple_transitivity" not in topograph._HOME
+    assert "verify_simple_transitivity" not in topograph.__all__
+    with pytest.raises(AttributeError):
+        getattr(topograph, "verify_simple_transitivity")
 
 
 def test_geometry_modules_do_not_load_the_walks_or_the_group_checks():
@@ -156,3 +156,55 @@ def test_geometry_modules_do_not_load_the_walks_or_the_group_checks():
     loaded = set(json.loads(proc.stdout))
     assert "topograph.dilinear" in loaded
     assert not loaded & {"topograph.groups", "topograph.diform", "topograph.reduction"}
+
+
+def test_groups_loads_only_what_it_uses():
+    script = ("import json, sys\n"
+              "import topograph.groups\n"
+              "print(json.dumps(sorted(m for m in sys.modules "
+              "if m.startswith('topograph.'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, check=True)
+    assert json.loads(proc.stdout) == [
+        "topograph.errors", "topograph.groups", "topograph.lax"]
+
+
+# documented entry points that no code in src/ names
+ENTRY_POINTS = {"coxeter_generators", "find_tetrabasis", "STANDARD_EISENSTEIN_SEED"}
+
+
+def test_every_top_level_name_in_src_is_used_or_documented():
+    # what only the tests run belongs in tests/ (reference.py, box_search.py):
+    # each top-level name of a module must be named elsewhere in src/ (code,
+    # docstring or comment), be a package export or be a pinned entry point
+    import ast
+    import re
+    from pathlib import Path
+
+    texts = {path.stem: path.read_text()
+             for path in sorted(Path(topograph.__file__).parent.glob("*.py"))}
+    unused = []
+    for module, text in texts.items():
+        lines = text.splitlines()
+        for stmt in ast.parse(text).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+                start = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+                start = stmt.lineno
+            else:
+                continue
+            # the rest of src/, without this definition's own lines
+            rest = "\n".join(lines[:start - 1] + lines[stmt.end_lineno:]
+                             + [t for m, t in texts.items() if m != module])
+            for name in names:
+                if (name.startswith("__") and name.endswith("__")
+                        or topograph._HOME.get(name) == module
+                        or name in ENTRY_POINTS):
+                    continue
+                if not re.search(rf"\b{re.escape(name)}\b", rest):
+                    unused.append(f"{module}.{name}")
+    assert unused == []
