@@ -89,4 +89,3 @@ def coxeter_generators() -> tuple[list[Mat], dict]:
         "commute_02": pgl_key(mat_mul(g0, g2)) == pgl_key(mat_mul(g2, g0)),
     }
     return gens, report
-
