@@ -145,8 +145,9 @@ class ClassGroupTable:
     def _lookup(self, form: Form) -> int:
         """``class_index`` of a form known to be primitive."""
         a, b, c = form
-        if b * b - 4 * a * c != self.disc:
-            raise InvalidDiscriminantError("wrong discriminant")
+        if (d := b * b - 4 * a * c) != self.disc:
+            raise InvalidDiscriminantError(f"wrong discriminant {brief(d)} of {brief(form)}, "
+                                           f"not the table's {brief(self.disc)}")
         reduced = (reduce_definite(form) if self.disc < 0
                    else _reduce(form, self.disc, self._root))
         try:
@@ -262,9 +263,9 @@ def compose(f1: Form, f2: Form) -> Form:
     Cohen's Algorithm 5.4.7 (GTM 138); the composite is not reduced."""
     if content(f1) != 1 or content(f2) != 1:
         raise NotPrimitiveError("composition needs primitive forms")
-    d = f1[1] ** 2 - 4 * f1[0] * f1[2]
-    if f2[1] ** 2 - 4 * f2[0] * f2[2] != d:
-        raise InvalidDiscriminantError("mismatched discriminants")
+    d1, d2 = (b * b - 4 * a * c for a, b, c in (f1, f2))
+    if d1 != d2:
+        raise InvalidDiscriminantError(f"mismatched discriminants {brief((d1, d2))}")
     return _compose(f1, f2)
 
 

@@ -8,6 +8,7 @@ diform walks only under --reduce or --river), so a process compiles no more.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 
@@ -199,9 +200,14 @@ def _cmd_render(args) -> None:
     from .render import emit_svg, layout
 
     form = _parse_form(args.form) if args.form else None
-    patch = layout(args.geometry, args.depth, form)
-    data = emit_svg(patch)
+    # --out is checked before the work, and written only once the work is done
+    made = not os.path.lexists(args.out)
     try:
+        open(args.out, "ab").close()
+        if made:
+            os.remove(args.out)
+        patch = layout(args.geometry, args.depth, form)
+        data = emit_svg(patch)
         with open(args.out, "wb") as fh:
             fh.write(data)
     except OSError as exc:

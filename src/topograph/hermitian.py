@@ -125,9 +125,11 @@ def _check_seed(seed, ring: str) -> tuple:
     if len(seed) != 3:
         raise PreconditionError("seed must be a triple of ring vectors")
     own = seed[0][0].ring
-    s1, s2, s3 = xy = [_xy(own, v) for v in seed]
-    if not all(_unimodular(own, a, b) for a, b in ((s1, s2), (s1, s3), (s2, s3))):
-        raise PreconditionError("seed triple is not pairwise unimodular")
+    xy = [_xy(own, v) for v in seed]
+    for i, j in combinations(range(3), 2):
+        if not _unimodular(own, xy[i], xy[j]):
+            raise PreconditionError("seed triple is not pairwise unimodular: seeds "
+                                    f"{i} and {j}, {brief(xy[i])} and {brief(xy[j])}")
     if own != ring:
         raise PreconditionError(f"seed must live over {ring}")
     keys = {_lax_key(ring, v) for v in xy}

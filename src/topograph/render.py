@@ -113,9 +113,9 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
     vertices are those at BFS distance < depth, and the distance-depth shell
     holds the stubs' far ends.  A child sits mid-way in its share of its
     parent's angular interval, at radius proportional to its BFS level.  The
-    geometry is a tree, so each vertex is built once, from its parent, and
-    its id indexes the flat lists ``keys``, ``pos`` and ``seam``; the real
-    vertices come first.  The form is valued once per face."""
+    geometry is a tree, so each real vertex is built once, from its parent;
+    no shell vertex is built, and stubs sort by the faces they share with it
+    (``test_stubs_sort_by_shared_faces_as_by_key``); each face is valued once."""
     geo = _Superbases(form) if geometry == "3inf" else _Pinwheels(geometry, form)
     degree = geo.degree
     keys = [geo.key(geo.root)]
@@ -135,18 +135,18 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
                 if i == back:
                     nbrs.append(parent)
                     continue
-                t, t_back = geo.step(vertex, i)
                 j += 1
                 a, b = b, lo + (hi - lo) * j / n
                 mid = (a + b) / 2.0
-                nbrs.append(len(keys))
+                nbrs.append(len(pos))
                 if d < depth:
-                    nxt.append((len(keys), t, t_back, k, a, b))
-                keys.append(geo.key(t))
+                    t, t_back = geo.step(vertex, i)
+                    nxt.append((len(pos), t, t_back, k, a, b))
+                    keys.append(geo.key(t))
                 seam.append(base + sign * i)
                 pos.append((r * math.cos(mid), r * math.sin(mid)))
         frontier = nxt
-    real = len(nbrs) // degree
+    real = len(nbrs) // degree  # ids index flat lists, the real ones first
     order = sorted(range(real), key=keys.__getitem__)
     rank = [0] * real  # the output id of each real vertex
     # each face's record sums its points in output order, as sum() would,
@@ -177,15 +177,16 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
         river = value is not None and value[f] * value[g] < 0
         return rank[k], v2, end, (f, g) if f < g else (g, f), river
 
-    # sorted vertices, then sorted neighbours: edges and stubs come out sorted
+    # sorted vertices, then sorted neighbours, a stub by its shared faces
     stubs = []
     for k in order:
-        for t in sorted(nbrs[k * degree:(k + 1) * degree], key=keys.__getitem__):
-            if t >= real:
-                (x1, y1), (x2, y2) = pos[k], pos[t]
-                stubs.append(edge(k, t, None, ((x1 + x2) / 2.0, (y1 + y2) / 2.0)))
-            elif rank[k] < rank[t]:
+        ts = nbrs[k * degree:(k + 1) * degree]
+        for t in sorted((t for t in ts if t < real), key=keys.__getitem__):
+            if rank[k] < rank[t]:
                 patch.edges.append(edge(k, t, rank[t], pos[t]))
+        x, y = pos[k]
+        stubs += sorted((edge(k, t, None, ((x + pos[t][0]) / 2.0, (y + pos[t][1]) / 2.0))
+                         for t in ts if t >= real), key=lambda e: e[3])
     patch.edges += stubs
 
     for f in faces:

@@ -84,6 +84,15 @@ def test_compose_rejects_imprimitive():
         compose((2, 0, 2), (1, 0, 4))
 
 
+def test_discriminant_errors_name_their_discriminants():
+    with pytest.raises(InvalidDiscriminantError,
+                       match=r"^mismatched discriminants \(-4, -19\)$"):
+        compose((1, 0, 1), (1, 1, 5))
+    with pytest.raises(InvalidDiscriminantError,
+                       match=r"^wrong discriminant -19 of \(1, 1, 5\), not the table's -20$"):
+        enumerate_classes(-20).class_index((1, 1, 5))
+
+
 def test_ambiguous_form_fixtures():
     assert ambiguous_form_A(2, -20) == (2, 2, 3)
     assert ambiguous_form_A(2, -8) == (2, 0, 1)

@@ -295,6 +295,22 @@ def test_tetrabasis_rejects_non_superbase():
         find_tetrabasis(bad)
 
 
+def test_seed_error_names_the_first_pair_that_is_not_unimodular():
+    # seeds 0 and 2, (1, 0) and (1, 2), have det 2; each is given as its
+    # coordinates (x0, x1, y0, y1)
+    bad = ((eis(1), zero(EISENSTEIN)), (zero(EISENSTEIN), eis(1)), (eis(1), eis(2)))
+    with pytest.raises(PreconditionError,
+                       match=r"^seed triple is not pairwise unimodular: seeds 0 and 2, "
+                             r"\(1, 0, 0, 0\) and \(1, 0, 2, 0\)$"):
+        find_tetrabasis(bad)
+    # (0, 1) and (1 + i, 1) have det -(1 + i), of norm 2; the pairs before
+    # them are unimodular
+    bad = ((gauss(1), zero(GAUSS)), (zero(GAUSS), gauss(1)), (gauss(1, 1), gauss(1)))
+    with pytest.raises(PreconditionError,
+                       match=r": seeds 1 and 2, \(0, 0, 1, 0\) and \(1, 1, 1, 0\)$"):
+        find_cubasis(bad)
+
+
 def test_cube_identities_fixture():
     h = BHF(GAUSS, 1, zero(GAUSS), -2)
     cb = find_cubasis(STANDARD_GAUSS_SEED)

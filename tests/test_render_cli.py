@@ -227,12 +227,40 @@ def test_layout_builds_each_vertex_once(geometry, adapter, monkeypatch):
 
     monkeypatch.setattr(adapter, "step", counted)
     patch = layout(geometry, 4)
-    shell = sum(v2 is None for _, v2, *_ in patch.edges)
-    # one build per vertex of the ball but the root, real and shell alike:
-    # the parent is never built again from its child
-    assert len(built) == len(patch.vertices) - 1 + shell
+    # one build per real vertex but the root, and none for the shell: the
+    # parent is never built again from its child
+    assert len(built) == len(patch.vertices) - 1
     assert len(set(built)) == len(built)
     assert not roots & set(built)
+
+
+@pytest.mark.parametrize("geometry", render.GEOMETRIES)
+def test_stubs_sort_by_shared_faces_as_by_key(geometry):
+    # layout sorts a parent's stubs by the lax faces they share with it,
+    # since their far ends are never built.  Every parent of the deepest
+    # patch the budget admits orders its children the same by either
+    depth = max(d for d in range(1, 64)
+                if render.patch_vertices(geometry, d) <= render.VERTEX_BUDGET)
+    geo = (render._Superbases(None) if geometry == "3inf"
+           else render._Pinwheels(geometry, None))
+    frontier = [(geo.root, None)]
+    parents = 0
+    for _ in range(depth):
+        nxt = []
+        for vertex, back in frontier:
+            parents += 1
+            key = set(geo.key(vertex))
+            children = [geo.step(vertex, i) for i in range(geo.degree) if i != back]
+            shared = {}
+            for t, _ in children:
+                pair = sorted(key & set(geo.key(t)))
+                assert len(pair) == 2
+                shared[geo.key(t)] = tuple(pair)
+            assert len(set(shared.values())) == len(shared)
+            assert sorted(shared) == sorted(shared, key=shared.__getitem__)
+            nxt += children
+        frontier = nxt
+    assert parents == render.patch_vertices(geometry, depth)
 
 
 @pytest.mark.parametrize("geometry, sigma", [("4inf", 2), ("6inf", 3)])
@@ -719,7 +747,13 @@ def test_parse_args_differs_from_argparse_only_as_listed(argv, old_code, new_cod
 @pytest.mark.parametrize("where, code", [("missing/x.svg", errno.ENOENT),
                                          (".", errno.EISDIR)])
 def test_cli_render_out_that_cannot_be_opened_is_a_usage_error(where, code,
-                                                              tmp_path, capsys):
+                                                              tmp_path, capsys,
+                                                              monkeypatch):
+    # the path is checked before the work: layout never runs
+    def unreached(*args):
+        pytest.fail("layout ran before --out was checked")
+
+    monkeypatch.setattr(render, "layout", unreached)
     out = str(tmp_path / where)
     with pytest.raises(SystemExit) as exc:
         main(["render", "--geometry", "3inf", "--depth", "2", "--out", out])
@@ -728,6 +762,25 @@ def test_cli_render_out_that_cannot_be_opened_is_a_usage_error(where, code,
     assert captured.out == ""
     assert captured.err == (f"topograph: error: argument --out: can't open {out!r}: "
                             f"{os.strerror(code)}\n")
+
+
+@pytest.mark.parametrize("existing", [None, b"<svg/>\n"])
+def test_cli_render_refused_leaves_out_as_it_was(existing, tmp_path, capsys):
+    # a refused render creates no file, and leaves an existing one unchanged
+    out = tmp_path / "x.svg"
+    if existing is not None:
+        out.write_bytes(existing)
+    assert main(["render", "--geometry", "6inf", "--depth", "8", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == BudgetError.code
+    assert (out.read_bytes() if out.exists() else None) == existing
+
+
+def test_cli_render_writes_to_a_device(capsys):
+    # the check before the work neither truncates nor needs a regular file
+    assert main(["render", "--geometry", "3inf", "--depth", "2", "--out", os.devnull]) == 0
+    assert json.loads(capsys.readouterr().out)["out"] == os.devnull
 
 
 def test_cli_pell_reads_d_past_the_str_digit_limit(capsys):
