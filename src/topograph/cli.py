@@ -1,8 +1,9 @@
 """Command-line interface: line-delimited JSON on stdout, SVG files on disk.
 
-Exit codes: 0 success, 1 domain error (machine-readable JSON on stderr),
-2 usage error.  Each handler imports only the modules its run calls (the
-diform walks only under --reduce or --river), so a process compiles no more.
+Exit codes: 0 success, 1 domain error or failed write (machine-readable JSON
+on stderr), 2 usage error.  Each handler imports only the modules its run
+calls (the diform walks only under --reduce or --river), so a process
+compiles no more.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import BudgetError, PreconditionError, TopographError
+from .errors import BudgetError, OutputError, PreconditionError, TopographError
 
 def _any_digits(convert):
     """convert() with Python's int/str digit limit (4,300 digits by default)
@@ -206,12 +207,17 @@ def _cmd_render(args) -> None:
         open(args.out, "ab").close()
         if made:
             os.remove(args.out)
-        patch = layout(args.geometry, args.depth, form)
-        data = emit_svg(patch)
-        with open(args.out, "wb") as fh:
-            fh.write(data)
     except OSError as exc:
         _usage_error(f"argument --out: can't open {args.out!r}: {exc.strerror}")
+    patch = layout(args.geometry, args.depth, form)
+    data = emit_svg(patch)
+    try:
+        with open(args.out, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:  # the path opened, so the run failed: a full disk, say
+        if made and os.path.lexists(args.out):
+            os.remove(args.out)  # no half-written file is left behind
+        raise OutputError(f"can't write {args.out!r}: {exc.strerror}") from None
     _emit({
         "geometry": args.geometry,
         "depth": args.depth,

@@ -87,3 +87,7 @@ class PreconditionError(TopographError):
 
 class BudgetError(TopographError):
     code = "budget"
+
+
+class OutputError(TopographError):
+    code = "output"

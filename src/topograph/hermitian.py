@@ -29,16 +29,24 @@ RVec = tuple[QRE, QRE]
 
 class BHF:
     """Binary Hermitian form; beta = gamma / (1+i) or gamma / (1-w).
-    Immutable, and not a tuple."""
+    Immutable, and not a tuple.  ``gram`` is not a field: it is the integral
+    symmetric M with 2H(v) = v^T M v on v = (x0, x1, y0, y1), x = x0 + x1 theta."""
 
-    __slots__ = ("ring", "a", "gamma", "c")
+    __slots__ = ("ring", "a", "gamma", "c", "gram")
 
     def __init__(self, ring: str, a: int, gamma: QRE, c: int):
         if ring not in (GAUSS, EISENSTEIN):
             raise PreconditionError("Hermitian forms live over Gauss/Eisenstein")
         if gamma.ring != ring:
             raise PreconditionError("gamma must live in the form's ring")
-        for name, value in zip(BHF.__slots__, (ring, a, gamma, c)):
+        # M = [[a N, B], [B^T, c N]]: x^T N x = 2 N(x), N = [[2, t], [t, 2]], and
+        # x^T B y is the trace term Tr(gamma conj(x) y / d); det M = disc^2
+        g0, g1, t = gamma.x, gamma.y, _SQ[ring][1]
+        (b00, b01), (b10, b11) = (((g0 + g1, g0 - g1), (g1 - g0, g0 + g1))
+                                  if ring == GAUSS else ((g0 - g1, -g0), (g1, g0 - g1)))
+        gram = ((2 * a, t * a, b00, b01), (t * a, 2 * a, b10, b11),
+                (b00, b10, 2 * c, t * c), (b01, b11, t * c, 2 * c))
+        for name, value in zip(BHF.__slots__, (ring, a, gamma, c, gram)):
             object.__setattr__(self, name, value)
 
     __setattr__ = __delattr__ = _immutable
@@ -60,25 +68,25 @@ class BHF:
     def discriminant(self) -> int:
         # 4*(N(beta) - ac) = 2*N(gamma) - 4ac over Gauss (N(1+i) = 2);
         # 3*(N(beta) - ac) = N(gamma) - 3ac over Eisenstein (N(1-w) = 3)
-        n, ac = self.gamma.norm(), self.a * self.c
+        n, ac = _norm(*_SQ[self.ring], self.gamma.x, self.gamma.y), self.a * self.c
         return 2 * n - 4 * ac if self.ring == GAUSS else n - 3 * ac
 
     def __call__(self, v: RVec) -> int:
         return bhf_evaluate(self, v[0], v[1])
 
 
-def bhf_evaluate(h: BHF, x: QRE, y: QRE) -> int:
-    """Exact integer value of H at (x, y).
+def _value(m: tuple, v: tuple) -> int:
+    """H(v) = v^T M v / 2 on coordinates v = (x0, x1, y0, y1)."""
+    x0, x1, y0, y1 = v
+    return sum(vi * (r0 * x0 + r1 * x1 + r2 * y0 + r3 * y1)
+               for vi, (r0, r1, r2, r3) in zip(v, m)) // 2
 
-    The trace term is Tr(gamma * conj(x) * y / d) with d the different
-    generator; with t = gamma * conj(x) * y this trace is t.x + t.y (Gauss)
-    or t.x - t.y (Eisenstein), always an integer.
-    """
+
+def bhf_evaluate(h: BHF, x: QRE, y: QRE) -> int:
+    """Exact integer value of H at (x, y), read from the Gram matrix."""
     if x.ring != h.ring or y.ring != h.ring:
         raise PreconditionError("vector must live in the form's ring")
-    t = h.gamma * x.conj() * y
-    trace = t.x + t.y if h.ring == GAUSS else t.x - t.y
-    return h.a * x.norm() + trace + h.c * y.norm()
+    return _value(h.gram, (x.x, x.y, y.x, y.y))
 
 
 def _xy(ring: str, v: RVec) -> tuple:
@@ -230,10 +238,7 @@ def cube_values(h: BHF, cubasis) -> CubeValues:
         if (x in _multiples(h.ring, y) if k == m else not _unimodular(h.ring, x, y)):
             fault = "unit multiples" if k == m else "not unimodular"
             raise PreconditionError(f"cubasis {r} {k} and {t} {m} are {fault}")
-    (s1, p1), (s2, p2), (s3, p3) = cubasis
-    a, u = h(s1), h(p1)
-    b, v = h(s2), h(p2)
-    c, w = h(s3), h(p3)
+    a, u, b, v, c, w = (_value(h.gram, x) for _, _, x in faces)
     z = a + u
     if not (b + v == z and c + w == z):
         raise IntegralityError("opposite-face sums disagree")
@@ -243,20 +248,13 @@ def cube_values(h: BHF, cubasis) -> CubeValues:
     return CubeValues(a, b, c, u, v, w, z, pattern)
 
 
-def _classify_pattern(p1, p2, p3) -> str:
-    pairs = (p1, p2, p3)
+def _classify_pattern(*pairs) -> str:
     if any(x == 0 for pair in pairs for x in pair):
         return PATTERN_MIXED_ZERO
-    split = sum(1 for x, y in pairs if x * y < 0)
-    has_pp = any(x > 0 and y > 0 for x, y in pairs)
-    has_nn = any(x < 0 and y < 0 for x, y in pairs)
-    if has_pp and has_nn:
+    if any(x > 0 and y > 0 for x, y in pairs) and any(x < 0 and y < 0 for x, y in pairs):
         return PATTERN_IV
-    if split == 3:
-        return PATTERN_III
-    if split == 2:
-        return PATTERN_II
-    return PATTERN_I
+    split = sum(x * y < 0 for x, y in pairs)
+    return (PATTERN_I, PATTERN_I, PATTERN_II, PATTERN_III)[split]
 
 
 def _is_primitive_coords(tr: int, x0: int, x1: int, y0: int, y1: int) -> bool:
@@ -298,29 +296,24 @@ def empirical_minimum(h: BHF, box: int = 10) -> dict:
     d = h.discriminant()
     if d <= 0:
         raise PreconditionError("minimum bound applies to indefinite forms")
-    # H(x, y) = a N(x) + sum t_ij x_i y_j + c N(y): the trace term is
-    # Z-bilinear, so its values on the basis pairs (1, theta) fix it everywhere
+    # H(x, y) = a N(x) + x^T B y + c N(y), read from the blocks of M
+    (m00, m01, m02, m03), (_, m11, m12, m13), (_, _, m22, m23), (_, _, _, m33) = h.gram
     tr = _SQ[h.ring][1]
-    a, c = h.a, h.c
-    basis = (QRE(h.ring, 1, 0), QRE(h.ring, 0, 1))
-    (t00, t01), (t10, t11) = [
-        [bhf_evaluate(h, e, f) - a - c for f in basis] for e in basis
-    ]
     span = range(-box, box + 1)
     pairs = [(u0, u1) for u0 in span for u1 in span]
-    ys = [(y0, y1, c * (y0 * y0 + tr * y0 * y1 + y1 * y1)) for y0, y1 in pairs]
+    ys = [(y0, y1, (m22 * y0 * y0 + m33 * y1 * y1) // 2 + m23 * y0 * y1)
+          for y0, y1 in pairs]
     # H(-v) = H(v): scan only the v whose first nonzero coordinate is
     # negative, the member of each pair +-v that the lexicographic order
     # meets first; pairs[half] is (0, 0)
     half = len(pairs) // 2
     rows = [(x, ys) for x in pairs[:half]] + [((0, 0), ys[:half])]
-    best = None
-    wit = None
+    best = wit = None
     isotropic = False
     for (x0, x1), row in rows:
-        base = a * (x0 * x0 + tr * x0 * x1 + x1 * x1)
-        l0 = t00 * x0 + t10 * x1
-        l1 = t01 * x0 + t11 * x1
+        base = (m00 * x0 * x0 + m11 * x1 * x1) // 2 + m01 * x0 * x1
+        l0 = m02 * x0 + m12 * x1
+        l1 = m03 * x0 + m13 * x1
         for y0, y1, cy in row:
             val = base + l0 * y0 + l1 * y1 + cy
             # primitivity is tested only where it can change the result

@@ -242,10 +242,7 @@ def _sci(n: int) -> str:
 def _elide(label: str) -> str:
     """Labels longer than 12 digits collapse to scientific style."""
     digits = label.lstrip("-")
-    if digits.isdigit() and len(digits) > 12:
-        x = float(label)
-        return f"{x:.4e}" if math.isfinite(x) else _sci(int(label))
-    return label
+    return _sci(int(label)) if digits.isdigit() and len(digits) > 12 else label
 
 
 _STYLE = (

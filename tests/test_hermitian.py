@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -99,6 +99,66 @@ def test_integrality_random():
             closed = t.x + t.y if ring == GAUSS else t.x - t.y
             assert closed == trace(mul((t.x, t.y), inv_d))
             assert d.norm() * closed == trace((td.x, td.y))
+
+
+def _det(m):
+    """Determinant of a square integer matrix by Leibniz's formula."""
+    total = 0
+    for perm in permutations(range(len(m))):
+        inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1:])
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+big = st.integers(-10 ** 12, 10 ** 12)
+
+
+@pytest.mark.parametrize("ring", [GAUSS, EISENSTEIN])
+@settings(max_examples=100, deadline=None)
+@given(a=big, g0=big, g1=big, c=big, v=st.tuples(big, big, big, big))
+def test_gram_matrix_is_integral_symmetric_with_det_disc_squared(ring, a, g0, g1,
+                                                                 c, v):
+    h = BHF(ring, a, QRE(ring, g0, g1), c)
+    m = h.gram
+    assert all(type(e) is int for row in m for e in row)
+    assert all(m[i][j] == m[j][i] for i in range(4) for j in range(4))
+    assert _det(m) == h.discriminant() ** 2
+    # 2H = v^T M v, against the product a N(x) + Tr(gamma conj(x) y / d) + c N(y)
+    # in QRE arithmetic, with Tr(t / d) = t.x + t.y (Gauss) or t.x - t.y
+    x, y = QRE(ring, *v[:2]), QRE(ring, *v[2:])
+    t = h.gamma * x.conj() * y
+    trace = t.x + t.y if ring == GAUSS else t.x - t.y
+    want = a * x.norm() + trace + c * y.norm()
+    assert sum(v[i] * m[i][j] * v[j] for i in range(4) for j in range(4)) == 2 * want
+    assert bhf_evaluate(h, x, y) == want
+
+
+def test_hermitian_paths_do_no_qre_arithmetic(monkeypatch):
+    # QRE is only the boundary type: the forms, their values, cubes, box
+    # minima and searches all run on integer coordinates
+    def cases():
+        for ring, a, g, c in ((GAUSS, 1, (0, 0), -2), (GAUSS, 3, (2, -5), -4),
+                              (EISENSTEIN, 1, (0, 0), -3), (EISENSTEIN, 2, (3, 1), -5)):
+            h = BHF(ring, a, QRE(ring, *g), c)
+            x, y = QRE(ring, 3, -7), QRE(ring, -2, 5)
+            yield (h, h.discriminant(), bhf_evaluate(h, x, y), h((x, y)),
+                   empirical_minimum(h, 3))
+            if ring == GAUSS:
+                yield cube_values(h, STANDARD_CUBASIS)
+        yield find_cubasis(STANDARD_GAUSS_SEED)
+        yield find_tetrabasis(STANDARD_EISENSTEIN_SEED)
+
+    before = list(cases())
+
+    def refused(*args):
+        pytest.fail("QRE arithmetic on a Hermitian path")
+
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "conj", "norm", "is_unit"):
+        monkeypatch.setattr(QRE, name, refused)
+    assert list(cases()) == before
 
 
 def test_unit_invariance():

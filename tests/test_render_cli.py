@@ -2,6 +2,7 @@ import argparse
 import errno
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -13,14 +14,14 @@ from pathlib import Path
 import pytest
 
 from test_diform import _other_vertex
-from topograph import render
+from topograph import cli, render
 from topograph.bqf import BQF
 from topograph.cli import (
     COMMANDS, _cmd_classgroup, _cmd_diform, _cmd_dump, _cmd_hermitian, _cmd_pell,
     _cmd_reduce, _cmd_render, _cmd_river, main, parse_args,
 )
 from topograph.dilinear import Divector, Pinwheel
-from topograph.errors import BudgetError, PreconditionError
+from topograph.errors import BudgetError, OutputError, PreconditionError
 from topograph.lax import neighbors, normalize_superbase
 from topograph.render import LayoutPatch, emit_svg, layout
 
@@ -311,6 +312,8 @@ def test_label_eliding():
     # past the largest float the text is built from the exact integer
     assert _elide(str(2 ** 1024)) == "1.7977e+308"
     assert _elide(str(-10 ** 400)) == "-1.0000e+400"
+    # rounded once, from the exact integer: through a float, 1.2346e+19
+    assert _elide("12345499999999999999") == "1.2345e+19"
 
 
 def test_face_values_past_the_str_digit_limit():
@@ -781,6 +784,41 @@ def test_cli_render_writes_to_a_device(capsys):
     # the check before the work neither truncates nor needs a regular file
     assert main(["render", "--geometry", "3inf", "--depth", "2", "--out", os.devnull]) == 0
     assert json.loads(capsys.readouterr().out)["out"] == os.devnull
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_cli_render_write_to_a_full_device_fails_the_run(capsys):
+    # the path opens, so a full disk is no usage error: the run fails, exit 1
+    assert main(["render", "--geometry", "3inf", "--depth", "3", "--out", "/dev/full"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": OutputError.code,
+        "message": f"can't write '/dev/full': {os.strerror(errno.ENOSPC)}"}
+
+
+def test_cli_render_failed_write_leaves_no_new_file(tmp_path, capsys, monkeypatch):
+    # a new file whose write runs out of space halfway is removed
+    out = tmp_path / "x.svg"
+    written = []
+
+    class Full(io.FileIO):
+        def write(self, data):
+            written.append(super().write(bytes(data[:100])))
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def full_open(path, mode="r", *args, **kwargs):
+        return Full(path, "w") if mode == "wb" else open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+    assert main(["render", "--geometry", "3inf", "--depth", "3", "--out", str(out)]) == 1
+    assert written == [100]
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": OutputError.code,
+        "message": f"can't write {str(out)!r}: {os.strerror(errno.ENOSPC)}"}
 
 
 def test_cli_pell_reads_d_past_the_str_digit_limit(capsys):

@@ -169,42 +169,48 @@ def test_groups_loads_only_what_it_uses():
         "topograph.errors", "topograph.groups", "topograph.lax"]
 
 
-# documented entry points that no code in src/ names
-ENTRY_POINTS = {"coxeter_generators", "find_tetrabasis", "STANDARD_EISENSTEIN_SEED"}
+# documented entry points that no code in src/ calls (README, "Tests")
+ENTRY_POINTS = {"coxeter_generators", "find_tetrabasis", "STANDARD_EISENSTEIN_SEED",
+                "rho", "indefinite_cycle", "dicell_values", "find_cubasis",
+                "STANDARD_GAUSS_SEED", "neighbors", "find_river_edge"}
 
 
 def test_every_top_level_name_in_src_is_used_or_documented():
     # what only the tests run belongs in tests/ (reference.py, box_search.py):
-    # each top-level name of a module must be named elsewhere in src/ (code,
-    # docstring or comment), be a package export or be a pinned entry point
+    # each top-level name of a module must be used by code elsewhere in src/
+    # (a name, an attribute or an import; docstrings and comments do not
+    # count), be a package export or be a pinned entry point
     import ast
-    import re
     from pathlib import Path
 
-    texts = {path.stem: path.read_text()
+    def used(node) -> set:
+        return {n.id if isinstance(n, ast.Name) else
+                n.attr if isinstance(n, ast.Attribute) else n.name
+                for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute, ast.alias))}
+
+    trees = {path.stem: ast.parse(path.read_text())
              for path in sorted(Path(topograph.__file__).parent.glob("*.py"))}
+    # what each top-level statement's code uses
+    uses = [(stmt, used(stmt)) for tree in trees.values() for stmt in tree.body]
     unused = []
-    for module, text in texts.items():
-        lines = text.splitlines()
-        for stmt in ast.parse(text).body:
+    for module, tree in trees.items():
+        for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [stmt.name]
-                start = min([stmt.lineno] + [d.lineno for d in stmt.decorator_list])
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 names = [n.id for t in targets for n in ast.walk(t)
                          if isinstance(n, ast.Name)]
-                start = stmt.lineno
             else:
                 continue
-            # the rest of src/, without this definition's own lines
-            rest = "\n".join(lines[:start - 1] + lines[stmt.end_lineno:]
-                             + [t for m, t in texts.items() if m != module])
             for name in names:
                 if (name.startswith("__") and name.endswith("__")
                         or topograph._HOME.get(name) == module
                         or name in ENTRY_POINTS):
                     continue
-                if not re.search(rf"\b{re.escape(name)}\b", rest):
+                # the rest of src/, without this definition itself
+                if not any(name in names_used for other, names_used in uses
+                           if other is not stmt):
                     unused.append(f"{module}.{name}")
     assert unused == []
