@@ -75,20 +75,20 @@ def _cmd_reduce(args) -> None:
 
 def _cmd_river(args) -> None:
     from .bqf import BQF
-    from .reduction import _bends, _minimum, trace_river
+    from .reduction import _walk
 
     a, b, c = _parse_form(args.form)
     q = BQF(a, b, c)
-    period = trace_river(q)
-    rep = _minimum(period)
+    river = _walk(q)
+    rep = river.minimum()
     _emit({
         "form": [a, b, c],
         "delta": q.discriminant(),
-        "period_edges": period.steps,
+        "period_edges": river.steps,
         "mu": rep.mu,
         "witness": list(rep.witness),
-        "automorph": [list(r) for r in period.automorph],
-        "reduced_cycle": sorted(map(list, _bends(period))),
+        "automorph": [list(r) for r in river.automorph],
+        "reduced_cycle": sorted(map(list, river.bends())),
     })
 
 

@@ -30,7 +30,7 @@ from .errors import (
     SquareDiscriminantError,
     brief,
 )
-from .lax import Vec, change_of_basis, det, lax, mat_apply
+from .lax import Vec, change_of_basis, det, lax, mat_apply, mat_mul
 from .walk import CHUNK, charge
 
 TRIAD_WELL = "triad-well"
@@ -186,10 +186,11 @@ def _river_cell(q: BQF):
         raise SquareDiscriminantError(
             "river operations need an indefinite nondegenerate form")
     vs, vals = _descend(q, root)
-    positive = [x > 0 for x in vals]
-    if all(positive) or not any(positive):
+    # the first face of each sign
+    i = 0 if vals[0] > 0 else 1 if vals[1] > 0 else 2
+    j = 0 if vals[0] < 0 else 1 if vals[1] < 0 else 2
+    if vals[i] < 0 or vals[j] > 0:
         raise ClassificationError(f"no river edge found for {_named(q)}")
-    i, j = positive.index(True), positive.index(False)
     return vs[i], vs[j], (vals[i], vals[3 - i - j] - vals[i] - vals[j], vals[j]), root
 
 
@@ -198,71 +199,168 @@ def find_river_edge(q: BQF) -> tuple[Vec, Vec]:
     return _river_cell(q)[:2]
 
 
-def trace_river(q: BQF) -> RiverPeriod:
-    """Walk the river one full period, a run at a time; the period is
-    certified by an exact Q-preserving change of basis (the automorph).
+class _River(NamedTuple):
+    """One river period as ``_walk`` reads it, without its edges.
+
+    ``cells`` holds the local form of the start edge and of every run end
+    before the closing translate.  ``ties`` holds (Q(f), f) for the run-end
+    faces f of least |Q|, the closing translate's included.
+    """
+
+    start: tuple  # the start edge (p0, n0)
+    cells: list
+    steps: int
+    automorph: tuple
+    ties: list
+
+    def bends(self) -> list[BQF]:
+        # a run keeps det(p, n), and so does the automorph, so every edge of
+        # the period has the start edge's
+        sign = det(*self.start)
+        out = []
+        for u, b, v in self.cells:
+            if abs(b) > abs(u + v):  # a bend, as in _walk
+                b *= sign
+                # of the two det +1 readings (u, b, v) and (v, -b, u), the
+                # one with b > 0
+                out.append(BQF(u, b, v) if b > 0 else BQF(v, -b, u))
+        return out
+
+    def minimum(self) -> MinimumReport:
+        # a cell is Q in a basis of det +-1, so it has Q's discriminant
+        u, b, v = self.cells[0]
+        return MinimumReport(abs(self.ties[0][0]), min(lax(f) for _, f in self.ties),
+                             b * b - 4 * u * v)
+
+
+def _absolute(stack: list, x: int, y: int) -> Vec:
+    """The face (x, y) of the running edge, moved by the stack's product."""
+    for m in reversed(stack):
+        x, y = m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y
+    return x, y
+
+
+def _walk(q: BQF) -> _River:
+    """Walk the river one full period, a run at a time, keeping its cells
+    and reading the least |Q| as it goes; the period is certified by an
+    exact Q-preserving change of basis (the automorph).
 
     The walk is the same at every translate, so the first bend that is a
     translate of the first bend reached (or of the start, if that is a bend)
     gives the automorph, and the closing edge is the automorph's image of
     the start.  The bends of one period read off distinct reduced forms
     (a, b, c), with 0 < b and 0 < |a| below sqrt(disc), which bounds the
-    runs.  A period whose edges and cells pass ``walk.RIVER_BUDGET`` bits
-    raises BudgetError.
+    runs.
+
+    Inside a run |Q| of the moving faces is strictly concave in the step
+    number, so it is smallest only at the run's ends: the faces at the run
+    ends, the closing translate's included, hold every face of the period
+    that attains its least |Q|.
+
+    The edge (p, n) is held as a running edge, the start edge times the runs
+    since: every ``CHUNK`` runs it is pushed onto a stack of products and
+    reset to the identity, and the stack merges its top two entries like a
+    binary counter, one product per set bit of the chunks pushed.  A face is
+    built absolute, the stack's product applied to the running face, only
+    for a face of least |Q| and at a candidate close.  A period under
+    ``CHUNK`` runs never touches the stack.  The walk charges its cells and
+    what it holds of the answer, the stack and the faces of least |Q|, to
+    ``walk.charge`` every ``CHUNK`` runs.
     """
-    p0, n0, (u, b, v), root = _river_cell(q)
+    p0, n0, cell, root = _river_cell(q)
+    u, b, v = cell
     limit = 2 * root * root + 2
-    edges, cells = [(p0, n0)], [(u, b, v)]
+    (pa, pc), (nb, nd) = p0, n0  # the running edge's columns p and n
+    stack, cells, mu, ties = [], [cell], u, [(u, p0)]
+    if -v < mu:
+        mu, ties = -v, [(v, n0)]
+    elif -v == mu:
+        ties.append((v, n0))
     # the river turns at an edge whose end faces p - n and p + n, of values
     # u + v - b and u + v + b, carry opposite signs: where |b| > |u + v|
-    ref = (cells[0], (p0, n0)) if abs(b) > abs(u + v) else None
-    ref_steps = steps = kept = 0
-    due = CHUNK - 1
-    p, n = p0, n0
-    for run in range(limit):
+    ref = cell if abs(b) > abs(u + v) else None
+    ref_edge, ref_steps, steps, kept, due = (p0, n0), 0, 0, 0, CHUNK
+    for run in range(1, limit + 1):
         # While the face p + n is positive p advances by n, else n advances
         # by p; the run ends where Q(p + j n) or Q(n + j p) changes sign, at
-        # the floor of a root of a quadratic with discriminant Q's.
+        # the floor of a root of a quadratic with discriminant Q's.  The face
+        # that moved has value `value` and running coordinates (x, y); the
+        # other one was read at an earlier run end.
         if u + b + v > 0:
             k = (b + root) // (-2 * v)
-            p = (p[0] + k * n[0], p[1] + k * n[1])
+            pa, pc = pa + k * nb, pc + k * nd
             u, b = u + k * (b + k * v), b + 2 * k * v
+            value, x, y = u, pa, pc
         else:
             k = (root - b) // (2 * u)
-            n = (n[0] + k * p[0], n[1] + k * p[1])
+            nb, nd = nb + k * pa, nd + k * pc
             v, b = v + k * (b + k * u), b + 2 * k * u
+            value, x, y = v, nb, nd
         steps += k
         cell = (u, b, v)
         if ref is None:
-            ref, ref_steps = (cell, (p, n)), steps
-        elif cell == ref[0]:
-            t = change_of_basis(*ref[1], p, n)
+            # the first run: the stack is empty
+            ref, ref_edge, ref_steps = cell, ((pa, pc), (nb, nd)), steps
+        elif cell == ref:
+            p, n = (pa, pc), (nb, nd)
+            if stack:
+                p, n = _absolute(stack, *p), _absolute(stack, *n)
+            t = change_of_basis(*ref_edge, p, n)
             if t is not None and q.transform(t) == q:
-                edges.append((mat_apply(t, p0), mat_apply(t, n0)))
-                cells.append(cells[0])
-                return RiverPeriod(tuple(edges), tuple(cells), steps - ref_steps, t, q)
-        edges.append((p, n))
+                u, _, v = cells[0]
+                if u == mu:
+                    ties.append((u, mat_apply(t, p0)))
+                if -v == mu:
+                    ties.append((v, mat_apply(t, n0)))
+                return _River((p0, n0), cells, steps - ref_steps, t, ties)
         cells.append(cell)
+        if -mu <= value <= mu:
+            if stack:
+                x, y = _absolute(stack, x, y)
+            if abs(value) < mu:
+                mu, ties = abs(value), []
+            ties.append((value, (x, y)))
         if run == due:
-            kept = charge(kept, run + 1, _named(q), q.discriminant(),
-                          edges[-CHUNK:], cells[-CHUNK:])
+            stack.append(((pa, nb), (pc, nd)))
+            chunks = run // CHUNK
+            while not chunks & 1:
+                stack[-2:] = [mat_mul(*stack[-2:])]
+                chunks >>= 1
+            pa, pc, nb, nd = 1, 0, 0, 1
+            kept = charge(kept, run, _named(q), q.discriminant(), cells[-CHUNK:],
+                          held=(stack, ties))
             due += CHUNK
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs")
 
 
-def _bends(period: RiverPeriod) -> list[BQF]:
-    # a run keeps det(p, n), and so does the automorph, so every edge of the
-    # period has the start edge's
-    sign = det(*period.edges[0])
-    out = []
-    for u, b, v in period.cells[:-1]:
-        if abs(b) > abs(u + v):  # a bend, as in trace_river
-            b *= sign
-            # of the two det +1 readings (u, b, v) and (v, -b, u), the one
-            # with b > 0
-            out.append(BQF(u, b, v) if b > 0 else BQF(v, -b, u))
-    return out
+def trace_river(q: BQF) -> RiverPeriod:
+    """Walk the river one full period and keep its edges.
+
+    The edges are rebuilt from the walk's cells: a run keeps one face and
+    advances the other by k times it, p <- p + kn where Q(p + n) > 0 and
+    n <- n + kp where it is negative, moving b by 2kv or 2ku, so each run's
+    side and k follow from two consecutive cells.  The edges' bits grow with
+    the square of the runs; a period whose edges and cells pass
+    ``walk.RIVER_BUDGET`` bits raises BudgetError as they are built, naming
+    the runs rebuilt.
+    """
+    river = _walk(q)
+    t, start, cells = river.automorph, river.start, river.cells
+    edges, (p, n), kept = [start], start, 0
+    for run, ((u, b, v), (_, b1, _)) in enumerate(zip(cells, cells[1:]), 1):
+        if u + b + v > 0:
+            k = (b1 - b) // (2 * v)
+            p = (p[0] + k * n[0], p[1] + k * n[1])
+        else:
+            k = (b1 - b) // (2 * u)
+            n = (n[0] + k * p[0], n[1] + k * p[1])
+        edges.append((p, n))
+        if run % CHUNK == 0:
+            kept = charge(kept, run, _named(q), q.discriminant(), edges[-CHUNK:],
+                          cells[run + 1 - CHUNK:run + 1])
+    edges.append((mat_apply(t, start[0]), mat_apply(t, start[1])))
+    return RiverPeriod(tuple(edges), (*cells, cells[0]), river.steps, t, q)
 
 
 def riverbends(q: BQF) -> list[BQF]:
@@ -271,32 +369,14 @@ def riverbends(q: BQF) -> list[BQF]:
     Each bend cell is reported in both orientations; the multiset matches the
     classical reduced cycle.
     """
-    return _bends(trace_river(q))
-
-
-def _minimum(period: RiverPeriod) -> MinimumReport:
-    """The least |Q| over the faces at the run ends of the period, and the
-    least lax vector attaining it.
-
-    Inside a run |Q| of the moving faces is strictly concave in the step
-    number, so it is smallest only at the run's ends.  These faces therefore
-    include every face of the period that attains its least |Q|.  Each edge
-    (p, n) has Q(p) = u > 0 > v = Q(n).
-    """
-    mu, ties = period.cells[0][0], []
-    for (p, n), (u, _, v) in zip(period.edges, period.cells):
-        for value, face in ((u, p), (-v, n)):
-            if value < mu:
-                mu, ties = value, []
-            if value == mu:
-                ties.append(lax(face))
-    return MinimumReport(mu, min(ties), period.form.discriminant())
+    return _walk(q).bends()
 
 
 def minimum_nonzero(q: BQF) -> MinimumReport:
-    """Minimum |Q| over the faces adjacent to one river period; by the
-    climbing principle this is the global nonzero minimum."""
-    return _minimum(trace_river(q))
+    """Minimum |Q| over the faces adjacent to one river period, and the
+    least lax vector attaining it; by the climbing principle this is the
+    global nonzero minimum."""
+    return _walk(q).minimum()
 
 
 class PellSolution(NamedTuple):
@@ -310,14 +390,11 @@ def pell_solve(d: int) -> PellSolution:
     """Fundamental solution of x^2 - D y^2 = 1 from the river of x^2 - D y^2."""
     if d < 2 or is_square(d):
         raise SquareDiscriminantError("need a nonsquare D >= 2")
-    period = trace_river(BQF(1, 0, -d))
-    (tx, _), (ty, _) = period.automorph
-    # the faces of value 1 are run ends (see _minimum), and the automorph
-    # preserves Q, so Q(tx, ty) = Q(1, 0) = 1
-    ones = [p for (p, _), (u, _, _) in zip(period.edges, period.cells) if u == 1]
-    ones.append((tx, ty))
-    x, y = min((abs(x), abs(y)) for x, y in ones if y != 0)
+    river = _walk(BQF(1, 0, -d))
+    # |Q| >= 1 = Q(1, 0), so the faces of value 1 are ties of the least |Q|,
+    # the automorph's image (tx, ty) of (1, 0) among them
+    x, y = min((abs(x), abs(y)) for value, (x, y) in river.ties if value == 1 and y != 0)
     if x * x - d * y * y != 1:
         raise IntegralityError(
             f"(x, y, D) = {brief((x, y, d))} does not solve x^2 - D y^2 = 1")
-    return PellSolution(d, x, y, period.automorph)
+    return PellSolution(d, x, y, river.automorph)

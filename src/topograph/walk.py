@@ -1,35 +1,53 @@
-"""The budget of a river period, shared by the BQF and the diform river walks.
+"""The budgets of a river period, shared by the BQF and the diform river walks.
 
 A period has no cheap advance estimate: it takes one run per partial
-quotient of its continued fraction, up to O(sqrt(disc) log disc) runs, and
-the edges a run records grow with every run, so their bits grow with the
-square of the runs.  A count of runs alone therefore bounds neither time
-nor memory when the discriminant is huge.  The walks count instead, every
-``CHUNK`` runs, the bits of the integers they keep, and refuse the period
-past ``RIVER_BUDGET`` with a ``BudgetError`` during the walk.
+quotient of its continued fraction, up to O(sqrt(disc) log disc) runs.  A
+count of runs alone therefore bounds neither time nor memory when the
+discriminant is huge.  The walks count instead, every ``CHUNK`` runs, the
+bits of the integers they keep, and refuse the period with a
+``BudgetError`` during the walk.
+
+The BQF walk keeps one cell (u, b, v) per run, each below the discriminant,
+and holds its answer as a product stack whose bits grow with the runs, not
+with their square.  It is counted against ``WALK_BUDGET``, and its answer
+alone against ``ANSWER_BUDGET``.  The diform walk keeps its steps, and a
+``RiverPeriod`` its edges; their vectors grow with every run, so their bits
+grow with the square of the runs, and they are counted against
+``RIVER_BUDGET``.
 """
 
 from .errors import BudgetError, brief
 
-# bits of the integers a river period may keep; the Pell period of
-# D = 9,999,991 (8,098 runs) keeps about 2.2e8, and a 55-digit D reaches it
-# after 11,776 runs
+# bits of the edges or steps a river period may keep; the edges and cells of
+# the Pell period of D = 9,999,991 (8,098 runs) keep about 2.2e8
 RIVER_BUDGET = 1 << 29
+# bits of the cells and the answer the BQF walk may keep; the Pell walk of
+# D = 10**12 + 39 (532,573 runs) keeps about 3.7e7, and that of a 55-digit D
+# reaches the budget after 242,496 runs
+WALK_BUDGET = 1 << 26
+# bits of the answer the BQF walk may hold, its product stack and faces of
+# least |Q|: about four times the bits of the Pell x, 3.6e6 for 10**12 + 39
+ANSWER_BUDGET = 1 << 23
 # runs between two counts of the bits kept, so a short period is not counted
 CHUNK = 64
 
 
 def _bits(x) -> int:
-    if isinstance(x, tuple):
-        return sum(map(_bits, x))
-    return x.bit_length() if isinstance(x, int) else 0
+    if isinstance(x, int):
+        return x.bit_length()
+    return sum(map(_bits, x)) if isinstance(x, (tuple, list)) else 0
 
 
-def charge(kept: int, runs: int, what: str, disc: int, *chunks) -> int:
+def charge(kept: int, runs: int, what: str, disc: int, *chunks, held=None) -> int:
     """``kept`` plus the bits of the integers in ``chunks``, lists of the
     records (tuples, nested to any depth) a walk kept since its last count,
     or a BudgetError naming the runs, the bits and the discriminant once the
     sum passes ``RIVER_BUDGET``.
+
+    ``held`` is what the BQF walk holds of its answer now.  With it, the sum
+    plus held's bits is counted against ``WALK_BUDGET`` instead, and held's
+    bits alone against ``ANSWER_BUDGET``; they are not added to the sum
+    returned.
 
     The vectors along a river grow, or first shrink and then grow, with the
     distance from the walk's start, so the larger end of a chunk bounds each
@@ -38,8 +56,14 @@ def charge(kept: int, runs: int, what: str, disc: int, *chunks) -> int:
     for chunk in chunks:
         if chunk:
             kept += len(chunk) * max(_bits(chunk[0]), _bits(chunk[-1]))
-    if kept > RIVER_BUDGET:
-        raise BudgetError(
-            f"river period of {what}, discriminant {brief(disc)}, not closed after"
-            f" {runs} runs keeping {kept} bits, past the budget of {RIVER_BUDGET}")
+    head = f"river period of {what}, discriminant {brief(disc)}, not closed after {runs} runs"
+    total, budget = kept, RIVER_BUDGET
+    if held is not None:
+        answer, budget = _bits(held), WALK_BUDGET
+        if answer > ANSWER_BUDGET:
+            raise BudgetError(f"{head}: its answer already holds {answer} bits,"
+                              f" past the answer budget of {ANSWER_BUDGET}")
+        total += answer
+    if total > budget:
+        raise BudgetError(f"{head} keeping {total} bits, past the budget of {budget}")
     return kept

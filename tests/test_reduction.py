@@ -12,7 +12,7 @@ from topograph import bqf, reduction, walk
 from topograph.bqf import BQF
 from topograph.classical import indefinite_cycle, is_square, reduce_definite
 from topograph.errors import BudgetError, ClassificationError, SquareDiscriminantError
-from topograph.lax import STANDARD_SUPERBASE, det, lax, vadd, vsub
+from topograph.lax import STANDARD_SUPERBASE, det, lax, mat_apply, vadd, vsub
 from topograph.reduction import (
     CELL_WELL,
     TRIAD_WELL,
@@ -266,6 +266,79 @@ def test_pell_beyond_the_old_step_cap():
     assert (sol.x, sol.y) == (2 * k * k + 1, 2 * k)
 
 
+def test_pell_against_continued_fractions_long_periods():
+    # D up to 10^7 whose periods run to hundreds or thousands of runs, so the
+    # walk pushes its running edge onto the product stack and merges it
+    rng = random.Random(3)
+    lengths = []
+    for _ in range(40):
+        d = rng.randrange(10 ** 6, 10 ** 7)
+        if is_square(d):
+            continue
+        sol = pell_solve(d)
+        assert (sol.x, sol.y) == pell_by_continued_fractions(d)
+        lengths.append(len(indefinite_cycle((1, 0, -d))))
+    assert sum(n > 8 * walk.CHUNK for n in lengths) >= 10
+    assert max(lengths) > 40 * walk.CHUNK
+
+
+@pytest.mark.parametrize("d, bits", [(10 ** 11 + 3, 121_976), (10 ** 12 + 39, 911_629)])
+def test_pell_solves_periods_past_the_old_edge_budget(d, bits):
+    # 71,939 and 532,573 runs: keeping every edge of these periods passed
+    # the budget; the walk keeps cells and a product stack
+    sol = pell_solve(d)
+    assert sol.x.bit_length() == bits
+    assert sol.x * sol.x - d * sol.y * sol.y == 1
+
+
+_PELL_PEAK_SCRIPT = """\
+import tracemalloc
+from topograph.reduction import pell_solve
+tracemalloc.start()
+pell_solve(9999991)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_pell_keeps_memory_linear_in_its_period():
+    # 8,098 runs and a 13,794-bit x; keeping every edge peaked at 16.6 MiB.
+    # A fresh process, so no earlier test's caches count
+    proc = subprocess.run([sys.executable, "-c", _PELL_PEAK_SCRIPT], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert int(proc.stdout) < 4 * 2 ** 20
+
+
+def _long_period_forms(count: int, seed: int):
+    """Primitive indefinite forms whose rho-cycle, so whose river period,
+    has more than 2 CHUNK forms."""
+    rng = random.Random(seed)
+    while count:
+        form = (rng.randint(1, 40), rng.randint(-40, 40), -rng.randint(10 ** 3, 10 ** 5))
+        d = form[1] ** 2 - 4 * form[0] * form[2]
+        if math.gcd(*form) == 1 and not is_square(d) and (
+                len(indefinite_cycle(form)) > 2 * walk.CHUNK):
+            count -= 1
+            yield form
+
+
+def test_long_river_periods_match_the_oracles():
+    # 134 to 2,726 runs: the minimum and its least lax witness against the
+    # single-step walker, the bends against the rho-cycle, and the edges
+    # trace_river rebuilds from the cells against Q
+    rng = random.Random(5)
+    for form in _long_period_forms(10, 5):
+        q = sl2_move(form, rng.randint(-40, 40), rng.randint(-40, 40))
+        rep = minimum_nonzero(q)
+        assert (rep.mu, rep.witness) == single_step_minimum(q)
+        bends = sorted((f.a, f.b, f.c) for f in riverbends(q))
+        assert bends == sorted(indefinite_cycle(form))
+        period = trace_river(q)
+        for (p, n), cell in zip(period.edges, period.cells):
+            assert cell == (q(p), q(vadd(p, n)) - q(p) - q(n), q(n))
+        (p, n), t = period.edges[0], period.automorph
+        assert period.edges[-1] == (mat_apply(t, p), mat_apply(t, n))
+
+
 small_definite = st.tuples(
     st.integers(1, 30), st.integers(-30, 30), st.integers(1, 30)
 ).filter(lambda f: f[1] ** 2 < 4 * f[0] * f[2])
@@ -456,11 +529,15 @@ def _count_evaluations(monkeypatch):
 def test_river_walks_evaluate_q_a_fixed_number_of_times(form, monkeypatch):
     # the three of the automorph certificate, whatever the number of runs
     # (17 for (-22, 6, 24), 103 for (1, 0, -1201)) or of single steps
-    # (4 * 10^6 for (1, 0, -10^12 - 1))
+    # (4 * 10^6 for (1, 0, -10^12 - 1)); pell_solve too, on the Pell forms
     calls = _count_evaluations(monkeypatch)
     for walk in (trace_river, riverbends, minimum_nonzero):
         calls.clear()
         walk(BQF(*form))
+        assert len(calls) == 3
+    if form[:2] == (1, 0):
+        calls.clear()
+        pell_solve(-form[2])
         assert len(calls) == 3
 
 
@@ -497,8 +574,9 @@ def test_one_pass_minimum_matches_two_passes(base, tied):
             e = ((1, t), (0, 1)) if rng.random() < 0.5 else ((1, 0), (t, 1))
             m = tuple(tuple(sum(m[i][k] * e[k][j] for k in range(2)) for j in range(2))
                       for i in range(2))
-        period = trace_river(BQF(*base).transform(m))
-        rep = reduction._minimum(period)
+        q = BQF(*base).transform(m)
+        period = trace_river(q)
+        rep = minimum_nonzero(q)
         assert (rep.mu, rep.witness) == _two_pass_minimum(period)
         if tied:
             assert sum(u == rep.mu for u, _, _ in period.cells) >= 2

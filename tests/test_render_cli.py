@@ -388,8 +388,8 @@ def test_cli_refuses_class_groups_past_the_enumeration_budget(argv, capsys):
 
 def test_cli_refuses_river_periods_past_the_bit_budget(capsys):
     # the period of sqrt(D) for this 55-digit D has far more partial
-    # quotients than its edges can keep within the budget, which it reaches
-    # after 11,776 runs; without the budget the walk runs for hours
+    # quotients than its cells can keep within the walk's budget, which it
+    # reaches after 242,496 runs; without the budget the walk runs for hours
     d = "1000000000000000000000000000000000000000000000000000007"
     start = time.perf_counter()
     assert main(["pell", "--d", d]) == 1
@@ -399,7 +399,7 @@ def test_cli_refuses_river_periods_past_the_bit_budget(capsys):
     error = json.loads(err)
     assert error["error"] == "budget"
     assert f"discriminant {4 * int(d)}, not closed after " in error["message"]
-    assert "bits, past the budget of 536870912" in error["message"]
+    assert "bits, past the budget of 67108864" in error["message"]
 
 
 def _digit_limit():
@@ -470,19 +470,26 @@ def test_cli_river_revalidates():
 
 
 def test_cli_river_traces_its_period_once(capsys, monkeypatch):
+    # river, pell and reduce of an indefinite form each walk the river once
     from topograph import reduction
 
     calls = []
-    real = reduction.trace_river
+    real = reduction._walk
 
     def counted(q):
         calls.append(q)
         return real(q)
 
-    monkeypatch.setattr(reduction, "trace_river", counted)
+    monkeypatch.setattr(reduction, "_walk", counted)
     assert main(["river", "--form=-22,6,24"]) == 0
     assert json.loads(capsys.readouterr().out)["delta"] == 2148
     assert calls == [(-22, 6, 24)]
+    for argv, form in ((["pell", "--d", "61"], (1, 0, -61)),
+                       (["reduce", "--form=-22,6,24"], (-22, 6, 24))):
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [form]
+    capsys.readouterr()
 
 
 def test_cli_diform_and_hermitian():
