@@ -233,11 +233,11 @@ class _River(NamedTuple):
                              b * b - 4 * u * v)
 
 
-def _absolute(stack: list, x: int, y: int) -> Vec:
-    """The face (x, y) of the running edge, moved by the stack's product."""
+def _absolute(stack: list, face: Vec) -> Vec:
+    """A face of the running edge, moved by the stack's product."""
     for m in reversed(stack):
-        x, y = m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y
-    return x, y
+        face = mat_apply(m, face)
+    return face
 
 
 def _walk(q: BQF) -> _River:
@@ -304,7 +304,7 @@ def _walk(q: BQF) -> _River:
         elif cell == ref:
             p, n = (pa, pc), (nb, nd)
             if stack:
-                p, n = _absolute(stack, *p), _absolute(stack, *n)
+                p, n = _absolute(stack, p), _absolute(stack, n)
             t = change_of_basis(*ref_edge, p, n)
             if t is not None and q.transform(t) == q:
                 u, _, v = cells[0]
@@ -315,11 +315,12 @@ def _walk(q: BQF) -> _River:
                 return _River((p0, n0), cells, steps - ref_steps, t, ties)
         cells.append(cell)
         if -mu <= value <= mu:
+            face = (x, y)
             if stack:
-                x, y = _absolute(stack, x, y)
+                face = _absolute(stack, face)
             if abs(value) < mu:
                 mu, ties = abs(value), []
-            ties.append((value, (x, y)))
+            ties.append((value, face))
         if run == due:
             stack.append(((pa, nb), (pc, nd)))
             chunks = run // CHUNK

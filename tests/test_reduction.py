@@ -301,7 +301,7 @@ print(tracemalloc.get_traced_memory()[1])
 
 
 def test_pell_keeps_memory_linear_in_its_period():
-    # 8,098 runs and a 13,794-bit x; keeping every edge peaked at 16.6 MiB.
+    # 8,098 runs and a 13,794-bit x; keeping every edge peaked at 16.8 MiB.
     # A fresh process, so no earlier test's caches count
     proc = subprocess.run([sys.executable, "-c", _PELL_PEAK_SCRIPT], capture_output=True,
                           text=True, timeout=120, check=True)
@@ -442,6 +442,18 @@ def test_river_period_past_its_bit_budget_is_refused(monkeypatch):
     big = -(10 ** 5000 + 7)
     with pytest.raises(BudgetError, match="discriminant a 16612-bit integer"):
         pell_solve(-big)
+
+
+def test_river_walk_past_its_answer_budget_is_refused(monkeypatch):
+    # the Pell walk of 1201 counts once, after 64 runs: it then holds a
+    # product stack of one 2x2 matrix and the faces of value 1, 548 bits
+    monkeypatch.setattr(walk, "ANSWER_BUDGET", 547)
+    with pytest.raises(BudgetError, match="4804, not closed after 64 runs: its answer"
+                                          " already holds 548 bits, past the answer budget of 547"):
+        pell_solve(1201)
+    monkeypatch.setattr(walk, "ANSWER_BUDGET", 548)
+    sol = pell_solve(1201)
+    assert (sol.x, sol.y) == pell_by_continued_fractions(1201)
 
 
 _PEAK_SCRIPT = """\
