@@ -174,7 +174,8 @@ def _well(q: BQD, d0: tuple, d1: tuple) -> dict:
             f"well descent of {_named(q)} not finished after {brief(limit)} runs")
     source = pinwheel_complete(d0, d1, sigma)
     # a neighbour of equal weight lies over an edge with beta = 0
-    flats = {tuple(sorted([source.key(), pinwheel_key(_across(source.faces, i, sigma))]))
+    key = source.key()
+    flats = {tuple(sorted([key, pinwheel_key(_across(source.faces, i, sigma))]))
              for i, c in enumerate(cells) if c[1] == 0}
     red, blue = red_blue_forms(*q)
     return {

@@ -121,14 +121,22 @@ def pinwheel_faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
     return tuple(faces)
 
 
+def _pinwheel_reading(faces: tuple) -> tuple:
+    """(key, base, sign): ``pinwheel_key`` and where slot i's faces f_i, f_i+1
+    are in it, key[s - 1] and key[s] in some order for s = base + sign * i.
+    The lax faces are distinct, so both readings start at the least face; the
+    reflected one is less exactly when that face's predecessor is less than
+    its successor."""
+    laxed = [(c, -u, -v) if u < 0 or (u == 0 and v < 0) else (c, u, v) for c, u, v in faces]
+    m, n = laxed.index(min(laxed)), len(laxed)
+    if laxed[m - 1] < laxed[m + 1 - n]:
+        return tuple(laxed[m::-1] + laxed[:m:-1]), m, -1
+    return tuple(laxed[m:] + laxed[:m]), 1 - (m or n), 1
+
+
 def pinwheel_key(faces: tuple) -> tuple:
-    """Canonical label of a pinwheel's faces: the lax faces up to rotation
-    and reflection.  They are distinct, so the least sequence starts at the
-    least face, read forward or backward."""
-    laxed = [(c, -u, -v) if u < 0 or (u == 0 and v < 0) else (c, u, v)
-             for c, u, v in faces]
-    m = laxed.index(min(laxed))
-    return min(tuple(laxed[m:] + laxed[:m]), tuple(laxed[m::-1] + laxed[:m:-1]))
+    """Canonical label of a pinwheel's faces: the lax faces up to rotation and reflection."""
+    return _pinwheel_reading(faces)[0]
 
 
 class Pinwheel(NamedTuple):

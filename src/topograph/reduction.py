@@ -344,7 +344,7 @@ def trace_river(q: BQF) -> RiverPeriod:
     side and k follow from two consecutive cells.  The edges' bits grow with
     the square of the runs; a period whose edges and cells pass
     ``walk.RIVER_BUDGET`` bits raises BudgetError as they are built, naming
-    the runs rebuilt.
+    the runs of the closed period and the runs rebuilt.
     """
     river = _walk(q)
     t, start, cells = river.automorph, river.start, river.cells
@@ -359,7 +359,7 @@ def trace_river(q: BQF) -> RiverPeriod:
         edges.append((p, n))
         if run % CHUNK == 0:
             kept = charge(kept, run, _named(q), q.discriminant(), edges[-CHUNK:],
-                          cells[run + 1 - CHUNK:run + 1])
+                          cells[run + 1 - CHUNK:run + 1], closed=len(cells))
     edges.append((mat_apply(t, start[0]), mat_apply(t, start[1])))
     return RiverPeriod(tuple(edges), (*cells, cells[0]), river.steps, t, q)
 

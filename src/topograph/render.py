@@ -12,7 +12,7 @@ import math
 
 from .bqf import BQF, POSITIVE_DEFINITE, classify
 from .classical import red_blue_forms
-from .dilinear import BLUE, BQD, RED, _across, pinwheel_faces, pinwheel_key
+from .dilinear import BLUE, BQD, RED, _across, _pinwheel_reading, pinwheel_faces, pinwheel_key
 from .errors import BudgetError, PreconditionError
 from .lax import STANDARD_SUPERBASE, lax
 
@@ -57,7 +57,7 @@ class _Superbases:
         return tuple(t), t.index(new)
 
     key = staticmethod(lambda vs: tuple(map(lax, vs)))
-    seams = staticmethod(lambda vs, key: (-1, 1))  # the key is in slot order
+    read = staticmethod(lambda vs: (tuple(map(lax, vs)), -1, 1))  # in slot order
 
     def well_key(self):
         if self.q is None or classify(self.q) != POSITIVE_DEFINITE:
@@ -68,9 +68,9 @@ class _Superbases:
 
 class _Pinwheels:
     """(4,inf)/(6,inf) adapter: a vertex is the signed cycle of a pinwheel's
-    (color, u, v) faces; its key is ``pinwheel_key``."""
+    (color, u, v) faces, keyed and seamed by one ``_pinwheel_reading``."""
 
-    key = staticmethod(pinwheel_key)
+    key, read = staticmethod(pinwheel_key), staticmethod(_pinwheel_reading)
     face_name = "{}:{},{}"
 
     def __init__(self, geometry, form):
@@ -89,15 +89,6 @@ class _Pinwheels:
         a dibasis."""
         return _across(faces, i, self.sigma), 0
 
-    @staticmethod
-    def seams(faces, key):
-        # the key reads the lax faces rotated, and perhaps reflected, so
-        # slot i's, faces[i] and faces[i + 1], end at key[base + sign * i]
-        j = key.index((faces[0][0], *lax(faces[0][1:])))
-        if key[j + 1 - len(key)] == (faces[1][0], *lax(faces[1][1:])):
-            return j + 1 - len(key), 1
-        return j, -1
-
     def value(self, f):
         return self.forms[f[0]]((f[1], f[2]))
 
@@ -110,17 +101,16 @@ class _Pinwheels:
 
 def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
     """The depth-``depth`` patch of the geometry in the unit disk: the real
-    vertices are those at BFS distance < depth, and the distance-depth shell
-    holds the stubs' far ends.  A child sits mid-way in its share of its
-    parent's angular interval, at radius proportional to its BFS level.  The
-    geometry is a tree, so each real vertex is built once, from its parent;
-    no shell vertex is built, and stubs sort by the faces they share with it
-    (``test_stubs_sort_by_shared_faces_as_by_key``); each face is valued once."""
+    vertices are those at BFS distance < depth, the distance-depth shell holds
+    the stubs' far ends.  A child sits mid-way in its share of its parent's
+    angular interval, at radius proportional to its BFS level.  The geometry
+    is a tree, so each real vertex is built and read once, from its parent;
+    no shell vertex is built, and each face is valued once."""
     geo = _Superbases(form) if geometry == "3inf" else _Pinwheels(geometry, form)
     degree = geo.degree
-    keys = [geo.key(geo.root)]
+    keys = []  # real vertex k's is keys[k], read as k leaves the frontier
     pos = [(0.0, 0.0)]
-    seam = [0]  # a vertex shares keys[parent][s - 1] and [s] with its parent
+    shared = [None]  # the lax faces a vertex shares with its parent, sorted
     nbrs = []  # real vertex k's neighbour across slot i is nbrs[k*degree + i]
     # (id, vertex, position of the edge to the parent, parent id, interval)
     frontier = [(0, geo.root, None, None, 0.0, 2.0 * math.pi)]
@@ -129,7 +119,8 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
         nxt = []
         for k, vertex, back, parent, lo, hi in frontier:
             n = degree - (back is not None)
-            base, sign = geo.seams(vertex, keys[k])
+            key, base, sign = geo.read(vertex)  # slot i's faces: key[s - 1], key[s]
+            keys.append(key)
             j, b = 0, lo
             for i in range(degree):
                 if i == back:
@@ -142,8 +133,9 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
                 if d < depth:
                     t, t_back = geo.step(vertex, i)
                     nxt.append((len(pos), t, t_back, k, a, b))
-                    keys.append(geo.key(t))
-                seam.append(base + sign * i)
+                s = base + sign * i
+                f, g = key[s - 1], key[s]
+                shared.append((f, g) if f < g else (g, f))
                 pos.append((r * math.cos(mid), r * math.sin(mid)))
         frontier = nxt
     real = len(nbrs) // degree  # ids index flat lists, the real ones first
@@ -160,9 +152,7 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
             if rec is None:
                 recs[f] = {"x": 0.0 + x, "y": 0.0 + y, "n": 1}
             else:
-                rec["x"] += x
-                rec["y"] += y
-                rec["n"] += 1
+                rec["x"], rec["y"], rec["n"] = rec["x"] + x, rec["y"] + y, rec["n"] + 1
     faces = sorted(recs)
     value = dict(zip(faces, map(geo.value, faces))) if geo.q is not None else None
 
@@ -170,24 +160,23 @@ def _patch(geometry: str, depth: int, form: tuple | None) -> LayoutPatch:
     well_key = geo.well_key()
     patch.vertices.extend((*pos[k], keys[k] == well_key) for k in order)
 
-    def edge(k, t, v2, end):
-        # the parent has the lower id, its child the seam
-        key, s = (keys[k], seam[t]) if k < t else (keys[t], seam[k])
-        f, g = key[s - 1], key[s]
-        river = value is not None and value[f] * value[g] < 0
-        return rank[k], v2, end, (f, g) if f < g else (g, f), river
-
-    # sorted vertices, then sorted neighbours, a stub by its shared faces
-    stubs = []
+    # sorted vertices, then their real neighbours by rank, which sorts as
+    # the key, and stubs by their shared faces; a child has the higher id
+    edges, stubs = patch.edges, []
     for k in order:
+        rk, (x, y) = rank[k], pos[k]
         ts = nbrs[k * degree:(k + 1) * degree]
-        for t in sorted((t for t in ts if t < real), key=keys.__getitem__):
-            if rank[k] < rank[t]:
-                patch.edges.append(edge(k, t, rank[t], pos[t]))
-        x, y = pos[k]
-        stubs += sorted((edge(k, t, None, ((x + pos[t][0]) / 2.0, (y + pos[t][1]) / 2.0))
-                         for t in ts if t >= real), key=lambda e: e[3])
-    patch.edges += stubs
+        for rt in sorted([rank[t] for t in ts if t < real]):
+            if rt > rk:
+                t = order[rt]
+                f, g = pair = shared[max(k, t)]
+                edges.append((rk, rt, pos[t], pair,
+                              value is not None and value[f] * value[g] < 0))
+        for t in sorted([t for t in ts if t >= real], key=shared.__getitem__):
+            f, g = pair = shared[t]
+            stubs.append((rk, None, ((x + pos[t][0]) / 2.0, (y + pos[t][1]) / 2.0), pair,
+                          value is not None and value[f] * value[g] < 0))
+    edges += stubs
 
     for f in faces:
         rec = recs[f]

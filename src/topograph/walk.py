@@ -38,7 +38,8 @@ def _bits(x) -> int:
     return sum(map(_bits, x)) if isinstance(x, (tuple, list)) else 0
 
 
-def charge(kept: int, runs: int, what: str, disc: int, *chunks, held=None) -> int:
+def charge(kept: int, runs: int, what: str, disc: int, *chunks, held=None,
+           closed=None) -> int:
     """``kept`` plus the bits of the integers in ``chunks``, lists of the
     records (tuples, nested to any depth) a walk kept since its last count,
     or a BudgetError naming the runs, the bits and the discriminant once the
@@ -47,16 +48,17 @@ def charge(kept: int, runs: int, what: str, disc: int, *chunks, held=None) -> in
     ``held`` is what the BQF walk holds of its answer now.  With it, the sum
     plus held's bits is counted against ``WALK_BUDGET`` instead, and held's
     bits alone against ``ANSWER_BUDGET``; they are not added to the sum
-    returned.
+    returned.  ``closed`` is the runs of a period the walk closed, whose edges
+    ``trace_river`` rebuilds: a refusal names them and the runs rebuilt.
 
     The vectors along a river grow, or first shrink and then grow, with the
     distance from the walk's start, so the larger end of a chunk bounds each
     record in it, and reading the two ends is enough.
     """
-    for chunk in chunks:
-        if chunk:
-            kept += len(chunk) * max(_bits(chunk[0]), _bits(chunk[-1]))
-    head = f"river period of {what}, discriminant {brief(disc)}, not closed after {runs} runs"
+    kept += sum(len(c) * max(_bits(c[0]), _bits(c[-1])) for c in chunks if c)
+    head = f"river period of {what}, discriminant {brief(disc)}, " + (
+        f"not closed after {runs} runs" if closed is None
+        else f"closed after {closed} runs, its edges rebuilt for {runs} of them")
     total, budget = kept, RIVER_BUDGET
     if held is not None:
         answer, budget = _bits(held), WALK_BUDGET

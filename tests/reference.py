@@ -255,6 +255,33 @@ def is_dibasis(d1: Divector, d2: Divector, sigma: int) -> bool:
     return _face_det(d1, d2, sigma) in (1, -1)
 
 
+# --- pinwheel keys, read both ways ------------------------------------------
+
+def _lax_face(face) -> tuple:
+    c, u, v = face
+    return (c, -u, -v) if u < 0 or (u == 0 and v < 0) else (c, u, v)
+
+
+def two_reading_key(faces) -> tuple:
+    """The pinwheel key as the least of both readings: the lax faces are
+    distinct, so each reading starts at the least face, one forward and one
+    backward, and the key is the lesser of the two tuples."""
+    laxed = [_lax_face(f) for f in faces]
+    m = laxed.index(min(laxed))
+    return min(tuple(laxed[m:] + laxed[:m]), tuple(laxed[m::-1] + laxed[:m:-1]))
+
+
+def indexed_seams(faces, key) -> tuple:
+    """(base, sign) with slot i's faces, faces[i] and faces[i + 1] lax, at
+    key[base + sign * i - 1] and key[base + sign * i], found by searching the
+    key for the first two faces: the key reads the lax faces rotated, and
+    perhaps reflected."""
+    j = key.index(_lax_face(faces[0]))
+    if key[j + 1 - len(key)] == _lax_face(faces[1]):
+        return j + 1 - len(key), 1
+    return j, -1
+
+
 # --- Hermitian values and primitivity over Z[i] and Z[w] ---------------------
 
 def unit_invariance_holds(h: BHF, v: RVec) -> bool:

@@ -11,6 +11,7 @@ import reference
 import topograph.diform as diform_module
 import topograph.dilinear as dilinear_module
 import topograph.walk as walk_module
+from topograph import render
 from reference import dibasis_det, is_dibasis, verify_gamma0_conjugation
 from topograph.classical import is_square, red_blue_forms, reduce_definite
 from topograph.diform import (
@@ -95,6 +96,48 @@ def test_pinwheel_key_matches_all_rotations(sigma):
         if rng.random() < 0.5:
             moved.reverse()
         assert dilinear_module.Pinwheel(sigma, tuple(moved)).key() == pw.key()
+
+
+def _check_reading(faces):
+    # the one reading gives the two-reading key and the seams that searching
+    # that key for the first two faces finds
+    key = reference.two_reading_key(faces)
+    assert dilinear_module._pinwheel_reading(faces) == (key, *reference.indexed_seams(faces, key))
+    assert pinwheel_key(faces) == key
+
+
+@pytest.mark.parametrize("geometry, sigma", [("4inf", 2), ("6inf", 3)])
+def test_one_reading_matches_both_readings_on_real_vertices(geometry, sigma):
+    # every real vertex of the deepest patch the vertex budget admits, built
+    # as layout builds it: across each edge but the first, which leads back
+    depth = max(d for d in range(1, 64)
+                if render.patch_vertices(geometry, d) <= render.VERTEX_BUDGET)
+    frontier, seen = [pinwheel_faces((RED, 1, 0), (BLUE, 0, 1), sigma)], 0
+    for d in range(depth):
+        for faces in frontier:
+            _check_reading(faces)
+        seen += len(frontier)
+        frontier = [_across(faces, i, sigma) for faces in frontier
+                    for i in range(d > 0, 2 * sigma)]
+    assert seen == render.patch_vertices(geometry, depth)
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_one_reading_matches_both_readings_far_out(sigma):
+    # long chains of _across reach faces past 10**12; each pinwheel is also
+    # read from every start, in both directions, with random signs
+    rng = random.Random(29 + sigma)
+    for _ in range(20):
+        faces = pinwheel_faces((RED, 1, 0), (BLUE, 0, 1), sigma)
+        for _ in range(120):
+            faces = _across(faces, rng.randrange(1, 2 * sigma), sigma)
+            _check_reading(faces)
+        assert max(abs(x) for _, u, v in faces for x in (u, v)) > 10**12
+        for i in range(2 * sigma):
+            moved = [(c, -u, -v) if rng.random() < 0.5 else (c, u, v)
+                     for c, u, v in faces[i:] + faces[:i]]
+            _check_reading(tuple(moved))
+            _check_reading(tuple(moved[::-1]))
 
 
 def test_pinwheel_fixture_sigma_3():

@@ -429,12 +429,14 @@ def test_river_search_names_a_huge_form_by_size(monkeypatch):
 
 
 def test_river_period_past_its_bit_budget_is_refused(monkeypatch):
-    # the Pell period of 1201 closes after 103 runs; the walk counts the bits
-    # it keeps once, after 64 runs: the 64 edges and cells since the start,
-    # each as the larger of the chunk's two ends, 409 bits
+    # the Pell period of 1201 closes after 103 runs; rebuilding its edges
+    # counts the bits kept once, after 64 runs: the 64 edges and cells since
+    # the start, each as the larger of the chunk's two ends, 409 bits.  The
+    # refusal says the period closed, and after how many runs it was refused
     q = BQF(1, 0, -1201)
     monkeypatch.setattr(walk, "RIVER_BUDGET", 64 * 409 - 1)
-    with pytest.raises(BudgetError, match="4804, not closed after 64 runs keeping 26176 bits"):
+    with pytest.raises(BudgetError, match="4804, closed after 103 runs, its edges rebuilt"
+                                          " for 64 of them keeping 26176 bits"):
         trace_river(q)
     monkeypatch.setattr(walk, "RIVER_BUDGET", 64 * 409)
     assert len(trace_river(q).edges) == 104

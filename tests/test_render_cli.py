@@ -235,6 +235,24 @@ def test_layout_builds_each_vertex_once(geometry, adapter, monkeypatch):
     assert not roots & set(built)
 
 
+@pytest.mark.parametrize("geometry, depth, form", [
+    ("4inf", 6, None), ("4inf", 5, (1, 1, 3)), ("6inf", 5, None), ("6inf", 4, (1, 1, -1)),
+])
+def test_layout_reads_each_pinwheel_once(geometry, depth, form, monkeypatch):
+    # one canonical reading per real vertex gives its key and where each
+    # slot's faces sit in it; no face is made lax again to find them
+    laxed, readings = [], []
+    real_lax = render.lax
+    monkeypatch.setattr(render, "lax", lambda v: laxed.append(v) or real_lax(v))
+    for name in ("key", "read"):
+        real = getattr(render._Pinwheels, name)
+        monkeypatch.setattr(render._Pinwheels, name, staticmethod(
+            lambda faces, real=real: readings.append(faces) or real(faces)))
+    patch = layout(geometry, depth, form)
+    assert laxed == []
+    assert len(readings) == len(patch.vertices)
+
+
 @pytest.mark.parametrize("geometry", render.GEOMETRIES)
 def test_stubs_sort_by_shared_faces_as_by_key(geometry):
     # layout sorts a parent's stubs by the lax faces they share with it,
