@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .classical import is_square, transform
@@ -27,9 +26,6 @@ class BQF(NamedTuple):
     def discriminant(self) -> int:
         a, b, c = self
         return b * b - 4 * a * c
-
-    def is_primitive(self) -> bool:
-        return math.gcd(*self) == 1
 
     def transform(self, m) -> "BQF":
         """Coefficients of Q((x,y) -> M.(x,y)); columns of m are the new basis."""

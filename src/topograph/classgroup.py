@@ -158,9 +158,6 @@ class ClassGroupTable:
                 f"{brief(self.disc)}"
             ) from None
 
-    def identity_index(self) -> int:
-        return self.class_index(principal_form(self.disc))
-
     def compose_indices(self, i: int, j: int) -> int:
         if self.table:
             return self.table[i][j]
@@ -339,6 +336,8 @@ def verify_red_blue(sigma: int, a: int, b: int, c: int) -> dict:
         raise PreconditionError(
             f"red {brief(q_red)} and blue {brief(q_blue)} must be primitive")
     d = sigma * (b * b * sigma - 4 * a * c)
+    if d < 0 and a < 0:
+        raise PreconditionError(f"the diform {brief((a, b, c))} is negative-definite")
     table = enumerate_classes(d)
     i_red = table.class_index(q_red)
     i_blue = table.class_index(q_blue)

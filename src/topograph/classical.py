@@ -41,8 +41,6 @@ def reduce_definite(form: Form) -> Form:
         break
     if a == c and b < 0:
         b = -b
-    if b == -a:
-        b = a
     return (a, b, c)
 
 

@@ -13,7 +13,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import BudgetError, OutputError, PreconditionError, TopographError
+from .errors import OutputError, PreconditionError, TopographError
 
 def _any_digits(convert):
     """convert() with Python's int/str digit limit (4,300 digits by default)
@@ -135,13 +135,11 @@ def _cmd_diform(args) -> None:
         from .classgroup import is_diform_discriminant, verify_red_blue
 
         if is_diform_discriminant(args.sigma, d):
-            # a relation that does not apply is null; a refused one is an error
+            # a relation that does not apply is null; any other error is raised
             try:
                 out["class_relation"] = verify_red_blue(args.sigma, a, b, c)
-            except BudgetError:
-                raise
-            except TopographError:
-                out["class_relation"] = None
+            except PreconditionError:
+                pass
         _emit(out)
         return
     from .diform import diform_river, diform_well

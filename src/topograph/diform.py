@@ -33,8 +33,8 @@ import math
 from typing import NamedTuple
 
 from .classical import red_blue_forms, reduce_definite, transform
-from .dilinear import (BLUE, BQD, RED, STANDARD_DIBASIS, Divector, _across, _faces,
-                       _local_form, pinwheel_complete, pinwheel_key)
+from .dilinear import (BLUE, BQD, RED, STANDARD_DIBASIS, Divector, _across, _cell_pairs,
+                       _faces, _local_form, pinwheel_complete, pinwheel_key)
 from .errors import ClassificationError, PreconditionError, SquareDiscriminantError, brief
 from .lax import change_of_basis, det, lax, mat_det
 from .walk import CHUNK, charge
@@ -50,12 +50,9 @@ def _neg(face: tuple) -> tuple:
 
 
 def _bends(r: int, beta: int, b: int, sigma: int) -> bool:
-    """Does the edge of values r, b and local beta bend: does a pair
-    (x - s, x + s) of ``dilinear._cell_pairs`` change sign, |x| < |s|?  The
-    test is symmetric in r and b."""
-    s = abs(sigma * beta)
-    return (abs(sigma * r + b) < s or abs(r + sigma * b) < s or sigma == 3
-            and (abs(4 * r + 3 * b) < 2 * s or abs(3 * r + 4 * b) < 2 * s))
+    """Does the edge of values r, b and local beta bend: does a pair of
+    ``dilinear._cell_pairs`` change sign?  The test is symmetric in r and b."""
+    return any(e * f < 0 for e, f in _cell_pairs(r, beta, b, sigma))
 
 
 def _cells(t: tuple, sigma: int) -> list:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import DibasisError, brief
+from .errors import DibasisError, PreconditionError, brief
 
 RED = "red"
 BLUE = "blue"
@@ -36,31 +36,12 @@ class Divector(NamedTuple):
     def __neg__(self) -> "Divector":
         return Divector(self.color, -self.u, -self.v)
 
-    def sub(self, other: "Divector") -> "Divector":
-        _same_color(self, other)
-        return Divector(self.color, self.u - other.u, self.v - other.v)
-
-    def add(self, other: "Divector") -> "Divector":
-        _same_color(self, other)
-        return Divector(self.color, self.u + other.u, self.v + other.v)
-
-    def times_sqrt(self, sigma: int) -> "Divector":
-        """Multiplication by sqrt(sigma) swaps the colour."""
-        if self.color == RED:
-            return Divector(BLUE, self.u, sigma * self.v)
-        return Divector(RED, sigma * self.u, self.v)
-
 
 def _shown(face) -> str:
     """A (color, u, v) face, a Divector or a plain tuple, for an error
     message, at any size."""
     color, u, v = face
     return f"{color} {brief((u, v))}"
-
-
-def _same_color(d1: Divector, d2: Divector) -> None:
-    if d1.color != d2.color:
-        raise DibasisError(f"{_shown(d1)} and {_shown(d2)} differ in colour")
 
 
 def _face_det(f: tuple, g: tuple, sigma: int) -> int:
@@ -214,12 +195,15 @@ for _sigma in (2, 3):  # checked once per process; the walks start here
 
 def _local_form(q: BQD, d0: tuple, d1: tuple) -> tuple:
     """(A, beta, C) with Q(x d0 + y d1) = A x^2 + beta sqrt(sigma) x y + C y^2
-    for the dibasis (d0, d1): Q's (a, b, c) on ``STANDARD_DIBASIS``, at the
-    sigmas it is checked for, else read off its checked pinwheel's third
-    face sqrt(sigma) d1 - d0, of value A - sigma beta + sigma C."""
-    if (d0, d1) == STANDARD_DIBASIS and q.sigma in (2, 3):
-        return q.a, q.b, q.c
+    for the dibasis (d0, d1): Q's (a, b, c) on ``STANDARD_DIBASIS``, else
+    read off its checked pinwheel's third face sqrt(sigma) d1 - d0, of value
+    A - sigma beta + sigma C.  The walks and cell values start here, so
+    sigma is checked here."""
     sigma = q.sigma
+    if sigma not in (2, 3):
+        raise PreconditionError(f"sigma must be 2 or 3, not {brief(sigma)}")
+    if (d0, d1) == STANDARD_DIBASIS:
+        return q.a, q.b, q.c
     a, c = q(d0), q(d1)
     return a, (a + sigma * c - q(pinwheel_faces(d0, d1, sigma)[2])) // sigma, c
 

@@ -140,10 +140,8 @@ def _check_seed(seed, ring: str) -> tuple:
                                     f"{i} and {j}, {brief(xy[i])} and {brief(xy[j])}")
     if own != ring:
         raise PreconditionError(f"seed must live over {ring}")
-    keys = {_lax_key(ring, v) for v in xy}
-    if len(keys) != 3:  # unit multiples are never unimodular: a safeguard
-        raise PreconditionError("seed vectors must be distinct lax vectors")
-    return xy, keys
+    # unit multiples are never unimodular, so the three keys are distinct
+    return xy, {_lax_key(ring, v) for v in xy}
 
 
 SEARCH_BOUND = 4

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 from .bqf import BQF, POSITIVE_DEFINITE, classify
-from .classical import red_blue_forms
 from .dilinear import BLUE, BQD, RED, _across, _pinwheel_reading, pinwheel_faces, pinwheel_key
 from .errors import BudgetError, PreconditionError
 from .lax import STANDARD_SUPERBASE, lax
@@ -76,11 +75,7 @@ class _Pinwheels:
     def __init__(self, geometry, form):
         self.sigma = 2 if geometry == "4inf" else 3
         self.degree = 2 * self.sigma
-        self.q = BQD(self.sigma, *form) if form else None
-        if self.q is not None:
-            # a diform restricts to one binary form on each colour
-            red, blue = red_blue_forms(*self.q)
-            self.forms = {RED: BQF(*red), BLUE: BQF(*blue)}
+        self.q = self.value = BQD(self.sigma, *form) if form else None  # valued at faces
         self.root = pinwheel_faces((RED, 1, 0), (BLUE, 0, 1), self.sigma)
 
     def step(self, faces, i):
@@ -88,9 +83,6 @@ class _Pinwheels:
         ``_across``; its first edge leads back.  Every edge of a pinwheel is
         a dibasis."""
         return _across(faces, i, self.sigma), 0
-
-    def value(self, f):
-        return self.forms[f[0]]((f[1], f[2]))
 
     def well_key(self):
         if self.q is None or self.q.a <= 0 or self.q.discriminant() >= 0:

@@ -9,6 +9,8 @@ criteria run.
 - Predicates the library's walks and searches do not need: reduced
   indefinite forms and cycle labels, dibasis determinants, unit invariance
   of Hermitian values, and primitivity by the Euclidean gcd on ``QRE``.
+- Divector arithmetic (sums and sqrt(sigma) multiples) for the single-step
+  oracles that evaluate a diform on divectors.
 """
 
 from __future__ import annotations
@@ -253,6 +255,27 @@ def dibasis_det(r: Divector, b: Divector, sigma: int) -> int:
 
 def is_dibasis(d1: Divector, d2: Divector, sigma: int) -> bool:
     return _face_det(d1, d2, sigma) in (1, -1)
+
+
+# --- divector arithmetic for the single-step oracles ------------------------
+
+def dv_add(d1, d2, k: int = 1) -> Divector:
+    """d1 + k d2, for (color, u, v) faces of one colour."""
+    if d1[0] != d2[0]:
+        raise DibasisError(f"{_shown(d1)} and {_shown(d2)} differ in colour")
+    return Divector(d1[0], d1[1] + k * d2[1], d1[2] + k * d2[2])
+
+
+def dv_sub(d1, d2) -> Divector:
+    return dv_add(d1, d2, -1)
+
+
+def times_sqrt(d, sigma: int) -> Divector:
+    """sqrt(sigma) d: multiplication by sqrt(sigma) swaps the colour."""
+    color, u, v = d
+    if color == RED:
+        return Divector(BLUE, u, sigma * v)
+    return Divector(RED, sigma * u, v)
 
 
 # --- pinwheel keys, read both ways ------------------------------------------

@@ -26,6 +26,7 @@ from topograph.classgroup import (
     ambiguous_form_A,
     enumerate_classes,
     is_diform_discriminant,
+    principal_form,
     verify_red_blue,
 )
 from topograph.classical import content, is_square, red_blue_forms, reduce_definite
@@ -320,7 +321,7 @@ def test_criterion_07_class_group_suite(report):
         discs += 1
         t = enumerate_classes(disc)
         t.build_table()
-        e = t.identity_index()
+        e = t.class_index(principal_form(disc))
         h = t.h
         for i in range(h):
             if t.table[e][i] != i or t.table[i][e] != i:

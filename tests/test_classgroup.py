@@ -60,7 +60,7 @@ def test_invalid_discriminants():
 
 def test_identity_law():
     t = enumerate_classes(-20)
-    e = t.identity_index()
+    e = t.class_index(principal_form(-20))
     for i in range(t.h):
         assert t.compose_indices(e, i) == i
 
@@ -68,7 +68,7 @@ def test_identity_law():
 def test_two_torsion_in_cl_minus_20():
     t = enumerate_classes(-20)
     i = t.class_index((2, 2, 3))
-    assert t.compose_indices(i, i) == t.identity_index()
+    assert t.compose_indices(i, i) == t.class_index(principal_form(-20))
 
 
 def test_inverse_is_middle_negation():
@@ -76,7 +76,7 @@ def test_inverse_is_middle_negation():
     for a, b, c in t.reps:
         i = t.class_index((a, b, c))
         j = t.class_index((a, -b, c))
-        assert t.compose_indices(i, j) == t.identity_index()
+        assert t.compose_indices(i, j) == t.class_index(principal_form(-84))
 
 
 def test_compose_rejects_imprimitive():
@@ -131,6 +131,8 @@ def test_verify_red_blue_indefinite_fixture():
 def test_verify_red_blue_precondition():
     with pytest.raises(PreconditionError):
         verify_red_blue(2, 2, 1, 4)  # gcd(a, c) = 2
+    with pytest.raises(PreconditionError, match="negative-definite"):
+        verify_red_blue(2, -1, 0, -1)  # refused before any class lookup
 
 
 def test_verify_red_blue_b_zero_needs_primitive_restrictions():

@@ -12,14 +12,17 @@ import topograph.diform as diform_module
 import topograph.dilinear as dilinear_module
 import topograph.walk as walk_module
 from topograph import render
-from reference import dibasis_det, is_dibasis, verify_gamma0_conjugation
+from reference import (dibasis_det, dv_add, dv_sub, is_dibasis, times_sqrt,
+                       verify_gamma0_conjugation)
 from topograph.classical import is_square, red_blue_forms, reduce_definite
+from topograph.bqf import BQF
 from topograph.diform import (
     DiRiverStep,
     _bends,
     _cells,
     _cross,
     _find_river_edge,
+    _lattice,
     _run,
     _translation_automorph,
     _well,
@@ -257,11 +260,12 @@ def test_gamma0_conjugation():
         assert report["dl_plus_into_gamma0"] == report["dl_plus_samples"]
 
 
-@pytest.mark.parametrize("op", ["add", "sub"])
+@pytest.mark.parametrize("op", [dv_add, dv_sub], ids=["add", "sub"])
 def test_divector_arithmetic_rejects_mixed_colours(op):
+    # the oracles' own sums, in tests/reference.py
     r, b = STANDARD_DIBASIS
     with pytest.raises(DibasisError):
-        getattr(r, op)(b)
+        op(r, b)
 
 
 def test_dibasis_det_rejects_wrong_colours():
@@ -309,17 +313,17 @@ def divector_cell_values(q: BQD, r: Divector, b: Divector) -> DiCellValues:
         r, b = b, r
     if not is_dibasis(r, b, sigma):
         raise DibasisError("cell values need a dibasis")
-    sr = r.times_sqrt(sigma)
-    sb = b.times_sqrt(sigma)
+    sr = times_sqrt(r, sigma)
+    sb = times_sqrt(b, sigma)
     u, v = q(r), q(b)
-    e, f = q(sr.sub(b)), q(sr.add(b))
-    e2, f2 = q(r.sub(sb)), q(r.add(sb))
+    e, f = q(dv_sub(sr, b)), q(dv_add(sr, b))
+    e2, f2 = q(dv_sub(r, sb)), q(dv_add(r, sb))
     m = n = m2 = n2 = None
     if sigma == 3:
         r2 = Divector(RED, 2 * r.u, 2 * r.v)
         b2 = Divector(BLUE, 2 * b.u, 2 * b.v)
-        m, n = q(r2.sub(sb)), q(r2.add(sb))
-        m2, n2 = q(sr.sub(b2)), q(sr.add(b2))
+        m, n = q(dv_sub(r2, sb)), q(dv_add(r2, sb))
+        m2, n2 = q(dv_sub(sr, b2)), q(dv_add(sr, b2))
     step = (f - e) // 2
     return DiCellValues(u, v, e, f, e2, f2, m, n, m2, n2, step)
 
@@ -599,13 +603,6 @@ def test_flat_edge_keys_match_two_candidate_neighbours(sigma):
     assert flat >= 50
 
 
-@pytest.mark.parametrize("sigma", [2, 3])
-def test_bend_test_matches_cell_pair_signs_on_a_grid(sigma):
-    for r, beta, b in product(range(-8, 9), repeat=3):
-        assert _bends(r, beta, b, sigma) == any(
-            e * f < 0 for e, f in _cell_pairs(r, beta, b, sigma))
-
-
 def test_dibasis_errors_name_huge_divectors():
     # str() of a 5,001-digit integer raises ValueError; the message gives
     # its bit length instead
@@ -633,11 +630,9 @@ def shear_dibasis(dibasis, sigma, move, t):
     ("y"), or negating b ("s")."""
     r, b = dibasis
     if move == "x":
-        sb = b.times_sqrt(sigma)
-        return Divector(RED, r.u + t * sb.u, r.v + t * sb.v), b
+        return dv_add(r, times_sqrt(b, sigma), t), b
     if move == "y":
-        sr = r.times_sqrt(sigma)
-        return r, Divector(BLUE, b.u + t * sr.u, b.v + t * sr.v)
+        return r, dv_add(b, times_sqrt(r, sigma), t)
     return r, -b
 
 
@@ -833,6 +828,77 @@ def test_colour_swapping_automorph_pinned():
     assert swaps_colours(r.automorph, 2)
 
 
+def lattice_face(v: tuple, sigma: int) -> tuple:
+    """The face whose ``diform._lattice`` image is the primitive vector v:
+    red (x, y / sigma) when sigma | y, else blue (x, y)."""
+    x, y = v
+    return (RED, x, y // sigma) if y % sigma == 0 else (BLUE, x, y)
+
+
+def lax_face(f: tuple) -> tuple:
+    return tuple(Divector(*f).lax())
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_river_is_q_blue_single_step_river_through_gamma0(sigma):
+    # diform._lattice conjugates the dilinear group into Gamma_0(sigma): the
+    # faces become the primitive vectors, a face is red iff sigma | y,
+    # Q_blue(L f) is Q(f), times sigma if f is red, and the diform edges are
+    # the Farey edges of Q_blue that join a red face to a blue one.  So the
+    # diform river is Q_blue's river with its blue-blue edges left out, and
+    # its period closes where the lattice walk meets the automorph's image.
+    rng = random.Random(30 + sigma)
+    signs = set()
+    checked = 0
+    while checked < 300:
+        q = BQD(sigma, *(rng.randint(-40, 40) for _ in range(3)))
+        if q.discriminant() <= 0 or is_square_diform_disc(q) or not q.is_primitive():
+            continue
+        checked += 1
+        r = diform_river(q)
+        blue = BQF(*red_blue_forms(*q)[1])
+        pos, neg = r.steps[0][:2]
+        (x, y), (z, w) = _lattice(pos, sigma), _lattice(neg, sigma)
+        p, n = (x, y), (-z, -w)
+        edges = []  # the diform edges of the walk, as (P, N)
+        while len(edges) <= r.edge_count:
+            if (p[1] % sigma == 0) != (n[1] % sigma == 0):
+                edges.append((p, n))
+            m = (p[0] + n[0], p[1] + n[1])
+            if blue(m) > 0:
+                p = m
+            else:
+                n = m
+        laxed = [{lax_face(lattice_face(v, sigma)) for v in e} for e in edges]
+        for step in r.steps:
+            assert {step.pos.lax(), step.neg.lax()} in laxed[:r.edge_count]
+        bends = 0
+        for e in edges[:r.edge_count]:
+            red, bl = e if e[0][1] % sigma == 0 else e[::-1]
+            b2 = blue((e[0][0] + e[1][0], e[0][1] + e[1][1])) - blue(e[0]) - blue(e[1])
+            bends += any(f * g < 0 for f, g in _cell_pairs(
+                blue(red) // sigma, b2 // sigma, blue(bl), sigma))
+        assert bends == r.bend_count
+        if not r.exceptional:
+            assert min((abs(blue(v)) // (sigma if f[0] == RED else 1), *lax_face(f))
+                       for e in edges for v in e
+                       for f in [lattice_face(v, sigma)]) == (r.mu, *r.witness)
+        image = tuple(apply_dilinear(r.automorph, f, sigma) for f in (pos, neg))
+        assert {f.lax() for f in image} == laxed[-1]
+        # the walk's next edge, signed as the start: pos = F(P), neg = -F(N)
+        p, n = edges[-1]
+        walked = (lattice_face(p, sigma), _neg(lattice_face(n, sigma)))
+        assert image in (walked, tuple(map(_neg, walked)))
+        signs.add(image == walked)
+        # the lattice walk's map has a positive trace; one of its entry
+        # pairs is zero, by the dilinear pattern
+        (a, _), (_, d) = r.automorph
+        assert (sum(a) + sum(d)) * (1 if image == walked else -1) > 0
+    # the pinwheel walk's automorph is the lattice walk's up to sign, and
+    # both signs occur
+    assert signs == {True, False}
+
+
 # Pell diforms (1, 0, -c) whose river periods take more than 100 runs
 LONG_RIVER = {2: 1283, 3: 2383}
 
@@ -931,8 +997,8 @@ def local_form_on_divectors(q: BQD, f, g):
     """(Q(f), beta, Q(g)) with Q(sqrt(sigma) g + f) - Q(sqrt(sigma) g - f)
     = 2 sigma beta, from Q on divectors."""
     f, g = Divector(*f), Divector(*g)
-    sg = g.times_sqrt(q.sigma)
-    beta, rest = divmod(q(sg.add(f)) - q(sg.sub(f)), 2 * q.sigma)
+    sg = times_sqrt(g, q.sigma)
+    beta, rest = divmod(q(dv_add(sg, f)) - q(dv_sub(sg, f)), 2 * q.sigma)
     assert rest == 0
     return q(f), beta, q(g)
 
@@ -964,9 +1030,8 @@ def test_local_form_maps_match_values_on_divectors(sigma, a, b, c, dibasis_moves
             _other_vertex(p, s, vertex, sigma))
         assert crossed == local_form_on_divectors(q, e0, e1)
     # a run of j steps along d0: d1 - j sqrt(sigma) d0
-    step = Divector(*d0).times_sqrt(sigma)
     dj, tj = _run(d0, d1, t, j, sigma)
-    assert dj == Divector(*d1).sub(Divector(step.color, j * step.u, j * step.v))
+    assert dj == dv_add(d1, times_sqrt(d0, sigma), -j)
     assert tj == local_form_on_divectors(q, d0, dj)
     # cell values, linear in the local form of the edge
     r, bl = Divector(*d0), Divector(*d1)
@@ -979,7 +1044,7 @@ def test_standard_local_form_is_the_coefficients(sigma):
     # read the local form off the faces F0, F1 and sqrt(sigma) F1 - F0
     rng = random.Random(23 + sigma)
     f0, f1 = STANDARD_DIBASIS
-    third = f1.times_sqrt(sigma).sub(f0)
+    third = dv_sub(times_sqrt(f1, sigma), f0)
     for bound in (9, 10 ** 12, 10 ** 40) * 100:
         q = BQD(sigma, *(rng.randint(-bound, bound) for _ in range(3)))
         a, c, e = q(f0), q(f1), q(third)
@@ -995,16 +1060,25 @@ def test_standard_dibasis_pinwheel_closes(sigma):
     faces = [Divector(*f) for f in pinwheel_faces(*STANDARD_DIBASIS, sigma)]
     assert len(faces) == 2 * sigma and tuple(faces[:2]) == STANDARD_DIBASIS
     f0, f1 = STANDARD_DIBASIS
-    after = faces[-1].times_sqrt(sigma).sub(faces[-2])
+    after = dv_sub(times_sqrt(faces[-1], sigma), faces[-2])
     assert after == -f0
-    assert after.times_sqrt(sigma).sub(faces[-1]) == -f1
+    assert dv_sub(times_sqrt(after, sigma), faces[-1]) == -f1
     assert all(is_dibasis(x, y, sigma) for x, y in zip(faces, faces[1:] + [-f0]))
 
 
-def test_local_form_checks_the_standard_dibasis_only_where_it_closes():
-    # sqrt(5) does not close the pinwheel: the start is checked, not assumed
-    with pytest.raises(DibasisError):
-        _local_form(BQD(5, 1, 0, 1), *STANDARD_DIBASIS)
+@pytest.mark.parametrize("sigma", [1, 4, 5])
+def test_walks_and_cell_values_refuse_sigma_outside_2_and_3(sigma):
+    # the pinwheels of sqrt(sigma) close only at sigma = 2 and 3; the walks
+    # and the cell values refuse any other sigma before they step, by name
+    match = f"sigma must be 2 or 3, not {sigma}"
+    with pytest.raises(PreconditionError, match=match):
+        _local_form(BQD(sigma, 1, 0, 1), *STANDARD_DIBASIS)
+    with pytest.raises(PreconditionError, match=match):
+        diform_well(BQD(sigma, 1, 0, 1))
+    with pytest.raises(PreconditionError, match=match):
+        diform_river(BQD(sigma, 1, 1, -1))
+    with pytest.raises(PreconditionError, match=match):
+        dicell_values(BQD(sigma, 1, 1, -1), *STANDARD_DIBASIS)
 
 
 @settings(max_examples=300, deadline=None)

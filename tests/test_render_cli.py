@@ -20,7 +20,7 @@ from topograph.cli import (
     COMMANDS, _cmd_classgroup, _cmd_diform, _cmd_dump, _cmd_hermitian, _cmd_pell,
     _cmd_reduce, _cmd_render, _cmd_river, main, parse_args,
 )
-from topograph.dilinear import Divector, Pinwheel
+from topograph.dilinear import BQD, Divector, Pinwheel
 from topograph.errors import BudgetError, OutputError, PreconditionError
 from topograph.lax import neighbors, normalize_superbase
 from topograph.render import LayoutPatch, emit_svg, layout
@@ -148,15 +148,15 @@ RIVER_EDGES = {(2, 3, -7): 16, (3, 5, -7): 10, (1, 1, -1): 8}
 ])
 def test_layout_values_each_face_once(geometry, depth, form, monkeypatch):
     # the face values label the faces and mark the rivers; each edge looks
-    # its two faces up instead of evaluating them again
+    # its two faces up instead of evaluating them again.  A superbase face
+    # is valued by the BQF, a pinwheel face by the diform.
     calls = []
-    real = BQF.__call__
+    for cls in (BQF, BQD):
+        def counted(self, v, real=cls.__call__):
+            calls.append(v)
+            return real(self, v)
 
-    def counted(self, v):
-        calls.append(v)
-        return real(self, v)
-
-    monkeypatch.setattr(BQF, "__call__", counted)
+        monkeypatch.setattr(cls, "__call__", counted)
     patch = layout(geometry, depth, form)
     assert len(calls) == len(patch.faces)
     # a definite form marks its one well and no river, an indefinite form
@@ -470,9 +470,27 @@ def test_cli_render_parses_forms_past_the_str_digit_limit(tmp_path, capsys):
 
 
 def test_cli_diform_class_relation_is_null_when_it_does_not_apply(capsys):
-    # sigma | a: the red form (30, 0, 2) is imprimitive
-    assert main(["diform", "--sigma", "2", "--form", "30,0,1"]) == 0
-    assert json.loads(capsys.readouterr().out)["class_relation"] is None
+    # sigma | a: the red form (30, 0, 2) is imprimitive; (-1, 0, -1) is
+    # negative-definite
+    for form in ("30,0,1", "-1,0,-1"):
+        assert main(["diform", "--sigma", "2", f"--form={form}"]) == 0
+        assert json.loads(capsys.readouterr().out)["class_relation"] is None
+
+
+def test_cli_diform_reports_an_internal_error_in_the_class_relation(capsys, monkeypatch):
+    # only a relation that does not apply prints null; a fault inside the
+    # class lookup is an error exit with its code
+    from topograph.classgroup import ClassGroupTable
+    from topograph.errors import ClassificationError
+
+    def broken(self, form):
+        raise ClassificationError("injected")
+
+    monkeypatch.setattr(ClassGroupTable, "class_index", broken)
+    assert main(["diform", "--sigma", "2", "--form", "1,1,3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "classification"
 
 
 def test_cli_river_revalidates():
