@@ -828,15 +828,11 @@ def test_colour_swapping_automorph_pinned():
     assert swaps_colours(r.automorph, 2)
 
 
-def lattice_face(v: tuple, sigma: int) -> tuple:
+def lattice_face(v: tuple, sigma: int) -> Divector:
     """The face whose ``diform._lattice`` image is the primitive vector v:
     red (x, y / sigma) when sigma | y, else blue (x, y)."""
     x, y = v
-    return (RED, x, y // sigma) if y % sigma == 0 else (BLUE, x, y)
-
-
-def lax_face(f: tuple) -> tuple:
-    return tuple(Divector(*f).lax())
+    return Divector(RED, x, y // sigma) if y % sigma == 0 else Divector(BLUE, x, y)
 
 
 @pytest.mark.parametrize("sigma", [2, 3])
@@ -869,7 +865,7 @@ def test_river_is_q_blue_single_step_river_through_gamma0(sigma):
                 p = m
             else:
                 n = m
-        laxed = [{lax_face(lattice_face(v, sigma)) for v in e} for e in edges]
+        laxed = [{lattice_face(v, sigma).lax() for v in e} for e in edges]
         for step in r.steps:
             assert {step.pos.lax(), step.neg.lax()} in laxed[:r.edge_count]
         bends = 0
@@ -880,7 +876,7 @@ def test_river_is_q_blue_single_step_river_through_gamma0(sigma):
                 blue(red) // sigma, b2 // sigma, blue(bl), sigma))
         assert bends == r.bend_count
         if not r.exceptional:
-            assert min((abs(blue(v)) // (sigma if f[0] == RED else 1), *lax_face(f))
+            assert min((abs(blue(v)) // (sigma if f[0] == RED else 1), *f.lax())
                        for e in edges for v in e
                        for f in [lattice_face(v, sigma)]) == (r.mu, *r.witness)
         image = tuple(apply_dilinear(r.automorph, f, sigma) for f in (pos, neg))
