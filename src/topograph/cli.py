@@ -75,11 +75,11 @@ def _cmd_reduce(args) -> None:
 
 def _cmd_river(args) -> None:
     from .bqf import BQF
-    from .reduction import _walk
+    from .reduction import trace_river
 
     a, b, c = _parse_form(args.form)
     q = BQF(a, b, c)
-    river = _walk(q)
+    river = trace_river(q)
     rep = river.minimum()
     _emit({
         "form": [a, b, c],

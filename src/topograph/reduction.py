@@ -9,7 +9,7 @@ Every walk carries one edge (p, n) and its local form
 Along a path that keeps the face n fixed, the faces p + kn on the other side
 have values u + k(b + kv), a quadratic sequence in the step number, so the
 length of each monotone run is one exact floor division or ``isqrt``, and the
-run itself is the closed-form update p <- p + kn, u <- u + k(b + kv),
+run itself is the one-step update p <- p + kn, u <- u + k(b + kv),
 b <- b + 2kv (or its mirror, which keeps p).  Well descent and the river
 search start from the edge ((1, 0), (0, 1)), whose local form is the
 coefficients (a, b, c), and cost O(log |coefficients|) runs; a river period
@@ -51,21 +51,63 @@ class MinimumReport(NamedTuple):
 
 
 class RiverPeriod(NamedTuple):
-    """One river period, stored as runs.
+    """One river period as ``trace_river`` walks it, stored as runs.
 
-    ``edges`` holds the start edge, every riverbend after it and the closing
-    translate, as signed (pos_vec, neg_vec) pairs, Q-positive first.  Between
-    two consecutive entries one side of the river stays fixed and the other
-    advances by multiples of it.  ``cells`` holds the local form
-    (u, b, v) = (Q(p), Q(p + n) - u - v, Q(n)) of each entry (p, n) of
-    ``edges``.  ``steps`` counts the single river edges in the period.
+    ``start`` is the start edge (p0, n0), a signed pair, Q-positive first.
+    ``cells`` holds the local form (u, b, v) = (Q(p), Q(p + n) - u - v, Q(n))
+    of the start edge and of the edge at every run end before the closing
+    translate.  ``steps`` counts the single river edges in the period.
+    ``ties`` holds (Q(f), f) for the run-end faces f of least |Q|, the
+    closing translate's included.
     """
 
-    edges: tuple
+    start: tuple
     cells: tuple
     steps: int
     automorph: tuple  # 2x2 integer matrix translating the river one period
+    ties: tuple
     form: BQF
+
+    def bends(self) -> list[BQF]:
+        # a run keeps det(p, n), and so does the automorph, so every edge of
+        # the period has the start edge's
+        sign = det(*self.start)
+        out = []
+        for u, b, v in self.cells:
+            if abs(b) > abs(u + v):  # a bend, as in trace_river
+                b *= sign
+                # of the two det +1 readings (u, b, v) and (v, -b, u), the
+                # one with b > 0
+                out.append(BQF(u, b, v) if b > 0 else BQF(v, -b, u))
+        return out
+
+    def minimum(self) -> MinimumReport:
+        # a cell is Q in a basis of det +-1, so it has Q's discriminant
+        u, b, v = self.cells[0]
+        return MinimumReport(abs(self.ties[0][0]), min(lax(f) for _, f in self.ties),
+                             b * b - 4 * u * v)
+
+    def iter_edges(self):
+        """The edge (p, n) of each cell, then the closing translate, rebuilt
+        one at a time and kept nowhere.
+
+        A run keeps one face and advances the other by k times it,
+        p <- p + kn where Q(p + n) > 0 and n <- n + kp where it is negative,
+        moving b by 2kv or 2ku, so each run's side and k follow from two
+        consecutive cells.
+        """
+        (p, n), cells = self.start, self.cells
+        yield p, n
+        for (u, b, v), (_, b1, _) in zip(cells, cells[1:]):
+            if u + b + v > 0:
+                k = (b1 - b) // (2 * v)
+                p = (p[0] + k * n[0], p[1] + k * n[1])
+            else:
+                k = (b1 - b) // (2 * u)
+                n = (n[0] + k * p[0], n[1] + k * p[1])
+            yield p, n
+        t, (p0, n0) = self.automorph, self.start
+        yield mat_apply(t, p0), mat_apply(t, n0)
 
 
 def _named(q: BQF) -> str:
@@ -199,40 +241,6 @@ def find_river_edge(q: BQF) -> tuple[Vec, Vec]:
     return _river_cell(q)[:2]
 
 
-class _River(NamedTuple):
-    """One river period as ``_walk`` reads it, without its edges.
-
-    ``cells`` holds the local form of the start edge and of every run end
-    before the closing translate.  ``ties`` holds (Q(f), f) for the run-end
-    faces f of least |Q|, the closing translate's included.
-    """
-
-    start: tuple  # the start edge (p0, n0)
-    cells: list
-    steps: int
-    automorph: tuple
-    ties: list
-
-    def bends(self) -> list[BQF]:
-        # a run keeps det(p, n), and so does the automorph, so every edge of
-        # the period has the start edge's
-        sign = det(*self.start)
-        out = []
-        for u, b, v in self.cells:
-            if abs(b) > abs(u + v):  # a bend, as in _walk
-                b *= sign
-                # of the two det +1 readings (u, b, v) and (v, -b, u), the
-                # one with b > 0
-                out.append(BQF(u, b, v) if b > 0 else BQF(v, -b, u))
-        return out
-
-    def minimum(self) -> MinimumReport:
-        # a cell is Q in a basis of det +-1, so it has Q's discriminant
-        u, b, v = self.cells[0]
-        return MinimumReport(abs(self.ties[0][0]), min(lax(f) for _, f in self.ties),
-                             b * b - 4 * u * v)
-
-
 def _absolute(stack: list, face: Vec) -> Vec:
     """A face of the running edge, moved by the stack's product."""
     for m in reversed(stack):
@@ -240,10 +248,11 @@ def _absolute(stack: list, face: Vec) -> Vec:
     return face
 
 
-def _walk(q: BQF) -> _River:
-    """Walk the river one full period, a run at a time, keeping its cells
-    and reading the least |Q| as it goes; the period is certified by an
-    exact Q-preserving change of basis (the automorph).
+def trace_river(q: BQF) -> RiverPeriod:
+    """Walk the river one full period, a run at a time, keeping its cells,
+    not its edges, which ``RiverPeriod.iter_edges`` rebuilds, and reading
+    the least |Q| as it goes; the period is certified by an exact
+    Q-preserving change of basis (the automorph).
 
     The walk is the same at every translate, so the first bend that is a
     translate of the first bend reached (or of the start, if that is a bend)
@@ -312,7 +321,8 @@ def _walk(q: BQF) -> _River:
                     ties.append((u, mat_apply(t, p0)))
                 if -v == mu:
                     ties.append((v, mat_apply(t, n0)))
-                return _River((p0, n0), cells, steps - ref_steps, t, ties)
+                return RiverPeriod((p0, n0), tuple(cells), steps - ref_steps, t,
+                                   tuple(ties), q)
         cells.append(cell)
         if -mu <= value <= mu:
             face = (x, y)
@@ -335,49 +345,20 @@ def _walk(q: BQF) -> _River:
         f"river period of {_named(q)} not closed after {brief(limit)} runs")
 
 
-def trace_river(q: BQF) -> RiverPeriod:
-    """Walk the river one full period and keep its edges.
-
-    The edges are rebuilt from the walk's cells: a run keeps one face and
-    advances the other by k times it, p <- p + kn where Q(p + n) > 0 and
-    n <- n + kp where it is negative, moving b by 2kv or 2ku, so each run's
-    side and k follow from two consecutive cells.  The edges' bits grow with
-    the square of the runs; a period whose edges and cells pass
-    ``walk.RIVER_BUDGET`` bits raises BudgetError as they are built, naming
-    the runs of the closed period and the runs rebuilt.
-    """
-    river = _walk(q)
-    t, start, cells = river.automorph, river.start, river.cells
-    edges, (p, n), kept = [start], start, 0
-    for run, ((u, b, v), (_, b1, _)) in enumerate(zip(cells, cells[1:]), 1):
-        if u + b + v > 0:
-            k = (b1 - b) // (2 * v)
-            p = (p[0] + k * n[0], p[1] + k * n[1])
-        else:
-            k = (b1 - b) // (2 * u)
-            n = (n[0] + k * p[0], n[1] + k * p[1])
-        edges.append((p, n))
-        if run % CHUNK == 0:
-            kept = charge(kept, run, _named(q), q.discriminant(), edges[-CHUNK:],
-                          cells[run + 1 - CHUNK:run + 1], closed=len(cells))
-    edges.append((mat_apply(t, start[0]), mat_apply(t, start[1])))
-    return RiverPeriod(tuple(edges), (*cells, cells[0]), river.steps, t, q)
-
-
 def riverbends(q: BQF) -> list[BQF]:
     """Reduced forms read off the riverbend cells of one period.
 
     Each bend cell is reported in both orientations; the multiset matches the
     classical reduced cycle.
     """
-    return _walk(q).bends()
+    return trace_river(q).bends()
 
 
 def minimum_nonzero(q: BQF) -> MinimumReport:
     """Minimum |Q| over the faces adjacent to one river period, and the
     least lax vector attaining it; by the climbing principle this is the
     global nonzero minimum."""
-    return _walk(q).minimum()
+    return trace_river(q).minimum()
 
 
 class PellSolution(NamedTuple):
@@ -391,7 +372,7 @@ def pell_solve(d: int) -> PellSolution:
     """Fundamental solution of x^2 - D y^2 = 1 from the river of x^2 - D y^2."""
     if d < 2 or is_square(d):
         raise SquareDiscriminantError("need a nonsquare D >= 2")
-    river = _walk(BQF(1, 0, -d))
+    river = trace_river(BQF(1, 0, -d))
     # |Q| >= 1 = Q(1, 0), so the faces of value 1 are ties of the least |Q|,
     # the automorph's image (tx, ty) of (1, 0) among them
     x, y = min((abs(x), abs(y)) for value, (x, y) in river.ties if value == 1 and y != 0)

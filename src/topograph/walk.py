@@ -10,16 +10,15 @@ bits of the integers they keep, and refuse the period with a
 The BQF walk keeps one cell (u, b, v) per run, each below the discriminant,
 and holds its answer as a product stack whose bits grow with the runs, not
 with their square.  It is counted against ``WALK_BUDGET``, and its answer
-alone against ``ANSWER_BUDGET``.  The diform walk keeps its steps, and a
-``RiverPeriod`` its edges; their vectors grow with every run, so their bits
-grow with the square of the runs, and they are counted against
-``RIVER_BUDGET``.
+alone against ``ANSWER_BUDGET``.  The diform walk keeps its steps, whose
+vectors grow with every run, so their bits grow with the square of the runs,
+and they are counted against ``RIVER_BUDGET``.
 """
 
 from .errors import BudgetError, brief
 
-# bits of the edges or steps a river period may keep; the edges and cells of
-# the Pell period of D = 9,999,991 (8,098 runs) keep about 2.2e8
+# bits of the steps a diform river period may keep; the period of
+# sigma = 2, (1, 0, -(10**10 + 19)) is refused after 12,480 runs
 RIVER_BUDGET = 1 << 29
 # bits of the cells and the answer the BQF walk may keep; the Pell walk of
 # D = 10**12 + 39 (532,573 runs) keeps about 3.7e7, and that of a 55-digit D
@@ -38,9 +37,8 @@ def _bits(x) -> int:
     return sum(map(_bits, x)) if isinstance(x, (tuple, list)) else 0
 
 
-def charge(kept: int, runs: int, what: str, disc: int, *chunks, held=None,
-           closed=None) -> int:
-    """``kept`` plus the bits of the integers in ``chunks``, lists of the
+def charge(kept: int, runs: int, what: str, disc: int, chunk: list, held=None) -> int:
+    """``kept`` plus the bits of the integers in ``chunk``, the list of
     records (tuples, nested to any depth) a walk kept since its last count,
     or a BudgetError naming the runs, the bits and the discriminant once the
     sum passes ``RIVER_BUDGET``.
@@ -48,17 +46,15 @@ def charge(kept: int, runs: int, what: str, disc: int, *chunks, held=None,
     ``held`` is what the BQF walk holds of its answer now.  With it, the sum
     plus held's bits is counted against ``WALK_BUDGET`` instead, and held's
     bits alone against ``ANSWER_BUDGET``; they are not added to the sum
-    returned.  ``closed`` is the runs of a period the walk closed, whose edges
-    ``trace_river`` rebuilds: a refusal names them and the runs rebuilt.
+    returned.
 
     The vectors along a river grow, or first shrink and then grow, with the
     distance from the walk's start, so the larger end of a chunk bounds each
     record in it, and reading the two ends is enough.
     """
-    kept += sum(len(c) * max(_bits(c[0]), _bits(c[-1])) for c in chunks if c)
-    head = f"river period of {what}, discriminant {brief(disc)}, " + (
-        f"not closed after {runs} runs" if closed is None
-        else f"closed after {closed} runs, its edges rebuilt for {runs} of them")
+    kept += len(chunk) * max(_bits(chunk[0]), _bits(chunk[-1]))
+    head = (f"river period of {what}, discriminant {brief(disc)}, "
+            f"not closed after {runs} runs")
     total, budget = kept, RIVER_BUDGET
     if held is not None:
         answer, budget = _bits(held), WALK_BUDGET

@@ -67,7 +67,7 @@ def test_river_automorph_preserves_form():
     period = trace_river(q)
     assert q.transform(period.automorph) == q
     # the period closes: last edge is the translate of the first
-    assert len(period.edges) >= 2
+    assert len(list(period.iter_edges())) >= 2
 
 
 def test_riverbends_match_classical_cycle():
@@ -324,7 +324,7 @@ def _long_period_forms(count: int, seed: int):
 def test_long_river_periods_match_the_oracles():
     # 134 to 2,726 runs: the minimum and its least lax witness against the
     # single-step walker, the bends against the rho-cycle, and the edges
-    # trace_river rebuilds from the cells against Q
+    # iter_edges rebuilds from the cells against Q
     rng = random.Random(5)
     for form in _long_period_forms(10, 5):
         q = sl2_move(form, rng.randint(-40, 40), rng.randint(-40, 40))
@@ -333,10 +333,11 @@ def test_long_river_periods_match_the_oracles():
         bends = sorted((f.a, f.b, f.c) for f in riverbends(q))
         assert bends == sorted(indefinite_cycle(form))
         period = trace_river(q)
-        for (p, n), cell in zip(period.edges, period.cells):
+        edges = list(period.iter_edges())
+        for (p, n), cell in zip(edges, period.cells):
             assert cell == (q(p), q(vadd(p, n)) - q(p) - q(n), q(n))
-        (p, n), t = period.edges[0], period.automorph
-        assert period.edges[-1] == (mat_apply(t, p), mat_apply(t, n))
+        (p, n), t = edges[0], period.automorph
+        assert edges[-1] == (mat_apply(t, p), mat_apply(t, n))
 
 
 small_definite = st.tuples(
@@ -402,7 +403,7 @@ def test_river_period_counts_steps_and_runs():
     assert period.steps == 78
     # the start edge is a bend here: it and the 15 bends after it give the
     # 16 forms of the reduced cycle, then the closing translate
-    assert len(period.edges) == 17
+    assert len(list(period.iter_edges())) == 17
     assert len(riverbends(BQF(-22, 6, 24))) == 16
     assert BQF(-22, 6, 24).transform(period.automorph) == BQF(-22, 6, 24)
 
@@ -413,10 +414,47 @@ def test_river_period_closes_on_the_translate_of_its_start(form):
     q = BQF(*form)
     period = trace_river(q)
     (a, b), (c, d) = period.automorph
-    p, n = period.edges[0]
-    assert (p, n) == find_river_edge(q)
-    assert period.edges[-1] == ((a * p[0] + b * p[1], c * p[0] + d * p[1]),
-                                (a * n[0] + b * n[1], c * n[0] + d * n[1]))
+    edges = list(period.iter_edges())
+    p, n = edges[0]
+    assert (p, n) == find_river_edge(q) == period.start
+    assert edges[-1] == ((a * p[0] + b * p[1], c * p[0] + d * p[1]),
+                         (a * n[0] + b * n[1], c * n[0] + d * n[1]))
+
+
+# the start edge, each run-end edge and the closing translate of two periods
+PINNED_EDGES = {
+    (1, 0, -3): (((1, 0), (0, 1)), ((1, 0), (1, 1)), ((2, 1), (1, 1)), ((2, 1), (3, 2))),
+    (-22, 6, 24): (
+        ((0, 1), (1, 0)), ((1, 1), (1, 0)), ((1, 1), (6, 5)), ((19, 16), (6, 5)),
+        ((19, 16), (25, 21)), ((69, 58), (25, 21)), ((69, 58), (508, 427)),
+        ((1085, 912), (508, 427)), ((1085, 912), (1593, 1339)),
+        ((5864, 4929), (1593, 1339)), ((5864, 4929), (30913, 25984)),
+        ((36777, 30913), (30913, 25984)), ((36777, 30913), (67690, 56897)),
+        ((781367, 656780), (67690, 56897)), ((781367, 656780), (18039131, 15162837)),
+        ((199211808, 167447987), (18039131, 15162837)),
+        ((199211808, 167447987), (217250939, 182610824))),
+}
+
+
+@pytest.mark.parametrize("form", sorted(PINNED_EDGES))
+def test_rebuilt_river_edges_are_pinned(form):
+    period = trace_river(BQF(*form))
+    assert tuple(period.iter_edges()) == PINNED_EDGES[form]
+
+
+def test_long_period_closes_and_streams_its_edges():
+    # 71,939 runs: the walk keeps only their cells, and the edges, whose bits
+    # grow with the square of the runs, are rebuilt one at a time
+    q = BQF(1, 0, -(10 ** 11 + 3))
+    period = trace_river(q)
+    assert len(period.cells) == 71939
+    t = period.automorph
+    assert q.transform(t) == q
+    count = 0
+    for count, edge in enumerate(period.iter_edges(), 1):
+        pass
+    assert count == 71940
+    assert edge == (mat_apply(t, period.start[0]), mat_apply(t, period.start[1]))
 
 
 def test_river_search_names_a_huge_form_by_size(monkeypatch):
@@ -428,19 +466,7 @@ def test_river_search_names_a_huge_form_by_size(monkeypatch):
         find_river_edge(BQF(10 ** 5000, 1, -1))
 
 
-def test_river_period_past_its_bit_budget_is_refused(monkeypatch):
-    # the Pell period of 1201 closes after 103 runs; rebuilding its edges
-    # counts the bits kept once, after 64 runs: the 64 edges and cells since
-    # the start, each as the larger of the chunk's two ends, 409 bits.  The
-    # refusal says the period closed, and after how many runs it was refused
-    q = BQF(1, 0, -1201)
-    monkeypatch.setattr(walk, "RIVER_BUDGET", 64 * 409 - 1)
-    with pytest.raises(BudgetError, match="4804, closed after 103 runs, its edges rebuilt"
-                                          " for 64 of them keeping 26176 bits"):
-        trace_river(q)
-    monkeypatch.setattr(walk, "RIVER_BUDGET", 64 * 409)
-    assert len(trace_river(q).edges) == 104
-    monkeypatch.undo()
+def test_river_period_past_its_bit_budget_is_refused():
     big = -(10 ** 5000 + 7)
     with pytest.raises(BudgetError, match="discriminant a 16612-bit integer"):
         pell_solve(-big)
@@ -472,9 +498,10 @@ except BudgetError:
 
 
 def test_river_budget_bounds_the_memory_of_a_huge_period():
-    # the edges of this period grow by thousands of bits a run; a count of
-    # runs alone let it reach 4.4 GiB.  The child caps its own address space
-    # at 1 GiB, so a regression fails there instead of filling the machine
+    # the walk keeps one cell of integers below the discriminant per run,
+    # and its answer grows with every run; a count of runs alone let it
+    # reach 4.4 GiB.  The child caps its own address space at 1 GiB, so a
+    # regression fails there instead of filling the machine
     proc = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT], capture_output=True,
                           text=True, timeout=120)
     word, peak_kib = proc.stdout.split()
@@ -492,8 +519,9 @@ shear = st.integers(-10 ** 12, 10 ** 12)
 def test_river_period_cells_are_the_local_forms_of_its_edges(form, t1, t2):
     q = sl2_move(form, t1, t2)
     period = trace_river(q)
-    assert len(period.cells) == len(period.edges)
-    for (p, n), cell in zip(period.edges, period.cells):
+    edges = list(period.iter_edges())
+    assert len(period.cells) + 1 == len(edges)
+    for (p, n), cell in zip(edges, period.cells):
         assert cell == (q(p), q(vadd(p, n)) - q(p) - q(n), q(n))
 
 
@@ -566,11 +594,11 @@ def test_well_walks_evaluate_q_zero_times(form, monkeypatch):
     assert calls == []
 
 
-def _two_pass_minimum(period):
+def _two_pass_minimum(period, cells):
     """The least |Q| over the run ends of the period, then the least lax
     face that attains it, in two passes."""
-    mu = min(min(u, -v) for u, _, v in period.cells)
-    ties = [lax(f) for (p, n), (u, _, v) in zip(period.edges, period.cells)
+    mu = min(min(u, -v) for u, _, v in cells)
+    ties = [lax(f) for (p, n), (u, _, v) in zip(period.iter_edges(), cells)
             for f, value in ((p, u), (n, -v)) if value == mu]
     return mu, min(ties)
 
@@ -590,8 +618,10 @@ def test_one_pass_minimum_matches_two_passes(base, tied):
                       for i in range(2))
         q = BQF(*base).transform(m)
         period = trace_river(q)
+        # the cells of the run ends, the closing translate's included
+        cells = period.cells + period.cells[:1]
         rep = minimum_nonzero(q)
-        assert (rep.mu, rep.witness) == _two_pass_minimum(period)
+        assert (rep.mu, rep.witness) == _two_pass_minimum(period, cells)
         if tied:
-            assert sum(u == rep.mu for u, _, _ in period.cells) >= 2
-            assert sum(-v == rep.mu for _, _, v in period.cells) >= 2
+            assert sum(u == rep.mu for u, _, _ in cells) >= 2
+            assert sum(-v == rep.mu for _, _, v in cells) >= 2

@@ -510,13 +510,13 @@ def test_cli_river_traces_its_period_once(capsys, monkeypatch):
     from topograph import reduction
 
     calls = []
-    real = reduction._walk
+    real = reduction.trace_river
 
     def counted(q):
         calls.append(q)
         return real(q)
 
-    monkeypatch.setattr(reduction, "_walk", counted)
+    monkeypatch.setattr(reduction, "trace_river", counted)
     assert main(["river", "--form=-22,6,24"]) == 0
     assert json.loads(capsys.readouterr().out)["delta"] == 2148
     assert calls == [(-22, 6, 24)]
