@@ -55,7 +55,7 @@ def _cmd_reduce(args) -> None:
     kind = classify(q)
     if kind == POSITIVE_DEFINITE:
         well = find_well(q)
-        red = _well_form(well)
+        red = _well_form(well.values, well.vectors)
         _emit({
             "form": [a, b, c],
             "class": kind,

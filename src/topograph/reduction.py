@@ -22,18 +22,15 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .bqf import BQF, POSITIVE_DEFINITE, classify
-from .classical import is_square
-from .errors import (
-    ClassificationError,
-    IntegralityError,
-    SquareDiscriminantError,
-    brief,
-)
-from .lax import Vec, change_of_basis, det, lax, mat_apply, mat_mul
+from .bqf import BQF
+from .classical import is_square, transform
+from .errors import ClassificationError, IntegralityError, SquareDiscriminantError, brief
+from .lax import Vec, det, lax, mat_apply, mat_mul
 from .walk import CHUNK, charge
 
 TRIAD_WELL = "triad-well"
+# builds a NamedTuple record from a tuple without its Python-level __new__
+_new = tuple.__new__
 CELL_WELL = "cell-well"
 
 
@@ -69,33 +66,26 @@ class RiverPeriod(NamedTuple):
     form: BQF
 
     def bends(self) -> list[BQF]:
-        # a run keeps det(p, n), and so does the automorph, so every edge of
-        # the period has the start edge's
-        sign = det(*self.start)
-        out = []
-        for u, b, v in self.cells:
-            if abs(b) > abs(u + v):  # a bend, as in trace_river
-                b *= sign
-                # of the two det +1 readings (u, b, v) and (v, -b, u), the
-                # one with b > 0
-                out.append(BQF(u, b, v) if b > 0 else BQF(v, -b, u))
-        return out
+        # every run ends at a bend (see trace_river), so only the start cell
+        # is tested.  A run keeps det(p, n), and so does the automorph, so
+        # every edge has the start edge's, s; of a bend's two det +1 readings
+        # (u, sb, v) and (v, -sb, u), the one with a positive middle term
+        s, cells = det(*self.start), self.cells
+        u, b, v = cells[0]
+        return [_new(BQF, (u, s * b, v) if s * b > 0 else (v, -s * b, u))
+                for u, b, v in cells[0 if abs(b) > abs(u + v) else 1:]]
 
     def minimum(self) -> MinimumReport:
         # a cell is Q in a basis of det +-1, so it has Q's discriminant
         u, b, v = self.cells[0]
-        return MinimumReport(abs(self.ties[0][0]), min(lax(f) for _, f in self.ties),
-                             b * b - 4 * u * v)
+        return _new(MinimumReport, (abs(self.ties[0][0]), min([lax(f) for _, f in self.ties]),
+                                    b * b - 4 * u * v))
 
     def iter_edges(self):
         """The edge (p, n) of each cell, then the closing translate, rebuilt
-        one at a time and kept nowhere.
-
-        A run keeps one face and advances the other by k times it,
-        p <- p + kn where Q(p + n) > 0 and n <- n + kp where it is negative,
-        moving b by 2kv or 2ku, so each run's side and k follow from two
-        consecutive cells.
-        """
+        one at a time and kept nowhere.  A run is p <- p + kn where
+        Q(p + n) > 0, else n <- n + kp, and moves b by 2kv or 2ku, so each
+        run's side and k follow from two consecutive cells."""
         (p, n), cells = self.start, self.cells
         yield p, n
         for (u, b, v), (_, b1, _) in zip(cells, cells[1:]):
@@ -117,9 +107,10 @@ def _named(q: BQF) -> str:
 def _descend(q: BQF, root: int | None):
     """Follow strictly decreasing |Q| from the standard superbase
     ((0, 1), (1, 0), (-1, -1)) until a well (no face exceeds the sum of the
-    other two) or, when ``root`` = isqrt(disc) is given, until a face of the
-    other sign appears.  Returns the final signed faces and their values,
-    each at the position the single-step walk leaves it in.
+    other two) of a positive-definite form or, when ``root`` = isqrt(disc) is
+    given, until a face of the other sign appears.  Returns the final signed
+    faces and their values, each at the position the single-step walk leaves
+    it in.
 
     The walker holds one edge (p, n) of the superbase {p, n, -(p + n)} and
     its local form (u, b, v) = (Q(p), Q(p + n) - u - v, Q(n)), for the form
@@ -143,6 +134,9 @@ def _descend(q: BQF, root: int | None):
     does not negate.  Negating both p and n keeps (u, b, v).
     """
     a, b, c = q
+    if root is None and (a <= 0 or b * b - 4 * a * c >= 0):
+        raise ClassificationError(f"well search needs a positive-definite form, not "
+                                  f"{_named(q)} of discriminant {brief(b * b - 4 * a * c)}")
     # p = (1, 0) at position 1, n = (0, 1) at position 0, local form (a, b, c)
     p, n, ip, jn = (1, 0), (0, 1), 1, 0
     s = -1 if a < 0 else 1
@@ -188,8 +182,6 @@ def _descend(q: BQF, root: int | None):
 
 
 def find_well(q: BQF) -> Well:
-    if classify(q) != POSITIVE_DEFINITE:
-        raise ClassificationError("well search needs a positive-definite form")
     vs, vals = _descend(q, None)
     (u, _, x), (v, _, y), (w, _, z) = sorted(zip(vals, map(lax, vs), vs))
     kind = CELL_WELL if u + v == w else TRIAD_WELL
@@ -200,33 +192,40 @@ def find_well(q: BQF) -> Well:
     return Well(kind, (u, v, w), (x, y, z), orientation)
 
 
-def _well_form(well: Well) -> BQF:
-    u, v, w = well.values
-    b = -det(well.vectors[0], well.vectors[1]) * (u + v - w)
+def _well_form(vals, vs) -> BQF:
+    """The Gauss-reduced form of the well whose faces ``vs``, in any order,
+    have values ``vals``.  Sorted as u <= v <= w on faces x, y, z, Q in the
+    basis (x, y), flipped to det +1, has b = -det(x, y) * (u + v - w); a tie
+    u = v or -b = u allows either sign of b, and reduced means b >= 0."""
+    (u, v, w), (x, y, z) = vals, vs
+    if w < v:
+        v, w, y, z = w, v, z, y
+    if v < u:
+        u, v, x, y = v, u, y, x
+        if w < v:
+            v, w, y = w, v, z
+    b = -det(x, y) * (u + v - w)
     if b < 0 and (u == v or -b == u):
         b = -b
-    return BQF(u, b, v)
+    return _new(BQF, (u, b, v))
 
 
 def gauss_reduced(q: BQF) -> BQF:
-    """Gauss-reduced form read off the well.
-
-    In the basis (x_u, x_v) of the well the middle coefficient is
-    w - u - v; flipping the second basis vector restores det +1 when needed,
-    so b = -det(x_u, x_v) * (u + v - w) lands in the SL2 class of q.
-    """
-    return _well_form(find_well(q))
+    """Gauss-reduced form read off the three faces the well descent ends at."""
+    vs, vals = _descend(q, None)
+    return _well_form(vals, vs)
 
 
 def _river_cell(q: BQF):
     """``find_river_edge``'s (p, n), the local form (u, b, v) of that edge,
     read off the descent's values (p + n is minus the third face), and
     isqrt(disc)."""
-    disc = q.discriminant()
+    a, b, c = q
+    disc = b * b - 4 * a * c
     root = math.isqrt(disc) if disc > 0 else 0
     if disc <= 0 or root * root == disc:
-        raise SquareDiscriminantError(
-            "river operations need an indefinite nondegenerate form")
+        raise SquareDiscriminantError("river operations need an indefinite nondegenerate "
+                                      f"form, not {_named(q)} of discriminant {brief(disc)}")
     vs, vals = _descend(q, root)
     # the first face of each sign
     i = 0 if vals[0] > 0 else 1 if vals[1] > 0 else 2
@@ -254,17 +253,15 @@ def trace_river(q: BQF) -> RiverPeriod:
     the least |Q| as it goes; the period is certified by an exact
     Q-preserving change of basis (the automorph).
 
-    The walk is the same at every translate, so the first bend that is a
-    translate of the first bend reached (or of the start, if that is a bend)
-    gives the automorph, and the closing edge is the automorph's image of
+    Every run ends at a bend.  The walk is the same at every translate, so
+    the first run end that is a translate of the first bend (the start, if
+    that is one) gives the automorph, and the closing edge is its image of
     the start.  The bends of one period read off distinct reduced forms
-    (a, b, c), with 0 < b and 0 < |a| below sqrt(disc), which bounds the
-    runs.
+    (a, b, c), 0 < b, 0 < |a| < sqrt(disc), which bounds the runs.
 
     Inside a run |Q| of the moving faces is strictly concave in the step
-    number, so it is smallest only at the run's ends: the faces at the run
-    ends, the closing translate's included, hold every face of the period
-    that attains its least |Q|.
+    number, so the faces at the run ends, the closing translate's included,
+    hold every face of the period of least |Q|.
 
     The edge (p, n) is held as a running edge, the start edge times the runs
     since: every ``CHUNK`` runs it is pushed onto a stack of products and
@@ -286,52 +283,58 @@ def trace_river(q: BQF) -> RiverPeriod:
     elif -v == mu:
         ties.append((v, n0))
     # the river turns at an edge whose end faces p - n and p + n, of values
-    # u + v - b and u + v + b, carry opposite signs: where |b| > |u + v|
+    # u + v - b and u + v + b, carry opposite signs: where |b| > |u + v|; a
+    # start that is none is replaced by the first run end
     ref = cell if abs(b) > abs(u + v) else None
-    ref_edge, ref_steps, steps, kept, due = (p0, n0), 0, 0, 0, CHUNK
+    ref_edge, ref_steps, steps, kept = (p0, n0), 0, 0, 0
+    due = CHUNK if ref else 1
     for run in range(1, limit + 1):
         # While the face p + n is positive p advances by n, else n advances
         # by p; the run ends where Q(p + j n) or Q(n + j p) changes sign, at
-        # the floor of a root of a quadratic with discriminant Q's.  The face
-        # that moved has value `value` and running coordinates (x, y); the
-        # other one was read at an earlier run end.
+        # the floor of a root of a quadratic with discriminant Q's: a bend.
+        # The face that moved has |Q| = size; the other was read before.
         if u + b + v > 0:
             k = (b + root) // (-2 * v)
             pa, pc = pa + k * nb, pc + k * nd
             u, b = u + k * (b + k * v), b + 2 * k * v
-            value, x, y = u, pa, pc
+            size = u
         else:
             k = (root - b) // (2 * u)
             nb, nd = nb + k * pa, nd + k * pc
             v, b = v + k * (b + k * u), b + 2 * k * u
-            value, x, y = v, nb, nd
+            size = -v
         steps += k
         cell = (u, b, v)
-        if ref is None:
-            # the first run: the stack is empty
-            ref, ref_edge, ref_steps = cell, ((pa, pc), (nb, nd)), steps
-        elif cell == ref:
+        if cell == ref:
             p, n = (pa, pc), (nb, nd)
             if stack:
                 p, n = _absolute(stack, p), _absolute(stack, n)
-            t = change_of_basis(*ref_edge, p, n)
-            if t is not None and q.transform(t) == q:
+            # T = [p n] [p' n']^-1 for the bend's edge (p', n'), of det d = 1 / d
+            (x, y), (z, w), ((ra, rc), (rb, rd)) = p, n, ref_edge
+            d = ra * rd - rb * rc
+            t = ((d * (x * rd - z * rc), d * (z * ra - x * rb)),
+                 (d * (y * rd - w * rc), d * (w * ra - y * rb)))
+            if transform(q, t) == q:
                 u, _, v = cells[0]
                 if u == mu:
                     ties.append((u, mat_apply(t, p0)))
                 if -v == mu:
                     ties.append((v, mat_apply(t, n0)))
-                return RiverPeriod((p0, n0), tuple(cells), steps - ref_steps, t,
-                                   tuple(ties), q)
+                return _new(RiverPeriod, ((p0, n0), tuple(cells), steps - ref_steps, t,
+                                          tuple(ties), q))
         cells.append(cell)
-        if -mu <= value <= mu:
-            face = (x, y)
+        if size <= mu:
+            # p moved iff the face p + n is now negative
+            value, face = (u, (pa, pc)) if u + b + v < 0 else (v, (nb, nd))
             if stack:
                 face = _absolute(stack, face)
-            if abs(value) < mu:
-                mu, ties = abs(value), []
+            if size < mu:
+                mu, ties = size, []
             ties.append((value, face))
         if run == due:
+            if ref is None:  # the first run: the stack is empty
+                ref, ref_edge, ref_steps, due = cell, ((pa, pc), (nb, nd)), steps, CHUNK
+                continue
             stack.append(((pa, nb), (pc, nd)))
             chunks = run // CHUNK
             while not chunks & 1:
@@ -346,11 +349,8 @@ def trace_river(q: BQF) -> RiverPeriod:
 
 
 def riverbends(q: BQF) -> list[BQF]:
-    """Reduced forms read off the riverbend cells of one period.
-
-    Each bend cell is reported in both orientations; the multiset matches the
-    classical reduced cycle.
-    """
+    """The reduced forms read off the bend cells of one period, one per bend:
+    the multiset of the classical reduced cycle."""
     return trace_river(q).bends()
 
 
@@ -371,7 +371,7 @@ class PellSolution(NamedTuple):
 def pell_solve(d: int) -> PellSolution:
     """Fundamental solution of x^2 - D y^2 = 1 from the river of x^2 - D y^2."""
     if d < 2 or is_square(d):
-        raise SquareDiscriminantError("need a nonsquare D >= 2")
+        raise SquareDiscriminantError(f"need a nonsquare D >= 2, not D = {brief(d)}")
     river = trace_river(BQF(1, 0, -d))
     # |Q| >= 1 = Q(1, 0), so the faces of value 1 are ties of the least |Q|,
     # the automorph's image (tx, ty) of (1, 0) among them

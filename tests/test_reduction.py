@@ -7,12 +7,13 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import is_reduced_indefinite
 
 from topograph import bqf, reduction, walk
 from topograph.bqf import BQF
 from topograph.classical import indefinite_cycle, is_square, reduce_definite
 from topograph.errors import BudgetError, ClassificationError, SquareDiscriminantError
-from topograph.lax import STANDARD_SUPERBASE, det, lax, mat_apply, vadd, vsub
+from topograph.lax import STANDARD_SUPERBASE, det, lax, mat_apply, mat_mul, vadd, vsub
 from topograph.reduction import (
     CELL_WELL,
     TRIAD_WELL,
@@ -51,8 +52,11 @@ def test_well_kinds():
 
 
 def test_well_rejects_indefinite():
-    with pytest.raises(ClassificationError):
+    with pytest.raises(ClassificationError, match=r"not the form \(1, 0, -2\) of "
+                                                  "discriminant 8$"):
         find_well(BQF(1, 0, -2))
+    with pytest.raises(ClassificationError, match=r"\(-1, 1, -1\) of discriminant -3$"):
+        gauss_reduced(BQF(-1, 1, -1))
 
 
 def test_gauss_reduced_matches_classical_samples():
@@ -97,15 +101,17 @@ def test_pell_61_fixture():
 
 def test_pell_rejects_squares_and_negatives():
     for bad in (-4, 0, 1, 4, 9):
-        with pytest.raises(SquareDiscriminantError):
+        with pytest.raises(SquareDiscriminantError, match=f"not D = {bad}$"):
             pell_solve(bad)
         assert bad < 2 or is_square(bad)
 
 
 def test_river_rejects_definite_and_degenerate():
-    with pytest.raises(SquareDiscriminantError):
+    with pytest.raises(SquareDiscriminantError,
+                       match=r"not the form \(1, 0, 1\) of discriminant -4$"):
         trace_river(BQF(1, 0, 1))
-    with pytest.raises(SquareDiscriminantError):
+    with pytest.raises(SquareDiscriminantError,
+                       match=r"not the form \(1, 0, -4\) of discriminant 16$"):
         trace_river(BQF(1, 0, -4))
 
 
@@ -236,6 +242,86 @@ def definite_forms(draw):
 def test_gauss_reduced_matches_classical_30_digits(form):
     red = gauss_reduced(BQF(*form))
     assert (red.a, red.b, red.c) == reduce_definite(form)
+
+
+def _seeded_move(rng, moves: int):
+    """A product of ``moves`` generators of SL2(Z) drawn from ``rng``."""
+    m = ((1, 0), (0, 1))
+    for _ in range(moves):
+        m = mat_mul(m, rng.choice((((1, 1), (0, 1)), ((1, -1), (0, 1)), ((1, 2), (0, 1)),
+                                   ((0, -1), (1, 0)), ((1, 0), (1, 1)), ((1, 0), (-1, 1)))))
+    return m
+
+
+def _tied_wells():
+    """Positive-definite forms (a, b, c), c >= a, whose wells tie: a = c
+    (u = v), b = 0 (a cell well, u + v = w) or |b| = a (the -b = u tie)."""
+    for a in range(1, 13):
+        for c in range(a, 13):
+            for b in sorted({0, a, -a} | (set(range(-a, a + 1)) if a == c else set())):
+                yield a, b, c
+
+
+def test_well_ties_give_the_classical_reduced_form():
+    # gauss_reduced and the CLI's reduce (find_well, then _well_form) share
+    # _well_form's tie rule; each tied form is moved by seeded matrices, the
+    # last of 30-digit entries, and compared with reduce_definite
+    rng = random.Random(32)
+    ties = {"u = v": 0, "u + v = w": 0, "-b = u": 0}
+    for form in _tied_wells():
+        moves = [_seeded_move(rng, rng.randint(0, 9)) for _ in range(4)]
+        t1, t2 = rng.randint(10 ** 14, 10 ** 15), -rng.randint(10 ** 14, 10 ** 15)
+        moves.append(((t1, t1 * t2 - 1), (1, t2)))
+        for m in moves:
+            q = BQF(*form).transform(m)
+            want = reduce_definite(tuple(q))
+            assert tuple(gauss_reduced(q)) == want
+            well = find_well(q)
+            assert tuple(reduction._well_form(well.values, well.vectors)) == want
+            u, v, w = well.values
+            ties["u = v"] += u == v
+            ties["u + v = w"] += u + v == w
+            ties["-b = u"] += abs(want[1]) == u
+    assert min(ties.values()) >= 150
+
+
+def _reduced_cycles(lo: int, hi: int) -> list:
+    """Every rho-cycle of primitive reduced forms of a nonsquare discriminant
+    in [lo, hi], as a sorted tuple: the reduced (a, b, c) have 0 < b <
+    sqrt(d) and 4|ac| = d - b^2, so a runs over the divisors of (d - b^2) / 4."""
+    cycles = []
+    for d in range(lo, hi + 1):
+        if d % 4 > 1 or is_square(d):
+            continue
+        reduced = set()
+        for b in range(2 - d % 2, math.isqrt(d) + 1, 2):
+            m = (d - b * b) // 4
+            for a in range(1, math.isqrt(m) + 1):
+                if m % a == 0:
+                    for aa in (a, -a, m // a, -(m // a)):
+                        f = (aa, b, -m // aa)
+                        if is_reduced_indefinite(f, d) and math.gcd(*f) == 1:
+                            reduced.add(f)
+        while reduced:
+            cycle = tuple(sorted(indefinite_cycle(min(reduced))))
+            reduced -= set(cycle)
+            cycles.append(cycle)
+    return cycles
+
+
+def test_river_answers_match_every_cycle_of_discriminant_up_to_1200():
+    # one form of each cycle, moved by a seeded small matrix: its bends are
+    # the cycle, every run of its period ends at a bend, and its least |Q|
+    # is the least |a| of the cycle
+    rng = random.Random(1200)
+    cycles = _reduced_cycles(5, 1200)
+    assert len(cycles) == 1607
+    for cycle in cycles:
+        q = BQF(*cycle[0]).transform(_seeded_move(rng, 3))
+        assert sorted(indefinite_cycle(tuple(q))) == list(cycle)
+        assert sorted(tuple(f) for f in riverbends(q)) == list(cycle)
+        assert all(abs(b) > abs(u + v) for u, b, v in trace_river(q).cells[1:])
+        assert minimum_nonzero(q).mu == min(abs(a) for a, _, _ in cycle)
 
 
 small_indefinite = st.tuples(
@@ -549,7 +635,9 @@ def test_river_descent_values_are_the_values_of_its_vectors(form, t1, t2):
 
 
 def _count_evaluations(monkeypatch):
-    """Every evaluation of Q: one per BQF call, three per form transform."""
+    """Every evaluation of Q: one per BQF call, three per form transform,
+    through ``BQF.transform`` or the ``transform`` the river certificate
+    calls on the coefficient tuple."""
     calls = []
     real_call, real_transform = BQF.__call__, bqf.transform
 
@@ -563,6 +651,7 @@ def _count_evaluations(monkeypatch):
 
     monkeypatch.setattr(BQF, "__call__", counted)
     monkeypatch.setattr(bqf, "transform", counted_transform)
+    monkeypatch.setattr(reduction, "transform", counted_transform)
     return calls
 
 

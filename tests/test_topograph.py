@@ -169,6 +169,21 @@ def test_groups_loads_only_what_it_uses():
         "topograph.errors", "topograph.groups", "topograph.lax"]
 
 
+# ROADMAP item 10: src/ may not grow past this; code added is paid for by
+# code taken out
+SRC_LINE_LIMIT = 3092
+
+
+def test_src_stays_within_its_line_budget():
+    from pathlib import Path
+
+    # counted as `wc -l src/topograph/*.py` counts them
+    lines = sum(path.read_bytes().count(b"\n")
+                for path in Path(topograph.__file__).parent.glob("*.py"))
+    assert lines <= SRC_LINE_LIMIT, (
+        f"src/topograph/*.py has {lines} lines, past the limit of {SRC_LINE_LIMIT}")
+
+
 # documented entry points that no code in src/ calls (README, "Tests")
 ENTRY_POINTS = {"coxeter_generators", "find_tetrabasis", "STANDARD_EISENSTEIN_SEED",
                 "rho", "indefinite_cycle", "dicell_values", "find_cubasis",
