@@ -26,7 +26,8 @@ def reduce_definite(form: Form) -> Form:
     """Unique reduced representative of a positive-definite form's SL2 class."""
     a, b, c = form
     if b * b - 4 * a * c >= 0 or a <= 0:
-        raise ClassificationError("expected a positive-definite form")
+        raise ClassificationError(f"expected a positive-definite form, not the form "
+                                  f"{brief((a, b, c))} of discriminant {brief(b * b - 4 * a * c)}")
     while True:
         if c < a:
             a, b, c = c, -b, a
@@ -74,7 +75,8 @@ def reduce_indefinite(form: Form) -> Form:
     d = b * b - 4 * a * c
     s = math.isqrt(max(d, 0))
     if d <= 0 or s * s == d:
-        raise SquareDiscriminantError("rho needs a positive nonsquare discriminant")
+        raise SquareDiscriminantError(f"rho needs a positive nonsquare discriminant, not the "
+                                      f"form {brief((a, b, c))} of discriminant {brief(d)}")
     return _reduce(form, d, s)
 
 

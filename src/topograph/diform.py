@@ -1,25 +1,20 @@
 """Wells and rivers of binary quadratic diforms over Z[sqrt(sigma)], sigma
 in {2, 3}, walked on the pinwheels of ``dilinear``.
 
-The walks carry values, not divectors.  A vertex is its generating dibasis
-(F0, F1) with the local form (A, beta, C) of Q there, Q(x F0 + y F1) =
-A x^2 + beta sqrt(sigma) x y + C y^2.  Turning to (F1, sqrt(sigma) F1 - F0)
-maps it to (C, 2C - beta, A - sigma beta + sigma C), which gives every face
-value, and crossing an edge to the next pinwheel negates beta.  The walker's
-edge is forced, the one edge that descends, and it moves a whole run at a
-time: along a kept face F the faces on the other side are D - j sqrt(sigma) F,
-with local form (A, beta - 2jA, C + sigma j (jA - beta)), and a run stops
-where its last edge stops descending or, in the river search, before the
-first face of the other sign, both floor divisions (``_descend``).  So a
-well descent takes no ``isqrt``, and a river period one, shared by its
-search and its runs, plus ``_first_root``'s where the start edge's values
-cut a run.
-The walks jump to each stop and take each turn as one step, so they return
-the same pinwheels, in the same face order, as a walk of single steps.  They
-start on ``STANDARD_DIBASIS``, checked once per process, whose local form is
-Q's coefficients (a, b, c), so they never evaluate Q.
-They keep faces and river steps as (color, u, v) tuples and build the
-Divector, DiRiverStep and Pinwheel records of their answer once, at return.
+A vertex of a walk is its generating dibasis (F0, F1) with the local forms
+(A, beta, C) of Q at its 2 sigma dibases, Q(x F0 + y F1) = A x^2 +
+beta sqrt(sigma) x y + C y^2.  Turning to (F1, sqrt(sigma) F1 - F0) maps
+one to the next, (C, 2C - beta, A - sigma beta + sigma C), and crossing an
+edge negates beta.  The walker's edge is forced, and it moves a whole run
+at a time along a kept face, to a stop that is a floor division
+(``_descend``).  A pass builds faces only where it reads them: the two of
+the edge it crosses, fixed integer combinations of F0 and F1
+(``dilinear._face``), or the one a run reaches.  The walks start on
+``STANDARD_DIBASIS``, checked once per process, whose local form is Q's
+coefficients (a, b, c), so they never evaluate Q.  They build the records
+of their answer, and a river its faces of least |Q|, once, at return, and
+try the automorph only at an edge with the start edge's values.  They
+return the same pinwheels, in the same face order, as single steps do.
 
 A river period is certified over Z, as a BQF river is: blue (u, v) becomes
 (u, v) and red (u, v) becomes (u, sigma v), conjugation by diag(1, sqrt(sigma))
@@ -33,10 +28,9 @@ import math
 from typing import NamedTuple
 
 from .classical import red_blue_forms, reduce_definite, transform
-from .dilinear import (BLUE, BQD, RED, STANDARD_DIBASIS, Divector, _across, _cell_pairs,
-                       _faces, _local_form, pinwheel_complete, pinwheel_key)
+from .dilinear import (BLUE, BQD, RED, STANDARD_DIBASIS, Divector, _across, _bends, _face,
+                       _local_form, _new, pinwheel_complete, pinwheel_key)
 from .errors import ClassificationError, PreconditionError, SquareDiscriminantError, brief
-from .lax import change_of_basis, det, lax, mat_det
 from .walk import CHUNK, charge
 
 
@@ -49,27 +43,15 @@ def _neg(face: tuple) -> tuple:
     return color, -u, -v
 
 
-def _bends(r: int, beta: int, b: int, sigma: int) -> bool:
-    """Does the edge of values r, b and local beta bend: does a pair of
-    ``dilinear._cell_pairs`` change sign?  The test is symmetric in r and b."""
-    return any(e * f < 0 for e, f in _cell_pairs(r, beta, b, sigma))
-
-
 def _cells(t: tuple, sigma: int) -> list:
     """The local forms at the dibases (f_i, f_i+1), i < 2 sigma, of the
     pinwheel with first local form t, by turning: cells[i][0] = Q(f_i)."""
+    a, beta, c = t
     cells = [t]
     for _ in range(2 * sigma - 1):
-        a, beta, c = cells[-1]
-        cells.append((c, 2 * c - beta, a - sigma * (beta - c)))
+        a, beta, c = c, 2 * c - beta, a - sigma * (beta - c)
+        cells.append((a, beta, c))
     return cells
-
-
-def _cross(d0: tuple, d1: tuple, cells: list, i: int, sigma: int):
-    """The neighbour over edge i of the pinwheel of (d0, d1), as its
-    generating dibasis (``_across``) and local form: crossing negates beta_i."""
-    a, beta, c = cells[i]
-    return (*_across(_faces(d0, d1, sigma), i, sigma)[:2], (a, -beta, c))
 
 
 def _run(f: tuple, d: tuple, t: tuple, j: int, sigma: int):
@@ -108,21 +90,20 @@ def _descend(d0: tuple, d1: tuple, cells: list, sign: int, root: int | None,
     sign times a sum of two betas is positive.
 
     Over the last edge or edge 1 the walk runs along the face F = d0 or d1
-    it keeps, else it takes one step.  With D the other face, (A, beta, C)
-    the local form at (F, D) and D_x = D - x sqrt(sigma) F, it visits
-    u_j = pinwheel(F, D_j) up to orientation.  The faces of u_j after F are
-    D_j, sqrt(sigma) D_j+1/sigma, at sigma = 3 also 2 D_j+1/2 and
-    sqrt(3) D_j+2/3, and D_j+1, so each has the sign of q(x) = Q(D_x) =
-    sigma A x^2 - sigma beta x + C at an x in [j, j + 1].  sign * q is
-    convex, least at x* = beta / 2A, and the last edge of u_j has beta
-    2A (j + 1) - beta; while it descends, j + 1 < x*, sign * q falls on
-    [j, j + 1], and every face of u_j has the sign of Q(D_j+1).  The run
-    stops at j = ceil(x*) - 1, where the last edge stops descending, or, in
-    the river search, given ``root`` = isqrt(disc), at j = floor(x-) if
-    less, x- the smaller root of q, irrational as q has Q's discriminant.
-    Both stops are at least 1: edge i descends, and D_1 is a face of this
-    pinwheel.  F alternates between the first and second place of the
-    dibasis, which fixes the orientation.
+    it keeps, else it takes one step.  With (A, beta, C) the local form at
+    (F, D) and D_x = D - x sqrt(sigma) F, it visits u_j = pinwheel(F, D_j)
+    up to orientation, whose faces after F have the sign of q(x) = Q(D_x) =
+    sigma A x^2 - sigma beta x + C at an x in [j, j + 1] (they are D_j,
+    sqrt(sigma) D_j+1/sigma, at sigma = 3 also 2 D_j+1/2 and sqrt(3) D_j+2/3,
+    and D_j+1).  sign * q is convex, least at x* = beta / 2A, and the last
+    edge of u_j has beta 2A (j + 1) - beta; while it descends, j + 1 < x*
+    and every face of u_j has the sign of Q(D_j+1).  The run stops at
+    j = ceil(x*) - 1, where that edge stops descending, or, in the river
+    search, given ``root`` = isqrt(disc), at j = floor(x-) if less, x- the
+    smaller root of q, irrational as q has Q's discriminant.  Both stops are
+    at least 1: edge i descends, and D_1 is a face of this pinwheel.  F
+    alternates between the first and second place of the dibasis, which
+    fixes the orientation.
     """
     for i, (_, beta, _) in enumerate(cells):
         if sign * beta < 0:
@@ -130,8 +111,11 @@ def _descend(d0: tuple, d1: tuple, cells: list, sign: int, root: int | None,
     else:
         return None
     if i not in (1, 2 * sigma - 1):
-        d0, d1, t = _cross(d0, d1, cells, i, sigma)
-        return d0, d1, _cells(t, sigma)
+        # the neighbour is generated by (f_i, -f_i+1), as in ``_across``,
+        # and crossing negates beta_i
+        a, beta, c = cells[i]
+        return (_face(d0, d1, i, sigma), _neg(_face(d0, d1, i + 1, sigma)),
+                _cells((a, -beta, c), sigma))
     f, d, t = (d0, d1, cells[0]) if i > 1 else (d1, d0, cells[0][::-1])
     a, beta = sign * t[0], sign * t[1]
     j = (beta - 1) // (2 * a)
@@ -160,7 +144,7 @@ def _well(q: BQD, d0: tuple, d1: tuple) -> dict:
     sigma = q.sigma
     cells = _cells(_local_form(q, d0, d1), sigma)
     # the weight is a positive integer and falls at every pass
-    limit = sum(c[0] for c in cells) + 1
+    limit = sum([c[0] for c in cells]) + 1
     for _ in range(limit):
         step = _descend(d0, d1, cells, 1, None, sigma)
         if step is None:
@@ -177,7 +161,7 @@ def _well(q: BQD, d0: tuple, d1: tuple) -> dict:
     red, blue = red_blue_forms(*q)
     return {
         "source": source,
-        "source_values": tuple(c[0] for c in cells),
+        "source_values": tuple([c[0] for c in cells]),
         "flat_edges": tuple(sorted(flats)),
         "reduced_red": reduce_definite(red),
         "reduced_blue": reduce_definite(blue),
@@ -195,15 +179,14 @@ def _find_river_edge(q: BQD, root: int):
     cells = _cells(_local_form(q, d0, d1), sigma)
     # while no face changes sign, the weight times that sign is a positive
     # integer and falls at every pass
-    limit = sum(abs(c[0]) for c in cells) + 1
+    limit = sum([abs(c[0]) for c in cells]) + 1
     for _ in range(limit):
         # one pass makes the products Q(f_i) Q(f_i+1); each face is in two
         products = [a * c for a, _, c in cells]
-        if 0 in products:
-            raise SquareDiscriminantError(f"{_named(q)} represents zero")
-        for i, product in enumerate(products):
-            if product < 0:
-                return i, d0, d1, cells
+        if min(products) <= 0:
+            if 0 in products:
+                raise SquareDiscriminantError(f"{_named(q)} represents zero")
+            return [x < 0 for x in products].index(True), d0, d1, cells
         step = _descend(d0, d1, cells, 1 if cells[0][0] > 0 else -1, root, sigma)
         if step is None:
             raise ClassificationError(f"no descent toward the river of {_named(q)}")
@@ -242,17 +225,15 @@ def _river_run(d0: tuple, d1: tuple, t: tuple, i: int, start: tuple, root: int,
     """Where the river walk at the edge (d0, +-d1) of the pinwheel of
     (d0, d1), d0 the positive face and t the local form, leaving over edge
     i, must next record an edge: the number of edges passed over, and the
-    walker's positive and negative face and local form there.  None unless
+    walker's positive and negative face and local form there; None unless
     i is 1 or the last edge.  The last edge keeps d0 and reaches
-    (d0, d1 - j sqrt(sigma) d0); edge 1 keeps d1 and reaches
-    (-1)^j (d0 - j sqrt(sigma) d1, d1).  While the faces D_j beside the kept
-    face F have the other sign, every other face of the vertices between has
-    that sign too and a larger |Q| than the D_j there, so those edges do not
-    bend and those vertices hold no smallest face: |Q(D_j)| is strictly
-    concave in j.  The run is cut before the first D_j of F's sign, or at an
-    edge with the values ``start`` of the start edge, which may close the
-    period.  Q(D_j) = sigma a j^2 - sigma beta j + c has Q's discriminant, so
-    with ``root`` = isqrt of it the run's length is one floor division.
+    (d0, d1 - j sqrt(sigma) d0), edge 1 (-1)^j (d0 - j sqrt(sigma) d1, d1).
+    While the faces D_j beside the kept face F have the other sign, the
+    other faces of the vertices between have it too and a larger |Q|, as
+    |Q(D_j)| is strictly concave in j: those edges do not bend and hold no
+    least face.  The run is cut before the first D_j of F's sign, one floor
+    division with ``root`` = isqrt(disc), or at an edge with the values
+    ``start`` of the start edge, which may close the period.
     """
     if i not in (1, 2 * sigma - 1):
         return None
@@ -294,15 +275,14 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     sigma = q.sigma
     n = 2 * sigma
     here, d0, d1, cells = _find_river_edge(q, root)
-    faces = _faces(d0, d1, sigma)
-    x, y = faces[here], faces[(here + 1) % n]
-    p0, n0 = p, neg = (x, y) if cells[here][0] > 0 else (y, x)
-    start = max(cells[here][::2]), min(cells[here][::2])
-    steps = []
-    edges = bends = kept = 0
-    # the least (|Q(f)|, lax f) over the faces the walk passes, for mu and
-    # the witness
-    least = start[0], (p0[0], *lax(p0[1:]))
+    x, y = _face(d0, d1, here, sigma), _face(d0, d1, here + 1, sigma)
+    a, _, c = cells[here]
+    p0, n0, start = (x, y, (a, c)) if a > 0 else (y, x, (c, a))
+    p, neg = p0, n0
+    steps, edges, bends, kept = [], 0, 0, 0
+    # the least |Q(f)| over the faces passed, and where its faces are, as
+    # (dibasis, k): mu and the witness, the least lax one, are built at return
+    least, ties = start[0], []
 
     # Read as a dibasis of determinant 1, each river edge gives Q the
     # coefficients (a', b', c') with a'c' < 0 and d = sigma^2 b'^2 + 4 sigma
@@ -317,23 +297,27 @@ def diform_river(q: BQD) -> DiRiverPeriod:
         steps.append((p, neg, bend))
         edges += 1
         bends += bend
-        for f, (v, _, _) in zip(faces, cells):
-            if abs(v) <= least[0]:
-                least = min(least, (abs(v), (f[0], *lax(f[1:]))))
-        # continuation: the unique other sign-separating adjacent pair
-        crossings = [i for i, (a, _, c) in enumerate(cells) if i != here and a * c < 0]
+        # one pass over the values: the faces of least |Q|, and the
+        # continuation, the unique other sign-separating adjacent pair
+        crossings = []
+        for k, (v, _, c) in enumerate(cells):
+            if -least <= v <= least:
+                if v != least and v != -least:
+                    least, ties = abs(v), []
+                ties.append((d0, d1, k))
+            if v * c < 0 and k != here:
+                crossings.append(k)
         if len(crossings) != 1:
             raise ClassificationError(
                 f"river is not a single line at a vertex of {_named(q)} "
                 f"({len(crossings)} exits)")
         i = crossings[0]
-        jump = here == 0 and p == d0 and _river_run(d0, d1, cells[0], i, start, root,
-                                                    sigma)
+        jump = here == 0 and p == d0 and _river_run(d0, d1, cells[0], i, start, root, sigma)
         if jump:
             skipped, p, neg, t = jump
             edges += skipped
         else:
-            x, y = faces[i], faces[(i + 1) % n]
+            x, y = _face(d0, d1, i, sigma), _face(d0, d1, i + 1, sigma)
             a, beta, c = cells[i]
             p, neg, t = (x, y, (a, -beta, c)) if a > 0 else (y, x, (c, -beta, a))
         # either way the next pinwheel is generated by (p, -neg), or by
@@ -346,14 +330,13 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                 mu = wit = None
                 if not exceptional:
                     # and the closing edge, whose faces the next pass would add
-                    mu, wit = min([least] + [(abs(v), (f[0], *lax(f[1:])))
-                                             for f, v in ((p, t[0]), (neg, t[2]))])
-                    wit = Divector._make(wit)
-                steps = tuple(DiRiverStep(Divector._make(x), Divector._make(y), b)
-                              for x, y, b in steps)
-                return DiRiverPeriod(steps, edges, bends, auto, mu, wit, exceptional, q)
+                    mu, wit = min([(least, _new(Divector, _face(*tie, sigma)).lax())
+                                   for tie in ties] + [(abs(t[0]), _new(Divector, p).lax()),
+                                                       (abs(t[2]), _new(Divector, neg).lax())])
+                steps = tuple([DiRiverStep(_new(Divector, x), _new(Divector, y), b)
+                               for x, y, b in steps])
+                return _new(DiRiverPeriod, (steps, edges, bends, auto, mu, wit, exceptional, q))
         cells, here = _cells(t, sigma), 0
-        faces = _faces(d0, d1, sigma)
         if (run + 1) % CHUNK == 0:
             kept = charge(kept, run + 1, _named(q), d, steps[-CHUNK:])
     raise ClassificationError(
@@ -386,22 +369,25 @@ def _translation_automorph(e0, e1, q: BQD):
     (p0, n0), (p1, n1) = e0, e1
     swap = p0[0] != p1[0]
     if swap:
-        p0, n0 = ((RED if col == BLUE else BLUE, v, u) for col, u, v in (p0, n0))
-    blue = red_blue_forms(*q)[1]
-    target = red_blue_forms(sigma, c, b, a)[1] if swap else blue
-    want = -1 if swap else 1
-    l0, m0, l1, m1 = [_lattice(d, sigma) for d in (p0, n0, p1, n1)]
-    # det t = det(l1, m1) det(l0, m0) when det(l0, m0) = +-1, so only one
-    # sign of n0 can give t the determinant wanted
-    if det(l0, m0) * det(l1, m1) != want:
-        m0 = (-m0[0], -m0[1])
-    t = change_of_basis(l0, m0, l1, m1)
-    if (t is None or mat_det(t) != want or t[1][0] % sigma
-            or transform(blue, t) != target):
+        # W e0 takes e1's colours, both edges being dibases
+        p0, n0 = (p1[0], p0[2], p0[1]), (n1[0], n0[2], n0[1])
+    # Q_blue, and Q o W's blue form when the colours swap
+    blue = sigma * a, sigma * b, c
+    target = (sigma * c, sigma * b, a) if swap else blue
+    (x0, y0), (z0, w0), (x1, y1), (z1, w1) = [_lattice(f, sigma) for f in (p0, n0, p1, n1)]
+    s0, s1 = x0 * w0 - y0 * z0, x1 * w1 - y1 * z1
+    if s0 not in (1, -1) or s1 not in (1, -1):
         return None
-    (x, y), (z, w) = t
-    # g^-1 t g = [[x, y sqrt(sigma)], [(z / sigma) sqrt(sigma), w]]
-    auto = ((x, 0), (0, y)), ((0, z // sigma), (w, 0))
-    # T = T' W: W swaps the columns
-    return tuple(row[::-1] for row in auto) if swap else auto
-
+    # det t = s1 s0, so only one sign of n0 gives t the determinant wanted
+    if s0 * s1 != (-1 if swap else 1):
+        z0, w0, s0 = -z0, -w0, -s0
+    # t = [l1 m1] [l0 m0]^-1, the inverse the adjugate times s0
+    x, y = s0 * (x1 * w0 - z1 * y0), s0 * (z1 * x0 - x1 * z0)
+    z, w = s0 * (y1 * w0 - w1 * y0), s0 * (w1 * x0 - y1 * z0)
+    if z % sigma or transform(blue, ((x, y), (z, w))) != target:
+        return None
+    # g^-1 t g = [[x, y sqrt(sigma)], [(z / sigma) sqrt(sigma), w]], and
+    # T = T' W has its columns swapped
+    if swap:
+        return ((0, y), (x, 0)), ((w, 0), (0, z // sigma))
+    return ((x, 0), (0, y)), ((0, z // sigma), (w, 0))

@@ -18,6 +18,7 @@ from .errors import DibasisError, PreconditionError, brief
 
 RED = "red"
 BLUE = "blue"
+_new = tuple.__new__  # a NamedTuple record from a tuple, without its Python-level __new__
 
 
 class Divector(NamedTuple):
@@ -68,13 +69,6 @@ def _recur(d1: tuple, d2: tuple, sigma: int, count: int) -> list:
     return faces
 
 
-def _faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
-    """``pinwheel_faces`` without its checks, for the walks: they start from
-    ``STANDARD_DIBASIS``, checked at import, and the recurrence keeps the
-    determinant of each adjacent pair, so every later pinwheel is one."""
-    return tuple(_recur(d1, d2, sigma, 2 * sigma))
-
-
 def _across(faces: tuple, i: int, sigma: int) -> tuple:
     """The faces of the pinwheel across the edge (f_i, f_i+1) of the pinwheel
     ``faces``, unchecked.  The recurrence runs the other way there, so it is
@@ -84,6 +78,25 @@ def _across(faces: tuple, i: int, sigma: int) -> tuple:
         color, u, v = faces[i + 1]
         return tuple(_recur(faces[i], (color, -u, -v), sigma, 2 * sigma))
     return tuple(_recur(faces[i], faces[0], sigma, 2 * sigma))
+
+
+def _face_maps(sigma: int, color: str) -> list:
+    """The faces f_0, ..., f_2sigma-1 and f_0 again of the pinwheel
+    generated by a dibasis (d0, d1), d0 of colour ``color``, as maps
+    (colour, a, b, e, f) to (colour, a u0 + b u1, e v0 + f v1): the
+    recurrence is linear, so it runs once, on unit coordinates."""
+    other = BLUE if color == RED else RED
+    xs, ys = (_recur((color, x, x), (other, 1 - x, 1 - x), sigma, 2 * sigma) for x in (1, 0))
+    return [(c, a, b, e, f) for (c, a, e), (_, b, f) in zip(xs + xs[:1], ys + ys[:1])]
+
+
+_FACE_MAPS = {(s, c): _face_maps(s, c) for s in (2, 3) for c in (RED, BLUE)}
+
+
+def _face(d0: tuple, d1: tuple, k: int, sigma: int) -> tuple:
+    """Face k <= 2 sigma, f_2sigma read as f_0, of the pinwheel of (d0, d1), alone."""
+    color, a, b, e, f = _FACE_MAPS[sigma, d0[0]][k]
+    return color, a * d0[1] + b * d1[1], e * d0[2] + f * d1[2]
 
 
 def pinwheel_faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
@@ -137,7 +150,7 @@ class Pinwheel(NamedTuple):
 
 def pinwheel_complete(d1: Divector, d2: Divector, sigma: int) -> Pinwheel:
     """The pinwheel generated by the ordered dibasis (d1, d2)."""
-    return Pinwheel(sigma, tuple(map(Divector._make, pinwheel_faces(d1, d2, sigma))))
+    return Pinwheel(sigma, tuple([_new(Divector, f) for f in pinwheel_faces(d1, d2, sigma)]))
 
 
 class BQD(NamedTuple):
@@ -218,3 +231,11 @@ def _cell_pairs(r: int, beta: int, b: int, sigma: int) -> list:
         x, y = 4 * r + 3 * b, 3 * r + 4 * b
         pairs += [(x - 2 * s, x + 2 * s), (y - 2 * s, y + 2 * s)]
     return pairs
+
+
+def _bends(r: int, beta: int, b: int, sigma: int) -> bool:
+    """Does the edge of values r, b and local beta bend: is |x| < |s| for a
+    pair x -+ s of ``_cell_pairs``?  The test is symmetric in r and b."""
+    s = abs(sigma * beta)
+    return (abs(sigma * r + b) < s or abs(r + sigma * b) < s or sigma == 3
+            and (abs(4 * r + 3 * b) < 2 * s or abs(3 * r + 4 * b) < 2 * s))

@@ -102,12 +102,3 @@ def mat_mul(m: Mat, n: Mat) -> Mat:
 def mat_apply(m: Mat, v: Vec) -> Vec:
     return (m[0][0] * v[0] + m[0][1] * v[1], m[1][0] * v[0] + m[1][1] * v[1])
 
-
-def change_of_basis(p0: Vec, n0: Vec, p1: Vec, n1: Vec) -> Mat | None:
-    """T with T p0 = p1 and T n0 = n1 if (p0, n0) is unimodular, else None."""
-    d = det(p0, n0)
-    if d not in (1, -1):
-        return None
-    # the inverse of the column matrix [p0 n0] is its adjugate over d
-    return mat_mul(((p1[0], n1[0]), (p1[1], n1[1])),
-                   ((n0[1] * d, -n0[0] * d), (-p0[1] * d, p0[0] * d)))

@@ -33,6 +33,7 @@ from topograph.errors import (
     InvalidDiscriminantError,
     NotPrimitiveError,
     PreconditionError,
+    SquareDiscriminantError,
 )
 
 
@@ -399,6 +400,24 @@ def test_rho_reduction_overrun_is_typed(monkeypatch):
     # a form too long to print is named by its coefficient sizes
     with pytest.raises(ClassificationError, match="5001/5002/2-bit"):
         reduce_indefinite((2 ** 5000, 2 ** 5001 + 1, 3))
+
+
+def test_classical_reductions_name_a_refused_form_and_its_discriminant():
+    with pytest.raises(ClassificationError, match=r"positive-definite form, not the form "
+                                                  r"\(1, 0, -2\) of discriminant 8$"):
+        reduce_definite((1, 0, -2))
+    with pytest.raises(SquareDiscriminantError, match=r"nonsquare discriminant, not the form "
+                                                      r"\(1, 0, 1\) of discriminant -4$"):
+        reduce_indefinite((1, 0, 1))
+    # str() of a 5,001-digit coefficient raises ValueError: a huge form and
+    # its discriminant are named by their sizes
+    huge = 10 ** 5000
+    with pytest.raises(ClassificationError, match="form a tuple of 16610/1/1-bit integers "
+                                                  "of discriminant a 16612-bit integer$"):
+        reduce_definite((-huge, 1, 1))
+    with pytest.raises(SquareDiscriminantError, match="form a tuple of 16610/1/16610-bit "
+                                                      "integers of discriminant a 33222-bit"):
+        reduce_indefinite((huge, 1, huge))
 
 
 def test_reduction_with_isqrt_given_stops_exactly_at_reduced_forms():

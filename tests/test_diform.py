@@ -18,9 +18,7 @@ from topograph.classical import is_square, red_blue_forms, reduce_definite
 from topograph.bqf import BQF
 from topograph.diform import (
     DiRiverStep,
-    _bends,
     _cells,
-    _cross,
     _find_river_edge,
     _lattice,
     _run,
@@ -38,7 +36,9 @@ from topograph.dilinear import (
     DiCellValues,
     Pinwheel,
     _across,
+    _bends,
     _cell_pairs,
+    _face,
     _local_form,
     _shown,
     dicell_values,
@@ -505,11 +505,13 @@ def single_step_river_edge(q: BQD):
         vertex = best[1]
 
 
-def single_step_river(q: BQD):
+def single_step_river(q: BQD, start=None):
     """Walk the river one edge at a time until a translation automorph
     closes the period; returns (automorph, mu, witness, exceptional,
-    edges, bends)."""
-    p, neg, vertex = single_step_river_edge(q)
+    edges, bends) and the steps, one per edge.  ``start`` is (p, neg,
+    vertex), the first river edge and the pinwheel it was found at, if not
+    ``single_step_river_edge``'s."""
+    p, neg, vertex = start or single_step_river_edge(q)
     p0, n0 = p, neg
     steps = []
     face_values = {}
@@ -539,7 +541,16 @@ def single_step_river(q: BQD):
     if bends:
         wit_key = min(face_values, key=lambda k: (abs(face_values[k]), k))
         mu, wit = abs(face_values[wit_key]), Divector(*wit_key)
-    return t, mu, wit, bends == 0, len(steps), bends
+    return (t, mu, wit, bends == 0, len(steps), bends), steps
+
+
+def assert_steps_are_kept_edges(kept, steps):
+    """The run-length walk's steps are single steps, in order: the start edge
+    first, and every bend among them."""
+    assert kept[0] == steps[0]
+    it = iter(steps)
+    assert all(step in it for step in kept)
+    assert {s for s in steps if s.bend} <= set(kept)
 
 
 def faces(pw):
@@ -673,16 +684,22 @@ def test_well_matches_single_step_walker(q, start_moves):
                                                      reduce_definite(blue))
 
 
-@settings(max_examples=100, deadline=None)
-@given(moved_diforms(definite=False))
-def test_river_edge_matches_single_step_walker(q):
+def walker_river_edge(q: BQD):
+    """``_find_river_edge``'s edge as (p, neg, vertex): the positive and the
+    negative face and the pinwheel the search stops at."""
     i, d0, d1, cells = _find_river_edge(q, math.isqrt(q.discriminant()))
     vertex = pinwheel_complete(d0, d1, q.sigma)
     x, y = vertex.faces[i], vertex.faces[(i + 1) % len(vertex.faces)]
-    p, neg = (x, y) if q(x) > 0 else (y, x)
+    assert [c[0] for c in cells] == [q(f) for f in vertex.faces]
+    return ((x, y) if q(x) > 0 else (y, x)) + (vertex,)
+
+
+@settings(max_examples=100, deadline=None)
+@given(moved_diforms(definite=False))
+def test_river_edge_matches_single_step_walker(q):
+    p, neg, vertex = walker_river_edge(q)
     p1, neg1, vertex1 = single_step_river_edge(q)
     assert (p, neg, faces(vertex)) == (p1, neg1, faces(vertex1))
-    assert [c[0] for c in cells] == [q(f) for f in vertex.faces]
 
 
 @settings(max_examples=100, deadline=None)
@@ -690,7 +707,9 @@ def test_river_edge_matches_single_step_walker(q):
 def test_river_period_matches_single_step_walker(q):
     r = diform_river(q)
     got = (r.automorph, r.mu, r.witness, r.exceptional, r.edge_count, r.bend_count)
-    assert got == single_step_river(q)
+    want, steps = single_step_river(q)
+    assert got == want
+    assert_steps_are_kept_edges(r.steps, steps)
     assert len(r.steps) <= r.edge_count
     assert sum(s.bend for s in r.steps) == r.bend_count
 
@@ -706,7 +725,25 @@ def test_far_forms_match_single_step_walker(sigma, k):
     q = BQD(sigma, 1, 2 * k, sigma * k * k - 1)
     r = diform_river(q)
     got = (r.automorph, r.mu, r.witness, r.exceptional, r.edge_count, r.bend_count)
-    assert got == single_step_river(q)
+    want, steps = single_step_river(q)
+    assert got == want
+    assert_steps_are_kept_edges(r.steps, steps)
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+@pytest.mark.parametrize("k", [1, 60, 180, 10 ** 9])
+def test_one_edge_river_steps_are_the_single_steps(sigma, k):
+    # (x + k sqrt(sigma) y)^2 - y^2 has discriminant 4 sigma: its river
+    # closes after one straight edge, however far k puts it.  Past k = 200
+    # the single-step search for the river edge (about k steps) gives way to
+    # the walker's edge, which must separate the signs
+    q = BQD(sigma, 1, 2 * k, sigma * k * k - 1)
+    r = diform_river(q)
+    want, steps = single_step_river(q, walker_river_edge(q) if k > 200 else None)
+    assert (r.automorph, r.mu, r.witness, r.exceptional, r.edge_count, r.bend_count) == want
+    assert want[3:] == (True, 1, 0)
+    assert r.steps == tuple(steps)
+    assert q(r.steps[0].pos) > 0 > q(r.steps[0].neg)
 
 
 @settings(max_examples=100, deadline=None)
@@ -901,7 +938,8 @@ LONG_RIVER = {2: 1283, 3: 2383}
 
 @pytest.mark.parametrize("sigma", [2, 3])
 def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
-    names = ("q", "pinwheel_faces", "pinwheel_complete", "isqrt")
+    # _recur builds a face list, _face one face
+    names = ("q", "pinwheel_faces", "pinwheel_complete", "_recur", "_face", "isqrt")
     calls = dict.fromkeys(names, 0)
 
     def counting(name, real):
@@ -922,7 +960,7 @@ def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
     monkeypatch.setattr(BQD, "__call__", counting("q", BQD.__call__))
     # each name is counted in every module that looks it up
     for module in (diform_module, dilinear_module):
-        for name in names[1:3]:
+        for name in names[1:5]:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     monkeypatch.setattr(diform_module, "math",
@@ -953,6 +991,14 @@ def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
     # the source alone: its flat neighbour's key is read off unchecked faces
     assert well["pinwheel_complete"] == 1
     assert river["pinwheel_complete"] == long["pinwheel_complete"] == 0
+    # a pass builds only the faces it reads: the well's two runs build none
+    # and its answer two face lists, the source's and its flat neighbour's;
+    # the search's run builds none, and the one-edge river the two faces of
+    # its start edge and the two of the edge it crosses
+    assert (well["_recur"], well["_face"]) == (2, 0)
+    assert (search["_recur"], search["_face"]) == (0, 0)
+    assert (river["_recur"], river["_face"]) == (0, 4)
+    assert long["_recur"] == 0
 
 
 def test_diform_river_builds_its_steps_once_the_period_closes(monkeypatch):
@@ -1018,13 +1064,19 @@ def test_local_form_maps_match_values_on_divectors(sigma, a, b, c, dibasis_moves
     cells = _cells(t, sigma)
     assert cells == [local_form_on_divectors(q, signed[i], signed[i + 1])
                      for i in range(2 * sigma)]
-    # crossing: the neighbour's dibasis is (f_i, -f_i+1), and beta_i flips
+    # each face alone, from its fixed combination of d0 and d1; f_2sigma is
+    # read as f_0
+    assert [_face(d0, d1, k, sigma) for k in range(2 * sigma + 1)] == [*ring, ring[0]]
+    # crossing: the neighbour's dibasis is (f_i, -f_i+1), or (f_i, f_0) over
+    # the last edge, and beta_i flips
     vertex = pinwheel_complete(d0, d1, sigma)
     for i, (p, s) in enumerate(vertex.edges()):
-        e0, e1, crossed = _cross(d0, d1, cells, i, sigma)
+        e0, e1 = _face(d0, d1, i, sigma), _face(d0, d1, i + 1, sigma)
+        e1 = e1 if i == 2 * sigma - 1 else _neg(e1)
         assert faces(pinwheel_complete(e0, e1, sigma)) == faces(
             _other_vertex(p, s, vertex, sigma))
-        assert crossed == local_form_on_divectors(q, e0, e1)
+        a, beta, c = cells[i]
+        assert (a, -beta, c) == local_form_on_divectors(q, e0, e1)
     # a run of j steps along d0: d1 - j sqrt(sigma) d0
     dj, tj = _run(d0, d1, t, j, sigma)
     assert dj == dv_add(d1, times_sqrt(d0, sigma), -j)

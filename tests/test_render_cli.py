@@ -888,7 +888,7 @@ def test_cli_classgroup_reads_delta_past_the_str_digit_limit(capsys):
 # a handler's modules only when that handler runs, and only the walks its
 # run takes
 _WALK_MODULES = {"cli", "errors", "bqf", "classical", "lax", "reduction", "walk"}
-_DIFORM_WALK_MODULES = {"cli", "errors", "classical", "dilinear", "diform", "lax", "walk"}
+_DIFORM_WALK_MODULES = {"cli", "errors", "classical", "dilinear", "diform", "walk"}
 _RENDER_MODULES = {"cli", "errors", "bqf", "classical", "lax", "dilinear", "render"}
 SUBCOMMAND_MODULES = [
     (("dump", "--json"), {"cli", "errors"}),
