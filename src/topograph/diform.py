@@ -5,10 +5,12 @@ A vertex of a walk is its generating dibasis (F0, F1) with the local forms
 (A, beta, C) of Q at its 2 sigma dibases, Q(x F0 + y F1) = A x^2 +
 beta sqrt(sigma) x y + C y^2.  Turning to (F1, sqrt(sigma) F1 - F0) maps
 one to the next, (C, 2C - beta, A - sigma beta + sigma C), and crossing an
-edge negates beta.  The walker's edge is forced, and it moves a whole run
-at a time along a kept face, to a stop that is a floor division
-(``_descend``).  A pass builds faces only where it reads them: the two of
-the edge it crosses, fixed integer combinations of F0 and F1
+edge negates beta.  As for BQFs in ``reduction``, one descent loop,
+``_descend``, serves both the well and the river search, and one loop in
+``diform_river`` walks the period.  The walker's edge is forced, and it
+moves a whole run at a time along a kept face, to a stop that is a floor
+division.  A pass builds faces only where it reads them: the two of the
+edge it crosses, fixed integer combinations of F0 and F1
 (``dilinear._face``), or the one a run reaches.  The walks start on
 ``STANDARD_DIBASIS``, checked once per process, whose local form is Q's
 coefficients (a, b, c), so they never evaluate Q.  They build the records
@@ -75,19 +77,22 @@ def _first_root(a: int, b: int, c: int) -> int | None:
     return next((j for j in roots if j >= 1), None)
 
 
-def _descend(d0: tuple, d1: tuple, cells: list, sign: int, root: int | None,
-             sigma: int):
-    """The walker's next stop from the pinwheel of (d0, d1), with local forms
-    ``cells`` and faces of sign ``sign``, as (d0, d1, cells), or None at a
-    local minimum of sign times the weight, the sum of the face values.
+def _descend(q: BQD, d0: tuple, d1: tuple, root: int | None):
+    """The one descent loop of both walks, as ``reduction._descend`` is for
+    BQFs: from the dibasis (d0, d1) to the well of a positive-definite Q,
+    or, given ``root`` = isqrt(disc) of an indefinite Q of nonsquare
+    discriminant, to the first pinwheel with faces of both signs.  Returns
+    its dibasis and local forms as (i, d0, d1, cells), i None at the well,
+    else the first edge whose faces i, i + 1 carry opposite signs.
 
-    The edge is forced.  Crossing edge i moves the weight by 8 beta_i
-    (sigma = 2) or 36 beta_i (sigma = 3), and at most one edge has
-    sign * beta_i < 0: with v_k = Q(f_k), indices mod 2 sigma, turning gives
-    beta_k + beta_k+1 = 2 v_k+1 and v_k+2 = v_k + sigma (v_k+1 - beta_k), so
-    beta_k + beta_k+2 = v_k+1 + v_k+3 at sigma = 2, and beta_k + beta_k+3 =
-    v_k + v_k+3 and 3 (beta_k + beta_k+2) = 4 v_k+1 + 2 v_k+3 at sigma = 3:
-    sign times a sum of two betas is positive.
+    The edge is forced.  Crossing edge i moves the weight, the sum of the
+    face values, by 8 beta_i (sigma = 2) or 36 beta_i (sigma = 3), and at
+    most one edge has sign * beta_i < 0 for the faces' sign: with v_k =
+    Q(f_k), indices mod 2 sigma, turning gives beta_k + beta_k+1 = 2 v_k+1
+    and v_k+2 = v_k + sigma (v_k+1 - beta_k), so beta_k + beta_k+2 = v_k+1 +
+    v_k+3 at sigma = 2, and beta_k + beta_k+3 = v_k + v_k+3 and
+    3 (beta_k + beta_k+2) = 4 v_k+1 + 2 v_k+3 at sigma = 3: sign times a sum
+    of two betas is positive.
 
     Over the last edge or edge 1 the walk runs along the face F = d0 or d1
     it keeps, else it takes one step.  With (A, beta, C) the local form at
@@ -99,32 +104,51 @@ def _descend(d0: tuple, d1: tuple, cells: list, sign: int, root: int | None,
     edge of u_j has beta 2A (j + 1) - beta; while it descends, j + 1 < x*
     and every face of u_j has the sign of Q(D_j+1).  The run stops at
     j = ceil(x*) - 1, where that edge stops descending, or, in the river
-    search, given ``root`` = isqrt(disc), at j = floor(x-) if less, x- the
-    smaller root of q, irrational as q has Q's discriminant.  Both stops are
-    at least 1: edge i descends, and D_1 is a face of this pinwheel.  F
-    alternates between the first and second place of the dibasis, which
-    fixes the orientation.
+    search, at j = floor(x-) if less, x- the smaller root of q, irrational
+    as q has Q's discriminant.  Both stops are at least 1: edge i descends,
+    and D_1 is a face of this pinwheel.  F alternates between the first and
+    second place of the dibasis, which fixes the orientation.
     """
-    for i, (_, beta, _) in enumerate(cells):
-        if sign * beta < 0:
-            break
-    else:
-        return None
-    if i not in (1, 2 * sigma - 1):
-        # the neighbour is generated by (f_i, -f_i+1), as in ``_across``,
-        # and crossing negates beta_i
-        a, beta, c = cells[i]
-        return (_face(d0, d1, i, sigma), _neg(_face(d0, d1, i + 1, sigma)),
-                _cells((a, -beta, c), sigma))
-    f, d, t = (d0, d1, cells[0]) if i > 1 else (d1, d0, cells[0][::-1])
-    a, beta = sign * t[0], sign * t[1]
-    j = (beta - 1) // (2 * a)
-    if root is not None:
-        j = min(j, (sigma * beta - root - 1) // (2 * sigma * a))
-    d, t = _run(f, d, t, j, sigma)
-    if (j % 2 == 0) == (i > 1):
-        return f, d, _cells(t, sigma)
-    return d, f, _cells(t[::-1], sigma)
+    sigma = q.sigma
+    cells = _cells(_local_form(q, d0, d1), sigma)
+    # while no face changes sign, the weight times that sign is a positive
+    # integer and falls at every pass
+    limit = sum([abs(c[0]) for c in cells]) + 1
+    for _ in range(limit):
+        if root is not None:
+            # one pass makes the products Q(f_i) Q(f_i+1); each face is in two
+            products = [a * c for a, _, c in cells]
+            if min(products) <= 0:
+                if 0 in products:
+                    raise SquareDiscriminantError(f"{_named(q)} represents zero")
+                return [x < 0 for x in products].index(True), d0, d1, cells
+        sign = 1 if cells[0][0] > 0 else -1
+        for i, (_, beta, _) in enumerate(cells):
+            if sign * beta < 0:
+                break
+        else:
+            if root is None:
+                return None, d0, d1, cells
+            raise ClassificationError(f"no descent toward the river of {_named(q)}")
+        if i not in (1, 2 * sigma - 1):
+            # the neighbour is generated by (f_i, -f_i+1), as in ``_across``,
+            # and crossing negates beta_i
+            a, beta, c = cells[i]
+            d0, d1 = _face(d0, d1, i, sigma), _neg(_face(d0, d1, i + 1, sigma))
+            cells = _cells((a, -beta, c), sigma)
+            continue
+        f, d, t = (d0, d1, cells[0]) if i > 1 else (d1, d0, cells[0][::-1])
+        a, beta = sign * t[0], sign * t[1]
+        j = (beta - 1) // (2 * a)
+        if root is not None:
+            j = min(j, (sigma * beta - root - 1) // (2 * sigma * a))
+        d, t = _run(f, d, t, j, sigma)
+        if (j % 2 == 0) == (i > 1):
+            d0, d1, cells = f, d, _cells(t, sigma)
+        else:
+            d0, d1, cells = d, f, _cells(t[::-1], sigma)
+    walk = "well descent of" if root is None else "river search for"
+    raise ClassificationError(f"{walk} {_named(q)} not finished after {brief(limit)} runs")
 
 
 def diform_well(q: BQD) -> dict:
@@ -142,17 +166,7 @@ def diform_well(q: BQD) -> dict:
 def _well(q: BQD, d0: tuple, d1: tuple) -> dict:
     """``diform_well``'s report, descending from the dibasis (d0, d1)."""
     sigma = q.sigma
-    cells = _cells(_local_form(q, d0, d1), sigma)
-    # the weight is a positive integer and falls at every pass
-    limit = sum([c[0] for c in cells]) + 1
-    for _ in range(limit):
-        step = _descend(d0, d1, cells, 1, None, sigma)
-        if step is None:
-            break
-        d0, d1, cells = step
-    else:
-        raise ClassificationError(
-            f"well descent of {_named(q)} not finished after {brief(limit)} runs")
+    _, d0, d1, cells = _descend(q, d0, d1, None)
     source = pinwheel_complete(d0, d1, sigma)
     # a neighbour of equal weight lies over an edge with beta = 0
     key = source.key()
@@ -166,33 +180,6 @@ def _well(q: BQD, d0: tuple, d1: tuple) -> dict:
         "reduced_red": reduce_definite(red),
         "reduced_blue": reduce_definite(blue),
     }
-
-
-def _find_river_edge(q: BQD, root: int):
-    """The first pinwheel of the walk with faces of both signs, as
-    (i, d0, d1, cells): its dibasis (d0, d1), its local forms, and the first
-    edge i whose faces i, i + 1 carry opposite signs.  Q is indefinite, of a
-    discriminant that is not a square, as ``diform_river`` checks, and
-    ``root`` is its isqrt."""
-    sigma = q.sigma
-    d0, d1 = STANDARD_DIBASIS
-    cells = _cells(_local_form(q, d0, d1), sigma)
-    # while no face changes sign, the weight times that sign is a positive
-    # integer and falls at every pass
-    limit = sum([abs(c[0]) for c in cells]) + 1
-    for _ in range(limit):
-        # one pass makes the products Q(f_i) Q(f_i+1); each face is in two
-        products = [a * c for a, _, c in cells]
-        if min(products) <= 0:
-            if 0 in products:
-                raise SquareDiscriminantError(f"{_named(q)} represents zero")
-            return [x < 0 for x in products].index(True), d0, d1, cells
-        step = _descend(d0, d1, cells, 1 if cells[0][0] > 0 else -1, root, sigma)
-        if step is None:
-            raise ClassificationError(f"no descent toward the river of {_named(q)}")
-        d0, d1, cells = step
-    raise ClassificationError(
-        f"river search for {_named(q)} not finished after {brief(limit)} runs")
 
 
 class DiRiverStep(NamedTuple):
@@ -220,42 +207,6 @@ class DiRiverPeriod(NamedTuple):
     form: BQD
 
 
-def _river_run(d0: tuple, d1: tuple, t: tuple, i: int, start: tuple, root: int,
-               sigma: int):
-    """Where the river walk at the edge (d0, +-d1) of the pinwheel of
-    (d0, d1), d0 the positive face and t the local form, leaving over edge
-    i, must next record an edge: the number of edges passed over, and the
-    walker's positive and negative face and local form there; None unless
-    i is 1 or the last edge.  The last edge keeps d0 and reaches
-    (d0, d1 - j sqrt(sigma) d0), edge 1 (-1)^j (d0 - j sqrt(sigma) d1, d1).
-    While the faces D_j beside the kept face F have the other sign, the
-    other faces of the vertices between have it too and a larger |Q|, as
-    |Q(D_j)| is strictly concave in j: those edges do not bend and hold no
-    least face.  The run is cut before the first D_j of F's sign, one floor
-    division with ``root`` = isqrt(disc), or at an edge with the values
-    ``start`` of the start edge, which may close the period.
-    """
-    if i not in (1, 2 * sigma - 1):
-        return None
-    f, d, t = (d0, d1, t) if i > 1 else (d1, d0, t[::-1])
-    a, beta, c = t
-    sf = 1 if a > 0 else -1
-    # the last D_j of the other sign sits below the root of F's side, which
-    # is irrational
-    j = (sf * sigma * beta + root) // (2 * sigma * sf * a)
-    near, far = start if sf > 0 else start[::-1]
-    if a == near:
-        root = _first_root(sigma * a, -sigma * beta, c - far)
-        if root is not None and root < j:
-            j = root
-    d, t = _run(f, d, t, j, sigma)
-    if i > 1:
-        return j - 1, f, d, t
-    if j % 2:
-        d, f = _neg(d), _neg(f)
-    return j - 1, d, _neg(f), t[::-1]
-
-
 def diform_river(q: BQD) -> DiRiverPeriod:
     """Trace one river period, a run at a time; classify bends and report
     the minimum.
@@ -274,7 +225,7 @@ def diform_river(q: BQD) -> DiRiverPeriod:
             f"need a nondegenerate indefinite diform, not {_named(q)}")
     sigma = q.sigma
     n = 2 * sigma
-    here, d0, d1, cells = _find_river_edge(q, root)
+    here, d0, d1, cells = _descend(q, *STANDARD_DIBASIS, root)
     x, y = _face(d0, d1, here, sigma), _face(d0, d1, here + 1, sigma)
     a, _, c = cells[here]
     p0, n0, start = (x, y, (a, c)) if a > 0 else (y, x, (c, a))
@@ -312,10 +263,30 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                 f"river is not a single line at a vertex of {_named(q)} "
                 f"({len(crossings)} exits)")
         i = crossings[0]
-        jump = here == 0 and p == d0 and _river_run(d0, d1, cells[0], i, start, root, sigma)
-        if jump:
-            skipped, p, neg, t = jump
-            edges += skipped
+        if here == 0 and p == d0 and i in (1, n - 1):
+            # The walker leaves the edge (d0, +-d1), d0 positive, over the
+            # last edge, which keeps d0 and reaches (d0, d1 - j sqrt(sigma) d0),
+            # or edge 1, (-1)^j (d0 - j sqrt(sigma) d1, d1).  While the faces
+            # D_j beside the kept face F have the other sign, the other faces
+            # of the vertices between have it too and a larger |Q|, as
+            # |Q(D_j)| is strictly concave in j: those edges do not bend and
+            # hold no least face.  The run is cut before the first D_j of F's
+            # sign, below the root of F's side, which is irrational, or at an
+            # edge with the start edge's values, which may close the period.
+            f, e, t = (d0, d1, cells[0]) if i > 1 else (d1, d0, cells[0][::-1])
+            a, beta, c = t
+            sf = 1 if a > 0 else -1
+            j = (sf * sigma * beta + root) // (2 * sigma * sf * a)
+            near, far = start if sf > 0 else start[::-1]
+            if a == near:
+                cut = _first_root(sigma * a, -sigma * beta, c - far)
+                if cut is not None and cut < j:
+                    j = cut
+            e, t = _run(f, e, t, j, sigma)
+            edges += j - 1
+            p, neg = f, e
+            if i == 1:
+                p, neg, t = (_neg(e), f, t[::-1]) if j % 2 else (e, _neg(f), t[::-1])
         else:
             x, y = _face(d0, d1, i, sigma), _face(d0, d1, i + 1, sigma)
             a, beta, c = cells[i]

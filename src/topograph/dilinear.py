@@ -108,8 +108,9 @@ def pinwheel_faces(d1: tuple, d2: tuple, sigma: int) -> tuple:
     color, u, v = faces.pop()
     if (color, -u, -v) != d1:
         raise DibasisError(f"pinwheel of {_shown(d1)}, {_shown(d2)} failed to close")
-    for i in range(2 * sigma):
-        if _face_det(faces[i - 1], faces[i], sigma) not in (1, -1):
+    # the other 2 sigma - 1 edges, (f_1, f_2) to (f_2sigma-1, f_0)
+    for i in range(1 - 2 * sigma, 0):
+        if _face_det(faces[i], faces[i + 1], sigma) not in (1, -1):
             raise DibasisError(
                 f"pinwheel of {_shown(d1)}, {_shown(d2)} has a non-dibasis edge")
     return tuple(faces)

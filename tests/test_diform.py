@@ -19,7 +19,7 @@ from topograph.bqf import BQF
 from topograph.diform import (
     DiRiverStep,
     _cells,
-    _find_river_edge,
+    _descend,
     _lattice,
     _run,
     _translation_automorph,
@@ -278,6 +278,24 @@ def test_pinwheel_rejects_an_open_recurrence():
     # sqrt(5) turns the recurrence hyperbolic: ten faces do not close
     with pytest.raises(DibasisError):
         pinwheel_complete(*STANDARD_DIBASIS, 5)
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_pinwheel_checks_each_edge_once(sigma, monkeypatch):
+    # the dibasis (d1, d2) up front, then the other 2 sigma - 1 edges
+    real, pairs = dilinear_module._face_det, []
+
+    def counting(f, g, s):
+        pairs.append((f, g))
+        return real(f, g, s)
+
+    monkeypatch.setattr(dilinear_module, "_face_det", counting)
+    faces = pinwheel_faces(*STANDARD_DIBASIS, sigma)
+    assert len(pairs) == 2 * sigma
+    edges = {frozenset(p) for p in pairs}
+    assert len(edges) == 2 * sigma
+    n = len(faces)
+    assert edges == {frozenset((faces[i], faces[(i + 1) % n])) for i in range(n)}
 
 
 def test_pinwheel_rejects_a_non_dibasis_edge(monkeypatch):
@@ -685,9 +703,9 @@ def test_well_matches_single_step_walker(q, start_moves):
 
 
 def walker_river_edge(q: BQD):
-    """``_find_river_edge``'s edge as (p, neg, vertex): the positive and the
-    negative face and the pinwheel the search stops at."""
-    i, d0, d1, cells = _find_river_edge(q, math.isqrt(q.discriminant()))
+    """The river search's edge as (p, neg, vertex): the positive and the
+    negative face and the pinwheel ``_descend`` stops at."""
+    i, d0, d1, cells = _descend(q, *STANDARD_DIBASIS, math.isqrt(q.discriminant()))
     vertex = pinwheel_complete(d0, d1, q.sigma)
     x, y = vertex.faces[i], vertex.faces[(i + 1) % len(vertex.faces)]
     assert [c[0] for c in cells] == [q(f) for f in vertex.faces]
@@ -955,7 +973,7 @@ def test_far_walks_cost_does_not_grow_with_k(sigma, monkeypatch):
 
     def search_from_root(q):
         # the test's own isqrt, not counted: the search makes none
-        return _find_river_edge(q, math.isqrt(q.discriminant()))
+        return _descend(q, *STANDARD_DIBASIS, math.isqrt(q.discriminant()))
 
     monkeypatch.setattr(BQD, "__call__", counting("q", BQD.__call__))
     # each name is counted in every module that looks it up
@@ -1201,22 +1219,41 @@ def test_diform_errors_name_huge_forms(monkeypatch):
         diform_river(BQD(3, HUGE, 1, HUGE))
     zero = BQD(2, 0, 1, HUGE)
     with pytest.raises(SquareDiscriminantError, match="16610-bit.*represents zero"):
-        _find_river_edge(zero, math.isqrt(zero.discriminant()))
+        _descend(zero, *STANDARD_DIBASIS, math.isqrt(zero.discriminant()))
     far = BQD(3, 1, 2 * HUGE, 3 * HUGE * HUGE - 1)
-    real_edge = diform_module._find_river_edge
+    far_root = math.isqrt(far.discriminant())
 
-    def misplaced_edge(q, root):
+    def misplaced_edge(q, d0, d1, root):
         # the walker set on an edge whose faces share a sign sees two exits
-        i, d0, d1, cells = real_edge(q, root)
+        i, d0, d1, cells = _descend(q, d0, d1, root)
         same = next(k for k, (a, _, c) in enumerate(cells) if a * c > 0)
         return same, d0, d1, cells
 
-    monkeypatch.setattr(diform_module, "_find_river_edge", misplaced_edge)
+    monkeypatch.setattr(diform_module, "_descend", misplaced_edge)
     with pytest.raises(ClassificationError, match="single line.*33221"):
         diform_river(far)
-    monkeypatch.setattr(diform_module, "_descend", lambda *args: None)
+    # a pinwheel of equal positive values and flat edges has no descending edge
+    monkeypatch.setattr(diform_module, "_cells", lambda t, sigma: [(1, 0, 1)] * (2 * sigma))
     with pytest.raises(ClassificationError, match="no descent toward the river.*33221"):
-        real_edge(far, math.isqrt(far.discriminant()))
+        _descend(far, *STANDARD_DIBASIS, far_root)
+
+
+@pytest.mark.parametrize("sigma", [2, 3])
+def test_diform_walks_that_do_not_finish_are_named(sigma, monkeypatch):
+    # a fixed pinwheel of values 1 whose only descending edge is edge 2, a
+    # single step: every pass steps back to the same local forms, and the
+    # weight, 2 sigma, bounds the passes at 2 sigma + 1
+    cells = [(1, -1 if k == 2 else 1, 1) for k in range(2 * sigma)]
+    monkeypatch.setattr(diform_module, "_cells", lambda t, s: cells)
+    runs = 2 * sigma + 1
+    with pytest.raises(ClassificationError, match=(
+            rf"^well descent of the sigma = {sigma} diform \(1, 0, 1\) "
+            rf"not finished after {runs} runs$")):
+        diform_well(BQD(sigma, 1, 0, 1))
+    with pytest.raises(ClassificationError, match=(
+            rf"^river search for the sigma = {sigma} diform \(1, 0, -7\) "
+            rf"not finished after {runs} runs$")):
+        diform_river(BQD(sigma, 1, 0, -7))
 
 
 def test_diform_river_period_past_its_bit_budget_is_refused(monkeypatch):
