@@ -292,10 +292,9 @@ def test_pinwheel_checks_each_edge_once(sigma, monkeypatch):
     monkeypatch.setattr(dilinear_module, "_face_det", counting)
     faces = pinwheel_faces(*STANDARD_DIBASIS, sigma)
     assert len(pairs) == 2 * sigma
-    edges = {frozenset(p) for p in pairs}
-    assert len(edges) == 2 * sigma
     n = len(faces)
-    assert edges == {frozenset((faces[i], faces[(i + 1) % n])) for i in range(n)}
+    assert {frozenset(p) for p in pairs} == {frozenset((faces[i], faces[(i + 1) % n]))
+                                             for i in range(n)}
 
 
 def test_pinwheel_rejects_a_non_dibasis_edge(monkeypatch):
@@ -1221,7 +1220,6 @@ def test_diform_errors_name_huge_forms(monkeypatch):
     with pytest.raises(SquareDiscriminantError, match="16610-bit.*represents zero"):
         _descend(zero, *STANDARD_DIBASIS, math.isqrt(zero.discriminant()))
     far = BQD(3, 1, 2 * HUGE, 3 * HUGE * HUGE - 1)
-    far_root = math.isqrt(far.discriminant())
 
     def misplaced_edge(q, d0, d1, root):
         # the walker set on an edge whose faces share a sign sees two exits
@@ -1235,7 +1233,7 @@ def test_diform_errors_name_huge_forms(monkeypatch):
     # a pinwheel of equal positive values and flat edges has no descending edge
     monkeypatch.setattr(diform_module, "_cells", lambda t, sigma: [(1, 0, 1)] * (2 * sigma))
     with pytest.raises(ClassificationError, match="no descent toward the river.*33221"):
-        _descend(far, *STANDARD_DIBASIS, far_root)
+        _descend(far, *STANDARD_DIBASIS, math.isqrt(far.discriminant()))
 
 
 @pytest.mark.parametrize("sigma", [2, 3])
