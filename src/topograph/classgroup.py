@@ -339,8 +339,7 @@ def verify_red_blue(sigma: int, a: int, b: int, c: int) -> dict:
     if d < 0 and a < 0:
         raise PreconditionError(f"the diform {brief((a, b, c))} is negative-definite")
     table = enumerate_classes(d)
-    i_red = table.class_index(q_red)
-    i_blue = table.class_index(q_blue)
+    i_red, i_blue = table._lookup(q_red), table._lookup(q_blue)
     i_a = table.class_index(ambiguous_form_A(sigma, d))
     holds = table.compose_indices(i_a, i_blue) == i_red
     return {

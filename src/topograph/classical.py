@@ -1,9 +1,7 @@
-"""Classical (non-topograph) reduction machinery for binary quadratic forms.
-
-This is the textbook route: definite forms are reduced by translation/swap,
-indefinite forms by the rho operator, giving cycles of reduced forms.  It is
-used by the class-group module and serves as the independent cross-check for
-the well/river route.
+"""Classical (non-topograph) reduction of binary quadratic forms, the
+textbook route: definite forms by translation and swap, indefinite ones by
+Cohen's rho and its cycles of reduced forms.  The class groups use it, and
+tests check the well and river walks against it.
 """
 
 from __future__ import annotations
@@ -61,8 +59,7 @@ def _rho(form: Form, d: int, s: int) -> Form:
             b2 -= t
     else:
         # choose b' = -b mod t with s - t < b' <= s
-        b2 = (-b) % t
-        b2 += ((s - b2) // t) * t
+        b2 = s - (s + b) % t
     # b' = -b + 2ck, so c' = (b'^2 - d) / 4c = a - bk + ck^2: no division
     # by c of a number twice its size
     k = (b2 + b) // (2 * c)
@@ -91,15 +88,15 @@ def _reduce(form: Form, d: int, s: int) -> Form:
     # steps.  a plays no part, as the first step drops it.
     excess = form[2].bit_length() - (d.bit_length() - 1) // 2
     limit = max(excess, 0) // 2 + 3
-    f, steps = tuple(form), 0
-    while not (0 < f[1] <= s and s - f[1] < 2 * abs(f[0]) <= s + f[1]):
+    (a, b, c), steps = form, 0
+    while not (0 < b <= s and s - b < 2 * abs(a) <= s + b):
         if steps == limit:
             raise ClassificationError(
                 f"rho reduction of {brief(form)} did not terminate in {steps} steps"
             )
-        f = _rho(f, d, s)
+        a, b, c = _rho((a, b, c), d, s)
         steps += 1
-    return f
+    return a, b, c
 
 
 def indefinite_cycle(form: Form) -> tuple[Form, ...]:
@@ -111,11 +108,16 @@ def indefinite_cycle(form: Form) -> tuple[Form, ...]:
 
 def _cycle(start: Form, d: int, s: int) -> tuple[Form, ...]:
     """``indefinite_cycle`` of a reduced form, given s = isqrt(d)."""
-    # rho permutes the finitely many reduced forms of discriminant d
-    cycle = [start]
-    while (f := _rho(cycle[-1], d, s)) != start:
+    # rho permutes the finitely many reduced forms of discriminant d.  Each
+    # has |c| < sqrt(d), so rho takes the b' = -b mod 2|c| in (s - 2|c|, s],
+    # and c' = (b'^2 - d) / 4c is exact on numbers below d
+    cycle, (_, b, c) = [start], start
+    while True:
+        b = s - (s + b) % (2 * abs(c))
+        a, c = c, (b * b - d) // (4 * c)
+        if (f := (a, b, c)) == start:
+            return tuple(cycle)
         cycle.append(f)
-    return tuple(cycle)
 
 
 def transform(form: Form, m) -> Form:

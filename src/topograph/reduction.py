@@ -1,21 +1,15 @@
 """Topograph-driven reduction: wells for definite forms, rivers for
-indefinite ones, Pell solutions and minima bounds.
-
-The routines here navigate the topograph directly and never call the
-classical reduction route; the two are compared in tests.
+indefinite ones, Pell solutions and minima bounds, walked on the topograph;
+tests compare them with the classical route.
 
 Every walk carries one edge (p, n) and its local form
-(u, b, v) = (Q(p), Q(p + n) - u - v, Q(n)), and moves a whole run at a time.
-Along a path that keeps the face n fixed, the faces p + kn on the other side
-have values u + k(b + kv), a quadratic sequence in the step number, so the
-length of each monotone run is one exact floor division or ``isqrt``, and the
-run itself is the one-step update p <- p + kn, u <- u + k(b + kv),
-b <- b + 2kv (or its mirror, which keeps p).  Well descent and the river
-search start from the edge ((1, 0), (0, 1)), whose local form is the
-coefficients (a, b, c), and cost O(log |coefficients|) runs; a river period
-costs one run per partial quotient of its continued fraction, not their sum.
-So Q is evaluated only in the river's automorph certificate: never once per
-run, and never in a well descent."""
+(u, b, v) = (Q(p), Q(p + n) - u - v, Q(n)), and moves a run at a time: beside
+a kept face n the faces p + kn have values u + k(b + kv), so a run's length
+is one floor division or ``isqrt``, and the run is p <- p + kn,
+u <- u + k(b + kv), b <- b + 2kv (or its mirror, which keeps p).  The
+descents start from the edge ((1, 0), (0, 1)), whose local form is (a, b, c),
+and cost O(log |coefficients|) runs; a river period costs one run per
+partial quotient.  Q is evaluated only in the river's automorph certificate."""
 
 from __future__ import annotations
 
@@ -66,20 +60,22 @@ class RiverPeriod(NamedTuple):
     form: BQF
 
     def bends(self) -> list[BQF]:
-        # every run ends at a bend (see trace_river), so only the start cell
-        # is tested.  A run keeps det(p, n), and so does the automorph, so
-        # every edge has the start edge's, s; of a bend's two det +1 readings
-        # (u, sb, v) and (v, -sb, u), the one with a positive middle term
-        s, cells = det(*self.start), self.cells
+        # every run ends at a bend, so only the start cell is tested.  Runs
+        # and the automorph keep det(p, n), so every edge has the start
+        # edge's, s; of a bend's two det +1 readings (u, sb, v) and
+        # (v, -sb, u), the one with a positive middle term
+        ((pa, pc), (nb, nd)), cells = self.start, self.cells
         u, b, v = cells[0]
-        return [_new(BQF, (u, s * b, v) if s * b > 0 else (v, -s * b, u))
-                for u, b, v in cells[0 if abs(b) > abs(u + v) else 1:]]
+        cells = cells[0 if (u + v - b) * (u + v + b) < 0 else 1:]
+        if pa * nd > pc * nb:
+            return [_new(BQF, (u, b, v) if b > 0 else (v, -b, u)) for u, b, v in cells]
+        return [_new(BQF, (v, b, u) if b > 0 else (u, -b, v)) for u, b, v in cells]
 
     def minimum(self) -> MinimumReport:
         # a cell is Q in a basis of det +-1, so it has Q's discriminant
-        u, b, v = self.cells[0]
-        return _new(MinimumReport, (abs(self.ties[0][0]), min([lax(f) for _, f in self.ties]),
-                                    b * b - 4 * u * v))
+        (u, b, v), ties = self.cells[0], self.ties
+        least = lax(ties[0][1]) if len(ties) == 1 else min([lax(f) for _, f in ties])
+        return _new(MinimumReport, (abs(ties[0][0]), least, b * b - 4 * u * v))
 
     def iter_edges(self):
         """The edge (p, n) of each cell, then the closing translate, rebuilt
@@ -108,21 +104,20 @@ def _descend(q: BQF, root: int | None):
     """Follow strictly decreasing |Q| from the standard superbase
     ((0, 1), (1, 0), (-1, -1)) until a well (no face exceeds the sum of the
     other two) of a positive-definite form or, when ``root`` = isqrt(disc) is
-    given, until a face of the other sign appears.  Returns the final signed
-    faces and their values, each at the position the single-step walk leaves
-    it in.
+    given, until a face of the other sign appears.  Returns three final
+    signed faces and their values: a well's as (p, n, -(p + n)), the river
+    search's as the first face of each sign, by the position the single-step
+    walk leaves it in, then the third.
 
     The walker holds one edge (p, n) of the superbase {p, n, -(p + n)} and
-    its local form (u, b, v) = (Q(p), Q(p + n) - u - v, Q(n)), for the form
-    of sign s that makes the start faces positive.  The third face exceeds
-    the other two iff b > 0, and only at the start: crossing the edge
-    negates b.  After that the face p exceeds iff b < -2v, and each step then
-    drops p for p + n: a run of k steps is p <- p + kn, u <- u + k(b + kv),
-    b <- b + 2kv, and leaves b in [-2v, 0).  The face n exceeds iff
-    b < -2u; the walker then swaps the roles of p and n and runs the same
-    way.  Runs around n and around p alternate, like the steps of Gauss
-    reduction; their number may reach the bit length of the largest
-    starting value plus two.
+    its local form (u, b, v) for the form of sign s that makes the start
+    faces positive.  The third face exceeds the other two iff b > 0, and
+    only at the start: crossing the edge negates b.  After that the face p
+    exceeds iff b < -2v, and each step drops p for p + n: a run leaves b in
+    [-2v, 0).  The face n exceeds iff b < -2u; the walker then swaps the
+    roles of p and n.  Runs around n and around p alternate, like the steps
+    of Gauss reduction; their number may reach the bit length of the
+    largest starting value plus two.
 
     Positions and signs follow the single-step walk, which drops the face at
     position j, puts the face at j + 1 minus the face at j + 2 there, and
@@ -137,6 +132,11 @@ def _descend(q: BQF, root: int | None):
     if root is None and (a <= 0 or b * b - 4 * a * c >= 0):
         raise ClassificationError(f"well search needs a positive-definite form, not "
                                   f"{_named(q)} of discriminant {brief(b * b - 4 * a * c)}")
+    if root is not None and a * c < 0:
+        # the start edge straddles the river: (0, 1) at position 0, (1, 0) at 1
+        if a > 0:
+            return ((1, 0), (0, 1), (-1, -1)), (a, c, a + b + c)
+        return ((0, 1), (1, 0), (-1, -1)), (c, a, a + b + c)
     # p = (1, 0) at position 1, n = (0, 1) at position 0, local form (a, b, c)
     p, n, ip, jn = (1, 0), (0, 1), 1, 0
     s = -1 if a < 0 else 1
@@ -174,21 +174,22 @@ def _descend(q: BQF, root: int | None):
     else:
         raise ClassificationError(
             f"descent of {_named(q)} not finished after {limit} runs")
-    it = 3 - ip - jn
+    t = (-p[0] - n[0], -p[1] - n[1])
+    if root is None:  # a well (s = 1), whose callers sort its faces
+        return (p, n, t), (u, v, u + b + v)
     vs, vals = [None] * 3, [None] * 3
-    vs[ip], vs[jn], vs[it] = p, n, (-p[0] - n[0], -p[1] - n[1])
-    vals[ip], vals[jn], vals[it] = s * u, s * v, s * (u + b + v)
-    return vs, vals
+    vs[ip], vs[jn], vs[3 - ip - jn] = p, n, t
+    vals[ip], vals[jn], vals[3 - ip - jn] = s * u, s * v, s * (u + b + v)
+    i = 0 if vals[0] > 0 else 1 if vals[1] > 0 else 2
+    j = 0 if vals[0] < 0 else 1 if vals[1] < 0 else 2
+    return (vs[i], vs[j], vs[3 - i - j]), (vals[i], vals[j], vals[3 - i - j])
 
 
 def find_well(q: BQF) -> Well:
     vs, vals = _descend(q, None)
     (u, _, x), (v, _, y), (w, _, z) = sorted(zip(vals, map(lax, vs), vs))
     kind = CELL_WELL if u + v == w else TRIAD_WELL
-    if u == v:
-        orientation = "ambiguous"
-    else:
-        orientation = "positive" if det(x, y) > 0 else "negative"
+    orientation = "ambiguous" if u == v else "positive" if det(x, y) > 0 else "negative"
     return Well(kind, (u, v, w), (x, y, z), orientation)
 
 
@@ -204,7 +205,7 @@ def _well_form(vals, vs) -> BQF:
         u, v, x, y = v, u, y, x
         if w < v:
             v, w, y = w, v, z
-    b = -det(x, y) * (u + v - w)
+    b = (x[1] * y[0] - x[0] * y[1]) * (u + v - w)  # -det(x, y)
     if b < 0 and (u == v or -b == u):
         b = -b
     return _new(BQF, (u, b, v))
@@ -226,13 +227,10 @@ def _river_cell(q: BQF):
     if disc <= 0 or root * root == disc:
         raise SquareDiscriminantError("river operations need an indefinite nondegenerate "
                                       f"form, not {_named(q)} of discriminant {brief(disc)}")
-    vs, vals = _descend(q, root)
-    # the first face of each sign
-    i = 0 if vals[0] > 0 else 1 if vals[1] > 0 else 2
-    j = 0 if vals[0] < 0 else 1 if vals[1] < 0 else 2
-    if vals[i] < 0 or vals[j] > 0:
+    (p, n, _), (x, y, z) = _descend(q, root)  # the first face of each sign
+    if x < 0 or y > 0:
         raise ClassificationError(f"no river edge found for {_named(q)}")
-    return vs[i], vs[j], (vals[i], vals[3 - i - j] - vals[i] - vals[j], vals[j]), root
+    return p, n, (x, z - x - y, y), root
 
 
 def find_river_edge(q: BQF) -> tuple[Vec, Vec]:
@@ -248,30 +246,24 @@ def _absolute(stack: list, face: Vec) -> Vec:
 
 
 def trace_river(q: BQF) -> RiverPeriod:
-    """Walk the river one full period, a run at a time, keeping its cells,
-    not its edges, which ``RiverPeriod.iter_edges`` rebuilds, and reading
-    the least |Q| as it goes; the period is certified by an exact
-    Q-preserving change of basis (the automorph).
+    """Walk the river one period, a run at a time, keeping its cells (not
+    its edges, which ``RiverPeriod.iter_edges`` rebuilds) and the least |Q|,
+    and certify the period by an exact Q-preserving change of basis.
 
     Every run ends at a bend.  The walk is the same at every translate, so
-    the first run end that is a translate of the first bend (the start, if
-    that is one) gives the automorph, and the closing edge is its image of
-    the start.  The bends of one period read off distinct reduced forms
-    (a, b, c), 0 < b, 0 < |a| < sqrt(disc), which bounds the runs.
+    the first run end that translates the first bend (the start, if a bend)
+    gives the automorph, and the closing edge is its image of the start.
+    The bends of one period read off distinct reduced forms (a, b, c),
+    0 < b, 0 < |a| < sqrt(disc), which bounds the runs.  Inside a run |Q| of
+    the moving faces is strictly concave in the step number, so the run-end
+    faces, the closing translate's included, hold every least |Q|.
 
-    Inside a run |Q| of the moving faces is strictly concave in the step
-    number, so the faces at the run ends, the closing translate's included,
-    hold every face of the period of least |Q|.
-
-    The edge (p, n) is held as a running edge, the start edge times the runs
-    since: every ``CHUNK`` runs it is pushed onto a stack of products and
-    reset to the identity, and the stack merges its top two entries like a
-    binary counter, one product per set bit of the chunks pushed.  A face is
-    built absolute, the stack's product applied to the running face, only
-    for a face of least |Q| and at a candidate close.  A period under
-    ``CHUNK`` runs never touches the stack.  The walk charges its cells and
-    what it holds of the answer, the stack and the faces of least |Q|, to
-    ``walk.charge`` every ``CHUNK`` runs.
+    The edge (p, n) is held as the start edge times the runs since: every
+    ``CHUNK`` runs it is pushed onto a stack of products that merges like a
+    binary counter, and reset to the identity.  A face is built absolute
+    only where |Q| is least and at a candidate close, so a period under
+    ``CHUNK`` runs never touches the stack.  The walk charges its cells,
+    stack and faces of least |Q| every ``CHUNK`` runs.
     """
     p0, n0, cell, root = _river_cell(q)
     u, b, v = cell
@@ -283,17 +275,17 @@ def trace_river(q: BQF) -> RiverPeriod:
     elif -v == mu:
         ties.append((v, n0))
     # the river turns at an edge whose end faces p - n and p + n, of values
-    # u + v - b and u + v + b, carry opposite signs: where |b| > |u + v|; a
-    # start that is none is replaced by the first run end
-    ref = cell if abs(b) > abs(u + v) else None
-    ref_edge, ref_steps, steps, kept = (p0, n0), 0, 0, 0
-    due = CHUNK if ref else 1
+    # u + v - b and u + v + b, carry opposite signs; a start that is none is
+    # replaced by the first run end
+    ref = cell if (u + v - b) * (u + v + b) < 0 else None
+    ref_edge, ref_steps, steps, kept = (pa, pc, nb, nd), 0, 0, 0
+    due, moves_p = CHUNK if ref else 1, u + b + v > 0
     for run in range(1, limit + 1):
         # While the face p + n is positive p advances by n, else n advances
         # by p; the run ends where Q(p + j n) or Q(n + j p) changes sign, at
-        # the floor of a root of a quadratic with discriminant Q's: a bend.
-        # The face that moved has |Q| = size; the other was read before.
-        if u + b + v > 0:
+        # the floor of a root of a quadratic with discriminant Q's: a bend,
+        # so the sides alternate.  The face that moved has |Q| = size.
+        if moves_p:
             k = (b + root) // (-2 * v)
             pa, pc = pa + k * nb, pc + k * nd
             u, b = u + k * (b + k * v), b + 2 * k * v
@@ -303,14 +295,15 @@ def trace_river(q: BQF) -> RiverPeriod:
             nb, nd = nb + k * pa, nd + k * pc
             v, b = v + k * (b + k * u), b + 2 * k * u
             size = -v
+        moves_p = not moves_p
         steps += k
         cell = (u, b, v)
         if cell == ref:
-            p, n = (pa, pc), (nb, nd)
+            x, y, z, w = pa, pc, nb, nd
             if stack:
-                p, n = _absolute(stack, p), _absolute(stack, n)
+                (x, y), (z, w) = _absolute(stack, (x, y)), _absolute(stack, (z, w))
             # T = [p n] [p' n']^-1 for the bend's edge (p', n'), of det d = 1 / d
-            (x, y), (z, w), ((ra, rc), (rb, rd)) = p, n, ref_edge
+            ra, rc, rb, rd = ref_edge
             d = ra * rd - rb * rc
             t = ((d * (x * rd - z * rc), d * (z * ra - x * rb)),
                  (d * (y * rd - w * rc), d * (w * ra - y * rb)))
@@ -324,8 +317,7 @@ def trace_river(q: BQF) -> RiverPeriod:
                                           tuple(ties), q))
         cells.append(cell)
         if size <= mu:
-            # p moved iff the face p + n is now negative
-            value, face = (u, (pa, pc)) if u + b + v < 0 else (v, (nb, nd))
+            value, face = (v, (nb, nd)) if moves_p else (u, (pa, pc))
             if stack:
                 face = _absolute(stack, face)
             if size < mu:
@@ -333,7 +325,7 @@ def trace_river(q: BQF) -> RiverPeriod:
             ties.append((value, face))
         if run == due:
             if ref is None:  # the first run: the stack is empty
-                ref, ref_edge, ref_steps, due = cell, ((pa, pc), (nb, nd)), steps, CHUNK
+                ref, ref_edge, ref_steps, due = cell, (pa, pc, nb, nd), steps, CHUNK
                 continue
             stack.append(((pa, nb), (pc, nd)))
             chunks = run // CHUNK

@@ -393,6 +393,43 @@ def test_public_rho_steps_the_cycle():
         assert [classical.rho(f, d) for f in cycle] == list(cycle[1:] + cycle[:1])
 
 
+def _rho_orbit(form, d):
+    """The forms the public rho reaches from ``form`` until it returns."""
+    orbit = [form]
+    while (f := classical.rho(orbit[-1], d)) != form:
+        orbit.append(f)
+    return tuple(orbit)
+
+
+def _reduced_forms(d):
+    """Every reduced form (a, b, c) of discriminant d, primitive or not."""
+    for b in range(2 - d % 2, math.isqrt(d) + 1, 2):
+        m = (d - b * b) // 4
+        for a in range(1, math.isqrt(m) + 1):
+            if m % a == 0:
+                for aa in (a, -a, m // a, -(m // a)):
+                    if is_reduced_indefinite(f := (aa, b, -m // aa), d):
+                        yield f
+
+
+def test_cycle_step_matches_the_public_rho():
+    # the cycle steps reduced forms without rho's |c| > sqrt(d) branch;
+    # every reduced form of every nonsquare discriminant up to 3000
+    forms = 0
+    for d in range(5, 3001):
+        if d % 4 > 1 or math.isqrt(d) ** 2 == d:
+            continue
+        for f in _reduced_forms(d):
+            assert classical._cycle(f, d, math.isqrt(d)) == _rho_orbit(f, d), (f, d)
+            forms += 1
+    assert forms == 71488
+    # and near 10^30, where the cycles of k^2 + 4, k^2 + 1 and k^2 - 4 are short
+    k = 10 ** 15
+    for d in (k * k + 4, k * k + 1, k * k - 4):
+        for f in indefinite_cycle(principal_form(d)):
+            assert classical._cycle(f, d, math.isqrt(d)) == _rho_orbit(f, d), (f, d)
+
+
 def test_rho_reduction_overrun_is_typed(monkeypatch):
     monkeypatch.setattr(classical, "_rho", lambda form, d, s: form)
     with pytest.raises(ClassificationError, match=r"\(1, 0, -3\).* 3 steps"):

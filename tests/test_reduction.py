@@ -463,6 +463,14 @@ def _grid_forms():
             yield form
 
 
+def _oracle_well(vs, vals):
+    """``find_well``'s record of an oracle descent's signed faces: values
+    sorted, ties broken by the lax face, then the signed one."""
+    (u, _, x), (v, _, y), (w, _, z) = sorted(zip(vals, map(lax, vs), vs))
+    orientation = "ambiguous" if u == v else "positive" if det(x, y) > 0 else "negative"
+    return (CELL_WELL if u + v == w else TRIAD_WELL, (u, v, w), (x, y, z), orientation)
+
+
 def test_walks_match_the_single_step_walker_on_a_grid():
     # every primitive positive-definite and indefinite non-square form with
     # coefficients in [-12, 12], so every tie of two cell wells; 10^12 steps
@@ -478,8 +486,12 @@ def test_walks_match_the_single_step_walker_on_a_grid():
             if t1 <= 40:
                 assert (vs, vals) == superbase_descent(q)
             if form[1] ** 2 < 4 * form[0] * form[2]:
-                well = find_well(q)
-                assert sorted(zip(well.values, well.vectors)) == sorted(zip(vals, vs))
+                assert find_well(q) == _oracle_well(vs, vals)
+                assert tuple(gauss_reduced(q)) == reduce_definite(tuple(q))
+                # the descent's own faces, unplaced, sum to zero
+                faces, values = reduction._descend(q, None)
+                assert tuple(map(sum, zip(*faces))) == (0, 0)
+                assert values == tuple(map(q, faces))
             else:
                 assert find_river_edge(q) == _river_edge(vs, vals)
 
@@ -617,7 +629,7 @@ def test_well_descent_values_are_the_values_of_its_vectors(form, t1, t2):
     # the descent find_well runs
     q = sl2_move(form, t1, t2)
     vs, vals = reduction._descend(q, None)
-    assert vals == [q(v) for v in vs]
+    assert vals == tuple(q(v) for v in vs)
     assert find_well(q).values == tuple(sorted(vals))
 
 
@@ -628,7 +640,7 @@ def test_river_descent_values_are_the_values_of_its_vectors(form, t1, t2):
     q = sl2_move(form, t1, t2)
     root = math.isqrt(q.discriminant())
     vs, vals = reduction._descend(q, root)
-    assert vals == [q(v) for v in vs]
+    assert vals == tuple(q(v) for v in vs)
     p, n = find_river_edge(q)
     assert reduction._river_cell(q) == (
         p, n, (q(p), q(vadd(p, n)) - q(p) - q(n), q(n)), root)
@@ -670,6 +682,30 @@ def test_river_walks_evaluate_q_a_fixed_number_of_times(form, monkeypatch):
         calls.clear()
         pell_solve(-form[2])
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize("form", [(1, 1, -1), (1, 0, -2), (1, 0, -3), (-7, 3, 11),
+                                  (-22, 6, 24), (1, 0, -1201), (1, 0, -(10 ** 6) ** 2 - 1)])
+def test_river_walks_certify_each_close_once_and_charge_every_chunk(form, monkeypatch):
+    # a period under CHUNK runs is never charged; riverbends and
+    # minimum_nonzero walk one period each, and every close is certified
+    charges, closes = [], []
+    real_charge, real_transform = reduction.charge, reduction.transform
+    monkeypatch.setattr(reduction, "charge",
+                        lambda kept, run, *rest, **held: charges.append(run)
+                        or real_charge(kept, run, *rest, **held))
+    monkeypatch.setattr(reduction, "transform",
+                        lambda f, m: closes.append(m) or real_transform(f, m))
+    q = BQF(*form)
+    runs = len(trace_river(q).cells)
+    for walk_once in (trace_river, riverbends, minimum_nonzero):
+        charges.clear()
+        closes.clear()
+        walk_once(q)
+        assert len(closes) == 1
+        # counted at every CHUNK-th run that does not close the period
+        assert charges == list(range(walk.CHUNK, runs, walk.CHUNK))
+    assert (runs > walk.CHUNK) == (form == (1, 0, -1201))  # 103 runs, one count
 
 
 @pytest.mark.parametrize("form", [(5, 7, 3), (25, 36, 13),
