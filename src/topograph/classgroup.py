@@ -66,15 +66,13 @@ def _enumerate_indefinite(d: int) -> list[tuple[Form, ...]]:
     """The fingerprint of every cycle of primitive reduced indefinite forms,
     ordered by least form.
 
-    A reduced form has 0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b;
-    as 4|ac| = d - b^2, |c| then lies in the same window.  So for each
+    A reduced form has 0 < b < sqrt(d) and sqrt(d) - b < 2|a| < sqrt(d) + b,
+    and |c| lies in the same window, as 4|ac| = d - b^2.  So for each
     b <= s = isqrt(d) with b = d (mod 2) and m = (d - b^2)/4, the reduced
     forms with a > 0 are (a, b, -m/a) and (m/a, b, -a) for the divisors a of
-    m with (s - b)/2 < a <= isqrt(m): d is not a square, so sqrt(d) - b < 2a
-    iff s - b < 2a, and 2a <= 2 sqrt(m) < sqrt(d) + b.  In a reduced form a
-    and c have opposite signs and rho sends (a, b, c) to (c, ., .), so every
-    rho-cycle alternates the sign of a and holds a reduced form with a > 0:
-    the windows meet every cycle, and rho steps it from a window form."""
+    m with (s - b)/2 < a <= isqrt(m), as d is not a square.  rho sends
+    (a, b, c) to (c, ., .) and a, c have opposite signs, so every rho-cycle
+    holds one of these forms, with c < 0, from which ``_cycle`` steps it."""
     s = math.isqrt(d)
     seen = set()
     cycles = []
@@ -98,12 +96,11 @@ def _enumerate_indefinite(d: int) -> list[tuple[Form, ...]]:
 def _enumeration_size(d: int) -> int:
     """An upper bound on the candidates (a, b) the enumerators test.
 
-    d < 0: each tested (a, b) has 0 <= b <= a <= amax = isqrt(-d // 3) and
-    b = d (mod 2), at most a // 2 + 1 values of b for each a, and
-    sum(a // 2 + 1 for a = 1..amax) = amax^2 // 4 + amax.
-    d > 0: each tested (a, b) has 2a <= 2 sqrt(m) < sqrt(d), so a <= s // 2
-    with s = isqrt(d), and s + 1 - 2a <= b <= s, at most a values of b of
-    the parity of d; sum(a for a = 1..s // 2) <= s^2 // 4."""
+    d < 0: each has 0 <= b <= a <= amax = isqrt(-d // 3) and b = d (mod 2),
+    at most a // 2 + 1 values of b for each a, amax^2 // 4 + amax in all.
+    d > 0: each has 2a <= 2 sqrt(m) < sqrt(d), so a <= s // 2 for
+    s = isqrt(d), and s + 1 - 2a <= b <= s, at most a values of b of the
+    parity of d; sum(a for a = 1..s // 2) <= s^2 // 4."""
     if d < 0:
         amax = math.isqrt(-d // 3)
         return amax * amax // 4 + amax
@@ -167,13 +164,13 @@ class ClassGroupTable:
         """Fill the h x h composition table; past TABLE_BUDGET cells raise
         BudgetError before any composition.
 
-        Rows are filled by subgroup: starting from the identity row, the
-        least class u with no row is composed with every class whose row is
-        not known yet (Cl(D) is abelian, so the rest of u's row is a column
-        of known rows).  The rows of the cosets u^k H of the group H reached
-        so far follow by row[u x][y] = row[u][row[x][y]], until u^k lands
-        in H.  Each generator u at least doubles H, so there are at most
-        (h - 1).bit_length() generators, with at most h compositions each."""
+        Rows are filled by subgroup.  The least class u with no row is
+        composed with one class y of each coset yH of the group H of classes
+        with rows, the identity's first; Cl(D) is abelian, so u(xy) = x(uy)
+        for x in H fills the rest of u's row.  The rows of the cosets u^k H
+        follow by row[u x][y] = row[u][row[x][y]], until u^k lands in H.
+        Each generator u at least doubles H, so there are at most
+        (h - 1).bit_length() generators, with [Cl(D) : H] compositions each."""
         h = self.h
         if h * h > TABLE_BUDGET:
             raise BudgetError(
@@ -187,8 +184,12 @@ class ClassGroupTable:
         for u, f in enumerate(self.reps):
             if rows[u] is not None:
                 continue
-            row = [self._lookup(_compose(f, g)) if rows[y] is None
-                   else rows[y][u] for y, g in enumerate(self.reps)]
+            row = [None] * h
+            for y, g in enumerate(self.reps):
+                if row[y] is None:  # y starts a coset yH
+                    uy = self._lookup(_compose(f, g)) if rows[y] is None else rows[y][u]
+                    for x in group:
+                        row[rows[x][y]] = rows[x][uy]
             cosets = [group]
             while rows[row[cosets[-1][0]]] is None:
                 coset = [row[x] for x in cosets[-1]]
@@ -236,8 +237,8 @@ def _xgcd(x: int, y: int) -> tuple[int, int, int]:
     """(g, u, v) with u*x + v*y = g = gcd(x, y) >= 0."""
     u0, v0, u1, v1 = 1, 0, 0, 1
     while y:
-        q, r = divmod(x, y)
-        x, y = y, r
+        q = x // y
+        x, y = y, x - q * y
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
     if x < 0:
@@ -268,7 +269,8 @@ def compose(f1: Form, f2: Form) -> Form:
 
 def _compose(f1: Form, f2: Form) -> Form:
     """``compose`` of forms known to be primitive of one discriminant."""
-    f1, f2 = _leading_nonzero(f1), _leading_nonzero(f2)
+    if not (f1[0] and f2[0]):
+        f1, f2 = _leading_nonzero(f1), _leading_nonzero(f2)
     if abs(f1[0]) > abs(f2[0]):
         f1, f2 = f2, f1
     a1, b1, _ = f1

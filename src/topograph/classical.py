@@ -33,9 +33,7 @@ def reduce_definite(form: Form) -> Form:
         if b > a or b <= -a:
             # translate b into (-a, a]
             k = (a - b) // (2 * a)
-            b2 = b + 2 * k * a
-            c = c + k * b + k * k * a
-            b = b2
+            b, c = b + 2 * k * a, c + k * (b + k * a)
             continue
         break
     if a == c and b < 0:
@@ -52,7 +50,7 @@ def _rho(form: Form, d: int, s: int) -> Form:
     """``rho`` with s = isqrt(d) given, for loops that step one d."""
     a, b, c = form
     t = 2 * abs(c)
-    if abs(c) > s:
+    if t > 2 * s:  # |c| > s
         # choose b' = -b mod t with |b'| minimal
         b2 = (-b) % t
         if b2 > t // 2:
@@ -81,19 +79,17 @@ def _reduce(form: Form, d: int, s: int) -> Form:
     """``reduce_indefinite`` given s = isqrt(d): reduced means 0 < b <= s and
     s - b < 2|a| <= s + b, as d is not a square."""
     # While |c| > sqrt(d), rho picks |b'| <= |c|, so |c'| = |b'^2 - d| / 4|c|
-    # <= |c| / 4.  A j-th such step needs 4^j sqrt(d) < |c| of the input, so
-    # there are at most excess // 2 + 1 of them.  Once |c| < sqrt(d), rho
-    # gives (c, b1, c1) with sqrt(d) - 2|c| < b1 < sqrt(d), which is reduced
-    # or has 2|c1| < sqrt(d), and the form after that is reduced: two more
-    # steps.  a plays no part, as the first step drops it.
-    excess = form[2].bit_length() - (d.bit_length() - 1) // 2
-    limit = max(excess, 0) // 2 + 3
-    (a, b, c), steps = form, 0
+    # <= |c| / 4: a j-th such step needs 4^j sqrt(d) < |c| of the input, at
+    # most excess // 2 + 1 of them.  Then rho gives (c, b1, c1) with
+    # sqrt(d) - 2|c| < b1 < sqrt(d), reduced or with 2|c1| < sqrt(d), and the
+    # form after that is reduced: two more.  The first step drops a.
+    (a, b, c), steps, limit = form, 0, 3  # the limit is read once reached
     while not (0 < b <= s and s - b < 2 * abs(a) <= s + b):
         if steps == limit:
-            raise ClassificationError(
-                f"rho reduction of {brief(form)} did not terminate in {steps} steps"
-            )
+            excess = form[2].bit_length() - (d.bit_length() - 1) // 2
+            if steps == (limit := max(excess, 0) // 2 + 3):
+                raise ClassificationError(
+                    f"rho reduction of {brief(form)} did not terminate in {steps} steps")
         a, b, c = _rho((a, b, c), d, s)
         steps += 1
     return a, b, c
@@ -103,20 +99,27 @@ def indefinite_cycle(form: Form) -> tuple[Form, ...]:
     """The cycle of reduced forms SL2-equivalent to an indefinite form."""
     start = reduce_indefinite(form)
     d = start[1] ** 2 - 4 * start[0] * start[2]
-    return _cycle(start, d, math.isqrt(d))
+    s = math.isqrt(d)
+    if start[2] < 0:
+        return tuple(_cycle(start, d, s))
+    cycle = _cycle(_rho(start, d, s), d, s)  # ends with start
+    return tuple(cycle[-1:] + cycle[:-1])
 
 
-def _cycle(start: Form, d: int, s: int) -> tuple[Form, ...]:
-    """``indefinite_cycle`` of a reduced form, given s = isqrt(d)."""
-    # rho permutes the finitely many reduced forms of discriminant d.  Each
-    # has |c| < sqrt(d), so rho takes the b' = -b mod 2|c| in (s - 2|c|, s],
-    # and c' = (b'^2 - d) / 4c is exact on numbers below d
+def _cycle(start: Form, d: int, s: int) -> list[Form]:
+    """``indefinite_cycle`` of a reduced form with c < 0, given s = isqrt(d)."""
+    # rho permutes the finitely many reduced forms of discriminant d.  They
+    # have |c| < sqrt(d), so rho takes b' = -b mod 2|c| in (s - 2|c|, s], and
+    # a, c of opposite signs, so c alternates: two steps, c < 0 then c > 0
     cycle, (_, b, c) = [start], start
     while True:
-        b = s - (s + b) % (2 * abs(c))
-        a, c = c, (b * b - d) // (4 * c)
+        b = s - (s + b) % (-2 * c)
+        a = (b * b - d) // (4 * c)
+        cycle.append((c, b, a))
+        b = s - (s + b) % (2 * a)
+        c = (b * b - d) // (4 * a)
         if (f := (a, b, c)) == start:
-            return tuple(cycle)
+            return cycle
         cycle.append(f)
 
 

@@ -1,15 +1,14 @@
 """Topograph-driven reduction: wells for definite forms, rivers for
-indefinite ones, Pell solutions and minima bounds, walked on the topograph;
-tests compare them with the classical route.
+indefinite ones, Pell solutions and minima bounds; tests compare them with
+the classical route.
 
-Every walk carries one edge (p, n) and its local form
-(u, b, v) = (Q(p), Q(p + n) - u - v, Q(n)), and moves a run at a time: beside
-a kept face n the faces p + kn have values u + k(b + kv), so a run's length
-is one floor division or ``isqrt``, and the run is p <- p + kn,
-u <- u + k(b + kv), b <- b + 2kv (or its mirror, which keeps p).  The
-descents start from the edge ((1, 0), (0, 1)), whose local form is (a, b, c),
-and cost O(log |coefficients|) runs; a river period costs one run per
-partial quotient.  Q is evaluated only in the river's automorph certificate."""
+Every walk carries an edge (p, n) and its local form (u, b, v) =
+(Q(p), Q(p + n) - u - v, Q(n)), and moves a run at a time: beside a kept
+face n the faces p + kn have values u + k(b + kv), so a run is one floor
+division or ``isqrt`` long and moves p <- p + kn, u <- u + k(b + kv),
+b <- b + 2kv (or its mirror).  Descents start at ((1, 0), (0, 1)), of local
+form (a, b, c), and cost O(log |coefficients|) runs; a river period one run
+per partial quotient.  Q is evaluated only in the automorph certificate."""
 
 from __future__ import annotations
 
@@ -60,10 +59,9 @@ class RiverPeriod(NamedTuple):
     form: BQF
 
     def bends(self) -> list[BQF]:
-        # every run ends at a bend, so only the start cell is tested.  Runs
-        # and the automorph keep det(p, n), so every edge has the start
-        # edge's, s; of a bend's two det +1 readings (u, sb, v) and
-        # (v, -sb, u), the one with a positive middle term
+        # every run ends at a bend, so only the start is tested.  Every edge
+        # has the start edge's det s, as runs and the automorph keep it; of
+        # a bend's readings (u, sb, v), (v, -sb, u), take the one with sb > 0
         ((pa, pc), (nb, nd)), cells = self.start, self.cells
         u, b, v = cells[0]
         cells = cells[0 if (u + v - b) * (u + v + b) < 0 else 1:]
@@ -102,31 +100,28 @@ def _named(q: BQF) -> str:
 
 def _descend(q: BQF, root: int | None):
     """Follow strictly decreasing |Q| from the standard superbase
-    ((0, 1), (1, 0), (-1, -1)) until a well (no face exceeds the sum of the
-    other two) of a positive-definite form or, when ``root`` = isqrt(disc) is
-    given, until a face of the other sign appears.  Returns three final
-    signed faces and their values: a well's as (p, n, -(p + n)), the river
-    search's as the first face of each sign, by the position the single-step
-    walk leaves it in, then the third.
+    ((0, 1), (1, 0), (-1, -1)) to a well (no face exceeds the sum of the
+    other two) of a positive-definite form or, given ``root`` = isqrt(disc),
+    to a face of the other sign.  Returns three signed faces and their
+    values: a well's as (p, n, -(p + n)), the river search's as the first
+    face of each sign by the position the single-step walk leaves it in,
+    then the third.
 
-    The walker holds one edge (p, n) of the superbase {p, n, -(p + n)} and
-    its local form (u, b, v) for the form of sign s that makes the start
-    faces positive.  The third face exceeds the other two iff b > 0, and
-    only at the start: crossing the edge negates b.  After that the face p
-    exceeds iff b < -2v, and each step drops p for p + n: a run leaves b in
-    [-2v, 0).  The face n exceeds iff b < -2u; the walker then swaps the
-    roles of p and n.  Runs around n and around p alternate, like the steps
-    of Gauss reduction; their number may reach the bit length of the
-    largest starting value plus two.
+    The walker holds an edge (p, n) of the superbase {p, n, -(p + n)} and
+    its local form (u, b, v) for the sign s of Q that makes the start faces
+    positive.  The third face exceeds the other two iff b > 0, only at the
+    start: crossing the edge negates b.  Then p exceeds iff b < -2v, and a
+    run of steps drops p for p + n until b is in [-2v, 0); n exceeds iff
+    b < -2u, and the walker swaps p and n.  Runs alternate, like Gauss
+    reduction, at most the bit length of the largest start value plus two.
 
-    Positions and signs follow the single-step walk, which drops the face at
-    position j, puts the face at j + 1 minus the face at j + 2 there, and
-    negates the face at j + 1.  In edge terms, the step that drops p for
-    p + n swaps the positions of p and of the third face, and negates p and n
-    iff p, n and the third face sit at positions j, j + 1, j + 2 (mod 3).
-    The swap reverses that cyclic order, so a run of k steps swaps once if k
-    is odd and negates (k + 1) // 2 times, or k // 2 times if the first step
-    does not negate.  Negating both p and n keeps (u, b, v).
+    The single-step walk drops the face at position j, puts the face at
+    j + 1 minus the face at j + 2 there, and negates the face at j + 1: the
+    step that drops p for p + n swaps the positions of p and the third face,
+    and negates p and n iff p, n, third sit at j, j + 1, j + 2 (mod 3).  The
+    swap reverses that cyclic order, so a run of k steps swaps once if k is
+    odd and negates (k + 1) // 2 times, or k // 2 if the first step does
+    not.  Negating both p and n keeps (u, b, v).
     """
     a, b, c = q
     if root is None and (a <= 0 or b * b - 4 * a * c >= 0):
@@ -141,13 +136,14 @@ def _descend(q: BQF, root: int | None):
     p, n, ip, jn = (1, 0), (0, 1), 1, 0
     s = -1 if a < 0 else 1
     u, b, v = s * a, s * b, s * c
-    limit = max(u, abs(v), abs(u + b + v)).bit_length() + 2
-    if b > 0 and v > 0:
+    # the bit length of the largest |value|, as v > 0 when a * c > 0
+    limit = (u | v | abs(u + b + v)).bit_length() + 2
+    if b > 0:
         # cross the edge (p, n): the face p - n takes position 2, and the
         # single step negates the face at position 0
         n, b = (0, -1), -b
     for _ in range(limit):
-        if v < 0 or u + b + v < 0:  # faces of both signs
+        if u + b + v < 0:  # faces of both signs, as u, v > 0
             break
         if b + 2 * v >= 0:
             if b + 2 * u >= 0:
@@ -174,15 +170,12 @@ def _descend(q: BQF, root: int | None):
     else:
         raise ClassificationError(
             f"descent of {_named(q)} not finished after {limit} runs")
-    t = (-p[0] - n[0], -p[1] - n[1])
+    t, w = (-p[0] - n[0], -p[1] - n[1]), u + b + v
     if root is None:  # a well (s = 1), whose callers sort its faces
-        return (p, n, t), (u, v, u + b + v)
-    vs, vals = [None] * 3, [None] * 3
-    vs[ip], vs[jn], vs[3 - ip - jn] = p, n, t
-    vals[ip], vals[jn], vals[3 - ip - jn] = s * u, s * v, s * (u + b + v)
-    i = 0 if vals[0] > 0 else 1 if vals[1] > 0 else 2
-    j = 0 if vals[0] < 0 else 1 if vals[1] < 0 else 2
-    return (vs[i], vs[j], vs[3 - i - j]), (vals[i], vals[j], vals[3 - i - j])
+        return (p, n, t), (u, v, w)
+    if ip > jn:  # u, v > 0 > w: p and n share a sign, and p comes first
+        p, n, u, v = n, p, v, u
+    return ((p, t, n), (u, w, v)) if s > 0 else ((t, p, n), (-w, -u, -v))
 
 
 def find_well(q: BQF) -> Well:
@@ -194,18 +187,19 @@ def find_well(q: BQF) -> Well:
 
 
 def _well_form(vals, vs) -> BQF:
-    """The Gauss-reduced form of the well whose faces ``vs``, in any order,
-    have values ``vals``.  Sorted as u <= v <= w on faces x, y, z, Q in the
-    basis (x, y), flipped to det +1, has b = -det(x, y) * (u + v - w); a tie
-    u = v or -b = u allows either sign of b, and reduced means b >= 0."""
-    (u, v, w), (x, y, z) = vals, vs
-    if w < v:
-        v, w, y, z = w, v, z, y
+    """The Gauss-reduced form of the well whose faces ``vs`` have values
+    ``vals``.  Any two of three faces summing to zero, in cyclic order, have
+    one det s; with the largest value w last, Q in the basis of the other
+    two, (u, b, v) with b = s(w - u - v), is reduced up to the order of u, v
+    and a sign of b that a tie u = v or |b| = u leaves free."""
+    (u, v, w), ((p, q), (r, t), _) = vals, vs
+    if u > w and u >= v:
+        u, v, w = v, w, u
+    elif v > w:
+        u, v, w = w, u, v
+    b = (p * t - q * r) * (w - u - v)
     if v < u:
-        u, v, x, y = v, u, y, x
-        if w < v:
-            v, w, y = w, v, z
-    b = (x[1] * y[0] - x[0] * y[1]) * (u + v - w)  # -det(x, y)
+        u, v, b = v, u, -b
     if b < 0 and (u == v or -b == u):
         b = -b
     return _new(BQF, (u, b, v))
@@ -247,23 +241,22 @@ def _absolute(stack: list, face: Vec) -> Vec:
 
 def trace_river(q: BQF) -> RiverPeriod:
     """Walk the river one period, a run at a time, keeping its cells (not
-    its edges, which ``RiverPeriod.iter_edges`` rebuilds) and the least |Q|,
+    its edges: ``RiverPeriod.iter_edges`` rebuilds them) and the least |Q|,
     and certify the period by an exact Q-preserving change of basis.
 
-    Every run ends at a bend.  The walk is the same at every translate, so
-    the first run end that translates the first bend (the start, if a bend)
-    gives the automorph, and the closing edge is its image of the start.
-    The bends of one period read off distinct reduced forms (a, b, c),
-    0 < b, 0 < |a| < sqrt(disc), which bounds the runs.  Inside a run |Q| of
-    the moving faces is strictly concave in the step number, so the run-end
-    faces, the closing translate's included, hold every least |Q|.
+    Every run ends at a bend, and the walk is the same at every translate,
+    so the first run end that translates the first bend (the start, if a
+    bend) gives the automorph.  The bends of a period read off distinct
+    reduced forms, which bounds the runs.  |Q| of the moving faces is
+    strictly concave within a run, so the run ends, the closing translate's
+    included, hold every least |Q|.
 
-    The edge (p, n) is held as the start edge times the runs since: every
-    ``CHUNK`` runs it is pushed onto a stack of products that merges like a
-    binary counter, and reset to the identity.  A face is built absolute
-    only where |Q| is least and at a candidate close, so a period under
-    ``CHUNK`` runs never touches the stack.  The walk charges its cells,
-    stack and faces of least |Q| every ``CHUNK`` runs.
+    The edge is held as the start edge times the runs since: every ``CHUNK``
+    runs it is pushed onto a stack of products that merges like a binary
+    counter, and reset.  A face is built absolute only where |Q| is least
+    and at a close, so a period under ``CHUNK`` runs never touches the
+    stack.  The walk charges its cells, stack and least faces every
+    ``CHUNK`` runs.
     """
     p0, n0, cell, root = _river_cell(q)
     u, b, v = cell
@@ -281,10 +274,9 @@ def trace_river(q: BQF) -> RiverPeriod:
     ref_edge, ref_steps, steps, kept = (pa, pc, nb, nd), 0, 0, 0
     due, moves_p = CHUNK if ref else 1, u + b + v > 0
     for run in range(1, limit + 1):
-        # While the face p + n is positive p advances by n, else n advances
-        # by p; the run ends where Q(p + j n) or Q(n + j p) changes sign, at
-        # the floor of a root of a quadratic with discriminant Q's: a bend,
-        # so the sides alternate.  The face that moved has |Q| = size.
+        # While Q(p + n) > 0 p advances by n, else n by p, up to the floor of
+        # a root of a quadratic of Q's discriminant, where the sign changes:
+        # a bend, so the sides alternate.  The moved face has |Q| = size.
         if moves_p:
             k = (b + root) // (-2 * v)
             pa, pc = pa + k * nb, pc + k * nd

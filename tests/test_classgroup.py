@@ -412,22 +412,30 @@ def _reduced_forms(d):
                         yield f
 
 
+def _assert_cycle_steps_as_rho(f, d):
+    orbit = _rho_orbit(f, d)
+    assert indefinite_cycle(f) == orbit, (f, d)
+    if f[2] < 0:  # _cycle steps two at a time from c < 0
+        assert classical._cycle(f, d, math.isqrt(d)) == list(orbit), (f, d)
+    return f[2] < 0
+
+
 def test_cycle_step_matches_the_public_rho():
     # the cycle steps reduced forms without rho's |c| > sqrt(d) branch;
     # every reduced form of every nonsquare discriminant up to 3000
-    forms = 0
+    forms = negative = 0
     for d in range(5, 3001):
         if d % 4 > 1 or math.isqrt(d) ** 2 == d:
             continue
         for f in _reduced_forms(d):
-            assert classical._cycle(f, d, math.isqrt(d)) == _rho_orbit(f, d), (f, d)
+            negative += _assert_cycle_steps_as_rho(f, d)
             forms += 1
-    assert forms == 71488
+    assert (forms, negative) == (71488, 71488 // 2)
     # and near 10^30, where the cycles of k^2 + 4, k^2 + 1 and k^2 - 4 are short
     k = 10 ** 15
     for d in (k * k + 4, k * k + 1, k * k - 4):
         for f in indefinite_cycle(principal_form(d)):
-            assert classical._cycle(f, d, math.isqrt(d)) == _rho_orbit(f, d), (f, d)
+            _assert_cycle_steps_as_rho(f, d)
 
 
 def test_rho_reduction_overrun_is_typed(monkeypatch):
@@ -528,8 +536,10 @@ def test_build_table_composes_generator_rows_only(d, monkeypatch):
     monkeypatch.setattr(classgroup, "_compose", counted)
     t = enumerate_classes(d)
     t.build_table()
-    # at most (h - 1).bit_length() generators, h compositions each
+    # at most (h - 1).bit_length() generators, each composed with one class
+    # per coset of the subgroup before it: h, h / 2, h / 4, ... in all
     assert len(calls) <= t.h * (t.h - 1).bit_length()
+    assert len(calls) < 2 * t.h
     assert t.table == [list(column) for column in zip(*t.table)]
 
 

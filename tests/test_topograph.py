@@ -171,7 +171,7 @@ def test_groups_loads_only_what_it_uses():
 
 # ROADMAP item 10: src/ may not grow past this; code added is paid for by
 # code taken out
-SRC_LINE_LIMIT = 3057
+SRC_LINE_LIMIT = 3054
 
 
 def test_src_stays_within_its_line_budget():
