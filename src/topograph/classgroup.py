@@ -326,23 +326,23 @@ def is_diform_discriminant(sigma: int, d: int) -> bool:
 
 def verify_red_blue(sigma: int, a: int, b: int, c: int) -> dict:
     """Check [Q_red] = [A_D] * [Q_blue] in Cl(D) for the diform (a, b, c)."""
-    bs = abs(b) * sigma
-    pairwise = math.gcd(abs(a), abs(c)) == 1 and (
-        b == 0 or (math.gcd(a, bs) == 1 and math.gcd(bs, c) == 1)
-    )
-    if not pairwise:
+    # D = sigma (sigma b^2 - 4ac) is a sigma-diform discriminant for every
+    # (a, b, c), so A_D refuses only a sigma outside 2 and 3, before all else
+    d = sigma * (b * b * sigma - 4 * a * c)
+    form_a = ambiguous_form_A(sigma, d)
+    # a, b sigma, c are pairwise coprime iff (a, c) = 1 and (ac, b sigma) = 1
+    if math.gcd(a, c) != 1 or b != 0 and math.gcd(a * c, b * sigma) != 1:
         raise PreconditionError("a, b*sigma, c must be pairwise coprime")
     q_red, q_blue = red_blue_forms(sigma, a, b, c)
     # with b = 0 this asks that sigma divide neither a nor c
     if content(q_red) != 1 or content(q_blue) != 1:
         raise PreconditionError(
             f"red {brief(q_red)} and blue {brief(q_blue)} must be primitive")
-    d = sigma * (b * b * sigma - 4 * a * c)
     if d < 0 and a < 0:
         raise PreconditionError(f"the diform {brief((a, b, c))} is negative-definite")
     table = enumerate_classes(d)
     i_red, i_blue = table._lookup(q_red), table._lookup(q_blue)
-    i_a = table.class_index(ambiguous_form_A(sigma, d))
+    i_a = table.class_index(form_a)
     holds = table.compose_indices(i_a, i_blue) == i_red
     return {
         "sigma": sigma,

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import walk
 from .classical import red_blue_forms, reduce_definite, transform
 from .dilinear import (BLUE, BQD, RED, STANDARD_DIBASIS, Divector, _across, _bends, _face,
                        _local_form, _new, pinwheel_complete, pinwheel_key)
@@ -157,6 +158,7 @@ def diform_well(q: BQD) -> dict:
     Returns the source pinwheel (faces and values), the flat edges at the
     source, and the classically reduced pair for Q_red, Q_blue.
     """
+    _local_form(q, *STANDARD_DIBASIS)  # checks sigma before anything else
     if not (q.a > 0 and q.discriminant() < 0):
         raise ClassificationError(
             f"well descent needs a positive-definite diform, not {_named(q)}")
@@ -215,6 +217,7 @@ def diform_river(q: BQD) -> DiRiverPeriod:
     minimum theorems.  A period has no cheap advance estimate, so one whose
     steps pass ``walk.RIVER_BUDGET`` bits raises BudgetError during the walk.
     """
+    _local_form(q, *STANDARD_DIBASIS)  # checks sigma before anything else
     if not q.is_primitive():
         raise PreconditionError(
             f"river analysis expects a primitive diform, not {_named(q)}")
@@ -309,7 +312,7 @@ def diform_river(q: BQD) -> DiRiverPeriod:
                 return _new(DiRiverPeriod, (steps, edges, bends, auto, mu, wit, exceptional, q))
         cells, here = _cells(t, sigma), 0
         if (run + 1) % CHUNK == 0:
-            kept = charge(kept, run + 1, _named(q), d, steps[-CHUNK:])
+            kept = charge(kept, run + 1, _named(q), d, steps[-CHUNK:], walk.RIVER_BUDGET, ())
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs "
         f"({edges} edges)")

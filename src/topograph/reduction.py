@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from . import walk
 from .bqf import BQF
 from .classical import is_square, transform
 from .errors import ClassificationError, IntegralityError, SquareDiscriminantError, brief
@@ -326,7 +327,7 @@ def trace_river(q: BQF) -> RiverPeriod:
                 chunks >>= 1
             pa, pc, nb, nd = 1, 0, 0, 1
             kept = charge(kept, run, _named(q), q.discriminant(), cells[-CHUNK:],
-                          held=(stack, ties))
+                          walk.WALK_BUDGET, (stack, ties))
             due += CHUNK
     raise ClassificationError(
         f"river period of {_named(q)} not closed after {brief(limit)} runs")

@@ -7,12 +7,13 @@ discriminant is huge.  The walks count instead, every ``CHUNK`` runs, the
 bits of the integers they keep, and refuse the period with a
 ``BudgetError`` during the walk.
 
-The BQF walk keeps one cell (u, b, v) per run, each below the discriminant,
-and holds its answer as a product stack whose bits grow with the runs, not
-with their square.  It is counted against ``WALK_BUDGET``, and its answer
-alone against ``ANSWER_BUDGET``.  The diform walk keeps its steps, whose
-vectors grow with every run, so their bits grow with the square of the runs,
-and they are counted against ``RIVER_BUDGET``.
+Each walk names its budget, which counts the bits it keeps plus those of
+what it holds of its answer; the answer alone is counted against
+``ANSWER_BUDGET``.  The BQF walk keeps one cell (u, b, v) per run, each
+below the discriminant, and holds its answer as a product stack whose bits
+grow with the runs, not their square; it names ``WALK_BUDGET``.  The diform
+walk keeps its steps, whose vectors grow with every run, so their bits grow
+with the square of the runs; it holds nothing and names ``RIVER_BUDGET``.
 """
 
 from .errors import BudgetError, brief
@@ -37,31 +38,26 @@ def _bits(x) -> int:
     return sum(map(_bits, x)) if isinstance(x, (tuple, list)) else 0
 
 
-def charge(kept: int, runs: int, what: str, disc: int, chunk: list, held=None) -> int:
+def charge(kept: int, runs: int, what: str, disc: int, chunk: list, budget: int, held) -> int:
     """``kept`` plus the bits of the integers in ``chunk``, the list of
-    records (tuples, nested to any depth) a walk kept since its last count,
-    or a BudgetError naming the runs, the bits and the discriminant once the
-    sum passes ``RIVER_BUDGET``.
+    records (tuples, nested to any depth) a walk kept since its last count.
 
-    ``held`` is what the BQF walk holds of its answer now.  With it, the sum
-    plus held's bits is counted against ``WALK_BUDGET`` instead, and held's
-    bits alone against ``ANSWER_BUDGET``; they are not added to the sum
-    returned.
+    ``held`` is what the walk holds of its answer now; its bits are not
+    added to the sum returned.  A BudgetError names the runs, the bits and
+    the discriminant once held's bits pass ``ANSWER_BUDGET``, or the sum
+    plus held's bits passes ``budget``.
 
     The vectors along a river grow, or first shrink and then grow, with the
     distance from the walk's start, so the larger end of a chunk bounds each
     record in it, and reading the two ends is enough.
     """
     kept += len(chunk) * max(_bits(chunk[0]), _bits(chunk[-1]))
-    head = (f"river period of {what}, discriminant {brief(disc)}, "
-            f"not closed after {runs} runs")
-    total, budget = kept, RIVER_BUDGET
-    if held is not None:
-        answer, budget = _bits(held), WALK_BUDGET
-        if answer > ANSWER_BUDGET:
-            raise BudgetError(f"{head}: its answer already holds {answer} bits,"
-                              f" past the answer budget of {ANSWER_BUDGET}")
-        total += answer
-    if total > budget:
-        raise BudgetError(f"{head} keeping {total} bits, past the budget of {budget}")
-    return kept
+    answer = _bits(held)
+    if answer > ANSWER_BUDGET:
+        fault = f": its answer already holds {answer} bits, past the answer budget of {ANSWER_BUDGET}"
+    elif kept + answer > budget:
+        fault = f" keeping {kept + answer} bits, past the budget of {budget}"
+    else:
+        return kept
+    raise BudgetError(f"river period of {what}, discriminant {brief(disc)}, "
+                      f"not closed after {runs} runs{fault}")

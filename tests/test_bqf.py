@@ -4,8 +4,11 @@ from reference import superbase_ball
 from topograph.bqf import (
     BQF,
     DEGENERATE,
+    FLAT,
     INDEFINITE,
     POSITIVE_DEFINITE,
+    TOWARD_E,
+    TOWARD_F,
     arrow,
     cell_values,
     classify,
@@ -48,10 +51,20 @@ def test_cell_identities_on_random_cells():
 
 
 def test_arrow_directions():
-    q = BQF(1, 0, 2)
-    s = normalize_superbase([(1, 0), (0, 1), (-1, -1)])
-    directions = {arrow(q, s, j) for j in range(3)}
-    assert directions <= {"toward-f", "toward-e", "flat"}
+    # the arrow points toward the larger flank, and along no edge of equal ones
+    seen = set()
+    for q in (BQF(1, 0, 2), BQF(1, 1, 1), BQF(1, -1, 1), BQF(1, 0, 1), BQF(2, 3, -5)):
+        for s in (STANDARD_SUPERBASE, normalize_superbase([(1, 0), (0, 1), (-1, -1)]),
+                  normalize_superbase([(2, 1), (-1, 0), (-1, -1)])):
+            for j in range(3):
+                cv = cell_values(q, s, j)
+                want = TOWARD_F if cv.f > cv.e else TOWARD_E if cv.e > cv.f else FLAT
+                assert arrow(q, s, j) == want
+                seen.add(want)
+    assert seen == {TOWARD_F, TOWARD_E, FLAT}
+    # at the edge {(1, 0), (0, 1)}, f - e = 2b
+    assert [arrow(BQF(1, b, 1), STANDARD_SUPERBASE, 2) for b in (1, -1, 0)] == [
+        TOWARD_F, TOWARD_E, FLAT]
 
 
 def test_flat_edge_for_symmetric_form():

@@ -16,6 +16,7 @@ from topograph.classgroup import (
     ambiguous_form_A,
     compose,
     enumerate_classes,
+    is_diform_discriminant,
     principal_form,
     verify_red_blue,
 )
@@ -104,8 +105,19 @@ def test_ambiguous_form_fixtures():
 
 
 def test_ambiguous_form_divisibility_error():
-    with pytest.raises(DivisibilityError):
+    with pytest.raises(DivisibilityError, match=r"^sigma must divide the discriminant$"):
         ambiguous_form_A(2, -3)
+    with pytest.raises(DivisibilityError, match=r"^sigma must be 2 or 3$"):
+        ambiguous_form_A(5, -20)
+
+
+def test_ambiguous_form_refuses_a_discriminant_of_no_diform():
+    # sigma | D, but D / sigma is neither 0 nor sigma mod 4
+    for sigma, d in ((2, 2), (2, -6), (3, 6), (3, -9)):
+        assert not is_diform_discriminant(sigma, d)
+        with pytest.raises(InvalidDiscriminantError,
+                           match=rf"^{d} is not a sigma={sigma} diform discriminant$"):
+            ambiguous_form_A(sigma, d)
 
 
 def test_represents():
@@ -132,8 +144,23 @@ def test_verify_red_blue_indefinite_fixture():
 def test_verify_red_blue_precondition():
     with pytest.raises(PreconditionError):
         verify_red_blue(2, 2, 1, 4)  # gcd(a, c) = 2
+    for sigma, a, b, c in ((2, 2, 1, 3), (3, 1, 1, 3), (2, 3, 3, 5), (3, 2, 0, 4)):
+        with pytest.raises(PreconditionError, match="pairwise coprime"):
+            verify_red_blue(sigma, a, b, c)  # gcd(a, b sigma), (b sigma, c) or (a, c) > 1
+    assert verify_red_blue(2, 1, 0, 3)["relation_holds"]  # b = 0: only gcd(a, c) counts
     with pytest.raises(PreconditionError, match="negative-definite"):
         verify_red_blue(2, -1, 0, -1)  # refused before any class lookup
+
+
+def test_verify_red_blue_refuses_sigma_before_anything_else(monkeypatch):
+    def never(d):
+        raise AssertionError(f"enumerated the classes of {d} for a bad sigma")
+
+    monkeypatch.setattr(classgroup, "enumerate_classes", never)
+    # the first would enumerate 0.15 s of classes, the second pass their budget
+    for args in ((7, 1, 0, -1000003), (5, 1, 1, -(10**9 + 7)), (1, 2, 1, 4), (4, -1, 0, -1)):
+        with pytest.raises(DivisibilityError, match=r"^sigma must be 2 or 3$"):
+            verify_red_blue(*args)
 
 
 def test_verify_red_blue_b_zero_needs_primitive_restrictions():
@@ -517,11 +544,19 @@ SMALL = [d for d in range(-400, 401) if is_discriminant(d)] + [-4004, 1001]
 
 
 @pytest.mark.parametrize("d", SMALL)
-def test_build_table_matches_public_compose(d):
+def test_build_table_matches_public_compose(d, monkeypatch):
     t = enumerate_classes(d)
+    products = [[t.compose_indices(i, j) for j in range(t.h)] for i in range(t.h)]
     t.build_table()
     assert t.table == [[t.class_index(compose(f, g)) for g in t.reps]
-                       for f in t.reps]
+                       for f in t.reps] == products
+
+    def never(f, g):
+        raise AssertionError("compose_indices composed with a built table")
+
+    # once built, compose_indices reads the table and gives the same answers
+    monkeypatch.setattr(classgroup, "_compose", never)
+    assert [[t.compose_indices(i, j) for j in range(t.h)] for i in range(t.h)] == products
 
 
 @pytest.mark.parametrize("d", [-20, -171, -384, -4004, 12, 229, 1001])

@@ -1144,6 +1144,12 @@ def test_walks_and_cell_values_refuse_sigma_outside_2_and_3(sigma):
         diform_river(BQD(sigma, 1, 1, -1))
     with pytest.raises(PreconditionError, match=match):
         dicell_values(BQD(sigma, 1, 1, -1), *STANDARD_DIBASIS)
+    # and before any other check of Q: the walks would refuse these as
+    # definite, imprimitive and indefinite
+    for walk, q in ((diform_river, BQD(sigma, 1, 0, 3)), (diform_river, BQD(sigma, 2, 0, -4)),
+                    (diform_well, BQD(sigma, 1, 0, -3))):
+        with pytest.raises(PreconditionError, match=match):
+            walk(q)
 
 
 @settings(max_examples=300, deadline=None)

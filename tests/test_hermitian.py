@@ -18,6 +18,7 @@ from topograph.errors import (
     DegenerateFormError,
     PreconditionError,
     SearchExhaustedError,
+    TagMismatchError,
     TopographError,
 )
 from topograph.hermitian import (
@@ -52,6 +53,18 @@ def test_evaluation_fixtures():
     assert bhf_evaluate(h, gauss(1, 1), gauss(1)) == 0
     trace_form = BHF(GAUSS, 0, gauss(1, 1), 0)  # beta = 1
     assert bhf_evaluate(trace_form, gauss(1), gauss(1)) == 2
+
+
+def test_evaluation_refuses_a_vector_of_another_ring():
+    h = BHF(GAUSS, 1, zero(GAUSS), -2)
+    for x, y in ((eis(1), gauss(1)), (gauss(1), eis(1))):
+        with pytest.raises(PreconditionError, match="^vector must live in the form's ring$"):
+            bhf_evaluate(h, x, y)
+    (s1, p1), *rest = STANDARD_CUBASIS
+    with pytest.raises(TagMismatchError, match="^Eisenstein/Eisenstein vector vs Gauss$"):
+        cube_values(h, (((eis(1), eis(0)), p1), *rest))
+    with pytest.raises(TagMismatchError, match="^Gauss/Eisenstein vector vs Gauss$"):
+        cube_values(h, ((s1, (gauss(1), eis(1))), *rest))
 
 
 def test_discriminant_fixtures():
